@@ -77,14 +77,7 @@ def plusplus_decoder(matrix, split, seeds, cfg):
 def mostpop_ranking(matrix_train, excluded, N):
     """Popularity-descending ranking over all items minus the excluded seed
     set; identical for every user. Ties broken by ascending item index."""
-    counts = matrix_train.item_counts()
-    mask = np.ones(matrix_train.m, dtype=bool)
-    mask[np.asarray(excluded, dtype=np.int64)] = False
-    candidates = np.nonzero(mask)[0]
-    if N > len(candidates):
-        raise ValueError(f"N={N} exceeds candidate count {len(candidates)}")
-    order = np.lexsort((candidates, -counts[candidates]))
-    return candidates[order[:N]]
+    return model._rank_candidates(matrix_train.item_counts(), excluded, N)
 
 
 def save_seeds(seeds, path):

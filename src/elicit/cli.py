@@ -143,83 +143,80 @@ def cmd_train(args):
     return 0
 
 
-def _dre_artifacts(matrix, split, tcfg):
-    phi, theta, seeds, _ = _train_once(matrix, split, tcfg)
-    return seeds, theta
-
-
 def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
              external_seeds=None):
     """Evaluate each method over `runs` seeded repetitions on the fixed test
-    split; stochastic methods re-select seeds and re-train per run."""
+    split; stochastic methods re-select seeds and re-train per run.
+
+    Each method is a pair (select(run) -> seeds, fit(seeds, run) -> predictor).
+    Within a run, the DRE model and the RBMF selection are computed once and
+    shared by the methods that use them."""
     train_view = _restrict(matrix, split.train_users)
-    m = matrix.m
-    n_max = max(Ns)
-    master = cfg["seed"]
-    external_seeds = external_seeds or {}
+    k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
+    # (theta, seeds) of a given DRE checkpoint, used by every run
+    loaded = model.load_checkpoint(checkpoint)[1:] if checkpoint and "DRE" in methods else None
+    shared = {}  # artifacts of the current run that two methods use
+
+    def once(key, make):
+        if key not in shared:
+            shared[key] = make()
+        return shared[key]
+
+    def dre(run):  # (theta, seeds)
+        return loaded or once("DRE", lambda: _train_once(
+            matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))[1:3])
+
+    def rbmf(run):
+        return once("RBMF", lambda: baselines.rbmf_select(
+            train_view, k, seed=stream_seed(master, "RBMF", run)))
+
+    def random_seeds(run):
+        rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
+        return baselines.select_random(matrix.m, k, rng)
+
+    def excluded(run):
+        # candidate universe shared with the DRE run when present,
+        # otherwise the full itemset
+        return dre(run)[1] if "DRE" in methods else np.array([], dtype=np.int64)
+
+    def ranker(theta, seeds):
+        return lambda z: model.recommend(theta, seeds, z, n_max)
+
+    def neural(meth):  # a fresh decoder trained on the method's own stream
+        return lambda seeds, run: ranker(baselines.plusplus_decoder(
+            matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
+
+    def linear(seeds, run):
+        lin = baselines.rbmf_decoder(train_view, seeds)
+        return lambda z: model._rank_candidates(lin.predict(z), seeds, n_max)
+
+    def popularity(seeds, run):
+        ranking = baselines.mostpop_ranking(train_view, seeds, n_max)
+        return lambda z: ranking
+
+    table = {name: (lambda run, s=seeds: s, neural(name))
+             for name, seeds in (external_seeds or {}).items()}
+    table.update({
+        "MOSTPOP": (excluded, popularity),
+        "RAN++": (random_seeds, neural("RAN++")),
+        "POP++": (lambda run: baselines.select_popular(train_view, k), neural("POP++")),
+        "RBMF": (rbmf, linear),
+        "RBMF++": (rbmf, neural("RBMF++")),
+        "DRE": (lambda run: dre(run)[1], lambda seeds, run: ranker(dre(run)[0], seeds)),
+    })
     for meth in methods:
-        if meth not in METHODS and meth not in external_seeds:
+        if meth not in table:
             raise ValueError(f"unknown method {meth!r}")
 
-    dre_seeds_per_run = {}
     run_reports = {meth: [] for meth in methods}
     for run in range(runs):
-        if "DRE" in methods:
-            if checkpoint is not None:
-                phi, theta, seeds = model.load_checkpoint(checkpoint)
-                dre = (seeds, theta)
-            else:
-                dre = _dre_artifacts(
-                    matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))
-            dre_seeds_per_run[run] = dre[0]
-
+        shared.clear()
         for meth in methods:
-            rng = np.random.Generator(
-                np.random.PCG64(stream_seed(master, meth, run)))
-            if meth == "DRE":
-                seeds, theta = dre
-                predictor = lambda z, th=theta, s=seeds: model.recommend(th, s, z, n_max)
-            elif meth == "MOSTPOP":
-                excluded = dre_seeds_per_run.get(run, np.array([], dtype=np.int64))
-                ranking = baselines.mostpop_ranking(train_view, excluded, n_max)
-                predictor = lambda z, r=ranking: r
-                # candidate universe shared with the DRE run when present,
-                # otherwise the full itemset
-                seeds = excluded
-            elif meth == "RAN++":
-                seeds = baselines.select_random(m, cfg["k"], rng)
-                theta = baselines.plusplus_decoder(
-                    matrix, split, seeds,
-                    train_config(cfg, seed=stream_seed(master, meth, run)))
-                predictor = lambda z, th=theta, s=seeds: model.recommend(th, s, z, n_max)
-            elif meth == "POP++":
-                seeds = baselines.select_popular(train_view, cfg["k"])
-                theta = baselines.plusplus_decoder(
-                    matrix, split, seeds,
-                    train_config(cfg, seed=stream_seed(master, meth, run)))
-                predictor = lambda z, th=theta, s=seeds: model.recommend(th, s, z, n_max)
-            elif meth == "RBMF":
-                seeds = baselines.rbmf_select(
-                    train_view, cfg["k"], seed=stream_seed(master, meth, run))
-                lin = baselines.rbmf_decoder(train_view, seeds)
-                predictor = lambda z, ln=lin, s=seeds: model._rank_candidates(
-                    ln.predict(z), s, n_max)
-            elif meth == "RBMF++":
-                seeds = baselines.rbmf_select(
-                    train_view, cfg["k"], seed=stream_seed(master, "RBMF", run))
-                theta = baselines.plusplus_decoder(
-                    matrix, split, seeds,
-                    train_config(cfg, seed=stream_seed(master, meth, run)))
-                predictor = lambda z, th=theta, s=seeds: model.recommend(th, s, z, n_max)
-            else:  # externally supplied seed list, paired with the neural decoder
-                seeds = external_seeds[meth]
-                theta = baselines.plusplus_decoder(
-                    matrix, split, seeds,
-                    train_config(cfg, seed=stream_seed(master, meth, run)))
-                predictor = lambda z, th=theta, s=seeds: model.recommend(th, s, z, n_max)
+            select, fit = table[meth]
+            seeds = select(run)
             run_reports[meth].append(
-                evaluate.evaluate_method(predictor, matrix, split, seeds, Ns))
+                evaluate.evaluate_method(fit(seeds, run), matrix, split, seeds, Ns))
 
     pairings = []
     if "DRE" in methods:
@@ -235,9 +232,8 @@ def cmd_eval(args):
     if args.checkpoint:
         manifest_path = args.checkpoint + ".manifest"
         if os.path.exists(manifest_path):
-            manifest = dict(
-                line.rstrip("\n").partition("=")[::2]
-                for line in open(manifest_path, encoding="utf-8"))
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
             fp = data.matrix_fingerprint(matrix)
             if manifest.get("data_fingerprint", fp) != fp:
                 raise SystemExit(
@@ -453,7 +449,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="multi-run evaluation of selected methods")
-    p.add_argument("--methods", default="MOSTPOP,RAN++,POP++,RBMF,RBMF++,DRE")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--runs", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--epochs", type=int)
@@ -475,7 +471,6 @@ def build_parser():
     p = sub.add_parser("recommend", help="one-shot elicitation for a new user")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--items-map", required=True)
-    p.add_argument("--interactive", action="store_true")
     p.add_argument("--feedback", help="file with k space/newline-separated 0/1 values")
     p.add_argument("--top-n", type=int, default=10)
     p.set_defaults(func=cmd_recommend)

@@ -11,6 +11,7 @@ from scipy import stats
 __all__ = [
     "precision_at",
     "ndcg_at",
+    "score_users",
     "evaluate_method",
     "paired_t_test",
     "aggregate_runs",
@@ -19,6 +20,7 @@ __all__ = [
 ]
 
 DEFAULT_NS = (10, 20, 50, 100)
+BLOCK_ROWS = 256
 
 
 def precision_at(omega, v_set, N):
@@ -40,44 +42,61 @@ def ndcg_at(omega, v_set, N):
     return dcg / idcg
 
 
-def evaluate_method(predictor, matrix, split, seeds, Ns=DEFAULT_NS):
-    """Simulate elicitation for every test user and score the rankings.
+def score_users(predictor, matrix, user_ids, seeds, Ns=DEFAULT_NS):
+    """Simulate elicitation for `user_ids` and score the rankings.
 
-    For each test user: feedback z is the user's true binary ratings on the
-    seed items; the ground truth is the user's positives minus the seeds.
-    Users with empty ground truth are skipped (counted). `predictor` maps z
-    to a ranked candidate list of length >= max(Ns) with no seed items.
+    Feedback z is each user's true binary ratings on the seed items; the
+    ground truth is the user's positives minus the seeds. Users with empty
+    ground truth are skipped (counted). The other users are scored in
+    near-equal blocks of at most BLOCK_ROWS: `predictor` maps a (b, k)
+    feedback block to b rankings of length >= max(Ns) with no seed items, or
+    to one ranking shared by every user of the block.
 
     Returns {"users": [...], "P": {N: array}, "NDCG": {N: array}, "skipped": int}.
     """
     seeds = np.asarray(seeds, dtype=np.int64)
-    seed_set = set(int(s) for s in seeds)
+    is_seed = np.zeros(matrix.m, dtype=bool)
+    is_seed[seeds] = True
     n_max = max(Ns)
-    per_user = {("P", N): [] for N in Ns}
-    per_user.update({("NDCG", N): [] for N in Ns})
-    users, skipped = [], 0
-    for u in split.test_users:
-        positives = set(int(j) for j in matrix.rows[u])
-        truth = positives - seed_set
-        if not truth:
-            skipped += 1
-            continue
-        z = np.array([1.0 if int(s) in positives else 0.0 for s in seeds])
-        omega = list(predictor(z))[:n_max]
-        assert not seed_set.intersection(omega), "seed item leaked into a ranking"
-        assert len(set(omega)) == len(omega), "duplicate item in a ranking"
-        users.append(int(u))
-        for N in Ns:
-            per_user[("P", N)].append(precision_at(omega, truth, N))
-            per_user[("NDCG", N)].append(ndcg_at(omega, truth, N))
-    if not users:
-        raise ValueError("every test user was skipped; evaluation is degenerate")
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    truth_size = np.array([len(matrix.rows[u]) - int(is_seed[matrix.rows[u]].sum())
+                           for u in user_ids], dtype=np.int64)
+    users, truth_size = user_ids[truth_size > 0], truth_size[truth_size > 0]
+    hits = [np.zeros((0, n_max), dtype=bool)]
+    # near-equal blocks, so no block has 1 row (unless only one user is
+    # scored): a 1-row decode takes numpy's matrix-vector path, which rounds
+    # differently from the matrix-matrix product
+    n_blocks = -(-len(users) // BLOCK_ROWS)
+    for block in np.array_split(users, n_blocks) if n_blocks else []:
+        R = matrix.dense(block)
+        omega = np.asarray(predictor(R[:, seeds]))
+        omega = np.broadcast_to(omega, (len(block), omega.shape[-1]))
+        if omega.shape[1] < n_max:
+            raise ValueError(f"N={n_max} exceeds ranking length {omega.shape[1]}")
+        omega = omega[:, :n_max]
+        if is_seed[omega].any():
+            raise ValueError("seed item leaked into a ranking")
+        if (np.diff(np.sort(omega, axis=1), axis=1) == 0).any():
+            raise ValueError("duplicate item in a ranking")
+        hits.append(np.take_along_axis(R, omega, axis=1) > 0)
+    hits = np.concatenate(hits)
+    # sequential sums in rank order, as in precision_at / ndcg_at
+    discount = np.array([1.0 / math.log2(n + 1) for n in range(1, n_max + 1)])
+    dcg, ideal = np.cumsum(hits * discount, axis=1), np.cumsum(discount)
     return {
-        "users": users,
-        "P": {N: np.array(per_user[("P", N)]) for N in Ns},
-        "NDCG": {N: np.array(per_user[("NDCG", N)]) for N in Ns},
-        "skipped": skipped,
+        "users": users.tolist(),
+        "P": {N: hits[:, :N].sum(axis=1) / N for N in Ns},
+        "NDCG": {N: dcg[:, N - 1] / ideal[np.minimum(N, truth_size) - 1] for N in Ns},
+        "skipped": len(user_ids) - len(users),
     }
+
+
+def evaluate_method(predictor, matrix, split, seeds, Ns=DEFAULT_NS):
+    """score_users on the test users; raises if every one was skipped."""
+    table = score_users(predictor, matrix, split.test_users, seeds, Ns)
+    if not table["users"]:
+        raise ValueError("every test user was skipped; evaluation is degenerate")
+    return table
 
 
 def paired_t_test(scores_a, scores_b):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluate
 from .linalg import gumbel_noise, softmax_rows
 
 __all__ = [
@@ -114,9 +115,14 @@ def _sigmoid(x):
     return out
 
 
+def _decoder_forward(theta, z):
+    """Hidden activations and reconstruction for a block of inputs z."""
+    h = _sigmoid(z @ theta.w1 + theta.b1)
+    return h, _sigmoid(h @ theta.w2 + theta.b2)
+
+
 def decode(theta, z_batch):
-    h = _sigmoid(z_batch @ theta.w1 + theta.b1)
-    return _sigmoid(h @ theta.w2 + theta.b2)
+    return _decoder_forward(theta, z_batch)[1]
 
 
 def mse_loss(r_hat, r_batch):
@@ -125,29 +131,28 @@ def mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
+def _decoder_backward(theta, z, h, r_hat, r_batch):
+    """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
+    gradient at the hidden pre-activation, from which callers that also
+    train the encoder continue the chain rule."""
+    d_out = (2.0 / r_batch.shape[0]) * (r_hat - r_batch) * r_hat * (1.0 - r_hat)
+    d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
+    grads = {"w1": z.T @ d_h, "b1": d_h.sum(axis=0), "w2": h.T @ d_out, "b2": d_out.sum(axis=0)}
+    return grads, d_h
+
+
 def _forward_backward(phi, theta, r_batch, tau, g):
     """Forward pass with the given Gumbel noise g, then exact reverse-mode
     gradients of the MSE loss w.r.t. phi and all decoder parameters."""
-    b = r_batch.shape[0]
     y = softmax_rows(phi + g, tau)
     z = r_batch @ y.T
-    h = _sigmoid(z @ theta.w1 + theta.b1)
-    r_hat = _sigmoid(h @ theta.w2 + theta.b2)
-
-    d_out = (2.0 / b) * (r_hat - r_batch) * r_hat * (1.0 - r_hat)
-    g_w2 = h.T @ d_out
-    g_b2 = d_out.sum(axis=0)
-    d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
-    g_w1 = z.T @ d_h
-    g_b1 = d_h.sum(axis=0)
+    h, r_hat = _decoder_forward(theta, z)
+    grads, d_h = _decoder_backward(theta, z, h, r_hat, r_batch)
     d_z = d_h @ theta.w1.T                  # b x k
     d_y = d_z.T @ r_batch                   # k x m
     # softmax backward per row, through (phi + g) / tau
-    g_phi = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
-
-    loss = mse_loss(r_hat, r_batch)
-    grads = {"phi": g_phi, "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
-    return loss, grads
+    grads["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
+    return mse_loss(r_hat, r_batch), grads
 
 
 def backward(phi, theta, r_batch, tau, g):
@@ -194,20 +199,10 @@ def extract_seeds(phi):
 def _validation_ndcg(theta, seeds, matrix, user_ids, N=20):
     """NDCG@N on the given users with hard seed feedback, seeds excluded
     from ranking and from ground truth. Users with empty truth are skipped."""
-    from .evaluate import ndcg_at
-
-    seed_set = set(int(s) for s in seeds)
-    N = min(N, matrix.m - len(seed_set))
-    R = matrix.dense(user_ids, dtype=theta.w1.dtype)
-    r_hat = decode(theta, R[:, seeds])
-    scores = []
-    for i, u in enumerate(user_ids):
-        truth = set(int(j) for j in matrix.rows[u]) - seed_set
-        if not truth:
-            continue
-        omega = _rank_candidates(r_hat[i], seeds, N)
-        scores.append(ndcg_at(omega, truth, N))
-    return float(np.mean(scores)) if scores else 0.0
+    N = min(N, matrix.m - len(set(int(s) for s in seeds)))
+    table = evaluate.score_users(
+        lambda z: recommend(theta, seeds, z, N), matrix, user_ids, seeds, (N,))
+    return float(table["NDCG"][N].mean()) if table["users"] else 0.0
 
 
 def train(matrix, split, cfg, log=None):
@@ -282,42 +277,36 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr=0.005, batch_size=25
         for start in range(0, n_train, batch_size):
             idx = order[start:start + batch_size]
             z, r = Z[idx], R_train[idx]
-            b = r.shape[0]
-            h = _sigmoid(z @ theta.w1 + theta.b1)
-            r_hat = _sigmoid(h @ theta.w2 + theta.b2)
-            loss = mse_loss(r_hat, r)
-            if not np.isfinite(loss):
+            h, r_hat = _decoder_forward(theta, z)
+            if not np.isfinite(mse_loss(r_hat, r)):
                 raise RuntimeError(f"decoder retraining diverged at epoch {e}")
-            d_out = (2.0 / b) * (r_hat - r) * r_hat * (1.0 - r_hat)
-            d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
-            grads = {
-                "w1": z.T @ d_h, "b1": d_h.sum(axis=0),
-                "w2": h.T @ d_out, "b2": d_out.sum(axis=0),
-            }
-            adam_step(params, grads, state, lr)
+            adam_step(params, _decoder_backward(theta, z, h, r_hat, r)[0], state, lr)
     return theta
 
 
 def _rank_candidates(scores, seeds, N):
     """Top-N item indices by descending score, seeds excluded, ties broken
-    by ascending index."""
-    m = len(scores)
-    mask = np.ones(m, dtype=bool)
-    mask[seeds] = False
+    by ascending index. `scores` is one row of m scores or a (b, m) block,
+    giving one ranking or b rows of rankings."""
+    scores = np.asarray(scores)
+    mask = np.ones(scores.shape[-1], dtype=bool)
+    mask[np.asarray(seeds, dtype=np.int64)] = False
     candidates = np.nonzero(mask)[0]
     if N > len(candidates):
         raise ValueError(f"N={N} exceeds candidate count {len(candidates)}")
-    order = np.lexsort((candidates, -scores[candidates].astype(np.float64)))
-    return candidates[order[:N]]
+    # a stable sort keeps candidates (ascending indices) in order among ties
+    keys = -scores[..., candidates].astype(np.float64)
+    return candidates[np.argsort(keys, axis=-1, kind="stable")[..., :N]]
 
 
 def recommend(theta, seeds, z, N):
-    """Rank candidate items for a new user from their seed feedback z."""
+    """Rank candidate items for new users from their seed feedback: z is one
+    user's k answers or a (b, k) block, giving one ranking or b rows."""
     z = np.asarray(z, dtype=theta.w1.dtype)
-    if z.shape != (len(seeds),):
-        raise ValueError(f"feedback must have {len(seeds)} entries, got {z.shape}")
-    scores = decode(theta, z[None, :])[0]
-    return _rank_candidates(scores, seeds, N)
+    if z.ndim not in (1, 2) or z.shape[-1] != len(seeds):
+        raise ValueError(f"feedback must have {len(seeds)} entries per user, got {z.shape}")
+    scores = decode(theta, np.atleast_2d(z))
+    return _rank_candidates(scores if z.ndim == 2 else scores[0], seeds, N)
 
 
 def save_checkpoint(path, phi, theta, seeds, manifest=None):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from elicit import cli, data, evaluate
+from elicit import baselines, cli, data, evaluate
 from conftest import write_raw_file
 
 
@@ -116,6 +116,21 @@ def test_eval_reproducible(prepared, tmp_path):
                          "--seed", "5"] + EVAL_FLAGS) == 0
         tables.append(open(os.path.join(out, "eval_report.tsv")).read())
     assert tables[0] == tables[1]
+
+
+def test_eval_rbmf_selection_shared_per_run(prepared, tmp_path, monkeypatch):
+    calls = []
+    select = baselines.rbmf_select
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "rbmf_select", counted)
+    assert cli.main(["eval", "--data-dir", prepared, "--out", str(tmp_path),
+                     "--methods", "RBMF,RBMF++", "--runs", "2",
+                     "--seed", "0"] + EVAL_FLAGS) == 0
+    assert calls == [cli.stream_seed(0, "RBMF", run) for run in range(2)]
 
 
 def test_eval_unknown_method(prepared, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elicit import data, evaluate
+from elicit import data, evaluate, model
 
 
 def test_precision_hand_cases():
@@ -79,12 +79,43 @@ def test_evaluate_method_protocol():
     assert table["NDCG"][4][1] == pytest.approx(dcg / idcg)
 
 
+def test_score_users_blocks_match_per_user_metrics():
+    rng = np.random.Generator(np.random.PCG64(3))
+    n, m, Ns = 600, 40, (5, 10)
+    rows = [np.sort(rng.choice(m, size=rng.integers(1, 8), replace=False)) for _ in range(n)]
+    matrix = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
+    seeds = np.array([4, 9, 30])
+    weights = rng.integers(-2, 3, size=(len(seeds), m)).astype(np.float64)
+    item_bias = rng.permutation(m) / m
+    heights = []
+
+    def predictor(z):
+        heights.append(len(z))
+        return model._rank_candidates(z @ weights + item_bias, seeds, max(Ns))
+
+    user_ids = rng.permutation(n)[:520]
+    table = evaluate.score_users(predictor, matrix, user_ids, seeds, Ns)
+    kept = [u for u in user_ids if set(rows[u].tolist()) - set(seeds.tolist())]
+    assert table["users"] == [int(u) for u in kept]
+    assert table["skipped"] == len(user_ids) - len(kept)
+    assert sum(heights) == len(kept) and 2 <= min(heights) and max(heights) <= 256
+    for i, u in enumerate(kept):
+        z = np.isin(seeds, rows[u]).astype(np.float64)
+        omega = predictor(z[None, :])[0].tolist()
+        truth = set(rows[u].tolist()) - set(seeds.tolist())
+        for N in Ns:
+            assert table["P"][N][i] == evaluate.precision_at(omega, truth, N)
+            assert table["NDCG"][N][i] == pytest.approx(evaluate.ndcg_at(omega, truth, N),
+                                                        rel=1e-15, abs=0)
+
+
 def test_evaluate_method_rejects_seed_leak():
     matrix = _tiny_matrix()
     split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int),
                            np.arange(4), 0)
-    with pytest.raises(AssertionError):
-        evaluate.evaluate_method(lambda z: [2, 0], matrix, split, np.array([2]), Ns=(2,))
+    for ranking, problem in (([2, 0], "seed item leaked"), ([0, 0], "duplicate item")):
+        with pytest.raises(ValueError, match=problem):
+            evaluate.evaluate_method(lambda z: ranking, matrix, split, np.array([2]), Ns=(2,))
 
 
 def test_evaluate_method_all_skipped():

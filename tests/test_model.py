@@ -248,6 +248,25 @@ def test_recommend_contract():
     assert not set(seeds.tolist()) & set(full.tolist())
     with pytest.raises(ValueError):
         model.recommend(theta, seeds, z, m - k + 1)
+    block = model.recommend(theta, seeds, np.stack([z, 1.0 - z, z]), m - k)
+    assert block.shape == (3, m - k)
+    assert all(sorted(row.tolist()) == sorted(full.tolist()) for row in block)
+    assert np.array_equal(block[0], block[2])
+    with pytest.raises(ValueError):
+        model.recommend(theta, seeds, np.ones((2, k + 1)), 5)
+
+
+def test_rank_candidates_block_matches_lexsort_reference():
+    rng = np.random.Generator(np.random.PCG64(13))
+    m, N = 40, 25
+    seeds = np.array([3, 17, 0, 39])
+    scores = rng.integers(-3, 4, size=(9, m)).astype(np.float32)  # many ties
+    block = model._rank_candidates(scores, seeds, N)
+    candidates = np.setdiff1d(np.arange(m), seeds)
+    for row, ranked in zip(scores, block):
+        reference = candidates[np.lexsort((candidates, -row[candidates].astype(np.float64)))]
+        assert np.array_equal(ranked, reference[:N])
+        assert np.array_equal(model._rank_candidates(row, seeds, N), reference[:N])
 
 
 def test_checkpoint_roundtrip(tmp_path):
