@@ -2,12 +2,14 @@
 sigmoid decoder, joint MSE training with Adam and temperature annealing,
 decoder re-training on hard selections, and new-user recommendation."""
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluate
+from .data import DataError
 from .linalg import gumbel_noise, softmax_rows
 
 __all__ = [
@@ -71,6 +73,7 @@ class DecoderParams:
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -107,12 +110,11 @@ def encode(phi, r_batch, tau, rng):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function without overflow: 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, with e = exp(-|x|). min(x, -x) is -|x| except that it
+    keeps the sign bit of a NaN, which -abs(x) would flip."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def _decoder_forward(theta, z):
@@ -161,7 +163,8 @@ def backward(phi, theta, r_batch, tau, g):
 
 
 def adam_step(params, grads, state, lr):
-    """Standard bias-corrected Adam update, in place on the params dict."""
+    """Standard bias-corrected Adam update, in place on the params dict and
+    on the moments, with two scratch buffers per parameter kept in state."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
@@ -171,9 +174,24 @@ def adam_step(params, grads, state, lr):
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * grad
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * grad * grad
-        p -= lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + state.eps)
+            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
+        m, v = state.m[name], state.v[name]
+        s, r = state.scratch[name]
+        # the operations and their order are those of the plain expressions,
+        # so the results are bit-identical to them:
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=s)
+        v *= b2
+        np.multiply(grad, 1.0 - b2, out=s)
+        v += np.multiply(s, grad, out=s)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += state.eps
+        p -= np.divide(s, r, out=s)
 
 
 def extract_seeds(phi):
@@ -292,11 +310,26 @@ def _rank_candidates(scores, seeds, N):
     mask = np.ones(scores.shape[-1], dtype=bool)
     mask[np.asarray(seeds, dtype=np.int64)] = False
     candidates = np.nonzero(mask)[0]
-    if N > len(candidates):
-        raise ValueError(f"N={N} exceeds candidate count {len(candidates)}")
-    # a stable sort keeps candidates (ascending indices) in order among ties
-    keys = -scores[..., candidates].astype(np.float64)
-    return candidates[np.argsort(keys, axis=-1, kind="stable")[..., :N]]
+    if not 0 <= N <= len(candidates):
+        raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
+    keys = -np.atleast_2d(scores)[:, candidates].astype(np.float64)
+    top = np.empty((len(keys), N), dtype=np.intp)
+    if N:
+        # the N smallest keys in some order, then a stable sort of just those
+        # columns taken in ascending index order: the ranking of a full
+        # stable sort, unless equal keys straddle the cut (the partition may
+        # keep a higher index than one it drops) or the N-th key is NaN
+        # (equal to nothing); such rows take the full stable sort
+        part = np.argpartition(keys, N - 1, axis=1)
+        kth = np.take_along_axis(keys, part[:, N - 1:N], axis=1)
+        redo = np.isnan(kth[:, 0]) | (np.count_nonzero(keys <= kth, axis=1) > N)
+        top = np.sort(part[:, :N], axis=1)
+        order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
+        top = np.take_along_axis(top, order, axis=1)
+        if redo.any():
+            top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
+    ranked = candidates[top]
+    return ranked if scores.ndim == 2 else ranked[0]
 
 
 def recommend(theta, seeds, z, N):
@@ -328,18 +361,29 @@ def save_checkpoint(path, phi, theta, seeds, manifest=None):
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint file. Raises DataError unless its length is what
+    the header implies, every float is finite and the seeds are k distinct
+    item indices below m."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a DRE1 checkpoint")
+    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a DRE1 checkpoint")
     k, m, d = struct.unpack_from("<III", raw, 4)
-    off = 16
     shapes = [("phi", (k, m)), ("w1", (k, d)), ("b1", (d,)), ("w2", (d, m)), ("b2", (m,))]
-    arrays = {}
+    n_floats = sum(math.prod(shape) for _, shape in shapes)
+    if len(raw) != 16 + 4 * (n_floats + k):
+        raise DataError(f"{path}: {len(raw)} bytes, but its header (k={k}, m={m}, d={d}) "
+                        f"implies {16 + 4 * (n_floats + k)}")
+    floats = np.frombuffer(raw, dtype="<f4", count=n_floats, offset=16)
+    if not np.isfinite(floats).all():
+        raise DataError(f"{path}: non-finite weights")
+    arrays, off = {}, 0
     for name, shape in shapes:
-        count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(shape).copy()
-        off += 4 * count
-    seeds = np.frombuffer(raw, dtype="<u4", count=k, offset=off).astype(np.int64)
+        count = math.prod(shape)
+        arrays[name] = floats[off:off + count].reshape(shape).copy()
+        off += count
+    seeds = np.frombuffer(raw, dtype="<u4", count=k, offset=16 + 4 * n_floats).astype(np.int64)
+    if len(np.unique(seeds)) != k or (seeds >= m).any():
+        raise DataError(f"{path}: seeds must be {k} distinct item indices below m={m}")
     theta = DecoderParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
     return arrays["phi"], theta, seeds

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elicit import data
+from elicit import data, model
 
 
 def make_cluster_matrix(n_per_cluster=100, items_per_cluster=10, clusters=3,
@@ -30,6 +30,33 @@ def write_raw_file(path, records, delimiter="::"):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(delimiter.join(str(f) for f in rec) + "\n")
+
+
+def write_small_checkpoint(path):
+    """A valid checkpoint with k=3, m=10, d=4 and seeds 2, 4, 8."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    phi = rng.standard_normal((3, 10)).astype(np.float32)
+    model.save_checkpoint(path, phi, model.init_decoder(3, 4, 10, rng), np.array([2, 4, 8]))
+
+
+def corrupt_checkpoint(path, fault):
+    """Rewrite a write_small_checkpoint file (k=3, m=10, d=4) with one fault."""
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    if fault == "truncated":
+        raw = raw[:-3]
+    elif fault == "trailing":
+        raw += b"\0"
+    elif fault == "nan":
+        raw[16 + 4 * 31:16 + 4 * 32] = np.array([np.nan], dtype="<f4").tobytes()
+    elif fault == "inf":
+        raw[-16:-12] = np.array([-np.inf], dtype="<f4").tobytes()
+    elif fault == "seed_out_of_range":
+        raw[-4:] = np.array([10], dtype="<u4").tobytes()
+    elif fault == "duplicate_seed":
+        raw[-4:] = raw[-8:-4]
+    with open(path, "wb") as fh:
+        fh.write(bytes(raw))
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elicit import baselines, cli, data, evaluate
-from conftest import write_raw_file
+from conftest import corrupt_checkpoint, write_raw_file, write_small_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,22 @@ def test_recommend_file_mode(prepared, tmp_path, capsys):
         cli.main(["recommend", "--checkpoint", os.path.join(out, "checkpoint.dre"),
                   "--items-map", os.path.join(prepared, "items.map"),
                   "--feedback", feedback, "--top-n", "4"])
+
+
+@pytest.mark.parametrize("fault", ["truncated", "nan", "seed_out_of_range"])
+def test_recommend_corrupt_checkpoint_is_one_line_error(prepared, tmp_path, capsys, fault):
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    write_small_checkpoint(checkpoint)
+    corrupt_checkpoint(checkpoint, fault)
+    feedback = str(tmp_path / "fb.txt")
+    open(feedback, "w").write("1 0 1\n")
+    capsys.readouterr()
+    rc = cli.main(["recommend", "--checkpoint", checkpoint,
+                   "--items-map", os.path.join(prepared, "items.map"),
+                   "--feedback", feedback, "--top-n", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_stream_seed_distinct():

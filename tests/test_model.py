@@ -3,6 +3,7 @@ import pytest
 
 from elicit import data, model
 from elicit.linalg import gumbel_noise, softmax_rows
+from conftest import corrupt_checkpoint, write_small_checkpoint
 
 
 def small_instance(k=2, m=4, d=3, b=2, seed=0, dtype=np.float64):
@@ -85,6 +86,27 @@ def test_decode_range_and_hand_forward():
     h = 1 / (1 + np.exp(-1.5))
     expected = [1 / (1 + np.exp(-2 * h)), 1 / (1 + np.exp(-(1 - h)))]
     assert np.allclose(model.decode(theta, z), [expected], atol=1e-12)
+
+
+def _masked_sigmoid(x):
+    """The boolean-mask logistic function that model._sigmoid replaced,
+    frozen as its bit-level reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
+    rng = np.random.Generator(np.random.PCG64(14))
+    x = (8.0 * rng.standard_normal((64, 301))).astype(dtype)
+    x.flat[:10] = [0.0, -0.0, 100.0, -100.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30]
+    got, want = model._sigmoid(x), _masked_sigmoid(x)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 def test_mse_loss_cases():
@@ -174,6 +196,44 @@ def test_adam_step_properties():
     assert abs(p[0] - (1.0 - 0.1)) <= 1e-6
 
 
+def _allocating_adam_step(params, grads, state, lr):
+    """The Adam step that model.adam_step replaced, with fresh moment arrays
+    on every step, frozen as its bit-level reference."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        grad = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * grad
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * grad * grad
+        p -= lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + state.eps)
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_adam_step_bit_identical_to_allocating_reference(dtype, bits):
+    rng = np.random.Generator(np.random.PCG64(15))
+    shapes = {"w": (7, 5), "b": (5,)}
+    params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    reference = {name: p.copy() for name, p in params.items()}
+    state, ref_state = model.AdamState(), model.AdamState()
+    for step in range(5):
+        # magnitudes from 1e-6 to 1e3, and one zero gradient per step
+        grads = {name: (10.0 ** rng.integers(-6, 4, shape)
+                        * rng.standard_normal(shape)).astype(dtype)
+                 for name, shape in shapes.items()}
+        grads["b"][step] = 0.0
+        model.adam_step(params, grads, state, lr=0.01)
+        _allocating_adam_step(reference, grads, ref_state, lr=0.01)
+    for name in shapes:
+        for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+            assert got[name].dtype == want[name].dtype == dtype
+            assert np.array_equal(got[name].view(bits), want[name].view(bits))
+
+
 def test_extract_seeds_collision_free():
     phi = np.full((2, 10), -1.0)
     phi[0, 7] = 5.0
@@ -246,8 +306,9 @@ def test_recommend_contract():
     assert np.array_equal(model.recommend(theta, seeds, z, 5),
                           model.recommend(theta, seeds, z.copy(), 5))
     assert not set(seeds.tolist()) & set(full.tolist())
-    with pytest.raises(ValueError):
-        model.recommend(theta, seeds, z, m - k + 1)
+    for bad_n in (m - k + 1, -1):
+        with pytest.raises(ValueError):
+            model.recommend(theta, seeds, z, bad_n)
     block = model.recommend(theta, seeds, np.stack([z, 1.0 - z, z]), m - k)
     assert block.shape == (3, m - k)
     assert all(sorted(row.tolist()) == sorted(full.tolist()) for row in block)
@@ -258,15 +319,35 @@ def test_recommend_contract():
 
 def test_rank_candidates_block_matches_lexsort_reference():
     rng = np.random.Generator(np.random.PCG64(13))
-    m, N = 40, 25
+    m = 40
     seeds = np.array([3, 17, 0, 39])
-    scores = rng.integers(-3, 4, size=(9, m)).astype(np.float32)  # many ties
-    block = model._rank_candidates(scores, seeds, N)
     candidates = np.setdiff1d(np.arange(m), seeds)
-    for row, ranked in zip(scores, block):
-        reference = candidates[np.lexsort((candidates, -row[candidates].astype(np.float64)))]
-        assert np.array_equal(ranked, reference[:N])
-        assert np.array_equal(model._rank_candidates(row, seeds, N), reference[:N])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
+    blocks = [
+        rng.integers(-3, 4, size=(9, m)).astype(np.float32),   # many ties
+        rng.integers(-3, 4, size=(9, m)).astype(np.float64),
+        rng.integers(0, 5, size=(9, m)),                       # item counts
+        rng.choice(specials, size=(9, m)),
+        rng.choice(specials, size=(9, m)).astype(np.float32),
+        np.where(rng.random((9, m)) < 0.5, np.nan, rng.integers(-3, 4, size=(9, m))),
+        rng.standard_normal((9, m)).astype(np.float32),
+    ]
+    straddled = nan_cut = 0
+    for scores in blocks:
+        for N in (1, 7, 25, len(candidates)):
+            block = model._rank_candidates(scores, seeds, N)
+            assert block.shape == (len(scores), N)
+            for row, ranked in zip(scores, block):
+                keys = -row[candidates].astype(np.float64)
+                reference = candidates[np.lexsort((candidates, keys))][:N]
+                assert np.array_equal(ranked, reference)
+                assert np.array_equal(model._rank_candidates(row, seeds, N), reference)
+                cut = -np.float64(row[reference[-1]])
+                straddled += np.count_nonzero(keys <= cut) > N
+                nan_cut += bool(np.isnan(cut))
+    # equal keys straddle the cut in many rows, and the N-th key is NaN in
+    # some: both take the full stable sort
+    assert straddled > 50 and nan_cut > 5
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -286,3 +367,27 @@ def test_checkpoint_roundtrip(tmp_path):
     manifest = dict(line.split("=", 1) for line in
                     open(path + ".manifest").read().splitlines())
     assert manifest["k"] == "3"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("truncated", "bytes, but its header"),
+    ("trailing", "bytes, but its header"),
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+    ("seed_out_of_range", "distinct item indices below m=10"),
+    ("duplicate_seed", "distinct item indices below m=10"),
+])
+def test_load_checkpoint_rejects_corrupt_file(tmp_path, fault, message):
+    path = str(tmp_path / "ckpt.dre")
+    write_small_checkpoint(path)
+    model.load_checkpoint(path)
+    corrupt_checkpoint(path, fault)
+    with pytest.raises(data.DataError, match=message):
+        model.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_short_header(tmp_path):
+    path = tmp_path / "ckpt.dre"
+    path.write_bytes(b"DRE1\x03\0\0\0")
+    with pytest.raises(data.DataError, match="not a DRE1 checkpoint"):
+        model.load_checkpoint(str(path))

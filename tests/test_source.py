@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import elicit
 
@@ -16,3 +19,12 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/elicit: {found}"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes about a second to import, and no command needs it
+    code = "import sys, elicit.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
