@@ -244,7 +244,12 @@ def cmd_eval(args):
     external = {}
     for spec in args.external_seeds or []:
         name, _, path = spec.partition("=")
-        external[name.upper()] = baselines.load_seeds(path)
+        if name.upper() not in (meth.upper() for meth in methods):
+            raise ValueError(f"--external-seeds {name} is not one of --methods")
+        seeds = baselines.load_seeds(path)
+        if ((seeds < 0) | (seeds >= matrix.m)).any():
+            raise data.DataError(f"{path}: seed indices must lie in [0, {matrix.m})")
+        external[name.upper()] = seeds
     Ns = tuple(int(t) for t in str(cfg["Ns"]).split(","))
     report = run_eval(matrix, split, cfg, methods, cfg["runs"], Ns,
                       checkpoint=args.checkpoint, external_seeds=external)

@@ -1,13 +1,15 @@
 """Raw interaction ingestion, binarization, filtering, matrix building and user splits."""
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from itertools import count, repeat
 
 import numpy as np
 
 __all__ = [
-    "InteractionRecord",
+    "Interactions",
     "RatingMatrix",
     "SplitSpec",
     "load_interactions",
@@ -23,18 +25,42 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
+# Characters of the log parsed at a time. A chunk's lines and fields are held
+# as Python strings while it is parsed, several times its size, so this bounds
+# the ingest's memory.
+READ_CHUNK_CHARS = 4 << 20
 
 
 class DataError(ValueError):
     """Malformed input file or degenerate dataset."""
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    user: str
-    item: str
-    rating: float
-    timestamp: Optional[int] = None
+@dataclass
+class Interactions:
+    """An interaction log as columns, one entry per line, in file order.
+
+    `users` and `items` are int64 codes into `user_tokens` and `item_tokens`,
+    numbered by first appearance in the file. A subset keeps the token lists,
+    so its codes need not be contiguous. `timestamps` holds 0 where
+    `has_timestamp` is false.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray  # float64
+    timestamps: np.ndarray  # int64
+    has_timestamp: np.ndarray  # bool
+    user_tokens: list = field(repr=False)
+    item_tokens: list = field(repr=False)
+
+    def __len__(self):
+        return len(self.users)
+
+    def take(self, mask):
+        """The lines selected by a boolean mask, in order."""
+        return replace(self, users=self.users[mask], items=self.items[mask],
+                       ratings=self.ratings[mask], timestamps=self.timestamps[mask],
+                       has_timestamp=self.has_timestamp[mask])
 
 
 @dataclass
@@ -83,60 +109,131 @@ class SplitSpec:
 
 
 def load_interactions(path, delimiter="::"):
-    """Parse a delimited interaction log into records, in file order.
+    """Parse a delimited interaction log into an Interactions table.
 
     Lines need at least (user, item, rating) fields; a fourth field is taken
-    as an integer timestamp. A single leading header line with a non-numeric
-    rating field is skipped.
+    as an integer timestamp, absent when it does not parse or does not fit
+    in int64. Blank lines are skipped, and so is a first line whose rating
+    field is not a number (a header). Any other malformed line raises
+    DataError naming its line number.
     """
-    records = []
+    if not delimiter or "\n" in delimiter:
+        raise DataError(f"delimiter must be non-empty and hold no newline, got {delimiter!r}")
+    user_codes = defaultdict(count().__next__)  # token -> code, first appearance first
+    item_codes = defaultdict(count().__next__)
+    chunks = []
+    lineno = 1  # of the chunk's first line
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 3:
-                raise DataError(f"{path}:{lineno}: expected >=3 fields, got {len(parts)}")
-            user, item, rating_s = parts[0], parts[1], parts[2]
-            try:
-                rating = float(rating_s)
-            except ValueError:
-                if lineno == 1:  # header line
-                    continue
-                raise DataError(f"{path}:{lineno}: unparseable rating {rating_s!r}")
-            if not np.isfinite(rating):
-                raise DataError(f"{path}:{lineno}: non-finite rating")
-            if not user or not item:
-                raise DataError(f"{path}:{lineno}: empty user or item token")
-            ts = None
-            if len(parts) >= 4:
-                try:
-                    ts = int(parts[3])
-                except ValueError:
-                    ts = None
-            records.append(InteractionRecord(user, item, rating, ts))
-    if not records:
+        while lines := fh.readlines(READ_CHUNK_CHARS):
+            first, lineno = lineno, lineno + len(lines)
+            if first == 1 and _is_header(lines[0], delimiter):
+                lines, first = lines[1:], 2
+            chunks.append(_parse_chunk(path, lines, first, delimiter, user_codes, item_codes))
+    if not sum(len(chunk[0]) for chunk in chunks):
         raise DataError(f"{path}: no interaction records")
-    return records
+    users, items, ratings, timestamps, has_timestamp = (
+        np.concatenate(column) for column in zip(*chunks))
+    return Interactions(users, items, ratings, timestamps, has_timestamp,
+                        list(user_codes), list(item_codes))
+
+
+def _is_header(line, delimiter):
+    parts = line.rstrip("\n").split(delimiter)
+    if len(parts) < 3:
+        return False
+    try:
+        float(parts[2])
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_chunk(path, lines, first, delimiter, user_codes, item_codes):
+    """Columns (users, items, ratings, timestamps, has_timestamp) of whole
+    lines numbered from `first`, with tokens coded through the shared maps."""
+    n_fields = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines)) + 1
+    # every line, newline included, contributes its n_fields to one flat split
+    flat = "".join(lines).replace(delimiter, "\n").split("\n")
+    try:
+        column, n_fields = _columns(flat, n_fields)
+        ratings = np.fromiter(map(float, column(2)), np.float64, len(n_fields))
+        if not np.isfinite(ratings).all():
+            raise ValueError("non-finite rating")
+        users = np.fromiter(map(user_codes.__getitem__, column(0)), np.int64, len(n_fields))
+        items = np.fromiter(map(item_codes.__getitem__, column(1)), np.int64, len(n_fields))
+        if "" in user_codes or "" in item_codes:
+            raise ValueError("empty user or item token")
+    except ValueError:
+        _check_lines(path, lines, first, delimiter)
+        raise
+    has_timestamp = n_fields >= 4
+    timestamps = np.zeros(len(n_fields), dtype=np.int64)
+    tokens = column(3)
+    try:
+        timestamps[has_timestamp] = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):  # some timestamp is absent
+        parsed = list(map(_int64_or_none, tokens))
+        timestamps[has_timestamp] = [t or 0 for t in parsed]
+        has_timestamp[has_timestamp] = [t is not None for t in parsed]
+    return users, items, ratings, timestamps, has_timestamp
+
+
+def _columns(flat, n_fields):
+    """(column, n_fields of the lines with fields) for the flat split of a
+    chunk, where column(k) is field k of each such line that has more than k
+    fields. Blank lines have no fields; another line with fewer than 3
+    raises ValueError."""
+    lines = len(n_fields)
+    width = n_fields[0] if lines else 3
+    if width >= 3 and (n_fields == width).all():  # one line shape: columns are slices
+        return (lambda k: flat[k:width * lines:width] if k < width else []), n_fields
+    fields = np.array(flat, dtype=object)
+    starts = np.cumsum(n_fields) - n_fields
+    full = n_fields >= 3
+    if (n_fields[~full] != 1).any() or (fields[starts[~full]] != "").any():
+        raise ValueError("a line with fewer than 3 fields is not blank")
+    starts, n_fields = starts[full], n_fields[full]
+    return (lambda k: fields[starts[n_fields > k] + k]), n_fields
+
+
+def _int64_or_none(token):
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if -2**63 <= value < 2**63 else None
+
+
+def _check_lines(path, lines, first, delimiter):
+    """Raise DataError for the first malformed line, checked one line at a
+    time, so that the message and line number are exact."""
+    for lineno, line in enumerate(lines, start=first):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(delimiter)
+        if len(parts) < 3:
+            raise DataError(f"{path}:{lineno}: expected >=3 fields, got {len(parts)}")
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unparseable rating {parts[2]!r}") from None
+        if not math.isfinite(rating):
+            raise DataError(f"{path}:{lineno}: non-finite rating")
+        if not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: empty user or item token")
 
 
 def binarize(records, threshold=3.5):
-    """Keep records with rating strictly above threshold, as positives (rating 1)."""
-    return [
-        InteractionRecord(r.user, r.item, 1.0, r.timestamp)
-        for r in records
-        if r.rating > threshold
-    ]
+    """Keep lines with rating strictly above threshold, as positives (rating 1)."""
+    kept = records.take(records.ratings > threshold)
+    return replace(kept, ratings=np.ones(len(kept)))
 
 
 def filter_min_ratings(records, min_count):
-    """Drop users with fewer than min_count positive records (single pass)."""
-    counts = {}
-    for r in records:
-        counts[r.user] = counts.get(r.user, 0) + 1
-    kept = [r for r in records if counts[r.user] >= min_count]
-    if not kept:
+    """Drop users with fewer than min_count positive lines; duplicate lines count."""
+    kept = records.take(np.bincount(records.users)[records.users] >= min_count)
+    if not len(kept):
         raise DataError("no users survive the minimum-rating filter")
     return kept
 
@@ -148,24 +245,28 @@ def build_matrix(records):
     all-zero columns cannot occur. Duplicate (user, item) pairs collapse
     to a single positive.
     """
-    if not records:
+    if not len(records):
         raise DataError("no records to build a matrix from")
-    user_index, item_index = {}, {}
-    pairs = set()
-    row_items = []
-    for r in records:
-        u = user_index.setdefault(r.user, len(user_index))
-        if u == len(row_items):
-            row_items.append([])
-        i = item_index.setdefault(r.item, len(item_index))
-        if (u, i) not in pairs:
-            pairs.add((u, i))
-            row_items[u].append(i)
-    rows = [np.array(sorted(items), dtype=np.int64) for items in row_items]
+    users, user_index = _renumber(records.users, records.user_tokens)
+    items, item_index = _renumber(records.items, records.item_tokens)
+    m = len(item_index)
+    # sorted by user, then item; np.unique would hash, which is far slower here
+    pairs = np.sort(users * m + items)
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    rows = np.split(pairs % m, np.cumsum(np.bincount(pairs // m))[:-1])
     return RatingMatrix(
-        n=len(user_index), m=len(item_index), rows=rows,
+        n=len(user_index), m=m, rows=rows,
         user_index=user_index, item_index=item_index,
     )
+
+
+def _renumber(codes, tokens):
+    """Codes renumbered 0, 1, ... by first appearance, and the token -> index map."""
+    uniq, first = np.unique(codes, return_index=True)
+    in_order = uniq[np.argsort(first)]
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[in_order] = np.arange(len(in_order))
+    return rank[codes], {tokens[code]: k for k, code in enumerate(in_order.tolist())}
 
 
 def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
@@ -202,18 +303,35 @@ def save_snapshot(matrix, path):
 
 
 def load_snapshot(path, users_map=None, items_map=None):
+    """Read a matrix.snapshot. Raises DataError unless every user id in [0, n)
+    has exactly one row and each row's item ids are integers, strictly
+    increasing and in [0, m)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(SNAPSHOT_MAGIC):
-            raise DataError(f"{path}: bad snapshot header {header!r}")
-        fields = dict(kv.split("=") for kv in header[len(SNAPSHOT_MAGIC):].split())
-        n, m, nnz = int(fields["n"]), int(fields["m"]), int(fields["nnz"])
+        try:
+            if not header.startswith(SNAPSHOT_MAGIC):
+                raise ValueError
+            fields = dict(kv.split("=") for kv in header[len(SNAPSHOT_MAGIC):].split())
+            n, m, nnz = int(fields["n"]), int(fields["m"]), int(fields["nnz"])
+        except (KeyError, ValueError):
+            raise DataError(f"{path}: bad snapshot header {header!r}") from None
         rows = [None] * n
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             u_s, _, items_s = line.rstrip("\n").partition(":")
-            rows[int(u_s)] = np.array(
-                [int(t) for t in items_s.split()] if items_s else [], dtype=np.int64
-            )
+            try:
+                u = int(u_s)
+                # via object: parsing from a str array raised the peak RSS of train
+                row = np.array(items_s.split(), dtype=object).astype(np.int64)
+            except (ValueError, OverflowError):
+                raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+            if not 0 <= u < n:
+                raise DataError(f"{path}:{lineno}: user id {u} outside [0, {n})")
+            if rows[u] is not None:
+                raise DataError(f"{path}:{lineno}: second row for user {u}")
+            if len(row) and (row[0] < 0 or row[-1] >= m or not (row[1:] > row[:-1]).all()):
+                raise DataError(f"{path}:{lineno}: item ids of user {u} must be "
+                                f"strictly increasing and lie in [0, {m})")
+            rows[u] = row
     if any(r is None for r in rows):
         raise DataError(f"{path}: missing user rows")
     user_index = _load_map(users_map) if users_map else {str(u): u for u in range(n)}

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_seed_file_roundtrip(tmp_path):
     path = str(tmp_path / "seeds.txt")
     seeds = np.array([5, 1, 9], dtype=np.int64)
     baselines.save_seeds(seeds, path)
-    assert open(path).read() == "5\n1\n9\n"
+    assert Path(path).read_text() == "5\n1\n9\n"
     assert np.array_equal(baselines.load_seeds(path), seeds)
     with open(path, "w") as fh:
         fh.write("1\n1\n")

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,8 +53,8 @@ def test_prepare_deterministic(raw_dataset, tmp_path):
     for out in (out1, out2):
         assert cli.main(["prepare", "--dataset", raw_dataset,
                          "--min-count", "3", "--out", out]) == 0
-    s1 = open(os.path.join(out1, "matrix.snapshot"), "rb").read()
-    s2 = open(os.path.join(out2, "matrix.snapshot"), "rb").read()
+    s1 = Path(out1, "matrix.snapshot").read_bytes()
+    s2 = Path(out2, "matrix.snapshot").read_bytes()
     assert s1 == s2
 
 
@@ -67,13 +68,13 @@ def test_train_artifacts(prepared, tmp_path):
     rc = cli.main(["train", "--data-dir", prepared, "--out", out,
                    "--seed", "3"] + FAST_TRAIN)
     assert rc == 0
-    seeds = open(os.path.join(out, "seeds.txt")).read().split()
+    seeds = Path(out, "seeds.txt").read_text().split()
     assert len(seeds) == 3 and len(set(seeds)) == 3
-    history = open(os.path.join(out, "history.tsv")).read().splitlines()
+    history = Path(out, "history.tsv").read_text().splitlines()
     taus = [float(line.split("\t")[1]) for line in history[1:]]
     assert taus[0] == pytest.approx(5.0)
     assert taus[-1] == pytest.approx(0.1 * (5.0 / 0.1) ** (1 / 12), rel=1e-3)
-    manifest = open(os.path.join(out, "checkpoint.dre.manifest")).read()
+    manifest = Path(out, "checkpoint.dre.manifest").read_text()
     assert "data_fingerprint=" in manifest
 
 
@@ -83,7 +84,7 @@ def test_train_byte_identical_checkpoints(prepared, tmp_path):
         out = str(tmp_path / name)
         assert cli.main(["train", "--data-dir", prepared, "--out", out,
                          "--seed", "3"] + FAST_TRAIN) == 0
-        blobs.append(open(os.path.join(out, "checkpoint.dre"), "rb").read())
+        blobs.append(Path(out, "checkpoint.dre").read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -94,7 +95,7 @@ def test_eval_and_report(prepared, tmp_path, capsys):
                    "--seed", "0"] + EVAL_FLAGS)
     assert rc == 0
     report = evaluate.EvalReport.from_json(
-        open(os.path.join(out, "eval_report.json")).read())
+        Path(out, "eval_report.json").read_text())
     assert report.methods == ["DRE", "MOSTPOP", "RAN++"]
     assert ("DRE", "P", 10) in report.cells
     assert ("DRE", "MOSTPOP", "NDCG", 10) in report.tests
@@ -114,7 +115,7 @@ def test_eval_reproducible(prepared, tmp_path):
         assert cli.main(["eval", "--data-dir", prepared, "--out", out,
                          "--methods", "RAN++", "--runs", "1",
                          "--seed", "5"] + EVAL_FLAGS) == 0
-        tables.append(open(os.path.join(out, "eval_report.tsv")).read())
+        tables.append(Path(out, "eval_report.tsv").read_text())
     assert tables[0] == tables[1]
 
 
@@ -153,15 +154,61 @@ def test_eval_fingerprint_mismatch(prepared, raw_dataset, tmp_path):
 
 def test_eval_external_seeds(prepared, tmp_path):
     seeds_path = str(tmp_path / "ext.txt")
-    open(seeds_path, "w").write("0\n6\n12\n")
+    Path(seeds_path).write_text("0\n6\n12\n")
     out = str(tmp_path / "eval")
     rc = cli.main(["eval", "--data-dir", prepared, "--out", out,
                    "--methods", "EXT", "--runs", "1", "--seed", "1",
                    "--external-seeds", f"EXT={seeds_path}"] + EVAL_FLAGS)
     assert rc == 0
     report = evaluate.EvalReport.from_json(
-        open(os.path.join(out, "eval_report.json")).read())
+        Path(out, "eval_report.json").read_text())
     assert report.methods == ["EXT"]
+
+
+def _one_line_error(capsys, argv):
+    capsys.readouterr()
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("seeds", ["0\n6\n18\n", "0\n-1\n12\n"], ids=["ge_m", "negative"])
+def test_eval_external_seeds_out_of_range(prepared, tmp_path, capsys, seeds):
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text(seeds)
+    argv = ["eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+            "--methods", "EXT", "--runs", "1",
+            "--external-seeds", f"EXT={seeds_path}"] + EVAL_FLAGS
+    with pytest.raises(data.DataError, match=r"\[0, 18\)"):
+        cli.cmd_eval(cli.build_parser().parse_args(argv))
+    _one_line_error(capsys, argv)
+
+
+def test_eval_external_seeds_must_be_a_method(prepared, tmp_path, capsys):
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text("0\n6\n12\n")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "MOSTPOP", "--runs", "1", "--external-seeds", f"X={seeds_path}"]
+        + EVAL_FLAGS)
+    assert "X" in err and "--methods" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("matrix.snapshot", "users.map", "items.map"):
+        (data_dir / name).write_bytes(Path(prepared, name).read_bytes())
+    snapshot = data_dir / "matrix.snapshot"
+    lines = snapshot.read_text().splitlines(keepends=True)
+    lines[1] = "999:" + lines[1].partition(":")[2]
+    snapshot.write_text("".join(lines))
+    err = _one_line_error(capsys, ["train", "--data-dir", str(data_dir),
+                                   "--out", str(tmp_path / "run")] + FAST_TRAIN)
+    assert "user id 999" in err
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -169,9 +216,9 @@ def test_grid_sweep(prepared, tmp_path):
     rc = cli.main(["grid", "--data-dir", prepared, "--out", out,
                    "--grid", "t0=1,5 te=0.5,t0", "--seed", "0"] + FAST_FLAGS)
     assert rc == 0
-    rows = open(os.path.join(out, "sweep.tsv")).read().splitlines()
+    rows = Path(out, "sweep.tsv").read_text().splitlines()
     assert len(rows) == 1 + 4  # cartesian product of 2 x 2
-    pivot = open(os.path.join(out, "sweep_t0_te.tsv")).read().splitlines()
+    pivot = Path(out, "sweep_t0_te.tsv").read_text().splitlines()
     assert pivot[0].split("\t") == ["te\\t0", "1.0", "5.0"]
     assert len(pivot) == 3
 
@@ -190,7 +237,7 @@ def test_recommend_file_mode(prepared, tmp_path, capsys):
     assert cli.main(["train", "--data-dir", prepared, "--out", out,
                      "--seed", "3"] + FAST_TRAIN) == 0
     feedback = str(tmp_path / "fb.txt")
-    open(feedback, "w").write("1 0 1\n")
+    Path(feedback).write_text("1 0 1\n")
     capsys.readouterr()
     rc = cli.main(["recommend", "--checkpoint", os.path.join(out, "checkpoint.dre"),
                    "--items-map", os.path.join(prepared, "items.map"),
@@ -204,7 +251,7 @@ def test_recommend_file_mode(prepared, tmp_path, capsys):
                    "--feedback", feedback, "--top-n", "4"])
     assert capsys.readouterr().out.splitlines() == first
     # wrong feedback length aborts
-    open(feedback, "w").write("1 0\n")
+    Path(feedback).write_text("1 0\n")
     with pytest.raises(SystemExit, match="exactly 3"):
         cli.main(["recommend", "--checkpoint", os.path.join(out, "checkpoint.dre"),
                   "--items-map", os.path.join(prepared, "items.map"),
@@ -217,14 +264,10 @@ def test_recommend_corrupt_checkpoint_is_one_line_error(prepared, tmp_path, caps
     write_small_checkpoint(checkpoint)
     corrupt_checkpoint(checkpoint, fault)
     feedback = str(tmp_path / "fb.txt")
-    open(feedback, "w").write("1 0 1\n")
-    capsys.readouterr()
-    rc = cli.main(["recommend", "--checkpoint", checkpoint,
-                   "--items-map", os.path.join(prepared, "items.map"),
-                   "--feedback", feedback, "--top-n", "4"])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    Path(feedback).write_text("1 0 1\n")
+    _one_line_error(capsys, ["recommend", "--checkpoint", checkpoint,
+                             "--items-map", os.path.join(prepared, "items.map"),
+                             "--feedback", feedback, "--top-n", "4"])
 
 
 def test_stream_seed_distinct():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -365,7 +367,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(theta.w1, theta2.w1) and np.array_equal(theta.b2, theta2.b2)
     assert np.array_equal(seeds, seeds2)
     manifest = dict(line.split("=", 1) for line in
-                    open(path + ".manifest").read().splitlines())
+                    Path(path + ".manifest").read_text().splitlines())
     assert manifest["k"] == "3"
 
 
