@@ -45,18 +45,17 @@ def select_popular(matrix, k):
     return order[:k].astype(np.int64)
 
 
-def rbmf_select(matrix, k, delta=0.01, seed=0):
-    """Maximal-volume seed selection: rank-k SVD of the training matrix, then
-    Maxvol over the item rows of the (value-weighted) right factor."""
-    svd = truncated_svd(matrix if isinstance(matrix, np.ndarray) else matrix.dense(), k, seed=seed)
+def rbmf_select(R, k, delta=0.01, seed=0):
+    """Maximal-volume seed selection: rank-k SVD of the dense training matrix
+    R, then Maxvol over the item rows of the (value-weighted) right factor."""
+    svd = truncated_svd(R, k, seed=seed)
     result = maxvol(svd.right.T, delta=delta)
     return result.indices.astype(np.int64)
 
 
-def rbmf_decoder(matrix_train, seeds):
-    """Linear decoder X from the regularized least-squares fit of the full
-    training matrix onto its seed columns; predictions are z @ X."""
-    R = matrix_train if isinstance(matrix_train, np.ndarray) else matrix_train.dense()
+def rbmf_decoder(R, seeds):
+    """Linear decoder X from the regularized least-squares fit of the dense
+    training matrix R onto its seed columns; predictions are z @ X."""
     x = ridge_solve(R[:, seeds], R)
     return LinearDecoder(x=x, seeds=np.asarray(seeds, dtype=np.int64))
 

@@ -78,21 +78,8 @@ def train_config(cfg, seed=None):
     )
 
 
-def _restrict(matrix, user_ids):
-    """View of the matrix over a user subset (same item space)."""
-    return data.RatingMatrix(
-        n=len(user_ids), m=matrix.m, rows=[matrix.rows[u] for u in user_ids],
-        user_index={}, item_index=matrix.item_index,
-    )
-
-
 def _load_dataset(data_dir):
-    matrix = data.load_snapshot(
-        os.path.join(data_dir, SNAPSHOT),
-        users_map=os.path.join(data_dir, USERS_MAP),
-        items_map=os.path.join(data_dir, ITEMS_MAP),
-    )
-    return matrix
+    return data.load_snapshot(os.path.join(data_dir, SNAPSHOT))
 
 
 def cmd_prepare(args):
@@ -151,7 +138,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     Each method is a pair (select(run) -> seeds, fit(seeds, run) -> predictor).
     Within a run, the DRE model and the RBMF selection are computed once and
     shared by the methods that use them."""
-    train_view = _restrict(matrix, split.train_users)
+    train_view = matrix.take(split.train_users)
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
     # (theta, seeds) of a given DRE checkpoint, used by every run
@@ -169,7 +156,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
 
     def rbmf(run):
         return once("RBMF", lambda: baselines.rbmf_select(
-            train_view, k, seed=stream_seed(master, "RBMF", run)))
+            train_view.dense(), k, seed=stream_seed(master, "RBMF", run)))
 
     def random_seeds(run):
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -188,7 +175,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        lin = baselines.rbmf_decoder(train_view, seeds)
+        lin = baselines.rbmf_decoder(train_view.dense(), seeds)
         return lambda z: model._rank_candidates(lin.predict(z), seeds, n_max)
 
     def popularity(seeds, run):
@@ -349,7 +336,7 @@ def cmd_grid(args):
 
 def cmd_recommend(args):
     phi, theta, seeds = model.load_checkpoint(args.checkpoint)
-    _, inverse = data.load_item_map(args.items_map)
+    inverse = data.load_item_map(args.items_map, phi.shape[1])
     k = len(seeds)
     if args.feedback:
         with open(args.feedback, "r", encoding="utf-8") as fh:
@@ -395,12 +382,11 @@ def render_report(report, dre="DRE"):
     from the pooled paired t-test against that baseline."""
     if dre not in report.methods:
         raise ValueError(f"report has no {dre!r} column")
-    others = [meth for meth in report.methods if meth != dre]
     lines = ["\t".join(["metric", "N"] + report.methods + ["best_baseline", "improv", "sig"])]
     for metric in ("P", "NDCG"):
         for N in report.Ns:
             means = {meth: report.cells[(meth, metric, N)]["mean"] for meth in report.methods}
-            best = max(others, key=lambda meth: means[meth]) if others else None
+            best = evaluate.best_baseline(report, dre, metric, N)
             cells = [f"{means[meth]:.4f}" for meth in report.methods]
             if best is None or means[best] == 0.0:
                 improv, stars = "", ""

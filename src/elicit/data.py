@@ -41,15 +41,12 @@ class Interactions:
 
     `users` and `items` are int64 codes into `user_tokens` and `item_tokens`,
     numbered by first appearance in the file. A subset keeps the token lists,
-    so its codes need not be contiguous. `timestamps` holds 0 where
-    `has_timestamp` is false.
+    so its codes need not be contiguous.
     """
 
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray  # float64
-    timestamps: np.ndarray  # int64
-    has_timestamp: np.ndarray  # bool
     user_tokens: list = field(repr=False)
     item_tokens: list = field(repr=False)
 
@@ -59,45 +56,63 @@ class Interactions:
     def take(self, mask):
         """The lines selected by a boolean mask, in order."""
         return replace(self, users=self.users[mask], items=self.items[mask],
-                       ratings=self.ratings[mask], timestamps=self.timestamps[mask],
-                       has_timestamp=self.has_timestamp[mask])
+                       ratings=self.ratings[mask])
 
 
-@dataclass
 class RatingMatrix:
-    """Binary implicit-feedback matrix stored as per-user sorted positive item indices.
+    """Binary implicit-feedback matrix in CSR form: the positives of user u
+    are the item ids indices[indptr[u]:indptr[u + 1]], strictly increasing.
 
-    Immutable after construction; safe to share read-only across threads.
+    `rows`, one array of item ids per user, is read at construction and not
+    kept. Immutable after construction; safe to share read-only across threads.
     """
 
-    n: int
-    m: int
-    rows: list  # list of np.ndarray[int64], strictly increasing within each row
-    user_index: dict = field(repr=False)
-    item_index: dict = field(repr=False)
+    def __init__(self, n, m, rows, user_index, item_index):
+        self.n, self.m = n, m
+        self.user_index, self.item_index = user_index, item_index
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=self.indptr[1:])
+        self.indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(
+            np.int64, copy=False)
 
     @property
     def nnz(self):
-        return sum(len(r) for r in self.rows)
+        return len(self.indices)
 
     @property
     def sparsity(self):
         return 1.0 - self.nnz / (self.n * self.m)
 
+    def _gather(self, user_ids):
+        """(indptr, indices) of the rows of user_ids, in that order."""
+        starts = self.indptr[user_ids]
+        lengths = self.indptr[user_ids + 1] - starts
+        indptr = np.zeros(len(starts) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # position j of output row r reads input position starts[r] + j
+        at = np.repeat(starts - indptr[:-1], lengths)
+        at += np.arange(len(at))
+        return indptr, self.indices[at]
+
+    def take(self, user_ids):
+        """The sub-matrix of the rows of user_ids, in that order, over the
+        same items. Its users are renumbered, so it has no user_index."""
+        indptr, indices = self._gather(np.asarray(user_ids, dtype=np.int64))
+        return RatingMatrix(len(indptr) - 1, self.m, np.split(indices, indptr[1:-1]),
+                            {}, self.item_index)
+
     def dense(self, user_ids=None, dtype=np.float64):
         """Densify (a subset of) the matrix. Rows follow the order of user_ids."""
         if user_ids is None:
-            user_ids = range(self.n)
-        out = np.zeros((len(user_ids), self.m), dtype=dtype)
-        for i, u in enumerate(user_ids):
-            out[i, self.rows[u]] = 1.0
+            user_ids = np.arange(self.n)
+        indptr, flat = self._gather(np.asarray(user_ids, dtype=np.int64))
+        out = np.zeros((len(indptr) - 1, self.m), dtype=dtype)
+        flat += np.repeat(np.arange(len(indptr) - 1) * self.m, np.diff(indptr))
+        np.put(out, flat, 1)
         return out
 
     def item_counts(self):
-        counts = np.zeros(self.m, dtype=np.int64)
-        for r in self.rows:
-            counts[r] += 1
-        return counts
+        return np.bincount(self.indices, minlength=self.m)
 
 
 @dataclass(frozen=True)
@@ -111,9 +126,8 @@ class SplitSpec:
 def load_interactions(path, delimiter="::"):
     """Parse a delimited interaction log into an Interactions table.
 
-    Lines need at least (user, item, rating) fields; a fourth field is taken
-    as an integer timestamp, absent when it does not parse or does not fit
-    in int64. Blank lines are skipped, and so is a first line whose rating
+    Lines need at least (user, item, rating) fields; later fields are
+    ignored. Blank lines are skipped, and so is a first line whose rating
     field is not a number (a header). Any other malformed line raises
     DataError naming its line number.
     """
@@ -131,10 +145,8 @@ def load_interactions(path, delimiter="::"):
             chunks.append(_parse_chunk(path, lines, first, delimiter, user_codes, item_codes))
     if not sum(len(chunk[0]) for chunk in chunks):
         raise DataError(f"{path}: no interaction records")
-    users, items, ratings, timestamps, has_timestamp = (
-        np.concatenate(column) for column in zip(*chunks))
-    return Interactions(users, items, ratings, timestamps, has_timestamp,
-                        list(user_codes), list(item_codes))
+    users, items, ratings = (np.concatenate(column) for column in zip(*chunks))
+    return Interactions(users, items, ratings, list(user_codes), list(item_codes))
 
 
 def _is_header(line, delimiter):
@@ -149,59 +161,41 @@ def _is_header(line, delimiter):
 
 
 def _parse_chunk(path, lines, first, delimiter, user_codes, item_codes):
-    """Columns (users, items, ratings, timestamps, has_timestamp) of whole
-    lines numbered from `first`, with tokens coded through the shared maps."""
+    """Columns (users, items, ratings) of whole lines numbered from `first`,
+    with tokens coded through the shared maps."""
     n_fields = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines)) + 1
     # every line, newline included, contributes its n_fields to one flat split
     flat = "".join(lines).replace(delimiter, "\n").split("\n")
     try:
-        column, n_fields = _columns(flat, n_fields)
-        ratings = np.fromiter(map(float, column(2)), np.float64, len(n_fields))
+        column, n = _columns(flat, n_fields)
+        ratings = np.fromiter(map(float, column(2)), np.float64, n)
         if not np.isfinite(ratings).all():
             raise ValueError("non-finite rating")
-        users = np.fromiter(map(user_codes.__getitem__, column(0)), np.int64, len(n_fields))
-        items = np.fromiter(map(item_codes.__getitem__, column(1)), np.int64, len(n_fields))
+        users = np.fromiter(map(user_codes.__getitem__, column(0)), np.int64, n)
+        items = np.fromiter(map(item_codes.__getitem__, column(1)), np.int64, n)
         if "" in user_codes or "" in item_codes:
             raise ValueError("empty user or item token")
     except ValueError:
         _check_lines(path, lines, first, delimiter)
         raise
-    has_timestamp = n_fields >= 4
-    timestamps = np.zeros(len(n_fields), dtype=np.int64)
-    tokens = column(3)
-    try:
-        timestamps[has_timestamp] = np.fromiter(map(int, tokens), np.int64, len(tokens))
-    except (ValueError, OverflowError):  # some timestamp is absent
-        parsed = list(map(_int64_or_none, tokens))
-        timestamps[has_timestamp] = [t or 0 for t in parsed]
-        has_timestamp[has_timestamp] = [t is not None for t in parsed]
-    return users, items, ratings, timestamps, has_timestamp
+    return users, items, ratings
 
 
 def _columns(flat, n_fields):
-    """(column, n_fields of the lines with fields) for the flat split of a
-    chunk, where column(k) is field k of each such line that has more than k
-    fields. Blank lines have no fields; another line with fewer than 3
-    raises ValueError."""
+    """(column, n) for the flat split of a chunk, where column(k), k < 3, is
+    field k of each of the n lines with fields. Blank lines have no fields;
+    another line with fewer than 3 raises ValueError."""
     lines = len(n_fields)
     width = n_fields[0] if lines else 3
     if width >= 3 and (n_fields == width).all():  # one line shape: columns are slices
-        return (lambda k: flat[k:width * lines:width] if k < width else []), n_fields
+        return (lambda k: flat[k:width * lines:width]), lines
     fields = np.array(flat, dtype=object)
     starts = np.cumsum(n_fields) - n_fields
     full = n_fields >= 3
     if (n_fields[~full] != 1).any() or (fields[starts[~full]] != "").any():
         raise ValueError("a line with fewer than 3 fields is not blank")
-    starts, n_fields = starts[full], n_fields[full]
-    return (lambda k: fields[starts[n_fields > k] + k]), n_fields
-
-
-def _int64_or_none(token):
-    try:
-        value = int(token)
-    except ValueError:
-        return None
-    return value if -2**63 <= value < 2**63 else None
+    starts = starts[full]
+    return (lambda k: fields[starts + k]), len(starts)
 
 
 def _check_lines(path, lines, first, delimiter):
@@ -296,16 +290,18 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
 
 
 def save_snapshot(matrix, path):
+    # each item id is formatted once, not once per positive
+    names = np.array([str(i) for i in range(matrix.m)], dtype=object)
+    items, ptr = names[matrix.indices].tolist(), matrix.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{SNAPSHOT_MAGIC} n={matrix.n} m={matrix.m} nnz={matrix.nnz}\n")
-        for u in range(matrix.n):
-            fh.write(f"{u}:{' '.join(str(i) for i in matrix.rows[u])}\n")
+        fh.writelines(f"{u}:{' '.join(items[ptr[u]:ptr[u + 1]])}\n" for u in range(matrix.n))
 
 
-def load_snapshot(path, users_map=None, items_map=None):
+def load_snapshot(path):
     """Read a matrix.snapshot. Raises DataError unless every user id in [0, n)
     has exactly one row and each row's item ids are integers, strictly
-    increasing and in [0, m)."""
+    increasing and in [0, m). The matrix has no user or item index."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         try:
@@ -334,9 +330,7 @@ def load_snapshot(path, users_map=None, items_map=None):
             rows[u] = row
     if any(r is None for r in rows):
         raise DataError(f"{path}: missing user rows")
-    user_index = _load_map(users_map) if users_map else {str(u): u for u in range(n)}
-    item_index = _load_map(items_map) if items_map else {str(i): i for i in range(m)}
-    mat = RatingMatrix(n=n, m=m, rows=rows, user_index=user_index, item_index=item_index)
+    mat = RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
     if mat.nnz != nnz:
         raise DataError(f"{path}: header nnz={nnz} but rows hold {mat.nnz}")
     return mat
@@ -349,28 +343,30 @@ def save_maps(matrix, users_path, items_path):
                 fh.write(f"{token}\t{idx}\n")
 
 
-def _load_map(path):
-    out = {}
+def load_item_map(path, m):
+    """The item tokens of an items.map, in index order. Raises DataError
+    unless every line is token<TAB>index and the indices are 0..m-1, each
+    once."""
+    tokens = [None] * m
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            token, _, idx = line.rstrip("\n").rpartition("\t")
-            out[token] = int(idx)
-    return out
-
-
-def load_item_map(path):
-    """token -> index map, plus the inverse index -> token list."""
-    index = _load_map(path)
-    inverse = [None] * len(index)
-    for token, idx in index.items():
-        inverse[idx] = token
-    return index, inverse
+        for lineno, line in enumerate(fh, start=1):
+            token, tab, idx = line.rstrip("\n").rpartition("\t")
+            try:
+                i = int(idx)
+            except ValueError:
+                i = None
+            if not (tab and token and i is not None and 0 <= i < m and tokens[i] is None):
+                raise DataError(f"{path}:{lineno}: expected token<TAB>index with each "
+                                f"index in [0, {m}) once, got {line.rstrip()!r}")
+            tokens[i] = token
+    if None in tokens:
+        raise DataError(f"{path}: no token for item {tokens.index(None)}")
+    return tokens
 
 
 def matrix_fingerprint(matrix):
     """Stable hash of the matrix contents, recorded in checkpoint manifests."""
     h = hashlib.sha256()
     h.update(f"{matrix.n},{matrix.m},{matrix.nnz};".encode())
-    for row in matrix.rows:
-        h.update(row.tobytes())
+    h.update(matrix.indices.tobytes())  # rows in user order: existing manifests still match
     return h.hexdigest()[:16]

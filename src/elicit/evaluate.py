@@ -15,6 +15,7 @@ __all__ = [
     "paired_t_test",
     "aggregate_runs",
     "EvalReport",
+    "best_baseline",
     "write_report_table",
 ]
 
@@ -58,8 +59,8 @@ def score_users(predictor, matrix, user_ids, seeds, Ns=DEFAULT_NS):
     is_seed[seeds] = True
     n_max = max(Ns)
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    truth_size = np.array([len(matrix.rows[u]) - int(is_seed[matrix.rows[u]].sum())
-                           for u in user_ids], dtype=np.int64)
+    known = matrix.dense(user_ids, dtype=bool)
+    truth_size = known.sum(axis=1) - known[:, seeds].sum(axis=1)
     users, truth_size = user_ids[truth_size > 0], truth_size[truth_size > 0]
     hits = [np.zeros((0, n_max), dtype=bool)]
     # near-equal blocks, so no block has 1 row (unless only one user is
@@ -200,19 +201,25 @@ def aggregate_runs(run_reports, pairings=(), run_seeds=None):
     return report
 
 
+def best_baseline(report, method, metric, N):
+    """The method other than `method` with the highest mean metric@N (the
+    first in report.methods on a tie), or None when there is no other."""
+    others = [meth for meth in report.methods if meth != method]
+    return max(others, key=lambda meth: report.cells[(meth, metric, N)]["mean"], default=None)
+
+
 def write_report_table(report, path, delimiter="\t"):
-    """One row per method x metric x N: mean, std and pooled p vs. the first
-    pairing partner when available."""
-    p_lookup = {}
-    for (a, b, metric, N), v in report.tests.items():
-        p_lookup[(a, metric, N)] = v["pooled"][1]
+    """One row per method x metric x N: mean, std and the pooled p of the
+    paired t-test against the best baseline, when that pair was tested."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(["method", "metric", "N", "mean", "std", "p_vs_best"]) + "\n")
         for method in report.methods:
             for metric in ("P", "NDCG"):
                 for N in report.Ns:
                     cell = report.cells[(method, metric, N)]
-                    p = p_lookup.get((method, metric, N))
+                    test = report.tests.get(
+                        (method, best_baseline(report, method, metric, N), metric, N))
+                    p = test["pooled"][1] if test else None
                     fh.write(delimiter.join([
                         method, metric, str(N),
                         f"{cell['mean']:.6f}", f"{cell['std']:.6f}",

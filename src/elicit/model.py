@@ -65,9 +65,6 @@ class DecoderParams:
     def copy(self):
         return DecoderParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
-    def astype(self, dtype):
-        return DecoderParams(*(a.astype(dtype) for a in (self.w1, self.b1, self.w2, self.b2)))
-
 
 @dataclass
 class AdamState:

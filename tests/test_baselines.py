@@ -47,11 +47,7 @@ def test_select_popular_tie_break():
 
 
 def test_select_popular_user_order_invariant(cluster_matrix):
-    shuffled = data.RatingMatrix(
-        n=cluster_matrix.n, m=cluster_matrix.m,
-        rows=list(reversed(cluster_matrix.rows)),
-        user_index={}, item_index=cluster_matrix.item_index,
-    )
+    shuffled = cluster_matrix.take(np.arange(cluster_matrix.n)[::-1])
     assert np.array_equal(baselines.select_popular(cluster_matrix, 5),
                           baselines.select_popular(shuffled, 5))
 
@@ -60,7 +56,7 @@ def test_rbmf_select_block_structure():
     # 3 orthogonal item blocks; brute-force max |det| picks one per block
     matrix = make_cluster_matrix(n_per_cluster=40, items_per_cluster=4,
                                  clusters=3, seed=1)
-    seeds = baselines.rbmf_select(matrix, 3, seed=0)
+    seeds = baselines.rbmf_select(matrix.dense(), 3, seed=0)
     blocks = {int(s) // 4 for s in seeds}
     assert blocks == {0, 1, 2}
     # against the brute-force volume oracle on the SVD factor
@@ -74,8 +70,8 @@ def test_rbmf_select_block_structure():
 
 
 def test_rbmf_select_deterministic(cluster_matrix):
-    s1 = baselines.rbmf_select(cluster_matrix, 4, seed=3)
-    s2 = baselines.rbmf_select(cluster_matrix, 4, seed=3)
+    s1 = baselines.rbmf_select(cluster_matrix.dense(), 4, seed=3)
+    s2 = baselines.rbmf_select(cluster_matrix.dense(), 4, seed=3)
     assert np.array_equal(s1, s2)
     assert len(set(s1.tolist())) == 4
 

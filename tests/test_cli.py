@@ -270,6 +270,19 @@ def test_recommend_corrupt_checkpoint_is_one_line_error(prepared, tmp_path, caps
                              "--feedback", feedback, "--top-n", "4"])
 
 
+def test_recommend_corrupt_item_map_is_one_line_error(prepared, tmp_path, capsys):
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    write_small_checkpoint(checkpoint)  # m=10
+    items_map = tmp_path / "items.map"
+    items_map.write_text("".join(f"i{i}\t{i}\n" for i in range(10)) + "foo\t99999\n")
+    feedback = tmp_path / "fb.txt"
+    feedback.write_text("1 0 1\n")
+    err = _one_line_error(capsys, ["recommend", "--checkpoint", checkpoint,
+                                   "--items-map", str(items_map),
+                                   "--feedback", str(feedback), "--top-n", "4"])
+    assert "items.map:11:" in err
+
+
 def test_stream_seed_distinct():
     seeds = {cli.stream_seed(0, meth, run)
              for meth in cli.METHODS for run in range(5)}

@@ -91,26 +91,32 @@ def ref_build_matrix(records):
 # ------------------------------------------------------------------ helpers
 
 def make_table(rows):
-    """Interactions from (user, item, rating[, timestamp]) tuples."""
+    """Interactions from (user, item, rating) tuples."""
     users, items = {}, {}
-    stamps = [row[3] if len(row) > 3 else None for row in rows]
     return data.Interactions(
         users=np.array([users.setdefault(row[0], len(users)) for row in rows], dtype=np.int64),
         items=np.array([items.setdefault(row[1], len(items)) for row in rows], dtype=np.int64),
         ratings=np.array([row[2] for row in rows], dtype=np.float64),
-        timestamps=np.array([t or 0 for t in stamps], dtype=np.int64),
-        has_timestamp=np.array([t is not None for t in stamps], dtype=bool),
         user_tokens=list(users), item_tokens=list(items),
     )
 
 
 def as_records(table):
-    """(user, item, rating, timestamp or None) per line of an Interactions table."""
+    """(user, item, rating) per line of an Interactions table."""
     return [
-        (table.user_tokens[u], table.item_tokens[i], r, int(t) if has else None)
-        for u, i, r, t, has in zip(table.users.tolist(), table.items.tolist(),
-                                   table.ratings.tolist(), table.timestamps, table.has_timestamp)
+        (table.user_tokens[u], table.item_tokens[i], r)
+        for u, i, r in zip(table.users.tolist(), table.items.tolist(), table.ratings.tolist())
     ]
+
+
+def row_list(matrix):
+    """Each user's item ids, read from the CSR arrays."""
+    return [matrix.indices[a:b] for a, b in zip(matrix.indptr[:-1], matrix.indptr[1:])]
+
+
+def same_csr(a, b):
+    return ((a.n, a.m) == (b.n, b.m) and a.indptr.dtype == a.indices.dtype == np.int64
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
 
 
 # -------------------------------------------------------------------- tests
@@ -119,17 +125,15 @@ def test_load_interactions_parses_fields(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("1", "1193", "5", "978300760"), ("2", "7", "2.5")])
     records = as_records(data.load_interactions(path))
-    assert records[0] == ("1", "1193", 5.0, 978300760)
-    assert records[1][2] == 2.5 and records[1][3] is None
+    assert records == [("1", "1193", 5.0), ("2", "7", 2.5)]
 
 
-def test_load_interactions_timestamp_absent_unless_int64(tmp_path):
+def test_load_interactions_ignores_fields_after_the_third(tmp_path):
     path = tmp_path / "raw.dat"
-    path.write_text("u::a::4::x\nu::b::4::9223372036854775807\nu::c::4::9223372036854775808\n"
-                    "u::d::4::-9223372036854775808\nu::e::4::-9223372036854775809\n"
-                    "u::f::4:: 7 \nu::g::4\nu::h::4::\n")
-    stamps = [r[3] for r in as_records(data.load_interactions(path))]
-    assert stamps == [None, 2**63 - 1, None, -2**63, None, 7, None, None]
+    path.write_text("u::a::4::x\nu::b::4::9223372036854775808\nu::c::4::-1::y::\n"
+                    "u::d::4\nu::e::4::\n")
+    items = [r[1] for r in as_records(data.load_interactions(path))]
+    assert items == ["a", "b", "c", "d", "e"]
 
 
 def test_load_interactions_malformed_rating(tmp_path):
@@ -176,10 +180,11 @@ def test_binarize_implicit_passthrough():
 
 
 def test_binarize_and_filter_keep_timestamps():
-    records = make_table([("u", "a", 5.0, 10), ("u", "b", 5.0), ("v", "a", 5.0, 12),
-                          ("u", "c", 1.0, 13)])
+    # the user, item and rating columns stay aligned through both masks
+    records = make_table([("u", "a", 5.0), ("w", "c", 1.0), ("u", "b", 5.0), ("v", "a", 5.0),
+                          ("u", "c", 1.0), ("w", "d", 4.0), ("w", "b", 5.0)])
     kept = as_records(data.filter_min_ratings(data.binarize(records), 2))
-    assert kept == [("u", "a", 1.0, 10), ("u", "b", 1.0, None)]
+    assert kept == [("u", "a", 1.0), ("u", "b", 1.0), ("w", "d", 1.0), ("w", "b", 1.0)]
 
 
 def test_filter_min_ratings():
@@ -205,8 +210,8 @@ def test_build_matrix_invariants():
     records = make_table([(f"u{rng.integers(20)}", f"i{rng.integers(30)}", 1.0)
                           for _ in range(200)])
     matrix = data.build_matrix(records)
-    assert all(len(r) > 0 for r in matrix.rows)
-    assert all(np.all(np.diff(r) > 0) for r in matrix.rows)
+    assert all(len(r) > 0 for r in row_list(matrix))
+    assert all(np.all(np.diff(r) > 0) for r in row_list(matrix))
     counts = matrix.item_counts()
     assert np.all(counts > 0)  # no all-zero columns
     assert matrix.n == len(matrix.user_index) and matrix.m == len(matrix.item_index)
@@ -226,7 +231,7 @@ def test_pipeline_idempotence(tmp_path):
 
     m1, m2 = run(), run()
     assert m1.user_index == m2.user_index and m1.item_index == m2.item_index
-    assert all(np.array_equal(a, b) for a, b in zip(m1.rows, m2.rows))
+    assert same_csr(m1, m2)
 
 
 def test_split_users_deterministic_and_sized(cluster_matrix):
@@ -258,11 +263,8 @@ def test_snapshot_roundtrip(tmp_path, cluster_matrix):
     header = snap.read_text().splitlines()[0]
     assert header == (f"ELICIT-MATRIX v1 n={cluster_matrix.n} "
                       f"m={cluster_matrix.m} nnz={cluster_matrix.nnz}")
-    data.save_maps(cluster_matrix, tmp_path / "users.map", tmp_path / "items.map")
-    loaded = data.load_snapshot(snap, tmp_path / "users.map", tmp_path / "items.map")
-    assert loaded.n == cluster_matrix.n and loaded.m == cluster_matrix.m
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.rows, cluster_matrix.rows))
-    assert loaded.item_index == cluster_matrix.item_index
+    loaded = data.load_snapshot(snap)
+    assert same_csr(loaded, cluster_matrix)
     assert data.matrix_fingerprint(loaded) == data.matrix_fingerprint(cluster_matrix)
 
 
@@ -331,16 +333,10 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path_factory, draw):
         assert got == expected
         return
     (ref_records, ref_matrix), (records, matrix) = expected, got
-    assert as_records(records) == [
-        (r.user, r.item, r.rating,
-         r.timestamp if r.timestamp is not None and -2**63 <= r.timestamp < 2**63 else None)
-        for r in ref_records]
-    assert (matrix.n, matrix.m) == (ref_matrix.n, ref_matrix.m)
+    assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
     assert list(matrix.user_index.items()) == list(ref_matrix.user_index.items())
     assert list(matrix.item_index.items()) == list(ref_matrix.item_index.items())
-    assert len(matrix.rows) == len(ref_matrix.rows)
-    for row, ref_row in zip(matrix.rows, ref_matrix.rows):
-        assert row.dtype == np.int64 and np.array_equal(row, ref_row)
+    assert same_csr(matrix, ref_matrix)
 
 
 def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch):
@@ -358,7 +354,7 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
             data.binarize(data.load_interactions(path)), 5))
         assert list(matrix.user_index.items()) == list(ref.user_index.items())
         assert list(matrix.item_index.items()) == list(ref.item_index.items())
-        assert all(np.array_equal(a, b) for a, b in zip(matrix.rows, ref.rows))
+        assert same_csr(matrix, ref)
 
 
 SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
@@ -383,7 +379,84 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)
-    assert [r.tolist() for r in data.load_snapshot(path).rows] == [[0, 2], [1], [0, 1, 3]]
+    assert [r.tolist() for r in row_list(data.load_snapshot(path))] == [[0, 2], [1], [0, 1, 3]]
     path.write_text(SMALL_SNAPSHOT.replace(old, new, 1))
     with pytest.raises(data.DataError, match=message):
         data.load_snapshot(path)
+
+
+# ------------------------------------------------------- CSR layout and files
+
+@st.composite
+def rating_matrices(draw):
+    """(matrix, rows) for a random matrix whose users may have empty rows."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    rows = [np.array(sorted(draw(st.sets(st.integers(0, m - 1)))), dtype=np.int64)
+            for _ in range(n)]
+    return data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={}), rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rating_matrices(), st.data())
+def test_csr_matches_per_row_reference(case, draw):
+    matrix, rows = case
+    assert [r.tolist() for r in row_list(matrix)] == [r.tolist() for r in rows]
+    assert matrix.nnz == sum(len(r) for r in rows)
+    counts = np.zeros(matrix.m, dtype=np.int64)
+    for r in rows:
+        counts[r] += 1
+    assert np.array_equal(matrix.item_counts(), counts)
+    user_ids = draw.draw(st.lists(st.integers(0, matrix.n - 1), max_size=15))
+    dense = np.zeros((len(user_ids), matrix.m))
+    for i, u in enumerate(user_ids):
+        dense[i, rows[u]] = 1.0
+    assert np.array_equal(matrix.dense(user_ids), dense)
+    assert np.array_equal(matrix.dense(), matrix.dense(range(matrix.n)))
+    sub = matrix.take(user_ids)
+    assert sub.m == matrix.m and [r.tolist() for r in row_list(sub)] == [
+        rows[u].tolist() for u in user_ids]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rating_matrices())
+def test_snapshot_roundtrip_keeps_csr_and_fingerprint(tmp_path_factory, case):
+    matrix, _ = case
+    path = tmp_path_factory.getbasetemp() / "roundtrip.snapshot"
+    data.save_snapshot(matrix, path)
+    loaded = data.load_snapshot(path)
+    assert same_csr(loaded, matrix)
+    assert data.matrix_fingerprint(loaded) == data.matrix_fingerprint(matrix)
+
+
+def test_fingerprint_is_stable(cluster_matrix):
+    # checkpoint manifests written before the CSR layout hold this value
+    assert data.matrix_fingerprint(cluster_matrix) == "5085736c6d00b7df"
+
+
+def test_item_map_roundtrip(tmp_path):
+    path = tmp_path / "raw.dat"
+    write_raw_file(path, [("u", "i\t2", "5"), ("u", "b", "5"), ("v", "7", "5"), ("v", "b", "5")])
+    matrix = data.build_matrix(data.load_interactions(path))
+    data.save_maps(matrix, tmp_path / "users.map", tmp_path / "items.map")
+    assert data.load_item_map(tmp_path / "items.map", matrix.m) == list(matrix.item_index)
+    assert data.load_item_map(tmp_path / "users.map", matrix.n) == list(matrix.user_index)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a\t0\nb\t1\nc\t2\nfoo\t99999\n", r":4: expected token<TAB>index"),
+    ("a\t0\nb\t1\nc\t3\n", ":3:"),
+    ("a\t0\nb\t-1\nc\t2\n", ":2:"),
+    ("a\t0\nb\t0\nc\t2\n", ":2:"),
+    ("a\t0\nb 1\nc\t2\n", ":2:"),
+    ("a\t0\nb\tone\nc\t2\n", ":2:"),
+    ("a\t0\n\t1\nc\t2\n", ":2:"),
+    ("a\t0\nc\t2\n", "no token for item 1"),
+], ids=["extra", "index_ge_m", "index_negative", "index_twice", "no_tab", "index_not_int",
+        "empty_token", "index_missing"])
+def test_load_item_map_rejects_corrupt_map(tmp_path, text, message):
+    path = tmp_path / "items.map"
+    path.write_text("a\t0\nb\t1\nc\t2\n")
+    assert data.load_item_map(path, 3) == ["a", "b", "c"]
+    path.write_text(text)
+    with pytest.raises(data.DataError, match=message):
+        data.load_item_map(path, 3)

@@ -189,6 +189,23 @@ def test_aggregate_runs_pairings_and_json_roundtrip(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2  # methods x metrics x Ns
 
 
+def test_report_table_p_is_against_the_best_baseline(tmp_path):
+    rep = evaluate.EvalReport(methods=["DRE", "STRONG", "WEAK"], Ns=[10], run_seeds=[0])
+    for metric in ("P", "NDCG"):
+        for meth, mean in (("DRE", 0.5), ("STRONG", 0.45), ("WEAK", 0.1)):
+            rep.cells[(meth, metric, 10)] = {"mean": mean, "std": 0.0, "runs": [mean]}
+        for rival, p in (("STRONG", 0.128), ("WEAK", 0.0009)):  # WEAK is tested last
+            rep.tests[("DRE", rival, metric, 10)] = {"per_run": [[1.0, p]], "pooled": [1.0, p]}
+    path = tmp_path / "report.tsv"
+    evaluate.write_report_table(rep, path)
+    p_column = {tuple(line.split("\t")[:3]): line.split("\t")[5]
+                for line in path.read_text().splitlines()[1:]}
+    assert p_column[("DRE", "P", "10")] == p_column[("DRE", "NDCG", "10")] == "0.128"
+    assert p_column[("STRONG", "P", "10")] == p_column[("WEAK", "NDCG", "10")] == ""
+    assert evaluate.best_baseline(rep, "DRE", "P", 10) == "STRONG"
+    assert evaluate.best_baseline(rep, "STRONG", "P", 10) == "DRE"
+
+
 def test_aggregate_runs_inconsistent():
     run = _fake_run({"P": [0.5], "NDCG": [0.5]})
     with pytest.raises(ValueError):

@@ -21,6 +21,18 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in src/elicit: {found}"
 
 
+def test_only_data_reads_the_matrix_layout():
+    # the CSR arrays are data.RatingMatrix's business; other modules go
+    # through its methods (dense, take, item_counts, nnz)
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "indptr")
+    ]
+    assert not found, f"matrix layout read outside data.py: {found}"
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats takes about a second to import, and no command needs it
     code = "import sys, elicit.cli; print('scipy.stats' in sys.modules)"
