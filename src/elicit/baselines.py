@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .data import DataError
 from .linalg import maxvol, ridge_solve, truncated_svd
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
 @dataclass
 class LinearDecoder:
     x: np.ndarray  # k x m
-    seeds: np.ndarray
 
     def predict(self, z):
         return np.asarray(z, dtype=np.float64) @ self.x
@@ -46,18 +46,19 @@ def select_popular(matrix, k):
 
 
 def rbmf_select(R, k, delta=0.01, seed=0):
-    """Maximal-volume seed selection: rank-k SVD of the dense training matrix
-    R, then Maxvol over the item rows of the (value-weighted) right factor."""
+    """Maximal-volume seed selection: rank-k SVD of the training matrix R
+    (scipy.sparse or dense), then Maxvol over the item rows of the
+    (value-weighted) right factor."""
     svd = truncated_svd(R, k, seed=seed)
     result = maxvol(svd.right.T, delta=delta)
     return result.indices.astype(np.int64)
 
 
 def rbmf_decoder(R, seeds):
-    """Linear decoder X from the regularized least-squares fit of the dense
-    training matrix R onto its seed columns; predictions are z @ X."""
-    x = ridge_solve(R[:, seeds], R)
-    return LinearDecoder(x=x, seeds=np.asarray(seeds, dtype=np.int64))
+    """Linear decoder X from the regularized least-squares fit of the
+    scipy.sparse training matrix R onto its seed columns, the only part of R
+    that is densified; predictions are z @ X."""
+    return LinearDecoder(x=ridge_solve(R[:, seeds].toarray(), R))
 
 
 def plusplus_decoder(matrix, split, seeds, cfg):
@@ -87,8 +88,18 @@ def save_seeds(seeds, path):
 
 
 def load_seeds(path):
+    """Read a save_seeds file. Raises DataError naming path:line for a line
+    that is not an integer, and ValueError for a repeated index."""
+    seeds = []
     with open(path, "r", encoding="utf-8") as fh:
-        seeds = np.array([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    seeds.append(int(line))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: expected an item index, "
+                                    f"got {line.strip()!r}") from None
+    seeds = np.array(seeds, dtype=np.int64)
     if len(set(seeds.tolist())) != len(seeds):
         raise ValueError(f"{path}: duplicate seed indices")
     return seeds

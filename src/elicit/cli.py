@@ -41,7 +41,9 @@ CONFIG_DEFAULTS = {
 
 
 def load_config(path=None, overrides=None):
-    """Flat key=value config file, overridden by CLI flags."""
+    """Flat key=value config file, overridden by CLI flags. Holds only the
+    keys of CONFIG_DEFAULTS: other overrides (the subcommand, its function,
+    --data-dir and so on) are not config."""
     cfg = dict(CONFIG_DEFAULTS)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,9 +57,14 @@ def load_config(path=None, overrides=None):
                 key = key.strip()
                 if key not in cfg:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                cfg[key] = type(CONFIG_DEFAULTS[key])(value.strip())
+                kind = type(CONFIG_DEFAULTS[key])
+                try:
+                    cfg[key] = kind(value.strip())
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                                     f"got {value.strip()!r}") from None
     for key, value in (overrides or {}).items():
-        if value is not None:
+        if key in cfg and value is not None:
             cfg[key] = value
     return cfg
 
@@ -138,6 +145,10 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     Each method is a pair (select(run) -> seeds, fit(seeds, run) -> predictor).
     Within a run, the DRE model and the RBMF selection are computed once and
     shared by the methods that use them."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if not Ns or min(Ns) < 1:
+        raise ValueError(f"every N must be at least 1, got {','.join(map(str, Ns))}")
     train_view = matrix.take(split.train_users)
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
@@ -156,7 +167,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
 
     def rbmf(run):
         return once("RBMF", lambda: baselines.rbmf_select(
-            train_view.dense(), k, seed=stream_seed(master, "RBMF", run)))
+            train_view.csr(), k, seed=stream_seed(master, "RBMF", run)))
 
     def random_seeds(run):
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -175,7 +186,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        lin = baselines.rbmf_decoder(train_view.dense(), seeds)
+        lin = baselines.rbmf_decoder(train_view.csr(), seeds)
         return lambda z: model._rank_candidates(lin.predict(z), seeds, n_max)
 
     def popularity(seeds, run):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import DataError
+
 __all__ = [
     "precision_at",
     "ndcg_at",
@@ -21,6 +23,7 @@ __all__ = [
 
 DEFAULT_NS = (10, 20, 50, 100)
 BLOCK_ROWS = 256
+METRICS = ("P", "NDCG")
 
 
 def precision_at(omega, v_set, N):
@@ -146,16 +149,64 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text):
+        """Parse to_json output. Raises DataError unless methods, Ns,
+        run_seeds and cells are present; methods are distinct strings and Ns
+        distinct integers; the cells are exactly methods x METRICS x Ns, each
+        with a mean, a std and one value per run, all finite and in [0, 1];
+        and each test pairs two of the methods at one metric and one of the
+        Ns, with a pooled p-value in [0, 1]."""
         raw = json.loads(text)
-        rep = cls(methods=raw["methods"], Ns=raw["Ns"], run_seeds=raw["run_seeds"],
-                  skipped=raw.get("skipped", {}))
-        for key, v in raw["cells"].items():
-            m, metric, N = key.split("|")
-            rep.cells[(m, metric, int(N))] = v
-        for key, v in raw.get("tests", {}).items():
-            a, b, metric, N = key.split("|")
-            rep.tests[(a, b, metric, int(N))] = v
+        if not isinstance(raw, dict):
+            raise DataError("eval report: not a JSON object")
+        for key in ("methods", "Ns", "run_seeds", "cells"):
+            if key not in raw:
+                raise DataError(f"eval report: no {key!r} key")
+        methods, Ns, run_seeds = raw["methods"], raw["Ns"], raw["run_seeds"]
+        if not (_distinct(methods, str) and _distinct(Ns, int) and isinstance(run_seeds, list)):
+            raise DataError("eval report: methods must be distinct strings, Ns distinct "
+                            "integers and run_seeds a list")
+        rep = cls(methods=methods, Ns=Ns, run_seeds=run_seeds, skipped=raw.get("skipped", {}))
+        cells, tests = raw["cells"], raw.get("tests", {})
+        if not (isinstance(cells, dict) and isinstance(tests, dict)):
+            raise DataError("eval report: cells and tests must be JSON objects")
+        for key, cell in cells.items():
+            runs = cell.get("runs") if isinstance(cell, dict) else None
+            if not (isinstance(runs, list) and len(runs) == len(run_seeds)
+                    and all(map(_unit, [cell.get("mean"), cell.get("std"), *runs]))):
+                raise DataError(f"eval report: cell {key!r} needs a mean, a std and one "
+                                f"value per run, each finite and in [0, 1]")
+            rep.cells[_split_key(key, 3)] = cell
+        if set(rep.cells) != {(m, metric, N) for m in methods for metric in METRICS for N in Ns}:
+            raise DataError("eval report: the cells are not methods x (P, NDCG) x Ns")
+        for key, test in tests.items():
+            a, b, metric, N = _split_key(key, 4)
+            pooled = test.get("pooled") if isinstance(test, dict) else None
+            if not (a in methods and b in methods and metric in METRICS and N in Ns
+                    and isinstance(pooled, list) and len(pooled) == 2 and _unit(pooled[1])):
+                raise DataError(f"eval report: test {key!r} must pair two methods at a "
+                                f"metric and N of the report, with a pooled p in [0, 1]")
+            rep.tests[(a, b, metric, N)] = test
         return rep
+
+
+def _distinct(values, kind):
+    """values is a list of distinct instances of kind (bool is not an int)."""
+    return (isinstance(values, list)
+            and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+            and len(set(values)) == len(values))
+
+
+def _unit(x):
+    """x is a JSON number in [0, 1] (so not NaN or infinite)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 <= x <= 1.0
+
+
+def _split_key(key, width):
+    """A report key 'a|...|N' of `width` fields as a tuple, N an int."""
+    parts = key.split("|")
+    if len(parts) == width and parts[-1].isascii() and parts[-1].isdigit():
+        return (*parts[:-1], int(parts[-1]))
+    raise DataError(f"eval report: malformed key {key!r}")
 
 
 def aggregate_runs(run_reports, pairings=(), run_seeds=None):

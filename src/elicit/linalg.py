@@ -1,5 +1,5 @@
-"""Dense numerical kernels: randomized truncated SVD, Maxvol submatrix
-selection, ridge least squares, Gumbel noise and tempered row softmax."""
+"""Numerical kernels: randomized truncated SVD, Maxvol submatrix selection,
+ridge least squares, Gumbel noise and tempered row softmax."""
 
 from dataclasses import dataclass
 
@@ -34,9 +34,9 @@ def truncated_svd(A, k, seed=0, oversample=10, power_iters=4):
 
     Singular values are absorbed into the right factor so its rows carry the
     singular-value magnitudes; the left factor has orthonormal columns.
-    Deterministic for a given seed.
+    Deterministic for a given seed. A is a dense array or a scipy.sparse
+    matrix: it only ever multiplies a dense factor from the left, as A or A.T.
     """
-    A = np.asarray(A, dtype=np.float64)
     n, m = A.shape
     if not (1 <= k <= min(n, m)):
         raise ValueError(f"k={k} out of range for {n}x{m} matrix")
@@ -46,7 +46,7 @@ def truncated_svd(A, k, seed=0, oversample=10, power_iters=4):
     for _ in range(power_iters):
         Q = np.linalg.qr(A.T @ Q)[0]
         Q = np.linalg.qr(A @ Q)[0]
-    B = Q.T @ A
+    B = (A.T @ Q).T  # Q.T @ A
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     left = Q @ Ub[:, :k]
     right = s[:k, None] * Vt[:k]
@@ -99,13 +99,14 @@ def maxvol(B, delta=0.01, max_iter=200):
 
 
 def ridge_solve(A, B, lam=1e-6):
-    """Solve min_X ||B - A X||_F^2 + lam ||X||_F^2 via the normal equations."""
+    """Solve min_X ||B - A X||_F^2 + lam ||X||_F^2 via the normal equations.
+
+    A is a dense array; B is a dense array or a scipy.sparse matrix."""
     A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
     k = A.shape[1]
     G = A.T @ A + lam * np.eye(k)
     try:
-        return np.linalg.solve(G, A.T @ B)
+        return np.linalg.solve(G, (B.T @ A).T)  # A.T @ B
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"normal matrix singular despite lam={lam}") from exc
 

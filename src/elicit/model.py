@@ -224,9 +224,10 @@ def train(matrix, split, cfg, log=None):
     """Joint end-to-end training of encoder logits and decoder.
 
     Per epoch: anneal the temperature, reshuffle training users, and for each
-    minibatch run encode -> decode, MSE loss, backprop, one Adam step on both
-    parameter groups. Validation NDCG@20 (hard extracted seeds) is recorded
-    every cfg.val_every epochs and the best snapshot is kept.
+    minibatch (densified on its own; the whole training matrix never is) run
+    encode -> decode, MSE loss, backprop, one Adam step on both parameter
+    groups. Validation NDCG@20 (hard extracted seeds) is recorded every
+    cfg.val_every epochs and the best snapshot is kept.
 
     Returns (phi, theta, history) for the best-validation snapshot.
     """
@@ -240,8 +241,8 @@ def train(matrix, split, cfg, log=None):
     dtype = np.float32
     phi = init_encoder(cfg.k, m, init_rng, dtype)
     theta = init_decoder(cfg.k, cfg.d, m, init_rng, dtype)
-    R_train = matrix.dense(split.train_users, dtype=dtype)
-    n_train = R_train.shape[0]
+    train_users = split.train_users
+    n_train = len(train_users)
     state = AdamState()
     params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
 
@@ -252,7 +253,7 @@ def train(matrix, split, cfg, log=None):
         order = shuffle_rng.permutation(n_train)
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
-            batch = R_train[order[start:start + cfg.batch_size]]
+            batch = matrix.dense(train_users[order[start:start + cfg.batch_size]], dtype)
             g = gumbel_noise(cfg.k, m, noise_rng, dtype=dtype)
             loss, grads = _forward_backward(phi, theta, batch, tau, g)
             if not np.isfinite(loss):
@@ -276,22 +277,24 @@ def train(matrix, split, cfg, log=None):
 
 def retrain_decoder(matrix, split, seeds, theta, epochs, lr=0.005, batch_size=256, seed=0):
     """Decoder-only Adam training with the encoder frozen: the input is the
-    hard selection r[:, seeds], no Gumbel noise and no encoder update."""
+    hard selection r[:, seeds] of each densified minibatch r, with no Gumbel
+    noise and no encoder update."""
     if epochs == 0:
         return theta
     theta = theta.copy()
     ss = np.random.SeedSequence(seed)
     shuffle_rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-    R_train = matrix.dense(split.train_users, dtype=theta.w1.dtype)
-    Z = R_train[:, seeds]
-    n_train = R_train.shape[0]
+    train_users = split.train_users
+    n_train = len(train_users)
     state = AdamState()
     params = {"w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
     for e in range(epochs):
         order = shuffle_rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
-            idx = order[start:start + batch_size]
-            z, r = Z[idx], R_train[idx]
+            r = matrix.dense(train_users[order[start:start + batch_size]], theta.w1.dtype)
+            # take gives C order; r[:, seeds] would be F order, for which the
+            # BLAS products below can round differently
+            z = r.take(seeds, axis=1)
             h, r_hat = _decoder_forward(theta, z)
             if not np.isfinite(mse_loss(r_hat, r)):
                 raise RuntimeError(f"decoder retraining diverged at epoch {e}")

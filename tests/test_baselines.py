@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from elicit import baselines, data, model
 from conftest import make_cluster_matrix
@@ -56,7 +57,7 @@ def test_rbmf_select_block_structure():
     # 3 orthogonal item blocks; brute-force max |det| picks one per block
     matrix = make_cluster_matrix(n_per_cluster=40, items_per_cluster=4,
                                  clusters=3, seed=1)
-    seeds = baselines.rbmf_select(matrix.dense(), 3, seed=0)
+    seeds = baselines.rbmf_select(matrix.csr(), 3, seed=0)
     blocks = {int(s) // 4 for s in seeds}
     assert blocks == {0, 1, 2}
     # against the brute-force volume oracle on the SVD factor
@@ -70,17 +71,19 @@ def test_rbmf_select_block_structure():
 
 
 def test_rbmf_select_deterministic(cluster_matrix):
-    s1 = baselines.rbmf_select(cluster_matrix.dense(), 4, seed=3)
-    s2 = baselines.rbmf_select(cluster_matrix.dense(), 4, seed=3)
+    s1 = baselines.rbmf_select(cluster_matrix.csr(), 4, seed=3)
+    s2 = baselines.rbmf_select(cluster_matrix.csr(), 4, seed=3)
     assert np.array_equal(s1, s2)
     assert len(set(s1.tolist())) == 4
+    # the sparse matrix selects what its dense copy selects
+    assert np.array_equal(s1, baselines.rbmf_select(cluster_matrix.dense(), 4, seed=3))
 
 
 def test_rbmf_decoder_exact_rank_self_consistency():
     rng = np.random.Generator(np.random.PCG64(4))
     R = rng.random((20, 3)) @ rng.random((3, 6))  # exact rank 3
     seeds = baselines.rbmf_select(R, 3, seed=0)
-    lin = baselines.rbmf_decoder(R, seeds)
+    lin = baselines.rbmf_decoder(csr_array(R), seeds)
     assert np.linalg.norm(R[:, seeds] @ lin.x - R) <= 1e-6 * np.linalg.norm(R)
     assert np.allclose(lin.predict(np.zeros(3)), 0.0)
 
@@ -90,15 +93,14 @@ def test_rbmf_decoder_matches_qr_oracle():
     R = (rng.random((20, 6)) < 0.5).astype(float)
     R += 0.01 * rng.random((20, 6))  # avoid exact collinearity for the oracle
     seeds = np.array([0, 2, 4])
-    lin = baselines.rbmf_decoder(R, seeds)
+    lin = baselines.rbmf_decoder(csr_array(R), seeds)
     X_qr = np.linalg.lstsq(R[:, seeds], R, rcond=None)[0]
     assert np.linalg.norm(lin.x - X_qr) <= 1e-5 * np.linalg.norm(X_qr)
 
 
 def test_rbmf_decoder_linearity():
     rng = np.random.Generator(np.random.PCG64(6))
-    lin = baselines.LinearDecoder(x=rng.standard_normal((3, 8)),
-                                  seeds=np.array([0, 1, 2]))
+    lin = baselines.LinearDecoder(x=rng.standard_normal((3, 8)))
     z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
     assert np.allclose(lin.predict(2 * z1 + 3 * z2),
                        2 * lin.predict(z1) + 3 * lin.predict(z2), atol=1e-12)

@@ -1,11 +1,16 @@
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elicit import baselines, cli, data, evaluate
-from conftest import corrupt_checkpoint, write_raw_file, write_small_checkpoint
+import elicit
+from elicit import baselines, cli, data, evaluate, model
+from conftest import (corrupt_checkpoint, make_cluster_matrix, write_raw_file,
+                      write_small_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +91,21 @@ def test_train_byte_identical_checkpoints(prepared, tmp_path):
                          "--seed", "3"] + FAST_TRAIN) == 0
         blobs.append(Path(out, "checkpoint.dre").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_manifest_is_deterministic(prepared, tmp_path):
+    # each run in its own interpreter, as two real runs are
+    env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent))
+    manifests = []
+    for name in ("m1", "m2"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "elicit.cli", "train", "--data-dir", prepared,
+                        "--out", str(out), "--seed", "3"] + FAST_TRAIN,
+                       env=env, capture_output=True, check=True)
+        manifests.append((out / "checkpoint.dre.manifest").read_bytes())
+    assert manifests[0] == manifests[1]
+    keys = {line.partition("=")[0] for line in manifests[0].decode().splitlines()}
+    assert keys == set(cli.CONFIG_DEFAULTS) - {"out", "dataset"} | {"data_fingerprint"}
 
 
 def test_eval_and_report(prepared, tmp_path, capsys):
@@ -195,6 +215,73 @@ def test_eval_external_seeds_must_be_a_method(prepared, tmp_path, capsys):
         + EVAL_FLAGS)
     assert "X" in err and "--methods" in err
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--runs", "0", "runs must be at least 1, got 0"),
+    ("--ns", "0", "every N must be at least 1, got 0"),
+    ("--ns", "5,-1", "every N must be at least 1, got 5,-1"),
+], ids=["runs_0", "ns_0", "ns_negative"])
+def test_eval_range_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
+                                      flag, value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before the ranges were checked")
+
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "MOSTPOP,RAN++", "--runs", "1"] + EVAL_FLAGS + [flag, value])
+    assert message in err
+
+
+def test_eval_external_seeds_not_an_integer(prepared, tmp_path, capsys):
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text("0\nabc\n12\n")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "EXT", "--runs", "1", "--external-seeds", f"EXT={seeds_path}"]
+        + EVAL_FLAGS)
+    assert f"{seeds_path}:2:" in err and "'abc'" in err
+
+
+def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# comment\nk=abc\n")
+    err = _one_line_error(capsys, ["train", "--data-dir", prepared, "--out",
+                                   str(tmp_path / "run"), "--config", str(config)])
+    assert f"{config}:2:" in err and "'abc'" in err
+
+
+def test_report_dump_without_methods_is_one_line_error(tmp_path, capsys):
+    dump = tmp_path / "eval_report.json"
+    dump.write_text(json.dumps({"Ns": [10], "run_seeds": [0], "cells": {}}))
+    err = _one_line_error(capsys, ["report", "--dump", str(dump)])
+    assert "'methods'" in err
+
+
+def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
+    # train, retrain and every eval method densify at most one minibatch or
+    # one scoring block of float rows at a time, never the training matrix
+    matrix = make_cluster_matrix(n_per_cluster=150, seed=2)
+    split = data.split_users(matrix, seed=0)
+    batch = 64
+    limit = max(batch, evaluate.BLOCK_ROWS)
+    assert len(split.train_users) > limit
+    requests = []
+    dense = data.RatingMatrix.dense
+
+    def recorded(self, user_ids=None, dtype=np.float64):
+        requests.append((self.n if user_ids is None else len(user_ids), np.dtype(dtype)))
+        return dense(self, user_ids, dtype)
+
+    monkeypatch.setattr(data.RatingMatrix, "dense", recorded)
+    cfg = dict(cli.CONFIG_DEFAULTS, k=3, d=8, epochs=2, retrain_epochs=1,
+               batch_size=batch, val_every=1)
+    phi, theta, _ = model.train(matrix, split, cli.train_config(cfg))
+    model.retrain_decoder(matrix, split, model.extract_seeds(phi), theta, 1, batch_size=batch)
+    cli.run_eval(matrix, split, cfg, cli.METHODS, runs=1, Ns=(5,))
+    rows = [n for n, dtype in requests if np.issubdtype(dtype, np.floating)]
+    assert rows and max(rows) <= limit, sorted(set(rows))
 
 
 def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -187,6 +188,67 @@ def test_aggregate_runs_pairings_and_json_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split("\t") == ["method", "metric", "N", "mean", "std", "p_vs_best"]
     assert len(lines) == 1 + 2 * 2 * 2  # methods x metrics x Ns
+
+
+def _corrupt_report(raw, fault):
+    cells, tests = raw["cells"], raw["tests"]
+    if fault == "not_an_object":
+        return []
+    if fault.startswith("no_"):
+        del raw[fault[3:]]
+    elif fault == "nan_mean":
+        cells["A|P|10"]["mean"] = math.nan
+    elif fault == "infinite_std":
+        cells["A|P|10"]["std"] = math.inf
+    elif fault == "mean_above_one":
+        cells["B|NDCG|20"]["mean"] = 1.5
+    elif fault == "negative_run":
+        cells["B|P|20"]["runs"][0] = -0.1
+    elif fault == "string_mean":
+        cells["A|P|10"]["mean"] = "0.5"
+    elif fault == "cell_without_mean":
+        del cells["A|P|10"]["mean"]
+    elif fault == "runs_count":
+        raw["run_seeds"] = raw["run_seeds"][:1]
+    elif fault == "cell_missing":
+        del cells["B|NDCG|20"]
+    elif fault == "cell_unknown_method":
+        cells["C|P|10"] = cells["A|P|10"]
+    elif fault == "method_without_cells":
+        raw["methods"].append("C")
+    elif fault == "N_without_cells":
+        raw["Ns"].append(50)
+    elif fault == "duplicate_method":
+        raw["methods"].append("A")
+    elif fault == "string_Ns":
+        raw["Ns"] = ["10", "20"]
+    elif fault == "malformed_key":
+        cells["A|P|ten"] = cells.pop("A|P|10")
+    elif fault == "test_unknown_method":
+        tests["A|Z|P|10"] = tests["A|B|P|10"]
+    elif fault == "test_p_above_one":
+        tests["A|B|P|10"]["pooled"][1] = 2.0
+    elif fault == "test_no_pooled":
+        del tests["A|B|NDCG|20"]["pooled"]
+    return raw
+
+
+REPORT_FAULTS = ["not_an_object", "no_methods", "no_Ns", "no_run_seeds", "no_cells",
+                 "nan_mean", "infinite_std", "mean_above_one", "negative_run", "string_mean",
+                 "cell_without_mean", "runs_count", "cell_missing", "cell_unknown_method",
+                 "method_without_cells", "N_without_cells", "duplicate_method", "string_Ns",
+                 "malformed_key", "test_unknown_method", "test_p_above_one", "test_no_pooled"]
+
+
+@pytest.mark.parametrize("fault", REPORT_FAULTS)
+def test_from_json_rejects_bad_schema(fault):
+    r_a = _fake_run({"P": [0.9, 0.8, 0.7], "NDCG": [0.9, 0.8, 0.7]})
+    r_b = _fake_run({"P": [0.5, 0.4, 0.6], "NDCG": [0.5, 0.4, 0.6]})
+    rep = evaluate.aggregate_runs({"A": [r_a, r_a], "B": [r_b, r_b]}, pairings=[("A", "B")])
+    raw = json.loads(rep.to_json())
+    evaluate.EvalReport.from_json(json.dumps(raw))  # the intact report loads
+    with pytest.raises(data.DataError, match="^eval report: "):
+        evaluate.EvalReport.from_json(json.dumps(_corrupt_report(raw, fault)))
 
 
 def test_report_table_p_is_against_the_best_baseline(tmp_path):

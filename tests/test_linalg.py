@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from elicit.linalg import (
     gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
@@ -161,3 +162,20 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 def test_softmax_rejects_bad_tau():
     with pytest.raises(ValueError):
         softmax_rows(np.zeros((1, 2)), 0.0)
+
+
+def test_sparse_input_matches_dense():
+    # a binary matrix, as the training matrix is: the ridge normal equations
+    # then hold exact integer counts, so the sparse route gives the same bits
+    # as the plain dense expressions; the SVD sums floats in another order
+    rng = np.random.Generator(np.random.PCG64(11))
+    R = (rng.random((60, 25)) < 0.2).astype(np.float64)
+    S = csr_array(R)
+    dense, sparse = truncated_svd(R, 4, seed=1), truncated_svd(S, 4, seed=1)
+    assert np.allclose(sparse.left, dense.left, atol=1e-10)
+    assert np.allclose(sparse.right, dense.right, atol=1e-10)
+    A = R[:, [3, 7, 11]]
+    plain = np.linalg.solve(A.T @ A + 1e-6 * np.eye(3), A.T @ R)
+    for B in (R, S):
+        X = ridge_solve(A, B)
+        assert X.tobytes() == plain.tobytes() and X.flags.c_contiguous

@@ -297,6 +297,39 @@ def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     assert after <= before + 1e-6
 
 
+def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
+    """Reference: retrain_decoder with the whole training matrix held dense
+    and its seed columns sliced once, minibatches taken by row."""
+    theta = theta.copy()
+    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    R_train = matrix.dense(split.train_users, dtype=theta.w1.dtype)
+    Z = R_train[:, seeds]
+    state = model.AdamState()
+    params = {"w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(R_train))
+        for start in range(0, len(R_train), batch_size):
+            idx = order[start:start + batch_size]
+            z, r = Z[idx], R_train[idx]
+            h, r_hat = model._decoder_forward(theta, z)
+            model.adam_step(params, model._decoder_backward(theta, z, h, r_hat, r)[0], state, lr)
+    return theta
+
+
+@pytest.mark.parametrize("k, d, batch_size", [(3, 8, 32), (5, 16, 64), (4, 300, 256)])
+def test_retrain_decoder_bit_identical_to_resident_matrix_reference(cluster_matrix, k, d,
+                                                                    batch_size):
+    split = data.split_users(cluster_matrix, seed=0)
+    seeds = np.array([0, 11, 22, 7, 19][:k])
+    theta = model.init_decoder(k, d, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
+    got = model.retrain_decoder(cluster_matrix, split, seeds, theta, 3, lr=0.01,
+                                batch_size=batch_size, seed=2)
+    want = _retrain_with_resident_matrix(cluster_matrix, split, seeds, theta, 3, 0.01,
+                                         batch_size, 2)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_recommend_contract():
     rng = np.random.Generator(np.random.PCG64(11))
     m, k, d = 12, 3, 4
