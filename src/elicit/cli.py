@@ -206,6 +206,16 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     for meth in methods:
         if meth not in table:
             raise ValueError(f"unknown method {meth!r}")
+    # each method ranks the items other than its seeds (MOSTPOP: other than
+    # DRE's), so the largest N must fit the smallest candidate count; a
+    # built-in method takes precedence over external seeds of the same name
+    dre_k = len(loaded[1]) if loaded else k
+    n_seeds = {name: len(seeds) for name, seeds in (external_seeds or {}).items()
+               if name not in METHODS}
+    n_seeds.update(DRE=dre_k, MOSTPOP=dre_k if "DRE" in methods else 0)
+    n_candidates = matrix.m - max(n_seeds.get(meth, k) for meth in methods)
+    if n_max > n_candidates:
+        raise ValueError(f"N={n_max} is not within the candidate count {n_candidates}")
 
     run_reports = {meth: [] for meth in methods}
     for run in range(runs):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import count, repeat
@@ -319,15 +320,25 @@ def load_snapshot(path):
             n, m, nnz = int(fields["n"]), int(fields["m"]), int(fields["nnz"])
         except (KeyError, ValueError):
             raise DataError(f"{path}: bad snapshot header {header!r}") from None
+        # the rows are parsed into one flat buffer, each row a view of it, so
+        # that they are not one heap allocation each. An item id and its
+        # separator take two characters at least, so half the file size
+        # bounds the buffer when the header's nnz is too large.
+        flat, pos = np.empty(max(0, min(nnz, os.fstat(fh.fileno()).st_size // 2)), np.int64), 0
         rows = [None] * n
         for lineno, line in enumerate(fh, start=2):
             u_s, _, items_s = line.rstrip("\n").partition(":")
             try:
                 u = int(u_s)
                 # via object: parsing from a str array raised the peak RSS of train
-                row = np.array(items_s.split(), dtype=object).astype(np.int64)
+                items = np.array(items_s.split(), dtype=object)
+                if pos + len(items) > len(flat):  # more ids than the header's nnz
+                    flat, pos = np.empty(max(len(items), len(flat)), np.int64), 0
+                row = flat[pos:pos + len(items)]
+                row[:] = items
             except (ValueError, OverflowError):
                 raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+            pos += len(row)
             if not 0 <= u < n:
                 raise DataError(f"{path}:{lineno}: user id {u} outside [0, {n})")
             if rows[u] is not None:

@@ -106,18 +106,27 @@ def encode(phi, r_batch, tau, rng):
     return y, r_batch @ y.T
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """Logistic function without overflow: 1 / (1 + e) for x >= 0 and
-    e / (1 + e) below, with e = exp(-|x|). min(x, -x) is -|x| except that it
-    keeps the sign bit of a NaN, which -abs(x) would flip."""
+    e / (1 + e) below, with e = exp(-|x|); written to `out` when given, which
+    may be x itself. min(x, -x) is -|x| except that it keeps the sign bit of
+    a NaN, which -abs(x) would flip. The numerator max(e, x >= 0) is 1 or e
+    as required, since e <= 1 and a NaN e propagates, with no branch."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1, e) / (1 + e)
+    num = np.maximum(e, x >= 0, out=out)
+    e += 1
+    return np.divide(num, e, out=num)
 
 
 def _decoder_forward(theta, z):
-    """Hidden activations and reconstruction for a block of inputs z."""
-    h = _sigmoid(z @ theta.w1 + theta.b1)
-    return h, _sigmoid(h @ theta.w2 + theta.b2)
+    """Hidden activations and reconstruction for a block of inputs z; each
+    layer's pre-activation buffer is reused for its output."""
+    a = z @ theta.w1
+    a += theta.b1
+    h = _sigmoid(a, out=a)
+    a = h @ theta.w2
+    a += theta.b2
+    return h, _sigmoid(a, out=a)
 
 
 def decode(theta, z_batch):
@@ -134,8 +143,15 @@ def _decoder_backward(theta, z, h, r_hat, r_batch):
     """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
     gradient at the hidden pre-activation, from which callers that also
     train the encoder continue the chain rule."""
-    d_out = (2.0 / r_batch.shape[0]) * (r_hat - r_batch) * r_hat * (1.0 - r_hat)
-    d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
+    # in place, with the operations and order of
+    # (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical to it
+    d_out = r_hat - r_batch
+    d_out *= 2.0 / r_batch.shape[0]
+    d_out *= r_hat
+    d_out *= 1.0 - r_hat
+    d_h = d_out @ theta.w2.T
+    d_h *= h
+    d_h *= 1.0 - h
     grads = {"w1": z.T @ d_h, "b1": d_h.sum(axis=0), "w2": h.T @ d_out, "b2": d_out.sum(axis=0)}
     return grads, d_h
 
@@ -296,9 +312,13 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr=0.005, batch_size=25
             # BLAS products below can round differently
             z = r.take(seeds, axis=1)
             h, r_hat = _decoder_forward(theta, z)
-            if not np.isfinite(mse_loss(r_hat, r)):
+            grads = _decoder_backward(theta, z, h, r_hat, r)[0]
+            # the loss is finite unless r_hat holds a NaN (r_hat lies in
+            # [0, 1], r in {0, 1}), and such a NaN reaches the sum over its
+            # column, so one check of b2's gradient stands for the loss
+            if not np.isfinite(grads["b2"]).all():
                 raise RuntimeError(f"decoder retraining diverged at epoch {e}")
-            adam_step(params, _decoder_backward(theta, z, h, r_hat, r)[0], state, lr)
+            adam_step(params, grads, state, lr)
     return theta
 
 
@@ -312,7 +332,13 @@ def _rank_candidates(scores, seeds, N):
     candidates = np.nonzero(mask)[0]
     if not 0 <= N <= len(candidates):
         raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
-    keys = -np.atleast_2d(scores)[:, candidates].astype(np.float64)
+    # negated in their own float dtype (float32 -> float64 is exact, so the
+    # order, the ties and the NaNs are those of float64 keys); integer scores,
+    # such as item counts, as float64. The column selection is a copy.
+    keys = np.atleast_2d(scores)[:, candidates]
+    if keys.dtype.kind != "f":
+        keys = keys.astype(np.float64)
+    np.negative(keys, out=keys)
     top = np.empty((len(keys), N), dtype=np.intp)
     if N:
         # the N smallest keys in some order, then a stable sort of just those

@@ -234,6 +234,22 @@ def test_eval_range_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
     assert message in err
 
 
+@pytest.mark.parametrize("methods, ns, message", [
+    ("MOSTPOP,RAN++", "5,16", "N=16 is not within the candidate count 15"),
+    ("MOSTPOP", "19", "N=19 is not within the candidate count 18"),
+], ids=["seeded", "mostpop_alone"])
+def test_eval_n_above_candidates_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
+                                                   methods, ns, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before N was checked")
+
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", methods, "--runs", "1"] + EVAL_FLAGS + ["--ns", ns])
+    assert message in err
+
+
 def test_eval_external_seeds_not_an_integer(prepared, tmp_path, capsys):
     seeds_path = tmp_path / "ext.txt"
     seeds_path.write_text("0\nabc\n12\n")

@@ -373,9 +373,12 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     ("2:0 1 3", "2:0 1 1", ":4: item ids of user 2"),
     (" nnz=6", "", "bad snapshot header"),
     ("n=3", "n=three", "bad snapshot header"),
+    ("nnz=6", "nnz=5", "header nnz=5 but rows hold 6"),
+    ("nnz=6", "nnz=7", "header nnz=7 but rows hold 6"),
+    ("nnz=6", "nnz=999999999999", "header nnz=999999999999 but rows hold 6"),
 ], ids=["user_ge_n", "user_negative", "user_twice", "user_missing", "item_not_int",
         "user_not_int", "item_ge_m", "item_negative", "items_unsorted", "item_twice",
-        "header_without_nnz", "header_bad_n"])
+        "header_without_nnz", "header_bad_n", "nnz_low", "nnz_high", "nnz_huge"])
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)

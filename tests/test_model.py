@@ -109,6 +109,10 @@ def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     got, want = model._sigmoid(x), _masked_sigmoid(x)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
+    # in place, as the decoder calls it
+    buf = x.copy()
+    assert model._sigmoid(buf, out=buf) is buf
+    assert np.array_equal(buf.view(bits), want.view(bits))
 
 
 def test_mse_loss_cases():
@@ -328,6 +332,28 @@ def test_retrain_decoder_bit_identical_to_resident_matrix_reference(cluster_matr
                                          batch_size, 2)
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_retrain_decoder_nan_weight_diverges_at_epoch_0(cluster_matrix):
+    split = data.split_users(cluster_matrix, seed=0)
+    theta = model.init_decoder(3, 8, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
+    theta.w2[2, 5] = np.nan
+    with pytest.raises(RuntimeError, match="decoder retraining diverged at epoch 0"):
+        model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 22]), theta, 3)
+
+
+def test_train_nan_encoder_diverges_at_epoch_0(cluster_matrix, monkeypatch):
+    init_encoder = model.init_encoder
+
+    def with_nan(*args, **kwargs):
+        phi = init_encoder(*args, **kwargs)
+        phi[1, 4] = np.nan
+        return phi
+
+    monkeypatch.setattr(model, "init_encoder", with_nan)
+    split = data.split_users(cluster_matrix, seed=0)
+    with pytest.raises(RuntimeError, match="training diverged at epoch 0"):
+        model.train(cluster_matrix, split, _quick_cfg())
 
 
 def test_recommend_contract():
