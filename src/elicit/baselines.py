@@ -2,8 +2,6 @@
 the linear least-squares decoder, the '++' variants that pair any selector
 with the neural decoder, and the non-personalized popularity ranking."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import model
@@ -11,7 +9,6 @@ from .data import DataError
 from .linalg import maxvol, ridge_solve, truncated_svd
 
 __all__ = [
-    "LinearDecoder",
     "select_random",
     "select_popular",
     "rbmf_select",
@@ -21,14 +18,6 @@ __all__ = [
     "save_seeds",
     "load_seeds",
 ]
-
-
-@dataclass
-class LinearDecoder:
-    x: np.ndarray  # k x m
-
-    def predict(self, z):
-        return np.asarray(z, dtype=np.float64) @ self.x
 
 
 def select_random(m, k, rng):
@@ -45,29 +34,30 @@ def select_popular(matrix, k):
     return order[:k].astype(np.int64)
 
 
-def rbmf_select(R, k, delta=0.01, seed=0):
+def rbmf_select(R, k, seed=0):
     """Maximal-volume seed selection: rank-k SVD of the training matrix R
     (scipy.sparse or dense), then Maxvol over the item rows of the
     (value-weighted) right factor."""
     svd = truncated_svd(R, k, seed=seed)
-    result = maxvol(svd.right.T, delta=delta)
+    result = maxvol(svd.right.T)
     return result.indices.astype(np.int64)
 
 
 def rbmf_decoder(R, seeds):
-    """Linear decoder X from the regularized least-squares fit of the
-    scipy.sparse training matrix R onto its seed columns, the only part of R
-    that is densified; predictions are z @ X."""
-    return LinearDecoder(x=ridge_solve(R[:, seeds].toarray(), R))
+    """Linear decoder: the k x m float64 matrix X of the regularized
+    least-squares fit of the scipy.sparse training matrix R onto its seed
+    columns, the only part of R that is densified; predictions are z @ X."""
+    return ridge_solve(R[:, seeds].toarray(), R)
 
 
 def plusplus_decoder(matrix, split, seeds, cfg):
     """Neural decoder for a fixed, externally chosen seed itemset: a fresh
-    decoder trained on hard selections with the full epoch budget. Shares the
-    training loop and architecture with the end-to-end model."""
+    decoder with one input per seed, trained on hard selections with the full
+    epoch budget. Shares the training loop and architecture with the
+    end-to-end model."""
     ss = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-    theta = model.init_decoder(cfg.k, cfg.d, matrix.m, init_rng)
+    theta = model.init_decoder(len(seeds), cfg.d, matrix.m, init_rng)
     return model.retrain_decoder(
         matrix, split, seeds, theta, epochs=cfg.epochs,
         lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed,

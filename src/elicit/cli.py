@@ -104,19 +104,13 @@ def cmd_prepare(args):
     return 0
 
 
-def _train_once(matrix, split, tcfg, history_path=None):
+def _train_once(matrix, split, tcfg):
     phi, theta, history = model.train(matrix, split, tcfg)
     seeds = model.extract_seeds(phi)
     theta = model.retrain_decoder(
         matrix, split, seeds, theta, tcfg.retrain_epochs,
         lr=tcfg.lr, batch_size=tcfg.batch_size, seed=tcfg.seed,
     )
-    if history_path:
-        with open(history_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch\ttau\tloss\tval_ndcg20\n")
-            for row in history:
-                val = "" if row["val_ndcg"] is None else f"{row['val_ndcg']:.6f}"
-                fh.write(f"{row['epoch']}\t{row['tau']:.6g}\t{row['loss']:.6f}\t{val}\n")
     return phi, theta, seeds, history
 
 
@@ -126,8 +120,12 @@ def cmd_train(args):
     split = data.split_users(matrix, cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
     tcfg = train_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
-    phi, theta, seeds, _ = _train_once(
-        matrix, split, tcfg, history_path=os.path.join(cfg["out"], "history.tsv"))
+    phi, theta, seeds, history = _train_once(matrix, split, tcfg)
+    with open(os.path.join(cfg["out"], "history.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("epoch\ttau\tloss\tval_ndcg20\n")
+        for row in history:
+            val = "" if row["val_ndcg"] is None else f"{row['val_ndcg']:.6f}"
+            fh.write(f"{row['epoch']}\t{row['tau']:.6g}\t{row['loss']:.6f}\t{val}\n")
     manifest = {key: cfg[key] for key in sorted(cfg) if key not in ("out", "dataset")}
     manifest["data_fingerprint"] = data.matrix_fingerprint(matrix)
     model.save_checkpoint(os.path.join(cfg["out"], "checkpoint.dre"),
@@ -154,6 +152,9 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     methods = [meth.upper() for meth in methods]
     # (theta, seeds) of a given DRE checkpoint, used by every run
     loaded = model.load_checkpoint(checkpoint)[1:] if checkpoint and "DRE" in methods else None
+    if loaded and loaded[0].w2.shape[1] != matrix.m:
+        raise data.DataError(f"{checkpoint}: checkpoint has {loaded[0].w2.shape[1]} items, "
+                             f"the data has {matrix.m}")
     shared = {}  # artifacts of the current run that two methods use
 
     def once(key, make):
@@ -186,32 +187,30 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        lin = baselines.rbmf_decoder(train_view.csr(), seeds)
-        return lambda z: model._rank_candidates(lin.predict(z), seeds, n_max)
+        x = baselines.rbmf_decoder(train_view.csr(), seeds)
+        return lambda z: model._rank_candidates(z @ x, seeds, n_max)
 
     def popularity(seeds, run):
         ranking = baselines.mostpop_ranking(train_view, seeds, n_max)
         return lambda z: ranking
 
-    table = {name: (lambda run, s=seeds: s, neural(name))
-             for name, seeds in (external_seeds or {}).items()}
-    table.update({
+    table = {
         "MOSTPOP": (excluded, popularity),
         "RAN++": (random_seeds, neural("RAN++")),
         "POP++": (lambda run: baselines.select_popular(train_view, k), neural("POP++")),
         "RBMF": (rbmf, linear),
         "RBMF++": (rbmf, neural("RBMF++")),
         "DRE": (lambda run: dre(run)[1], lambda seeds, run: ranker(dre(run)[0], seeds)),
-    })
+    }
+    for name, seeds in (external_seeds or {}).items():
+        table[name] = (lambda run, s=seeds: s, neural(name))
     for meth in methods:
         if meth not in table:
             raise ValueError(f"unknown method {meth!r}")
     # each method ranks the items other than its seeds (MOSTPOP: other than
-    # DRE's), so the largest N must fit the smallest candidate count; a
-    # built-in method takes precedence over external seeds of the same name
+    # DRE's), so the largest N must fit the smallest candidate count
     dre_k = len(loaded[1]) if loaded else k
-    n_seeds = {name: len(seeds) for name, seeds in (external_seeds or {}).items()
-               if name not in METHODS}
+    n_seeds = {name: len(seeds) for name, seeds in (external_seeds or {}).items()}
     n_seeds.update(DRE=dre_k, MOSTPOP=dre_k if "DRE" in methods else 0)
     n_candidates = matrix.m - max(n_seeds.get(meth, k) for meth in methods)
     if n_max > n_candidates:
@@ -244,7 +243,7 @@ def cmd_eval(args):
                 manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
             fp = data.matrix_fingerprint(matrix)
             if manifest.get("data_fingerprint", fp) != fp:
-                raise SystemExit(
+                raise data.DataError(
                     f"checkpoint was trained on different data "
                     f"(fingerprint {manifest['data_fingerprint']} != {fp})")
     split = data.split_users(matrix, cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
@@ -252,11 +251,13 @@ def cmd_eval(args):
     external = {}
     for spec in args.external_seeds or []:
         name, _, path = spec.partition("=")
+        if name.upper() in METHODS:
+            raise ValueError(f"--external-seeds {name} is the name of a built-in method")
         if name.upper() not in (meth.upper() for meth in methods):
             raise ValueError(f"--external-seeds {name} is not one of --methods")
         seeds = baselines.load_seeds(path)
-        if ((seeds < 0) | (seeds >= matrix.m)).any():
-            raise data.DataError(f"{path}: seed indices must lie in [0, {matrix.m})")
+        if not len(seeds) or ((seeds < 0) | (seeds >= matrix.m)).any():
+            raise data.DataError(f"{path}: need at least one seed index, each in [0, {matrix.m})")
         external[name.upper()] = seeds
     Ns = tuple(int(t) for t in str(cfg["Ns"]).split(","))
     report = run_eval(matrix, split, cfg, methods, cfg["runs"], Ns,
@@ -310,7 +311,7 @@ def run_grid(matrix, split, cfg, grid, max_cells=256):
             cell_cfg["te"] = cell_cfg["t0"]
         tcfg = train_config(cell_cfg)
         phi, theta, seeds, _ = _train_once(matrix, split, tcfg)
-        score = model._validation_ndcg(theta, seeds, matrix, split.val_users, N=20)
+        score = model._validation_ndcg(theta, seeds, matrix, split.val_users)
         rows.append({"params": dict(zip(keys, values)), "val_ndcg20": score})
     best = max(rows, key=lambda r: r["val_ndcg20"])
     return rows, best
@@ -363,19 +364,22 @@ def cmd_recommend(args):
         with open(args.feedback, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
         if len(tokens) != k:
-            raise SystemExit(f"feedback file must hold exactly {k} binary values, "
-                             f"got {len(tokens)}")
+            raise data.DataError(f"feedback file must hold exactly {k} binary values, "
+                                 f"got {len(tokens)}")
         try:
             z = np.array([float(t) for t in tokens])
         except ValueError as exc:
-            raise SystemExit(f"malformed feedback value: {exc}")
+            raise data.DataError(f"malformed feedback value: {exc}") from None
         if not set(np.unique(z)) <= {0.0, 1.0}:
-            raise SystemExit("feedback values must be 0 or 1")
+            raise data.DataError("feedback values must be 0 or 1")
     else:
         z = np.zeros(k)
         for i, s in enumerate(seeds):
             while True:
-                ans = input(f"Do you like {inverse[int(s)]}? [0/1] ").strip()
+                try:
+                    ans = input(f"Do you like {inverse[int(s)]}? [0/1] ").strip()
+                except EOFError:
+                    raise data.DataError(f"input ended after {i} of {k} answers") from None
                 if ans in ("0", "1"):
                     z[i] = float(ans)
                     break
@@ -404,7 +408,7 @@ def render_report(report, dre="DRE"):
     if dre not in report.methods:
         raise ValueError(f"report has no {dre!r} column")
     lines = ["\t".join(["metric", "N"] + report.methods + ["best_baseline", "improv", "sig"])]
-    for metric in ("P", "NDCG"):
+    for metric in evaluate.METRICS:
         for N in report.Ns:
             means = {meth: report.cells[(meth, metric, N)]["mean"] for meth in report.methods}
             best = evaluate.best_baseline(report, dre, metric, N)
@@ -424,7 +428,7 @@ def cmd_report(args):
     with open(args.dump, "r", encoding="utf-8") as fh:
         report = evaluate.EvalReport.from_json(fh.read())
     if len(report.methods) < 2:
-        raise SystemExit("need at least 2 methods to compare")
+        raise data.DataError("need at least 2 methods to compare")
     sys.stdout.write(render_report(report, dre=args.dre_method))
     return 0
 
@@ -438,10 +442,11 @@ def build_parser():
     def common(p, data_dir=True):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master RNG seed")
+        # the commands that read a data dir are the ones that draw random numbers
         if data_dir:
             p.add_argument("--data-dir", required=True,
                            help="directory holding matrix.snapshot + maps")
+            p.add_argument("--seed", type=int, help="master RNG seed")
 
     p = sub.add_parser("prepare", help="ingest a raw interaction log")
     p.add_argument("--dataset", help="raw interaction file")

@@ -129,7 +129,6 @@ class SplitSpec:
     train_users: np.ndarray
     val_users: np.ndarray
     test_users: np.ndarray
-    rng_seed: int
 
 
 def load_interactions(path, delimiter="::"):
@@ -294,7 +293,7 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
     train = rest[n_val:]
     return SplitSpec(
         train_users=np.sort(train), val_users=np.sort(val),
-        test_users=np.sort(test), rng_seed=seed,
+        test_users=np.sort(test),
     )
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "write_report_table",
 ]
 
-DEFAULT_NS = (10, 20, 50, 100)
 BLOCK_ROWS = 256
 METRICS = ("P", "NDCG")
 
@@ -45,7 +44,7 @@ def ndcg_at(omega, v_set, N):
     return dcg / idcg
 
 
-def score_users(predictor, matrix, user_ids, seeds, Ns=DEFAULT_NS):
+def score_users(predictor, matrix, user_ids, seeds, Ns):
     """Simulate elicitation for `user_ids` and score the rankings.
 
     Feedback z is each user's true binary ratings on the seed items; the
@@ -94,7 +93,7 @@ def score_users(predictor, matrix, user_ids, seeds, Ns=DEFAULT_NS):
     }
 
 
-def evaluate_method(predictor, matrix, split, seeds, Ns=DEFAULT_NS):
+def evaluate_method(predictor, matrix, split, seeds, Ns):
     """score_users on the test users; raises if every one was skipped."""
     table = score_users(predictor, matrix, split.test_users, seeds, Ns)
     if not table["users"]:
@@ -226,7 +225,7 @@ def aggregate_runs(run_reports, pairings=(), run_seeds=None):
     for method in methods:
         runs = run_reports[method]
         report.skipped[method] = [r["skipped"] for r in runs]
-        for metric in ("P", "NDCG"):
+        for metric in METRICS:
             for N in Ns:
                 means = [float(r[metric][N].mean()) for r in runs]
                 report.cells[(method, metric, N)] = {
@@ -235,7 +234,7 @@ def aggregate_runs(run_reports, pairings=(), run_seeds=None):
                     "runs": means,
                 }
     for a, b in pairings:
-        for metric in ("P", "NDCG"):
+        for metric in METRICS:
             for N in Ns:
                 per_run = [
                     paired_t_test(ra[metric][N], rb[metric][N])
@@ -259,19 +258,19 @@ def best_baseline(report, method, metric, N):
     return max(others, key=lambda meth: report.cells[(meth, metric, N)]["mean"], default=None)
 
 
-def write_report_table(report, path, delimiter="\t"):
+def write_report_table(report, path):
     """One row per method x metric x N: mean, std and the pooled p of the
     paired t-test against the best baseline, when that pair was tested."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["method", "metric", "N", "mean", "std", "p_vs_best"]) + "\n")
+        fh.write("\t".join(["method", "metric", "N", "mean", "std", "p_vs_best"]) + "\n")
         for method in report.methods:
-            for metric in ("P", "NDCG"):
+            for metric in METRICS:
                 for N in report.Ns:
                     cell = report.cells[(method, metric, N)]
                     test = report.tests.get(
                         (method, best_baseline(report, method, metric, N), metric, N))
                     p = test["pooled"][1] if test else None
-                    fh.write(delimiter.join([
+                    fh.write("\t".join([
                         method, metric, str(N),
                         f"{cell['mean']:.6f}", f"{cell['std']:.6f}",
                         "" if p is None else f"{p:.6g}",

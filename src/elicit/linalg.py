@@ -29,7 +29,7 @@ class MaxvolResult:
     converged: bool
 
 
-def truncated_svd(A, k, seed=0, oversample=10, power_iters=4):
+def truncated_svd(A, k, seed=0):
     """Rank-k approximation A ~ left @ right via randomized subspace iteration.
 
     Singular values are absorbed into the right factor so its rows carry the
@@ -41,9 +41,9 @@ def truncated_svd(A, k, seed=0, oversample=10, power_iters=4):
     if not (1 <= k <= min(n, m)):
         raise ValueError(f"k={k} out of range for {n}x{m} matrix")
     rng = np.random.Generator(np.random.PCG64(seed))
-    p = min(m, k + oversample)
+    p = min(m, k + 10)  # the range sketch oversamples by 10 columns
     Q = np.linalg.qr(A @ rng.standard_normal((m, p)))[0]
-    for _ in range(power_iters):
+    for _ in range(4):  # power iterations
         Q = np.linalg.qr(A.T @ Q)[0]
         Q = np.linalg.qr(A @ Q)[0]
     B = (A.T @ Q).T  # Q.T @ A
@@ -69,7 +69,7 @@ def _pivoted_init(B):
     return order[:k]
 
 
-def maxvol(B, delta=0.01, max_iter=200):
+def maxvol(B, delta=0.01):
     """Classic Maxvol: find k rows of the m x k matrix B whose submatrix has
     near-maximal |determinant|.
 
@@ -86,7 +86,7 @@ def maxvol(B, delta=0.01, max_iter=200):
         return MaxvolResult(indices=np.arange(k), swaps=0, converged=True)
     swaps = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(200):  # swaps before giving up on convergence
         C = np.linalg.solve(B[indices].T, B.T).T  # C @ B_S = B
         flat = np.argmax(np.abs(C))
         i, j = divmod(flat, k)

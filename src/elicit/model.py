@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"DRE1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ class AdamState:
     v: dict = field(default_factory=dict)
     scratch: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def temperature(e, cfg):
@@ -179,7 +177,7 @@ def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on the params dict and
     on the moments, with two scratch buffers per parameter kept in state."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -203,7 +201,7 @@ def adam_step(params, grads, state, lr):
         s *= lr
         np.divide(v, c2, out=r)
         np.sqrt(r, out=r)
-        r += state.eps
+        r += ADAM_EPS
         p -= np.divide(s, r, out=s)
 
 
@@ -227,16 +225,17 @@ def extract_seeds(phi):
     return items
 
 
-def _validation_ndcg(theta, seeds, matrix, user_ids, N=20):
-    """NDCG@N on the given users with hard seed feedback, seeds excluded
-    from ranking and from ground truth. Users with empty truth are skipped."""
-    N = min(N, matrix.m - len(set(int(s) for s in seeds)))
+def _validation_ndcg(theta, seeds, matrix, user_ids):
+    """NDCG@20 (or @ the candidate count, when smaller) on the given users
+    with hard seed feedback, seeds excluded from ranking and from ground
+    truth. Users with empty truth are skipped."""
+    N = min(20, matrix.m - len(set(int(s) for s in seeds)))
     table = evaluate.score_users(
         lambda z: recommend(theta, seeds, z, N), matrix, user_ids, seeds, (N,))
     return float(table["NDCG"][N].mean()) if table["users"] else 0.0
 
 
-def train(matrix, split, cfg, log=None):
+def train(matrix, split, cfg):
     """Joint end-to-end training of encoder logits and decoder.
 
     Per epoch: anneal the temperature, reshuffle training users, and for each
@@ -263,7 +262,7 @@ def train(matrix, split, cfg, log=None):
     params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
 
     history = []
-    best = (-1.0, phi.copy(), theta.copy())
+    best = (-1.0, None, None)  # replaced at the last epoch at the latest
     for e in range(cfg.epochs):
         tau = temperature(e, cfg)
         order = shuffle_rng.permutation(n_train)
@@ -284,10 +283,6 @@ def train(matrix, split, cfg, log=None):
             if val_ndcg > best[0]:
                 best = (val_ndcg, phi.copy(), theta.copy())
         history.append({"epoch": e, "tau": tau, "loss": epoch_loss, "val_ndcg": val_ndcg})
-        if log is not None:
-            log(history[-1])
-    if best[0] < 0.0:
-        best = (0.0, phi, theta)
     return best[1], best[2], history
 
 

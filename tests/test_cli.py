@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -159,17 +160,17 @@ def test_eval_unknown_method(prepared, tmp_path):
                      "--methods", "WAT", "--runs", "1"]) == 1
 
 
-def test_eval_fingerprint_mismatch(prepared, raw_dataset, tmp_path):
+def test_eval_fingerprint_mismatch(prepared, raw_dataset, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--data-dir", prepared, "--out", out,
                      "--seed", "3"] + FAST_TRAIN) == 0
     other = str(tmp_path / "other")
     assert cli.main(["prepare", "--dataset", raw_dataset, "--min-count", "4",
                      "--threshold", "1.0", "--out", other]) == 0
-    with pytest.raises(SystemExit, match="fingerprint"):
-        cli.main(["eval", "--data-dir", other, "--out", str(tmp_path / "e"),
-                  "--methods", "DRE", "--runs", "1",
-                  "--checkpoint", os.path.join(out, "checkpoint.dre")] + EVAL_FLAGS)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", other, "--out", str(tmp_path / "e"), "--methods", "DRE",
+        "--runs", "1", "--checkpoint", os.path.join(out, "checkpoint.dre")] + EVAL_FLAGS)
+    assert "fingerprint" in err
 
 
 def test_eval_external_seeds(prepared, tmp_path):
@@ -185,6 +186,18 @@ def test_eval_external_seeds(prepared, tmp_path):
     assert report.methods == ["EXT"]
 
 
+def test_eval_external_seeds_of_any_length(prepared, tmp_path):
+    # a ++ decoder has one input per seed of its list, whatever --k says
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text("0\n6\n")
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--data-dir", prepared, "--out", str(out),
+                     "--methods", "MOSTPOP,EXT", "--runs", "1",
+                     "--external-seeds", f"EXT={seeds_path}"] + EVAL_FLAGS) == 0
+    report = evaluate.EvalReport.from_json((out / "eval_report.json").read_text())
+    assert report.methods == ["EXT", "MOSTPOP"]
+
+
 def _one_line_error(capsys, argv):
     capsys.readouterr()
     rc = cli.main(argv)
@@ -194,7 +207,8 @@ def _one_line_error(capsys, argv):
     return captured.err
 
 
-@pytest.mark.parametrize("seeds", ["0\n6\n18\n", "0\n-1\n12\n"], ids=["ge_m", "negative"])
+@pytest.mark.parametrize("seeds", ["0\n6\n18\n", "0\n-1\n12\n", ""],
+                         ids=["ge_m", "negative", "empty"])
 def test_eval_external_seeds_out_of_range(prepared, tmp_path, capsys, seeds):
     seeds_path = tmp_path / "ext.txt"
     seeds_path.write_text(seeds)
@@ -204,6 +218,33 @@ def test_eval_external_seeds_out_of_range(prepared, tmp_path, capsys, seeds):
     with pytest.raises(data.DataError, match=r"\[0, 18\)"):
         cli.cmd_eval(cli.build_parser().parse_args(argv))
     _one_line_error(capsys, argv)
+
+
+def test_eval_external_seeds_may_not_reuse_a_built_in_name(prepared, tmp_path, capsys):
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text("0\n1\n2\n")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "RAN++", "--runs", "1", "--external-seeds", f"ran++={seeds_path}"]
+        + EVAL_FLAGS)
+    assert "ran++" in err and "built-in" in err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("m, seeds", [(10, [2, 4, 8]), (25, [2, 4, 20])], ids=["fewer", "more"])
+def test_eval_checkpoint_of_other_item_count_is_one_line_error(prepared, tmp_path, capsys,
+                                                               m, seeds):
+    # no manifest, so only the shape tells that the checkpoint is not for this data
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    rng = np.random.Generator(np.random.PCG64(12))
+    model.save_checkpoint(checkpoint, rng.standard_normal((3, m)).astype(np.float32),
+                          model.init_decoder(3, 4, m, rng), np.array(seeds))
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "MOSTPOP,DRE", "--runs", "1", "--checkpoint", checkpoint,
+        "--k", "3", "--ns", "5"])
+    assert f"checkpoint has {m} items, the data has 18" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_external_seeds_must_be_a_method(prepared, tmp_path, capsys):
@@ -355,10 +396,25 @@ def test_recommend_file_mode(prepared, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == first
     # wrong feedback length aborts
     Path(feedback).write_text("1 0\n")
-    with pytest.raises(SystemExit, match="exactly 3"):
-        cli.main(["recommend", "--checkpoint", os.path.join(out, "checkpoint.dre"),
-                  "--items-map", os.path.join(prepared, "items.map"),
-                  "--feedback", feedback, "--top-n", "4"])
+    err = _one_line_error(capsys, [
+        "recommend", "--checkpoint", os.path.join(out, "checkpoint.dre"),
+        "--items-map", os.path.join(prepared, "items.map"), "--feedback", feedback,
+        "--top-n", "4"])
+    assert "exactly 3" in err
+
+
+@pytest.mark.parametrize("answers", ["", "1\n"], ids=["no_answer", "one_answer"])
+def test_recommend_end_of_input_is_one_line_error(tmp_path, capsys, monkeypatch, answers):
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    write_small_checkpoint(checkpoint)  # k=3
+    items_map = tmp_path / "items.map"
+    items_map.write_text("".join(f"i{i}\t{i}\n" for i in range(10)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(answers))
+    capsys.readouterr()
+    rc = cli.main(["recommend", "--checkpoint", checkpoint, "--items-map", str(items_map)])
+    err = capsys.readouterr().err  # stdout holds the questions asked
+    n = answers.count("\n")
+    assert rc == 1 and err.splitlines() == [f"error: input ended after {n} of 3 answers"]
 
 
 @pytest.mark.parametrize("fault", ["truncated", "nan", "seed_out_of_range"])

@@ -61,7 +61,7 @@ def test_evaluate_method_protocol():
     matrix = _tiny_matrix()
     split = data.SplitSpec(train_users=np.array([], dtype=int),
                            val_users=np.array([], dtype=int),
-                           test_users=np.arange(4), rng_seed=0)
+                           test_users=np.arange(4))
     seeds = np.array([2])
     # oracle predictor: looks up the user's truth via closure-counter
     fixed = [0, 1, 3, 4]
@@ -112,8 +112,7 @@ def test_score_users_blocks_match_per_user_metrics():
 
 def test_evaluate_method_rejects_seed_leak():
     matrix = _tiny_matrix()
-    split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int),
-                           np.arange(4), 0)
+    split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.arange(4))
     for ranking, problem in (([2, 0], "seed item leaked"), ([0, 0], "duplicate item")):
         with pytest.raises(ValueError, match=problem):
             evaluate.evaluate_method(lambda z: ranking, matrix, split, np.array([2]), Ns=(2,))
@@ -122,8 +121,7 @@ def test_evaluate_method_rejects_seed_leak():
 def test_evaluate_method_all_skipped():
     rows = [np.array([0])]
     matrix = data.RatingMatrix(n=1, m=3, rows=rows, user_index={}, item_index={})
-    split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int),
-                           np.array([0]), 0)
+    split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.array([0]))
     with pytest.raises(ValueError, match="degenerate"):
         evaluate.evaluate_method(lambda z: [1, 2], matrix, split, np.array([0]), Ns=(1,))
 

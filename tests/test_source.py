@@ -21,6 +21,19 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in src/elicit: {found}"
 
 
+def test_package_raises_no_system_exit():
+    # bad input ends in cli.main's one-line `error:` message, which a
+    # SystemExit raised below it would bypass
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "SystemExit" in ast.unparse(node.exc)
+    ]
+    assert not found, f"raise SystemExit in src/elicit: {found}"
+
+
 def test_only_data_reads_the_matrix_layout():
     # the CSR arrays are data.RatingMatrix's business; other modules go
     # through its methods (dense, take, item_counts, nnz)
