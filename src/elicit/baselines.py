@@ -55,13 +55,10 @@ def plusplus_decoder(matrix, split, seeds, cfg):
     decoder with one input per seed, trained on hard selections with the full
     epoch budget. Shares the training loop and architecture with the
     end-to-end model."""
-    ss = np.random.SeedSequence(cfg.seed)
-    init_rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-    theta = model.init_decoder(len(seeds), cfg.d, matrix.m, init_rng)
-    return model.retrain_decoder(
-        matrix, split, seeds, theta, epochs=cfg.epochs,
-        lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed,
-    )
+    # stream 0, the one retrain_decoder shuffles with: kept for byte-identical output
+    theta = model.init_decoder(len(seeds), cfg.d, matrix.m, model.rng_streams(cfg.seed)[0])
+    return model.retrain_decoder(matrix, split, seeds, theta, epochs=cfg.epochs, lr=cfg.lr,
+                                 batch_size=cfg.batch_size, seed=cfg.seed)
 
 
 def mostpop_ranking(matrix_train, excluded, N):

@@ -2,6 +2,7 @@
 hyperparameter sweeps, one-shot elicitation and report rendering."""
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -15,6 +16,7 @@ METHODS = ("MOSTPOP", "RAN++", "POP++", "RBMF", "RBMF++", "DRE")
 SNAPSHOT = "matrix.snapshot"
 USERS_MAP = "users.map"
 ITEMS_MAP = "items.map"
+MAX_GRID_CELLS = 256
 
 CONFIG_DEFAULTS = {
     "dataset": "",
@@ -77,12 +79,8 @@ def stream_seed(master_seed, method, run):
 
 
 def train_config(cfg, seed=None):
-    return model.TrainConfig(
-        k=cfg["k"], d=cfg["d"], lr=cfg["lr"], epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"], t0=cfg["t0"], te=cfg["te"],
-        retrain_epochs=cfg["retrain_epochs"],
-        seed=cfg["seed"] if seed is None else seed, val_every=cfg["val_every"],
-    )
+    values = {f.name: cfg[f.name] for f in dataclasses.fields(model.TrainConfig)}
+    return model.TrainConfig(**dict(values, seed=cfg["seed"] if seed is None else seed))
 
 
 def _load_dataset(data_dir):
@@ -107,10 +105,8 @@ def cmd_prepare(args):
 def _train_once(matrix, split, tcfg):
     phi, theta, history = model.train(matrix, split, tcfg)
     seeds = model.extract_seeds(phi)
-    theta = model.retrain_decoder(
-        matrix, split, seeds, theta, tcfg.retrain_epochs,
-        lr=tcfg.lr, batch_size=tcfg.batch_size, seed=tcfg.seed,
-    )
+    theta = model.retrain_decoder(matrix, split, seeds, theta, tcfg.retrain_epochs,
+                                  lr=tcfg.lr, batch_size=tcfg.batch_size, seed=tcfg.seed)
     return phi, theta, seeds, history
 
 
@@ -126,13 +122,37 @@ def cmd_train(args):
         for row in history:
             val = "" if row["val_ndcg"] is None else f"{row['val_ndcg']:.6f}"
             fh.write(f"{row['epoch']}\t{row['tau']:.6g}\t{row['loss']:.6f}\t{val}\n")
-    manifest = {key: cfg[key] for key in sorted(cfg) if key not in ("out", "dataset")}
+    checkpoint = os.path.join(cfg["out"], "checkpoint.dre")
+    model.save_checkpoint(checkpoint, phi, theta, seeds)
+    manifest = {key: cfg[key] for key in cfg if key not in ("out", "dataset")}
     manifest["data_fingerprint"] = data.matrix_fingerprint(matrix)
-    model.save_checkpoint(os.path.join(cfg["out"], "checkpoint.dre"),
-                          phi, theta, seeds, manifest=manifest)
+    with open(checkpoint + ".manifest", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={manifest[key]}\n" for key in sorted(manifest))
     baselines.save_seeds(seeds, os.path.join(cfg["out"], "seeds.txt"))
     print(f"trained k={tcfg.k} seeds -> {os.path.join(cfg['out'], 'seeds.txt')}")
     return 0
+
+
+def load_eval_checkpoint(path, matrix, cfg):
+    """(theta, seeds) of a DRE checkpoint, admitted for eval on `matrix` with
+    cfg's user split. Raises DataError when its manifest (path + '.manifest',
+    which train writes) names other data or another split, or when its item
+    count is not the data's."""
+    if os.path.exists(path + ".manifest"):
+        with open(path + ".manifest", encoding="utf-8") as fh:
+            manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+        # compared as train wrote them, so a value that does not parse differs
+        want = {key: str(cfg[key]) for key in ("test_frac", "val_frac", "split_seed")}
+        want["data_fingerprint"] = data.matrix_fingerprint(matrix)
+        for key, value in want.items():
+            if manifest.get(key) != value:
+                raise data.DataError(f"{path}: trained on other data or another split "
+                                     f"({key}={manifest.get(key)}, here {value})")
+    theta, seeds = model.load_checkpoint(path)[1:]
+    if theta.w2.shape[1] != matrix.m:
+        raise data.DataError(f"{path}: checkpoint has {theta.w2.shape[1]} items, "
+                             f"the data has {matrix.m}")
+    return theta, seeds
 
 
 def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
@@ -151,10 +171,8 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
     # (theta, seeds) of a given DRE checkpoint, used by every run
-    loaded = model.load_checkpoint(checkpoint)[1:] if checkpoint and "DRE" in methods else None
-    if loaded and loaded[0].w2.shape[1] != matrix.m:
-        raise data.DataError(f"{checkpoint}: checkpoint has {loaded[0].w2.shape[1]} items, "
-                             f"the data has {matrix.m}")
+    loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)
+              if checkpoint and "DRE" in methods else None)
     shared = {}  # artifacts of the current run that two methods use
 
     def once(key, make):
@@ -236,16 +254,6 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
 def cmd_eval(args):
     cfg = load_config(args.config, vars(args))
     matrix = _load_dataset(args.data_dir)
-    if args.checkpoint:
-        manifest_path = args.checkpoint + ".manifest"
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-            fp = data.matrix_fingerprint(matrix)
-            if manifest.get("data_fingerprint", fp) != fp:
-                raise data.DataError(
-                    f"checkpoint was trained on different data "
-                    f"(fingerprint {manifest['data_fingerprint']} != {fp})")
     split = data.split_users(matrix, cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
     methods = [meth.strip() for meth in args.methods.split(",")]
     external = {}
@@ -294,15 +302,16 @@ def parse_grid(spec):
     return grid
 
 
-def run_grid(matrix, split, cfg, grid, max_cells=256):
-    """Cartesian sweep; each cell runs the full training pipeline and is
-    scored by NDCG@20 on the validation users with hard seeds."""
+def run_grid(matrix, split, cfg, grid):
+    """Cartesian sweep of at most MAX_GRID_CELLS cells; each cell runs the
+    full training pipeline and is scored by NDCG@20 on the validation users
+    with hard seeds."""
     keys = sorted(grid)
     cells = list(itertools.product(*(grid[key] for key in keys)))
-    if len(cells) > max_cells:
-        print(f"warning: grid has {len(cells)} cells, capping at {max_cells}",
+    if len(cells) > MAX_GRID_CELLS:
+        print(f"warning: grid has {len(cells)} cells, capping at {MAX_GRID_CELLS}",
               file=sys.stderr)
-        cells = cells[:max_cells]
+        cells = cells[:MAX_GRID_CELLS]
     rows = []
     for values in cells:
         cell_cfg = dict(cfg)
@@ -340,7 +349,7 @@ def cmd_grid(args):
     matrix = _load_dataset(args.data_dir)
     split = data.split_users(matrix, cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
     grid = parse_grid(args.grid)
-    rows, best = run_grid(matrix, split, cfg, grid, max_cells=args.max_cells)
+    rows, best = run_grid(matrix, split, cfg, grid)
     os.makedirs(cfg["out"], exist_ok=True)
     keys = sorted(grid)
     with open(os.path.join(cfg["out"], "sweep.tsv"), "w", encoding="utf-8") as fh:
@@ -479,7 +488,6 @@ def build_parser():
 
     p = sub.add_parser("grid", help="hyperparameter sweep on validation NDCG@20")
     p.add_argument("--grid", required=True, help="e.g. 't0=1,10 te=0.5,0.1,t0'")
-    p.add_argument("--max-cells", type=int, default=256)
     p.add_argument("--k", type=int)
     p.add_argument("--epochs", type=int)
     common(p)

@@ -20,6 +20,7 @@ __all__ = [
     "init_encoder",
     "init_decoder",
     "encode",
+    "rng_streams",
     "decode",
     "mse_loss",
     "backward",
@@ -38,16 +39,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters; their defaults are cli.CONFIG_DEFAULTS."""
     k: int
-    d: int = 300
-    lr: float = 0.005
-    epochs: int = 400
-    batch_size: int = 256
-    t0: float = 10.0
-    te: float = 0.1
-    retrain_epochs: int = 100
-    seed: int = 0
-    val_every: int = 20
+    d: int
+    lr: float
+    epochs: int
+    batch_size: int
+    t0: float
+    te: float
+    retrain_epochs: int
+    seed: int
+    val_every: int
 
     def __post_init__(self):
         if not (self.t0 >= self.te > 0):
@@ -96,10 +98,9 @@ def init_decoder(k, d, m, rng, dtype=np.float32):
     )
 
 
-def encode(phi, r_batch, tau, rng):
+def encode(phi, r_batch, tau, g):
     """Relaxed categorical selection: y = softmax((phi + g) / tau) with one
-    fresh Gumbel draw shared across the batch; z = r @ y^T."""
-    g = gumbel_noise(*phi.shape, rng=rng, dtype=phi.dtype)
+    Gumbel draw g shared across the batch; z = r @ y^T."""
     y = softmax_rows(phi + g, tau)
     return y, r_batch @ y.T
 
@@ -157,8 +158,7 @@ def _decoder_backward(theta, z, h, r_hat, r_batch):
 def _forward_backward(phi, theta, r_batch, tau, g):
     """Forward pass with the given Gumbel noise g, then exact reverse-mode
     gradients of the MSE loss w.r.t. phi and all decoder parameters."""
-    y = softmax_rows(phi + g, tau)
-    z = r_batch @ y.T
+    y, z = encode(phi, r_batch, tau, g)
     h, r_hat = _decoder_forward(theta, z)
     grads, d_h = _decoder_backward(theta, z, h, r_hat, r_batch)
     d_z = d_h @ theta.w1.T                  # b x k
@@ -235,6 +235,13 @@ def _validation_ndcg(theta, seeds, matrix, user_ids):
     return float(table["NDCG"][N].mean()) if table["users"] else 0.0
 
 
+def rng_streams(seed):
+    """The training streams of a seed, in order: weight init, Gumbel noise and
+    minibatch shuffle, each a PCG64 child of the seed's sequence."""
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(3)]
+
+
 def train(matrix, split, cfg):
     """Joint end-to-end training of encoder logits and decoder.
 
@@ -246,10 +253,7 @@ def train(matrix, split, cfg):
 
     Returns (phi, theta, history) for the best-validation snapshot.
     """
-    ss = np.random.SeedSequence(cfg.seed)
-    init_rng, noise_rng, shuffle_rng = (
-        np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(3)
-    )
+    init_rng, noise_rng, shuffle_rng = rng_streams(cfg.seed)
     m = matrix.m
     if cfg.k >= m:
         raise ValueError(f"k={cfg.k} must be smaller than the item count {m}")
@@ -286,15 +290,15 @@ def train(matrix, split, cfg):
     return best[1], best[2], history
 
 
-def retrain_decoder(matrix, split, seeds, theta, epochs, lr=0.005, batch_size=256, seed=0):
+def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     """Decoder-only Adam training with the encoder frozen: the input is the
     hard selection r[:, seeds] of each densified minibatch r, with no Gumbel
     noise and no encoder update."""
     if epochs == 0:
         return theta
     theta = theta.copy()
-    ss = np.random.SeedSequence(seed)
-    shuffle_rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
+    # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
+    shuffle_rng = rng_streams(seed)[0]
     train_users = split.train_users
     n_train = len(train_users)
     state = AdamState()
@@ -363,10 +367,9 @@ def recommend(theta, seeds, z, N):
     return _rank_candidates(scores if z.ndim == 2 else scores[0], seeds, N)
 
 
-def save_checkpoint(path, phi, theta, seeds, manifest=None):
+def save_checkpoint(path, phi, theta, seeds):
     """Binary checkpoint: magic 'DRE1', little-endian u32 (k, m, d), float32
-    row-major phi, w1, b1, w2, b2, then the k u32 seed indices. An optional
-    sidecar manifest (path + '.manifest') records config and data fingerprint."""
+    row-major phi, w1, b1, w2, b2, then the k u32 seed indices."""
     k, m = phi.shape
     d = theta.w1.shape[1]
     with open(path, "wb") as fh:
@@ -375,10 +378,6 @@ def save_checkpoint(path, phi, theta, seeds, manifest=None):
         for arr in (phi, theta.w1, theta.b1, theta.w2, theta.b2):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(seeds, dtype="<u4").tobytes())
-    if manifest is not None:
-        with open(path + ".manifest", "w", encoding="utf-8") as fh:
-            for key in sorted(manifest):
-                fh.write(f"{key}={manifest[key]}\n")
 
 
 def load_checkpoint(path):

@@ -102,7 +102,7 @@ def test_plusplus_decoder_deterministic_and_learns(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
     seeds = baselines.select_popular(cluster_matrix, 3)
     cfg = model.TrainConfig(k=3, d=8, lr=0.01, epochs=15, batch_size=64,
-                            t0=5.0, te=0.1, seed=0)
+                            t0=5.0, te=0.1, retrain_epochs=10, seed=0, val_every=10)
     t1 = baselines.plusplus_decoder(cluster_matrix, split, seeds, cfg)
     t2 = baselines.plusplus_decoder(cluster_matrix, split, seeds, cfg)
     assert np.array_equal(t1.w2, t2.w2) and np.array_equal(t1.b1, t2.b1)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -80,8 +81,10 @@ def test_train_artifacts(prepared, tmp_path):
     taus = [float(line.split("\t")[1]) for line in history[1:]]
     assert taus[0] == pytest.approx(5.0)
     assert taus[-1] == pytest.approx(0.1 * (5.0 / 0.1) ** (1 / 12), rel=1e-3)
-    manifest = Path(out, "checkpoint.dre.manifest").read_text()
-    assert "data_fingerprint=" in manifest
+    manifest = dict(line.split("=", 1) for line in
+                    Path(out, "checkpoint.dre.manifest").read_text().splitlines())
+    assert manifest["k"] == "3" and manifest["split_seed"] == "0"
+    assert "data_fingerprint" in manifest
 
 
 def test_train_byte_identical_checkpoints(prepared, tmp_path):
@@ -171,6 +174,32 @@ def test_eval_fingerprint_mismatch(prepared, raw_dataset, tmp_path, capsys):
         "eval", "--data-dir", other, "--out", str(tmp_path / "e"), "--methods", "DRE",
         "--runs", "1", "--checkpoint", os.path.join(out, "checkpoint.dre")] + EVAL_FLAGS)
     assert "fingerprint" in err
+
+
+@pytest.mark.parametrize("train_flags, eval_config, edit, message", [
+    (["--split-seed", "1"], "", None, "split_seed=1, here 0"),
+    ([], "test_frac=0.3\n", None, "test_frac=0.2, here 0.3"),
+    ([], "val_frac=0.15\n", None, "val_frac=0.1, here 0.15"),
+    ([], "", ("split_seed=0", "split_seed=zero"), "split_seed=zero, here 0"),
+], ids=["split_seed", "test_frac", "val_frac", "unparsable"])
+def test_eval_checkpoint_of_other_split_is_one_line_error(prepared, tmp_path, capsys,
+                                                          train_flags, eval_config, edit,
+                                                          message):
+    # DRE would otherwise be scored on users it was trained on
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3"]
+                    + FAST_TRAIN + train_flags) == 0
+    if edit:
+        manifest = out / "checkpoint.dre.manifest"
+        manifest.write_text(manifest.read_text().replace(*edit))
+    config = tmp_path / "eval.cfg"
+    config.write_text(eval_config)
+    checkpoint = str(out / "checkpoint.dre")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "e"), "--methods", "DRE",
+        "--runs", "1", "--checkpoint", checkpoint, "--config", str(config)] + EVAL_FLAGS)
+    assert checkpoint in err and message in err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_external_seeds(prepared, tmp_path):
@@ -335,7 +364,8 @@ def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
     cfg = dict(cli.CONFIG_DEFAULTS, k=3, d=8, epochs=2, retrain_epochs=1,
                batch_size=batch, val_every=1)
     phi, theta, _ = model.train(matrix, split, cli.train_config(cfg))
-    model.retrain_decoder(matrix, split, model.extract_seeds(phi), theta, 1, batch_size=batch)
+    model.retrain_decoder(matrix, split, model.extract_seeds(phi), theta, 1,
+                          lr=cfg["lr"], batch_size=batch, seed=cfg["seed"])
     cli.run_eval(matrix, split, cfg, cli.METHODS, runs=1, Ns=(5,))
     rows = [n for n, dtype in requests if np.issubdtype(dtype, np.floating)]
     assert rows and max(rows) <= limit, sorted(set(rows))
@@ -365,6 +395,24 @@ def test_grid_sweep(prepared, tmp_path):
     pivot = Path(out, "sweep_t0_te.tsv").read_text().splitlines()
     assert pivot[0].split("\t") == ["te\\t0", "1.0", "5.0"]
     assert len(pivot) == 3
+
+
+def test_grid_is_capped_at_max_grid_cells(prepared, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 1)
+    out = tmp_path / "grid"
+    capsys.readouterr()
+    assert cli.main(["grid", "--data-dir", prepared, "--out", str(out),
+                     "--grid", "t0=1,5", "--seed", "0"] + FAST_FLAGS) == 0
+    assert "warning: grid has 2 cells, capping at 1" in capsys.readouterr().err
+    rows = (out / "sweep.tsv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("1.0\t")
+
+
+def test_train_config_fields_are_config_keys():
+    # the hyperparameter defaults have one home, CONFIG_DEFAULTS
+    for field in dataclasses.fields(model.TrainConfig):
+        assert field.default is dataclasses.MISSING, field.name
+        assert type(cli.CONFIG_DEFAULTS[field.name]) is field.type, field.name
 
 
 def test_parse_grid_errors():

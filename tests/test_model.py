@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ def small_instance(k=2, m=4, d=3, b=2, seed=0, dtype=np.float64):
 
 
 def test_temperature_endpoints_and_midpoint():
-    cfg = model.TrainConfig(k=3, epochs=100, t0=10.0, te=0.1)
+    cfg = _quick_cfg(epochs=100, t0=10.0, te=0.1)
     assert model.temperature(0, cfg) == pytest.approx(10.0)
     assert model.temperature(100, cfg) == pytest.approx(0.1)
     assert model.temperature(50, cfg) == pytest.approx(1.0)  # geometric midpoint
@@ -30,9 +28,9 @@ def test_temperature_endpoints_and_midpoint():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        model.TrainConfig(k=3, t0=0.1, te=1.0)
+        _quick_cfg(t0=0.1, te=1.0)
     with pytest.raises(ValueError):
-        model.TrainConfig(k=0)
+        _quick_cfg(k=0)
 
 
 def test_encode_onehot_selection():
@@ -41,8 +39,8 @@ def test_encode_onehot_selection():
     phi[0, 2] = 50.0
     phi[1, 0] = 50.0
     r = np.array([[0.1, 0.2, 0.3, 0.4]])
-    rng = np.random.Generator(np.random.PCG64(0))
-    y, z = model.encode(phi, r, tau=0.01, rng=rng)
+    g = gumbel_noise(2, 4, np.random.Generator(np.random.PCG64(0)), dtype=phi.dtype)
+    y, z = model.encode(phi, r, tau=0.01, g=g)
     assert np.allclose(z, [[0.3, 0.1]], atol=1e-6)
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-6)
 
@@ -63,7 +61,7 @@ def test_encode_gumbel_max_property():
     counts = np.zeros(6)
     r = np.ones((1, 6))
     for _ in range(10000):
-        y, _ = model.encode(phi, r, tau=0.05, rng=rng)
+        y, _ = model.encode(phi, r, tau=0.05, g=gumbel_noise(1, 6, rng, dtype=phi.dtype))
         counts[np.argmax(y[0])] += 1
     chi2 = stats.chisquare(counts, probs * 10000)
     assert chi2.pvalue > 0.01
@@ -151,6 +149,22 @@ def finite_difference_check(k, m, d, b, seed, h=1e-5):
         denom = max(np.max(np.abs(fd)), np.max(np.abs(grads[name])), 1e-8)
         max_rel = max(max_rel, np.max(np.abs(fd - grads[name])) / denom)
     return max_rel
+
+
+def test_forward_backward_selects_through_encode(monkeypatch):
+    # the training step's selection is encode's, so encode's tests cover it
+    phi, theta, r = small_instance(seed=4)
+    g = gumbel_noise(*phi.shape, np.random.Generator(np.random.PCG64(5)))
+    calls = []
+    encode = model.encode
+
+    def recorded(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(model, "encode", recorded)
+    model.backward(phi, theta, r, 0.7, g)
+    assert len(calls) == 1 and calls[0][3] is g
 
 
 def test_backward_matches_finite_differences():
@@ -290,9 +304,10 @@ def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     cfg = _quick_cfg(epochs=10)
     phi, theta, _ = model.train(cluster_matrix, split, cfg)
     seeds = model.extract_seeds(phi)
-    assert model.retrain_decoder(cluster_matrix, split, seeds, theta, 0) is theta
+    kw = dict(lr=cfg.lr, batch_size=cfg.batch_size)
+    assert model.retrain_decoder(cluster_matrix, split, seeds, theta, 0, seed=0, **kw) is theta
     phi_before = phi.copy()
-    theta2 = model.retrain_decoder(cluster_matrix, split, seeds, theta, 5, seed=1)
+    theta2 = model.retrain_decoder(cluster_matrix, split, seeds, theta, 5, seed=1, **kw)
     assert np.array_equal(phi, phi_before)  # encoder untouched
     R = cluster_matrix.dense(split.train_users, dtype=np.float32)
     z = R[:, seeds]
@@ -339,7 +354,8 @@ def test_retrain_decoder_nan_weight_diverges_at_epoch_0(cluster_matrix):
     theta = model.init_decoder(3, 8, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
     theta.w2[2, 5] = np.nan
     with pytest.raises(RuntimeError, match="decoder retraining diverged at epoch 0"):
-        model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 22]), theta, 3)
+        model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 22]), theta, 3,
+                              lr=0.005, batch_size=256, seed=0)
 
 
 def test_train_nan_encoder_diverges_at_epoch_0(cluster_matrix, monkeypatch):
@@ -418,16 +434,13 @@ def test_checkpoint_roundtrip(tmp_path):
     theta = model.init_decoder(k, d, m, rng)
     seeds = np.array([2, 4, 8], dtype=np.int64)
     path = str(tmp_path / "ckpt.dre")
-    model.save_checkpoint(path, phi, theta, seeds, manifest={"k": k, "note": "x"})
+    model.save_checkpoint(path, phi, theta, seeds)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"DRE1"
     phi2, theta2, seeds2 = model.load_checkpoint(path)
     assert np.array_equal(phi, phi2)
     assert np.array_equal(theta.w1, theta2.w1) and np.array_equal(theta.b2, theta2.b2)
     assert np.array_equal(seeds, seeds2)
-    manifest = dict(line.split("=", 1) for line in
-                    Path(path + ".manifest").read_text().splitlines())
-    assert manifest["k"] == "3"
 
 
 @pytest.mark.parametrize("fault, message", [
