@@ -167,6 +167,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
         raise ValueError(f"runs must be at least 1, got {runs}")
     if not Ns or min(Ns) < 1:
         raise ValueError(f"every N must be at least 1, got {','.join(map(str, Ns))}")
+    train_config(cfg)  # rejects bad training hyperparameters before any method runs
     train_view = matrix.take(split.train_users)
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
@@ -452,10 +453,13 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
         # the commands that read a data dir are the ones that draw random numbers
+        # and split the users
         if data_dir:
             p.add_argument("--data-dir", required=True,
                            help="directory holding matrix.snapshot + maps")
             p.add_argument("--seed", type=int, help="master RNG seed")
+            p.add_argument("--split-seed", dest="split_seed", type=int,
+                           help="seed of the train/validation/test user split")
 
     p = sub.add_parser("prepare", help="ingest a raw interaction log")
     p.add_argument("--dataset", help="raw interaction file")
@@ -468,8 +472,7 @@ def build_parser():
     p = sub.add_parser("train", help="end-to-end training + decoder retraining")
     for flag, typ in (("--k", int), ("--d", int), ("--lr", float), ("--epochs", int),
                       ("--batch-size", int), ("--t0", float), ("--te", float),
-                      ("--retrain-epochs", int), ("--val-every", int),
-                      ("--split-seed", int)):
+                      ("--retrain-epochs", int), ("--val-every", int)):
         p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
     common(p)
     p.set_defaults(func=cmd_train)

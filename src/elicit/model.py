@@ -35,6 +35,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+BLOCK_ELEMS = 1 << 16  # elements per block of the decoder step's elementwise passes
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.t0 >= self.te > 0):
             raise ValueError("need t0 >= te > 0")
-        if self.epochs < 1 or self.d < 1 or self.k < 1:
-            raise ValueError("epochs, d and k must be positive")
+        for name in ("k", "d", "epochs", "batch_size", "val_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.retrain_epochs < 0:
+            raise ValueError(f"retrain_epochs must be at least 0, got {self.retrain_epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -105,16 +111,34 @@ def encode(phi, r_batch, tau, g):
     return y, r_batch @ y.T
 
 
+def _block_rows(a):
+    """Rows of `a` per block of about BLOCK_ELEMS elements, at least one."""
+    return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
+
+
 def _sigmoid(x, out=None):
     """Logistic function without overflow: 1 / (1 + e) for x >= 0 and
     e / (1 + e) below, with e = exp(-|x|); written to `out` when given, which
     may be x itself. min(x, -x) is -|x| except that it keeps the sign bit of
     a NaN, which -abs(x) would flip. The numerator max(e, x >= 0) is 1 or e
-    as required, since e <= 1 and a NaN e propagates, with no branch."""
-    e = np.exp(np.minimum(x, -x))
-    num = np.maximum(e, x >= 0, out=out)
-    e += 1
-    return np.divide(num, e, out=num)
+    as required, since e <= 1 and a NaN e propagates, with no branch. Works
+    through blocks of whole rows, so each pass reads a block still in cache;
+    every element sees the same operations, so the bits do not depend on the
+    block size."""
+    if out is None:
+        out = np.empty_like(x)
+    step = _block_rows(x)
+    e_buf = np.empty_like(x[:step])
+    pos_buf = np.empty(e_buf.shape, dtype=bool)
+    for i in range(0, len(x), step):
+        xb, ob = x[i:i + step], out[i:i + step]
+        e, pos = e_buf[:len(xb)], pos_buf[:len(xb)]
+        np.negative(xb, out=e)
+        np.exp(np.minimum(xb, e, out=e), out=e)
+        np.maximum(e, np.greater_equal(xb, 0, out=pos), out=ob)
+        e += 1
+        np.divide(ob, e, out=ob)
+    return out
 
 
 def _decoder_forward(theta, z):
@@ -138,16 +162,27 @@ def mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
-def _decoder_backward(theta, z, h, r_hat, r_batch):
+def _decoder_backward(theta, z, h, r_hat, r_batch, sq_err=None):
     """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
     gradient at the hidden pre-activation, from which callers that also
-    train the encoder continue the chain rule."""
-    # in place, with the operations and order of
+    train the encoder continue the chain rule. When given, sq_err (shaped
+    like r_hat) receives the squared residual (r_hat - r)**2 of each element,
+    from which the caller sums the loss."""
+    b = r_batch.shape[0]
+    d_out = np.empty(r_hat.shape, np.result_type(r_hat, r_batch))
+    step = _block_rows(d_out)
+    one_minus = np.empty_like(r_hat[:step])
+    # by row blocks that stay in cache, with the operations and order of
     # (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical to it
-    d_out = r_hat - r_batch
-    d_out *= 2.0 / r_batch.shape[0]
-    d_out *= r_hat
-    d_out *= 1.0 - r_hat
+    for i in range(0, b, step):
+        rows = slice(i, i + step)
+        d, rh = d_out[rows], r_hat[rows]
+        np.subtract(rh, r_batch[rows], out=d)
+        if sq_err is not None:
+            np.multiply(d, d, out=sq_err[rows])
+        d *= 2.0 / b
+        d *= rh
+        d *= np.subtract(1.0, rh, out=one_minus[:len(d)])
     d_h = d_out @ theta.w2.T
     d_h *= h
     d_h *= 1.0 - h
@@ -160,12 +195,14 @@ def _forward_backward(phi, theta, r_batch, tau, g):
     gradients of the MSE loss w.r.t. phi and all decoder parameters."""
     y, z = encode(phi, r_batch, tau, g)
     h, r_hat = _decoder_forward(theta, z)
-    grads, d_h = _decoder_backward(theta, z, h, r_hat, r_batch)
+    sq_err = np.empty(r_hat.shape, np.result_type(r_hat, r_batch))
+    grads, d_h = _decoder_backward(theta, z, h, r_hat, r_batch, sq_err)
     d_z = d_h @ theta.w1.T                  # b x k
     d_y = d_z.T @ r_batch                   # k x m
     # softmax backward per row, through (phi + g) / tau
     grads["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
-    return mse_loss(r_hat, r_batch), grads
+    # mse_loss's sum over the same squares, so the same bits
+    return float(np.sum(sq_err) / r_batch.shape[0]), grads
 
 
 def backward(phi, theta, r_batch, tau, g):
@@ -175,34 +212,42 @@ def backward(phi, theta, r_batch, tau, g):
 
 def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on the params dict and
-    on the moments, with two scratch buffers per parameter kept in state."""
+    on the moments. Each parameter (C-contiguous, as are its gradient and
+    moments) is updated in consecutive BLOCK_ELEMS-sized slices of its flat
+    view, with two block-sized scratch buffers per parameter kept in state."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        grad = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
-        m, v = state.m[name], state.v[name]
-        s, r = state.scratch[name]
-        # the operations and their order are those of the plain expressions,
-        # so the results are bit-identical to them:
-        # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
-        m *= b1
-        m += np.multiply(grad, 1.0 - b1, out=s)
-        v *= b2
-        np.multiply(grad, 1.0 - b2, out=s)
-        v += np.multiply(s, grad, out=s)
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=s)
-        s *= lr
-        np.divide(v, c2, out=r)
-        np.sqrt(r, out=r)
-        r += ADAM_EPS
-        p -= np.divide(s, r, out=s)
+            n = min(p.size, BLOCK_ELEMS)
+            state.scratch[name] = (np.empty(n, p.dtype), np.empty(n, p.dtype))
+        # reshape with copy=False raises where a flat view would be a copy,
+        # which would silently drop the update
+        flat = [a.reshape(-1, copy=False)
+                for a in (p, grads[name], state.m[name], state.v[name])]
+        s_buf, r_buf = state.scratch[name]
+        for i in range(0, p.size, BLOCK_ELEMS):
+            pb, grad, m, v = (a[i:i + BLOCK_ELEMS] for a in flat)
+            s, r = s_buf[:len(pb)], r_buf[:len(pb)]
+            # the operations and their order are those of the plain
+            # expressions, so the results are bit-identical to them:
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
+            m *= b1
+            m += np.multiply(grad, 1.0 - b1, out=s)
+            v *= b2
+            np.multiply(grad, 1.0 - b2, out=s)
+            v += np.multiply(s, grad, out=s)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=s)
+            s *= lr
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += ADAM_EPS
+            pb -= np.divide(s, r, out=s)
 
 
 def extract_seeds(phi):

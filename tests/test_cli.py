@@ -202,6 +202,23 @@ def test_eval_checkpoint_of_other_split_is_one_line_error(prepared, tmp_path, ca
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_split_seed_flag_admits_checkpoint_of_that_split(prepared, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3",
+                     "--split-seed", "1"] + FAST_TRAIN) == 0
+    config = tmp_path / "eval.cfg"
+    config.write_text("split_seed=1\n")
+    eval_args = ["eval", "--data-dir", prepared, "--methods", "DRE", "--runs", "1",
+                 "--checkpoint", str(out / "checkpoint.dre")] + EVAL_FLAGS
+    assert cli.main(eval_args + ["--out", str(tmp_path / "flag"), "--split-seed", "1"]) == 0
+    assert cli.main(eval_args + ["--out", str(tmp_path / "cfg"), "--config", str(config)]) == 0
+    assert ((tmp_path / "flag" / "eval_report.json").read_bytes()
+            == (tmp_path / "cfg" / "eval_report.json").read_bytes())
+    grid = cli.build_parser().parse_args(["grid", "--data-dir", prepared, "--grid", "t0=1",
+                                          "--split-seed", "1"])
+    assert grid.split_seed == 1
+
+
 def test_eval_external_seeds(prepared, tmp_path):
     seeds_path = str(tmp_path / "ext.txt")
     Path(seeds_path).write_text("0\n6\n12\n")
@@ -336,6 +353,34 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     err = _one_line_error(capsys, ["train", "--data-dir", prepared, "--out",
                                    str(tmp_path / "run"), "--config", str(config)])
     assert f"{config}:2:" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("train", ["--batch-size", "-5"], "", "batch_size must be at least 1, got -5"),
+    ("train", ["--val-every", "0"], "", "val_every must be at least 1, got 0"),
+    ("train", ["--retrain-epochs", "-2"], "", "retrain_epochs must be at least 0, got -2"),
+    ("train", ["--lr", "-1"], "", "lr must be finite and positive, got -1.0"),
+    ("train", ["--lr", "nan"], "", "lr must be finite and positive, got nan"),
+    ("train", ["--lr", "inf"], "", "lr must be finite and positive, got inf"),
+    ("grid", ["--grid", "t0=1,5"], "val_every=0\n", "val_every must be at least 1, got 0"),
+    ("eval", ["--methods", "MOSTPOP", "--runs", "1", "--ns", "5"], "batch_size=0\n",
+     "batch_size must be at least 1, got 0"),
+], ids=["batch_size", "val_every", "retrain_epochs", "lr_negative", "lr_nan", "lr_inf",
+        "grid_val_every", "eval_batch_size"])
+def test_bad_training_hyperparameter_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
+                                                       command, flags, config, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before the hyperparameters were checked")
+
+    monkeypatch.setattr(model, "train", never)
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    err = _one_line_error(capsys, [command, "--data-dir", prepared, "--out",
+                                   str(tmp_path / "run"), "--config", str(cfg)]
+                          + FAST_FLAGS + flags)
+    assert message in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_dump_without_methods_is_one_line_error(tmp_path, capsys):

@@ -102,8 +102,13 @@ def _masked_sigmoid(x):
 @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
 def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     rng = np.random.Generator(np.random.PCG64(14))
-    x = (8.0 * rng.standard_normal((64, 301))).astype(dtype)
-    x.flat[:10] = [0.0, -0.0, 100.0, -100.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30]
+    x = (8.0 * rng.standard_normal((700, 301))).astype(dtype)
+    # several row blocks, the last one ragged
+    step = model._block_rows(x)
+    assert len(x) > 2 * step and len(x) % step
+    specials = [0.0, -0.0, 100.0, -100.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30]
+    x.flat[:10] = specials
+    x.flat[-10:] = specials
     got, want = model._sigmoid(x), _masked_sigmoid(x)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
@@ -119,6 +124,55 @@ def test_mse_loss_cases():
     assert model.mse_loss(np.array([[0.5, 0.5]]), r) == pytest.approx(0.5)
     a, b = np.array([[0.2, 0.9]]), np.array([[0.7, 0.1]])
     assert model.mse_loss(a, b) == pytest.approx(model.mse_loss(b, a))
+
+
+def _unblocked_decoder_forward(theta, z):
+    """The decoder forward pass before its sigmoid was blocked, frozen as its
+    bit-level reference."""
+    h = _masked_sigmoid(z @ theta.w1 + theta.b1)
+    return h, _masked_sigmoid(h @ theta.w2 + theta.b2)
+
+
+def _unblocked_decoder_backward(theta, z, h, r_hat, r_batch):
+    """The decoder backward pass before its output gradient was built by row
+    blocks, frozen as its bit-level reference."""
+    d_out = (2.0 / r_batch.shape[0]) * (r_hat - r_batch) * r_hat * (1.0 - r_hat)
+    d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
+    grads = {"w1": z.T @ d_h, "b1": d_h.sum(axis=0), "w2": h.T @ d_out, "b2": d_out.sum(axis=0)}
+    return grads, d_h
+
+
+def _unblocked_mse_loss(r_hat, r_batch):
+    """The loss that the training step took from mse_loss before it summed the
+    squared residuals of the backward, frozen as its bit-level reference."""
+    diff = r_hat - r_batch
+    return float(np.sum(diff * diff) / r_batch.shape[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
+    # on these seeds, summing the squares block by block would change the
+    # last bits of the loss in both dtypes
+    phi, theta, _ = small_instance(k=5, m=700, d=16, b=256, seed=21, dtype=dtype)
+    rng = np.random.Generator(np.random.PCG64(22))
+    r = (rng.random((256, 700)) < 0.05).astype(dtype)
+    # the output block spans several row blocks, the last one ragged
+    step = model._block_rows(r)
+    assert len(r) > 2 * step and len(r) % step
+    g = gumbel_noise(*phi.shape, rng, dtype=dtype)
+    tau = 0.8
+    loss, grads = model._forward_backward(phi, theta, r, tau, g)
+
+    y, z = model.encode(phi, r, tau, g)
+    h, r_hat = _unblocked_decoder_forward(theta, z)
+    want, d_h = _unblocked_decoder_backward(theta, z, h, r_hat, r)
+    d_y = (d_h @ theta.w1.T).T @ r
+    want["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
+    assert loss == _unblocked_mse_loss(r_hat, r)
+    assert sorted(grads) == sorted(want)
+    for name, grad in grads.items():
+        assert grad.dtype == want[name].dtype == dtype
+        assert grad.tobytes() == want[name].tobytes(), name
 
 
 def finite_difference_check(k, m, d, b, seed, h=1e-5):
@@ -236,7 +290,9 @@ def _allocating_adam_step(params, grads, state, lr):
 @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
 def test_adam_step_bit_identical_to_allocating_reference(dtype, bits):
     rng = np.random.Generator(np.random.PCG64(15))
-    shapes = {"w": (7, 5), "b": (5,)}
+    # "big" spans two blocks, the second ragged
+    shapes = {"w": (7, 5), "b": (5,), "big": (3, model.BLOCK_ELEMS // 2 + 11)}
+    assert 1 < shapes["big"][0] * shapes["big"][1] / model.BLOCK_ELEMS < 2
     params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
     reference = {name: p.copy() for name, p in params.items()}
     state, ref_state = model.AdamState(), model.AdamState()
@@ -318,7 +374,8 @@ def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
 
 def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     """Reference: retrain_decoder with the whole training matrix held dense
-    and its seed columns sliced once, minibatches taken by row."""
+    and its seed columns sliced once, minibatches taken by row, and the
+    frozen unblocked decoder step and allocating Adam step."""
     theta = theta.copy()
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     R_train = matrix.dense(split.train_users, dtype=theta.w1.dtype)
@@ -330,8 +387,9 @@ def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch
         for start in range(0, len(R_train), batch_size):
             idx = order[start:start + batch_size]
             z, r = Z[idx], R_train[idx]
-            h, r_hat = model._decoder_forward(theta, z)
-            model.adam_step(params, model._decoder_backward(theta, z, h, r_hat, r)[0], state, lr)
+            h, r_hat = _unblocked_decoder_forward(theta, z)
+            _allocating_adam_step(params, _unblocked_decoder_backward(theta, z, h, r_hat, r)[0],
+                                  state, lr)
     return theta
 
 
