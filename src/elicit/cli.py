@@ -3,6 +3,7 @@ hyperparameter sweeps, one-shot elicitation and report rendering."""
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import os
@@ -168,9 +169,13 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     if not Ns or min(Ns) < 1:
         raise ValueError(f"every N must be at least 1, got {','.join(map(str, Ns))}")
     train_config(cfg)  # rejects bad training hyperparameters before any method runs
-    train_view = matrix.take(split.train_users)
-    k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     methods = [meth.upper() for meth in methods]
+    twice = sorted({meth for meth in methods if methods.count(meth) > 1})
+    if twice:
+        raise ValueError(f"methods named more than once: {','.join(twice)}")
+    train_view = matrix.take(split.train_users)
+    train_csr = functools.cache(train_view.csr)  # built once, read by the RBMF kernels
+    k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     # (theta, seeds) of a given DRE checkpoint, used by every run
     loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)
               if checkpoint and "DRE" in methods else None)
@@ -187,7 +192,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
 
     def rbmf(run):
         return once("RBMF", lambda: baselines.rbmf_select(
-            train_view.csr(), k, seed=stream_seed(master, "RBMF", run)))
+            train_csr(), k, seed=stream_seed(master, "RBMF", run)))
 
     def random_seeds(run):
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -206,7 +211,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        x = baselines.rbmf_decoder(train_view.csr(), seeds)
+        x = baselines.rbmf_decoder(train_csr(), seeds)
         return lambda z: model._rank_candidates(z @ x, seeds, n_max)
 
     def popularity(seeds, run):
@@ -264,6 +269,8 @@ def cmd_eval(args):
             raise ValueError(f"--external-seeds {name} is the name of a built-in method")
         if name.upper() not in (meth.upper() for meth in methods):
             raise ValueError(f"--external-seeds {name} is not one of --methods")
+        if name.upper() in external:
+            raise ValueError(f"--external-seeds {name} is given more than once")
         seeds = baselines.load_seeds(path)
         if not len(seeds) or ((seeds < 0) | (seeds >= matrix.m)).any():
             raise data.DataError(f"{path}: need at least one seed index, each in [0, {matrix.m})")

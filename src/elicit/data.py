@@ -102,14 +102,20 @@ class RatingMatrix:
         return RatingMatrix(len(indptr) - 1, self.m, np.split(indices, indptr[1:-1]),
                             {}, self.item_index)
 
+    def positives(self, user_ids):
+        """(rows, items) of the positives of the users user_ids, as int64
+        arrays: rows[i] is the position in user_ids of the user of the i-th
+        positive and items[i] its item; ordered by row, then by item."""
+        indptr, items = self._gather(np.asarray(user_ids, dtype=np.int64))
+        return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), items
+
     def dense(self, user_ids=None, dtype=np.float64):
         """Densify (a subset of) the matrix. Rows follow the order of user_ids."""
         if user_ids is None:
             user_ids = np.arange(self.n)
-        indptr, flat = self._gather(np.asarray(user_ids, dtype=np.int64))
-        out = np.zeros((len(indptr) - 1, self.m), dtype=dtype)
-        flat += np.repeat(np.arange(len(indptr) - 1) * self.m, np.diff(indptr))
-        np.put(out, flat, 1)
+        rows, items = self.positives(user_ids)
+        out = np.zeros((len(user_ids), self.m), dtype=dtype)
+        out[rows, items] = 1
         return out
 
     def csr(self):

@@ -63,16 +63,20 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     user_ids = np.asarray(user_ids, dtype=np.int64)
     known = matrix.dense(user_ids, dtype=bool)
     truth_size = known.sum(axis=1) - known[:, seeds].sum(axis=1)
-    users, truth_size = user_ids[truth_size > 0], truth_size[truth_size > 0]
+    scored = np.flatnonzero(truth_size > 0)
+    users, truth_size = user_ids[scored], truth_size[scored]
     hits = [np.zeros((0, n_max), dtype=bool)]
     # near-equal blocks, so no block has 1 row (unless only one user is
     # scored): a 1-row decode takes numpy's matrix-vector path, which rounds
     # differently from the matrix-matrix product
     n_blocks = -(-len(users) // BLOCK_ROWS)
-    for block in np.array_split(users, n_blocks) if n_blocks else []:
-        R = matrix.dense(block)
-        omega = np.asarray(predictor(R[:, seeds]))
-        omega = np.broadcast_to(omega, (len(block), omega.shape[-1]))
+    for block in np.array_split(scored, n_blocks) if n_blocks else []:
+        R = known[block]
+        # float64 feedback in F order, the layout of a column selection from a
+        # float block, as the predictors' products can round differently in
+        # another layout
+        omega = np.asarray(predictor(R[:, seeds].astype(np.float64, order="F")))
+        omega = np.broadcast_to(omega, (len(R), omega.shape[-1]))
         if omega.shape[1] < n_max:
             raise ValueError(f"N={n_max} exceeds ranking length {omega.shape[1]}")
         omega = omega[:, :n_max]
@@ -80,7 +84,7 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
             raise ValueError("seed item leaked into a ranking")
         if (np.diff(np.sort(omega, axis=1), axis=1) == 0).any():
             raise ValueError("duplicate item in a ranking")
-        hits.append(np.take_along_axis(R, omega, axis=1) > 0)
+        hits.append(np.take_along_axis(R, omega, axis=1))
     hits = np.concatenate(hits)
     # sequential sums in rank order, as in precision_at / ndcg_at
     discount = np.array([1.0 / math.log2(n + 1) for n in range(1, n_max + 1)])

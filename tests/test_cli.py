@@ -277,6 +277,33 @@ def test_eval_external_seeds_may_not_reuse_a_built_in_name(prepared, tmp_path, c
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("methods", ["MOSTPOP,mostpop", "MOSTPOP,RBMF,mostpop"])
+def test_eval_method_named_twice_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
+                                                   methods):
+    # rejected before any method is scored (a repeated method would give its
+    # cells twice as many run values as the report has run seeds)
+    scored = []
+    monkeypatch.setattr(evaluate, "evaluate_method", lambda *args: scored.append(args))
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", methods, "--runs", "2"] + EVAL_FLAGS)
+    assert "MOSTPOP" in err and "more than once" in err
+    assert scored == [] and not (tmp_path / "eval").exists()
+
+
+def test_eval_external_seeds_name_given_twice_is_one_line_error(prepared, tmp_path, capsys):
+    # the later file used to replace the earlier one silently
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("0\n1\n2\n")
+    second.write_text("3\n4\n5\n")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"), "--methods", "MINE",
+        "--runs", "1", "--external-seeds", f"mine={first}", "--external-seeds", f"MINE={second}"]
+        + EVAL_FLAGS)
+    assert "MINE" in err and "more than once" in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("m, seeds", [(10, [2, 4, 8]), (25, [2, 4, 20])], ids=["fewer", "more"])
 def test_eval_checkpoint_of_other_item_count_is_one_line_error(prepared, tmp_path, capsys,
                                                                m, seeds):
@@ -392,28 +419,36 @@ def test_report_dump_without_methods_is_one_line_error(tmp_path, capsys):
 
 def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
     # train, retrain and every eval method densify at most one minibatch or
-    # one scoring block of float rows at a time, never the training matrix
+    # one scoring block of float rows at a time, never the training matrix;
+    # the minibatches are built from positives, which are gathered per block
+    # too (and so are the scored users' boolean rows, fewer than a block here)
     matrix = make_cluster_matrix(n_per_cluster=150, seed=2)
     split = data.split_users(matrix, seed=0)
     batch = 64
     limit = max(batch, evaluate.BLOCK_ROWS)
-    assert len(split.train_users) > limit
+    assert len(split.train_users) > limit >= max(len(split.val_users), len(split.test_users))
     requests = []
-    dense = data.RatingMatrix.dense
+    dense, positives = data.RatingMatrix.dense, data.RatingMatrix.positives
 
-    def recorded(self, user_ids=None, dtype=np.float64):
-        requests.append((self.n if user_ids is None else len(user_ids), np.dtype(dtype)))
+    def recorded_dense(self, user_ids=None, dtype=np.float64):
+        if np.issubdtype(dtype, np.floating):
+            requests.append(("dense", self.n if user_ids is None else len(user_ids)))
         return dense(self, user_ids, dtype)
 
-    monkeypatch.setattr(data.RatingMatrix, "dense", recorded)
+    def recorded_positives(self, user_ids):
+        requests.append(("positives", len(user_ids)))
+        return positives(self, user_ids)
+
+    monkeypatch.setattr(data.RatingMatrix, "dense", recorded_dense)
+    monkeypatch.setattr(data.RatingMatrix, "positives", recorded_positives)
     cfg = dict(cli.CONFIG_DEFAULTS, k=3, d=8, epochs=2, retrain_epochs=1,
                batch_size=batch, val_every=1)
     phi, theta, _ = model.train(matrix, split, cli.train_config(cfg))
     model.retrain_decoder(matrix, split, model.extract_seeds(phi), theta, 1,
                           lr=cfg["lr"], batch_size=batch, seed=cfg["seed"])
     cli.run_eval(matrix, split, cfg, cli.METHODS, runs=1, Ns=(5,))
-    rows = [n for n, dtype in requests if np.issubdtype(dtype, np.floating)]
-    assert rows and max(rows) <= limit, sorted(set(rows))
+    rows = [n for _, n in requests]
+    assert rows and max(rows) <= limit, sorted(set(requests))
 
 
 def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):

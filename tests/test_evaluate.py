@@ -110,6 +110,80 @@ def test_score_users_blocks_match_per_user_metrics():
                                                         rel=1e-15, abs=0)
 
 
+def _per_block_float_score_users(predictor, matrix, user_ids, seeds, Ns):
+    """score_users as it was before it read each block's feedback and hits
+    from the boolean rows, densifying each block again as float64; frozen as
+    its bit-level reference."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    is_seed = np.zeros(matrix.m, dtype=bool)
+    is_seed[seeds] = True
+    n_max = max(Ns)
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    known = matrix.dense(user_ids, dtype=bool)
+    truth_size = known.sum(axis=1) - known[:, seeds].sum(axis=1)
+    users, truth_size = user_ids[truth_size > 0], truth_size[truth_size > 0]
+    hits = [np.zeros((0, n_max), dtype=bool)]
+    n_blocks = -(-len(users) // evaluate.BLOCK_ROWS)
+    for block in np.array_split(users, n_blocks) if n_blocks else []:
+        R = matrix.dense(block)
+        omega = np.asarray(predictor(R[:, seeds]))
+        omega = np.broadcast_to(omega, (len(block), omega.shape[-1]))
+        if omega.shape[1] < n_max:
+            raise ValueError(f"N={n_max} exceeds ranking length {omega.shape[1]}")
+        omega = omega[:, :n_max]
+        if is_seed[omega].any():
+            raise ValueError("seed item leaked into a ranking")
+        if (np.diff(np.sort(omega, axis=1), axis=1) == 0).any():
+            raise ValueError("duplicate item in a ranking")
+        hits.append(np.take_along_axis(R, omega, axis=1) > 0)
+    hits = np.concatenate(hits)
+    discount = np.array([1.0 / math.log2(n + 1) for n in range(1, n_max + 1)])
+    dcg, ideal = np.cumsum(hits * discount, axis=1), np.cumsum(discount)
+    return {
+        "users": users.tolist(),
+        "P": {N: hits[:, :N].sum(axis=1) / N for N in Ns},
+        "NDCG": {N: dcg[:, N - 1] / ideal[np.minimum(N, truth_size) - 1] for N in Ns},
+        "skipped": len(user_ids) - len(users),
+    }
+
+
+@pytest.mark.parametrize("user_ids", [np.r_[0:20, 100:600], [25], []],
+                         ids=["blocks", "one_user", "no_user"])
+def test_score_users_bit_identical_to_per_block_float_reference(user_ids):
+    # a neural, a linear and a shared ranking; users 0-19 have only seed
+    # positives, so they are skipped
+    rng = np.random.Generator(np.random.PCG64(5))
+    n, m, Ns, seeds = 600, 40, (5, 10), np.array([4, 9, 30])
+    rows = [np.sort(rng.choice(m, size=rng.integers(1, 8), replace=False)) for _ in range(n)]
+    rows[:20] = [seeds[:rng.integers(1, 4)] for _ in range(20)]
+    matrix = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
+    theta = model.init_decoder(len(seeds), 16, m, rng)
+    theta.b2[:] = rng.standard_normal(m).astype(np.float32)
+    x = rng.standard_normal((len(seeds), m))
+    popular = model._rank_candidates(matrix.item_counts(), seeds, max(Ns))
+    for rank in (lambda z: model.recommend(theta, seeds, z, max(Ns)),
+                 lambda z: model._rank_candidates(z @ x, seeds, max(Ns)),
+                 lambda z: popular):
+        inputs = {"got": [], "want": []}
+
+        def recorded(key):
+            return lambda z: inputs[key].append(z) or rank(z)
+
+        got = evaluate.score_users(recorded("got"), matrix, user_ids, seeds, Ns)
+        want = _per_block_float_score_users(recorded("want"), matrix, user_ids, seeds, Ns)
+        assert got["users"] == want["users"] and got["skipped"] == want["skipped"]
+        assert want["skipped"] >= 20 if len(user_ids) > 20 else want["users"] == list(user_ids)
+        for metric in evaluate.METRICS:
+            for N in Ns:
+                assert got[metric][N].dtype == want[metric][N].dtype
+                assert got[metric][N].tobytes() == want[metric][N].tobytes(), (metric, N)
+        # the predictor saw the same feedback blocks: values, dtype and layout
+        assert len(inputs["got"]) == len(inputs["want"])
+        for z_got, z_want in zip(inputs["got"], inputs["want"]):
+            assert z_got.dtype == z_want.dtype and z_got.strides == z_want.strides
+            assert np.array_equal(z_got, z_want)
+
+
 def test_evaluate_method_rejects_seed_leak():
     matrix = _tiny_matrix()
     split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.arange(4))

@@ -127,15 +127,16 @@ def test_mse_loss_cases():
 
 
 def _unblocked_decoder_forward(theta, z):
-    """The decoder forward pass before its sigmoid was blocked, frozen as its
-    bit-level reference."""
+    """The decoder forward pass before its sigmoid was blocked and took the
+    bias inside its block loop, frozen as its bit-level reference."""
     h = _masked_sigmoid(z @ theta.w1 + theta.b1)
     return h, _masked_sigmoid(h @ theta.w2 + theta.b2)
 
 
 def _unblocked_decoder_backward(theta, z, h, r_hat, r_batch):
     """The decoder backward pass before its output gradient was built by row
-    blocks, frozen as its bit-level reference."""
+    blocks from the positives of a dense 0/1 target r_batch, frozen as its
+    bit-level reference."""
     d_out = (2.0 / r_batch.shape[0]) * (r_hat - r_batch) * r_hat * (1.0 - r_hat)
     d_h = (d_out @ theta.w2.T) * h * (1.0 - h)
     grads = {"w1": z.T @ d_h, "b1": d_h.sum(axis=0), "w2": h.T @ d_out, "b2": d_out.sum(axis=0)}
@@ -156,12 +157,16 @@ def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
     phi, theta, _ = small_instance(k=5, m=700, d=16, b=256, seed=21, dtype=dtype)
     rng = np.random.Generator(np.random.PCG64(22))
     r = (rng.random((256, 700)) < 0.05).astype(dtype)
-    # the output block spans several row blocks, the last one ragged
+    # the output block spans several row blocks, the last one ragged; rows
+    # with no positive and rows positive at every item, in the ragged block
+    # and in others
     step = model._block_rows(r)
     assert len(r) > 2 * step and len(r) % step
+    r[[0, -2]] = 0
+    r[[94, -1]] = 1
     g = gumbel_noise(*phi.shape, rng, dtype=dtype)
     tau = 0.8
-    loss, grads = model._forward_backward(phi, theta, r, tau, g)
+    loss, grads = model._forward_backward(phi, theta, r, np.nonzero(r), tau, g)
 
     y, z = model.encode(phi, r, tau, g)
     h, r_hat = _unblocked_decoder_forward(theta, z)
@@ -226,25 +231,31 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_zero_gradient_at_minimum():
-    # an all-zero decoder outputs 0.5 everywhere, so a 0.5 target makes the
-    # reconstruction exact and every gradient vanishes
+    # with zero weights and output biases of +-1000 the decoder outputs
+    # exactly 1 or 0 (the sigmoid saturates), so the target it outputs makes
+    # the reconstruction exact and every gradient vanishes
     phi, _, _ = small_instance(seed=5)
-    theta = model.DecoderParams(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(4))
-    r = np.full((2, 4), 0.5)
+    r = np.array([[1.0, 0.0, 1.0, 0.0]] * 2)
+    theta = model.DecoderParams(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 4)),
+                                1000.0 * (2 * r[0] - 1))
     g = np.zeros_like(phi)
+    assert np.array_equal(model.decode(theta, r @ softmax_rows(phi + g, 1.0).T), r)
     grads = model.backward(phi, theta, r, 1.0, g)
     for name in ("b2", "w2", "b1", "w1", "phi"):
         assert np.allclose(grads[name], 0.0, atol=1e-12)
+    # the target is given by its positives, so it must be 0/1
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        model.backward(phi, theta, np.full((2, 4), 0.5), 1.0, g)
 
 
 def test_backward_shift_invariance():
     phi, theta, r = small_instance(seed=6)
     g = gumbel_noise(*phi.shape, rng=np.random.Generator(np.random.PCG64(7)))
     tau = 0.9
-    loss1, _ = model._forward_backward(phi, theta, r, tau, g)
+    loss1, _ = model._forward_backward(phi, theta, r, np.nonzero(r), tau, g)
     shifted = phi.copy()
     shifted[0] += 3.17
-    loss2, grads = model._forward_backward(shifted, theta, r, tau, g)
+    loss2, grads = model._forward_backward(shifted, theta, r, np.nonzero(r), tau, g)
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     assert abs(grads["phi"][0].sum()) <= 1e-12
 
@@ -396,13 +407,20 @@ def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch
 @pytest.mark.parametrize("k, d, batch_size", [(3, 8, 32), (5, 16, 64), (4, 300, 256)])
 def test_retrain_decoder_bit_identical_to_resident_matrix_reference(cluster_matrix, k, d,
                                                                     batch_size):
-    split = data.split_users(cluster_matrix, seed=0)
+    # the cluster users and two training users more: one with no positive,
+    # one positive at every item
+    n, m = cluster_matrix.n, cluster_matrix.m
+    rows = np.split(cluster_matrix.indices, cluster_matrix.indptr[1:-1])
+    matrix = data.RatingMatrix(n + 2, m, rows + [np.array([], np.int64), np.arange(m)],
+                               {}, cluster_matrix.item_index)
+    split = data.split_users(matrix, seed=0)
+    split = data.SplitSpec(np.union1d(split.train_users, [n, n + 1]), split.val_users,
+                           split.test_users)
     seeds = np.array([0, 11, 22, 7, 19][:k])
-    theta = model.init_decoder(k, d, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
-    got = model.retrain_decoder(cluster_matrix, split, seeds, theta, 3, lr=0.01,
+    theta = model.init_decoder(k, d, m, np.random.Generator(np.random.PCG64(4)))
+    got = model.retrain_decoder(matrix, split, seeds, theta, 3, lr=0.01,
                                 batch_size=batch_size, seed=2)
-    want = _retrain_with_resident_matrix(cluster_matrix, split, seeds, theta, 3, 0.01,
-                                         batch_size, 2)
+    want = _retrain_with_resident_matrix(matrix, split, seeds, theta, 3, 0.01, batch_size, 2)
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -413,6 +431,14 @@ def test_retrain_decoder_nan_weight_diverges_at_epoch_0(cluster_matrix):
     theta.w2[2, 5] = np.nan
     with pytest.raises(RuntimeError, match="decoder retraining diverged at epoch 0"):
         model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 22]), theta, 3,
+                              lr=0.005, batch_size=256, seed=0)
+
+
+def test_retrain_decoder_rejects_repeated_seed(cluster_matrix):
+    split = data.split_users(cluster_matrix, seed=0)
+    theta = model.init_decoder(3, 8, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
+    with pytest.raises(ValueError, match="distinct"):
+        model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 0]), theta, 1,
                               lr=0.005, batch_size=256, seed=0)
 
 

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import elicit
 
 PACKAGE = pathlib.Path(elicit.__file__).parent
@@ -36,7 +38,7 @@ def test_package_raises_no_system_exit():
 
 def test_only_data_reads_the_matrix_layout():
     # the CSR arrays are data.RatingMatrix's business; other modules go
-    # through its methods (dense, take, item_counts, nnz)
+    # through its methods (positives, dense, take, item_counts, nnz)
     found = [
         f"{path.name}:{node.lineno}: .{node.attr}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"
@@ -55,3 +57,12 @@ def test_cli_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_elicit_is_imported_from_the_first_pythonpath_entry():
+    # a pytest `pythonpath` setting would be put ahead of PYTHONPATH, so
+    # PYTHONPATH=<other tree>/src would silently test this tree's code
+    entries = [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    if not entries:
+        pytest.skip("PYTHONPATH is not set")
+    assert PACKAGE.parent.resolve() == pathlib.Path(entries[0]).resolve()
