@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "Interactions",
     "RatingMatrix",
+    "densify",
     "SplitSpec",
     "load_interactions",
     "binarize",
@@ -58,6 +59,14 @@ class Interactions:
         """The lines selected by a boolean mask, in order."""
         return replace(self, users=self.users[mask], items=self.items[mask],
                        ratings=self.ratings[mask])
+
+
+def densify(positives, shape, dtype=np.float64):
+    """The 0/1 array of the given shape that is 1 exactly at positives, a
+    pair (rows, items) of index arrays."""
+    out = np.zeros(shape, dtype=dtype)
+    out[positives] = 1
+    return out
 
 
 class RatingMatrix:
@@ -113,10 +122,7 @@ class RatingMatrix:
         """Densify (a subset of) the matrix. Rows follow the order of user_ids."""
         if user_ids is None:
             user_ids = np.arange(self.n)
-        rows, items = self.positives(user_ids)
-        out = np.zeros((len(user_ids), self.m), dtype=dtype)
-        out[rows, items] = 1
-        return out
+        return densify(self.positives(user_ids), (len(user_ids), self.m), dtype)
 
     def csr(self):
         """The matrix as a float64 scipy.sparse CSR array over the same

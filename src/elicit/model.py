@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate
-from .data import DataError
+from .data import DataError, densify
 from .linalg import gumbel_noise, softmax_rows
 
 __all__ = [
@@ -116,14 +116,14 @@ def _block_rows(a):
     return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
 
 
-def _sigmoid(x, out=None, bias=None):
-    """Logistic function without overflow: 1 / (1 + e) for x >= 0 and
-    e / (1 + e) below, with e = exp(-|x|); written to `out` when given, which
-    may be x itself. Given a bias (one value per column), of x + bias, summed
-    block by block into `out`. min(x, -x) is -|x| except that it keeps the sign
-    bit of a NaN, which -abs(x) would flip. The numerator max(e, x >= 0) is 1
-    or e as required, since e <= 1 and a NaN e propagates, with no branch.
-    Works through blocks of whole rows, so each pass reads a block still in
+def _sigmoid(x, bias, out=None):
+    """Logistic function of x + bias (bias: one value per column) without
+    overflow: 1 / (1 + e) for x + bias >= 0 and e / (1 + e) below, with
+    e = exp(-|x + bias|); written to `out` when given, which may be x itself.
+    min(a, -a) is -|a| except that it keeps the sign bit of a NaN, which
+    -abs(a) would flip. The numerator max(e, a >= 0) is 1 or e as required,
+    since e <= 1 and a NaN e propagates, with no branch. Works through blocks
+    of whole rows, so each pass (the bias sum first) reads a block still in
     cache; every element sees the same operations, so the bits do not depend
     on the block size."""
     if out is None:
@@ -132,15 +132,13 @@ def _sigmoid(x, out=None, bias=None):
     e_buf = np.empty_like(x[:step])
     pos_buf = np.empty(e_buf.shape, dtype=bool)
     for i in range(0, len(x), step):
-        xb, ob = x[i:i + step], out[i:i + step]
-        if bias is not None:
-            xb = np.add(xb, bias, out=ob)
-        e, pos = e_buf[:len(xb)], pos_buf[:len(xb)]
-        np.negative(xb, out=e)
-        np.exp(np.minimum(xb, e, out=e), out=e)
-        np.maximum(e, np.greater_equal(xb, 0, out=pos), out=ob)
+        a = np.add(x[i:i + step], bias, out=out[i:i + step])
+        e, pos = e_buf[:len(a)], pos_buf[:len(a)]
+        np.negative(a, out=e)
+        np.exp(np.minimum(a, e, out=e), out=e)
+        np.maximum(e, np.greater_equal(a, 0, out=pos), out=a)
         e += 1
-        np.divide(ob, e, out=ob)
+        np.divide(a, e, out=a)
     return out
 
 
@@ -148,9 +146,9 @@ def _decoder_forward(theta, z):
     """Hidden activations and reconstruction for a block of inputs z; each
     layer's product buffer takes its bias and then its output."""
     a = z @ theta.w1
-    h = _sigmoid(a, out=a, bias=theta.b1)
+    h = _sigmoid(a, theta.b1, out=a)
     a = h @ theta.w2
-    return h, _sigmoid(a, out=a, bias=theta.b2)
+    return h, _sigmoid(a, theta.b2, out=a)
 
 
 def decode(theta, z_batch):
@@ -200,10 +198,12 @@ def _decoder_backward(theta, z, h, r_hat, positives, sq_err=None):
     return grads, d_h
 
 
-def _forward_backward(phi, theta, r_batch, positives, tau, g):
+def _forward_backward(phi, theta, positives, b, tau, g):
     """Forward pass with the given Gumbel noise g, then exact reverse-mode
     gradients of the MSE loss w.r.t. phi and all decoder parameters. The
-    0/1 batch r_batch is also given by its positives (rows, items)."""
+    target is the 0/1 minibatch of b rows whose positives (rows, items),
+    ordered by row, are given; the encoder reads it densified in phi's dtype."""
+    r_batch = densify(positives, (b, phi.shape[1]), phi.dtype)
     y, z = encode(phi, r_batch, tau, g)
     h, r_hat = _decoder_forward(theta, z)
     sq_err = np.empty_like(r_hat)
@@ -213,15 +213,15 @@ def _forward_backward(phi, theta, r_batch, positives, tau, g):
     # softmax backward per row, through (phi + g) / tau
     grads["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
     # mse_loss's sum over the same squares, so the same bits
-    return float(np.sum(sq_err) / r_batch.shape[0]), grads
+    return float(np.sum(sq_err) / b), grads
 
 
 def backward(phi, theta, r_batch, tau, g):
     """Gradients of the reconstruction loss of a 0/1 batch r_batch for a
-    replayed noise draw g."""
+    replayed noise draw g, computed in phi's dtype."""
     if not ((r_batch == 0) | (r_batch == 1)).all():
         raise ValueError("r_batch must hold only 0 and 1")
-    return _forward_backward(phi, theta, r_batch, np.nonzero(r_batch), tau, g)[1]
+    return _forward_backward(phi, theta, np.nonzero(r_batch), len(r_batch), tau, g)[1]
 
 
 def adam_step(params, grads, state, lr):
@@ -332,15 +332,12 @@ def train(matrix, split, cfg):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             ids = train_users[order[start:start + cfg.batch_size]]
-            positives = matrix.positives(ids)
-            batch = np.zeros((len(ids), m), dtype)
-            batch[positives] = 1
             g = gumbel_noise(cfg.k, m, noise_rng, dtype=dtype)
-            loss, grads = _forward_backward(phi, theta, batch, positives, tau, g)
+            loss, grads = _forward_backward(phi, theta, matrix.positives(ids), len(ids), tau, g)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at epoch {e} (loss={loss})")
             adam_step(params, grads, state, cfg.lr)
-            epoch_loss += loss * batch.shape[0]
+            epoch_loss += loss * len(ids)
         epoch_loss /= n_train
 
         val_ndcg = None
@@ -378,9 +375,8 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
             positives = rows, items = matrix.positives(ids)
             # in C order, as the BLAS products below can round differently
             # for an F-order input
-            z = np.zeros((len(ids), len(seeds)), theta.w1.dtype)
             hit = column[items]
-            z[rows[hit >= 0], hit[hit >= 0]] = 1
+            z = densify((rows[hit >= 0], hit[hit >= 0]), (len(ids), len(seeds)), theta.w1.dtype)
             h, r_hat = _decoder_forward(theta, z)
             grads = _decoder_backward(theta, z, h, r_hat, positives)[0]
             # the loss is finite unless r_hat holds a NaN (r_hat lies in

@@ -109,12 +109,15 @@ def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     specials = [0.0, -0.0, 100.0, -100.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30]
     x.flat[:10] = specials
     x.flat[-10:] = specials
-    got, want = model._sigmoid(x), _masked_sigmoid(x)
+    # -0.0 leaves every x as it is, so the specials reach the kernel as such
+    bias = rng.standard_normal(301).astype(dtype)
+    bias[:10] = bias[-10:] = -0.0
+    got, want = model._sigmoid(x, bias), _masked_sigmoid(x + bias)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
     # in place, as the decoder calls it
     buf = x.copy()
-    assert model._sigmoid(buf, out=buf) is buf
+    assert model._sigmoid(buf, bias, out=buf) is buf
     assert np.array_equal(buf.view(bits), want.view(bits))
 
 
@@ -166,7 +169,7 @@ def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
     r[[94, -1]] = 1
     g = gumbel_noise(*phi.shape, rng, dtype=dtype)
     tau = 0.8
-    loss, grads = model._forward_backward(phi, theta, r, np.nonzero(r), tau, g)
+    loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g)
 
     y, z = model.encode(phi, r, tau, g)
     h, r_hat = _unblocked_decoder_forward(theta, z)
@@ -231,31 +234,41 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_zero_gradient_at_minimum():
-    # with zero weights and output biases of +-1000 the decoder outputs
-    # exactly 1 or 0 (the sigmoid saturates), so the target it outputs makes
-    # the reconstruction exact and every gradient vanishes
-    phi, _, _ = small_instance(seed=5)
-    r = np.array([[1.0, 0.0, 1.0, 0.0]] * 2)
-    theta = model.DecoderParams(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 4)),
-                                1000.0 * (2 * r[0] - 1))
+    # an all-zero decoder outputs 0.5 everywhere, so a 0.5 target would make
+    # the reconstruction exact and every gradient vanish; with w2 = 0 the
+    # output stays exactly 0.5 and the hidden gradient is 0, whatever w1 is
+    phi, theta, _ = small_instance(k=2, m=4, d=3, seed=5)
+    theta.w2[:] = 0.0
+    theta.b2[:] = 0.0
     g = np.zeros_like(phi)
-    assert np.array_equal(model.decode(theta, r @ softmax_rows(phi + g, 1.0).T), r)
-    grads = model.backward(phi, theta, r, 1.0, g)
-    for name in ("b2", "w2", "b1", "w1", "phi"):
-        assert np.allclose(grads[name], 0.0, atol=1e-12)
     # the target is given by its positives, so it must be 0/1
     with pytest.raises(ValueError, match="only 0 and 1"):
         model.backward(phi, theta, np.full((2, 4), 0.5), 1.0, g)
+    # for a 0/1 target each output gradient is (2/b) * (0.5 - r) * 0.25,
+    # +-1/16 at b = 4, exactly; the rows have no positive, all of them and
+    # some, so a positive dropped, negated, or moved to another item or row
+    # changes b2's column sums or w2, whose hidden rows h differ
+    r = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                  [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    d_out = (0.5 - r) / 8
+    h = model._decoder_forward(theta, r @ softmax_rows(phi + g, 1.0).T)[0]
+    assert len(np.unique(h, axis=0)) == len(r)
+    grads = model.backward(phi, theta, r, 1.0, g)
+    assert np.array_equal(grads["b2"], [-0.125, 0.125, 0.0, 0.125])
+    assert np.array_equal(grads["b2"], d_out.sum(axis=0))
+    assert grads["w2"].tobytes() == (h.T @ d_out).tobytes()
+    for name in ("b1", "w1", "phi"):
+        assert not grads[name].any(), name
 
 
 def test_backward_shift_invariance():
     phi, theta, r = small_instance(seed=6)
     g = gumbel_noise(*phi.shape, rng=np.random.Generator(np.random.PCG64(7)))
     tau = 0.9
-    loss1, _ = model._forward_backward(phi, theta, r, np.nonzero(r), tau, g)
+    loss1, _ = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g)
     shifted = phi.copy()
     shifted[0] += 3.17
-    loss2, grads = model._forward_backward(shifted, theta, r, np.nonzero(r), tau, g)
+    loss2, grads = model._forward_backward(shifted, theta, np.nonzero(r), len(r), tau, g)
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     assert abs(grads["phi"][0].sum()) <= 1e-12
 
