@@ -8,17 +8,6 @@ from . import model
 from .data import DataError
 from .linalg import maxvol, ridge_solve, truncated_svd
 
-__all__ = [
-    "select_random",
-    "select_popular",
-    "rbmf_select",
-    "rbmf_decoder",
-    "plusplus_decoder",
-    "mostpop_ranking",
-    "save_seeds",
-    "load_seeds",
-]
-
 
 def select_random(m, k, rng):
     """Uniform sample of k distinct items."""

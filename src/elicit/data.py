@@ -3,34 +3,22 @@
 import hashlib
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import count, repeat
 
 import numpy as np
 
-__all__ = [
-    "Interactions",
-    "RatingMatrix",
-    "densify",
-    "SplitSpec",
-    "load_interactions",
-    "binarize",
-    "filter_min_ratings",
-    "build_matrix",
-    "split_users",
-    "save_snapshot",
-    "load_snapshot",
-    "save_maps",
-    "load_item_map",
-    "matrix_fingerprint",
-]
-
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
-# Characters of the log parsed at a time. A chunk's lines and fields are held
-# as Python strings while it is parsed, several times its size, so this bounds
-# the ingest's memory.
-READ_CHUNK_CHARS = 4 << 20
+# Bytes of the log read at a time. A block of whole lines is parsed as numpy
+# arrays a few times its size, so this bounds the ingest's memory.
+READ_CHUNK_BYTES = 4 << 20
+# A rating of at most this many decimal digits and one optional point is
+# parsed in numpy as digits / 10**places: both are exact float64 values below
+# 2**53, so their quotient is float()'s correctly rounded value.
+MAX_PLAIN_DIGITS = 15
+POW10 = np.array([float(10**k) for k in range(MAX_PLAIN_DIGITS + 1)])
+# PAD[l] is 0xFF from its l-th byte on: OR-ed into the 8 bytes from a token's
+# start, it keeps the token's first l bytes and pads the rest with 0xFF
+PAD = np.triu(np.full((9, 8), 0xFF, dtype=np.uint8)).view(np.uint64).ravel()
 
 
 class DataError(ValueError):
@@ -73,17 +61,27 @@ class RatingMatrix:
     """Binary implicit-feedback matrix in CSR form: the positives of user u
     are the item ids indices[indptr[u]:indptr[u + 1]], strictly increasing.
 
-    `rows`, one array of item ids per user, is read at construction and not
-    kept. Immutable after construction; safe to share read-only across threads.
+    Immutable after construction; safe to share read-only across threads.
     """
 
     def __init__(self, n, m, rows, user_index, item_index):
-        self.n, self.m = n, m
-        self.user_index, self.item_index = user_index, item_index
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=self.indptr[1:])
-        self.indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(
+        """The matrix whose user u has the item ids rows[u]; from_csr takes
+        the CSR arrays themselves."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=indptr[1:])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(
             np.int64, copy=False)
+        vars(self).update(vars(self.from_csr(n, m, indptr, indices, user_index, item_index)))
+
+    @classmethod
+    def from_csr(cls, n, m, indptr, indices, user_index, item_index):
+        """The matrix over the int64 arrays indptr (n + 1) and indices, kept
+        as they are."""
+        matrix = cls.__new__(cls)
+        matrix.n, matrix.m = n, m
+        matrix.indptr, matrix.indices = indptr, indices
+        matrix.user_index, matrix.item_index = user_index, item_index
+        return matrix
 
     @property
     def nnz(self):
@@ -108,8 +106,8 @@ class RatingMatrix:
         """The sub-matrix of the rows of user_ids, in that order, over the
         same items. Its users are renumbered, so it has no user_index."""
         indptr, indices = self._gather(np.asarray(user_ids, dtype=np.int64))
-        return RatingMatrix(len(indptr) - 1, self.m, np.split(indices, indptr[1:-1]),
-                            {}, self.item_index)
+        return RatingMatrix.from_csr(len(indptr) - 1, self.m, indptr, indices, {},
+                                     self.item_index)
 
     def positives(self, user_ids):
         """(rows, items) of the positives of the users user_ids, as int64
@@ -135,6 +133,11 @@ class RatingMatrix:
     def item_counts(self):
         return np.bincount(self.indices, minlength=self.m)
 
+    def user_counts(self, user_ids):
+        """The number of positives of each user of user_ids, as int64."""
+        user_ids = np.asarray(user_ids, dtype=np.int64)
+        return self.indptr[user_ids + 1] - self.indptr[user_ids]
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -147,30 +150,58 @@ def load_interactions(path, delimiter="::"):
     """Parse a delimited interaction log into an Interactions table.
 
     Lines need at least (user, item, rating) fields; later fields are
-    ignored. Blank lines are skipped, and so is a first line whose rating
-    field is not a number (a header). Any other malformed line raises
-    DataError naming its line number.
+    ignored. The file must be UTF-8; lines end at \\n, \\r\\n or \\r, as in text
+    mode. Blank lines are skipped, and so is a first line whose rating field
+    is not a number (a header). Any other malformed line raises DataError
+    naming its line number.
     """
     if not delimiter or "\n" in delimiter:
         raise DataError(f"delimiter must be non-empty and hold no newline, got {delimiter!r}")
-    user_codes = defaultdict(count().__next__)  # token -> code, first appearance first
-    item_codes = defaultdict(count().__next__)
-    chunks = []
-    lineno = 1  # of the chunk's first line
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(READ_CHUNK_CHARS):
-            first, lineno = lineno, lineno + len(lines)
-            if first == 1 and _is_header(lines[0], delimiter):
-                lines, first = lines[1:], 2
-            chunks.append(_parse_chunk(path, lines, first, delimiter, user_codes, item_codes))
-    if not sum(len(chunk[0]) for chunk in chunks):
+    # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
+    # delimiter matches nothing, as in the decoded text
+    sep = delimiter.encode("utf-8", "surrogatepass")
+    user_codes, item_codes = _TokenCodes(), _TokenCodes()
+    columns = []
+    lineno = 1  # of the block's first line
+    for block in _blocks(path):
+        first, lineno = lineno, lineno + np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+        end = block.index(b"\n")
+        if first == 1 and _is_header(block[:end].decode("utf-8"), delimiter):
+            block, first = block[end + 1:], 2
+        columns.append(_parse_block(path, block, first, sep, delimiter, user_codes, item_codes))
+    if not sum(len(column[0]) for column in columns):
         raise DataError(f"{path}: no interaction records")
-    users, items, ratings = (np.concatenate(column) for column in zip(*chunks))
-    return Interactions(users, items, ratings, list(user_codes), list(item_codes))
+    users, items, ratings = (np.concatenate(column) for column in zip(*columns))
+    return Interactions(users, items, ratings, user_codes.tokens, item_codes.tokens)
+
+
+def _blocks(path):
+    """The file's bytes as blocks of whole lines, checked to be UTF-8, with
+    \\r\\n and lone \\r translated to \\n; each block ends in \\n."""
+    rest = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(READ_CHUNK_BYTES)
+            buf = rest + chunk
+            if chunk:  # cut after the last line end, but a final \r waits for a \n
+                cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+                block, rest = buf[:cut], buf[cut:]
+            else:
+                block = buf
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if block and not block.endswith(b"\n"):  # the last line of the file
+                block += b"\n"
+            if not block.isascii():
+                block.decode("utf-8")  # raises UnicodeDecodeError on invalid bytes
+            if block:
+                yield block
+            if not chunk:
+                return
 
 
 def _is_header(line, delimiter):
-    parts = line.rstrip("\n").split(delimiter)
+    parts = line.split(delimiter)
     if len(parts) < 3:
         return False
     try:
@@ -180,49 +211,150 @@ def _is_header(line, delimiter):
     return False
 
 
-def _parse_chunk(path, lines, first, delimiter, user_codes, item_codes):
-    """Columns (users, items, ratings) of whole lines numbered from `first`,
-    with tokens coded through the shared maps."""
-    n_fields = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines)) + 1
-    # every line, newline included, contributes its n_fields to one flat split
-    flat = "".join(lines).replace(delimiter, "\n").split("\n")
+def _parse_block(path, block, first, sep, delimiter, user_codes, item_codes):
+    """Columns (users, items, ratings) of a block of lines numbered from
+    `first`, each ending in \\n, with tokens coded through the shared coders."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    # every line end and delimiter, in order, after a virtual line end at -1
+    marks = np.concatenate(([-1], np.flatnonzero((buf == 10) | _delimiter_starts(buf, sep))))
+    line_end = np.flatnonzero(buf[marks[1:]] == 10) + 1  # in marks
+    line_start = np.concatenate(([0], line_end))[:-1]  # the mark before the line
+    n_delims = line_end - line_start - 1
+    blank = (n_delims == 0) & (marks[line_end] == marks[line_start] + 1)
+    at = line_start[n_delims >= 2]
+    user = marks[at] + 1, marks[at + 1]
+    item = user[1] + len(sep), marks[at + 2]
+    rating = item[1] + len(sep), marks[at + 3]  # up to the third delimiter or the line end
     try:
-        column, n = _columns(flat, n_fields)
-        ratings = np.fromiter(map(float, column(2)), np.float64, n)
+        if not (blank | (n_delims >= 2)).all():
+            raise ValueError("a line with fewer than 3 fields is not blank")
+        ratings = _parse_ratings(block, buf, *rating)
         if not np.isfinite(ratings).all():
             raise ValueError("non-finite rating")
-        users = np.fromiter(map(user_codes.__getitem__, column(0)), np.int64, n)
-        items = np.fromiter(map(item_codes.__getitem__, column(1)), np.int64, n)
-        if "" in user_codes or "" in item_codes:
+        if (user[0] == user[1]).any() or (item[0] == item[1]).any():
             raise ValueError("empty user or item token")
     except ValueError:
-        _check_lines(path, lines, first, delimiter)
+        _check_lines(path, block.decode("utf-8").split("\n"), first, delimiter)
         raise
-    return users, items, ratings
+    return user_codes(block, buf, *user), item_codes(block, buf, *item), ratings
 
 
-def _columns(flat, n_fields):
-    """(column, n) for the flat split of a chunk, where column(k), k < 3, is
-    field k of each of the n lines with fields. Blank lines have no fields;
-    another line with fewer than 3 raises ValueError."""
-    lines = len(n_fields)
-    width = n_fields[0] if lines else 3
-    if width >= 3 and (n_fields == width).all():  # one line shape: columns are slices
-        return (lambda k: flat[k:width * lines:width]), lines
-    fields = np.array(flat, dtype=object)
-    starts = np.cumsum(n_fields) - n_fields
-    full = n_fields >= 3
-    if (n_fields[~full] != 1).any() or (fields[starts[~full]] != "").any():
-        raise ValueError("a line with fewer than 3 fields is not blank")
-    starts = starts[full]
-    return (lambda k: fields[starts + k]), len(starts)
+def _delimiter_starts(buf, sep):
+    """Mask of the positions in buf where a delimiter sep starts, matches
+    taken leftmost and non-overlapping, as str.split takes them."""
+    starts = np.zeros(len(buf), dtype=bool)
+    n = len(buf) - len(sep) + 1
+    if n <= 0:
+        return starts
+    match = starts[:n]
+    np.equal(buf[:n], sep[0], out=match)
+    for j in range(1, len(sep)):
+        match &= buf[j:n + j] == sep[j]
+    # two matches overlap only at a shift s where sep's suffix equals its prefix
+    shifts = [s for s in range(1, len(sep)) if sep[s:] == sep[:-s]]
+    if any((match[:-s] & match[s:]).any() for s in shifts):
+        found = np.flatnonzero(match)
+        near = np.diff(found) < len(sep)
+        # a match no nearer than len(sep) to another one is kept; along each
+        # chain of overlapping ones, keep each that does not overlap the last kept
+        chained = np.append(near, False) | np.insert(near, 0, False)
+        last = -len(sep)
+        for p in found[chained].tolist():
+            if p < last + len(sep):
+                match[p] = False
+            else:
+                last = p
+    return starts
+
+
+def _parse_ratings(block, buf, starts, ends):
+    """float() of each field block[starts[i]:ends[i]], raising ValueError
+    where float() does. Plain decimals are parsed in numpy, every other
+    field by float() itself."""
+    lengths = ends - starts
+    width = int(np.clip(lengths.max(initial=0), 1, MAX_PLAIN_DIGITS + 1))
+    inside = np.arange(width) < lengths[:, None]
+    chars = buf[np.minimum(starts[:, None] + np.arange(width), len(buf) - 1)]
+    digits = chars - 48
+    is_digit = (digits < 10) & inside
+    is_point = (chars == 46) & inside
+    n_digits = is_digit.sum(axis=1)
+    plain = ((is_digit | is_point) == inside).all(axis=1) & (is_point.sum(axis=1) <= 1)
+    plain &= (n_digits >= 1) & (n_digits <= MAX_PLAIN_DIGITS) & (lengths <= width)
+    value = np.zeros(len(starts), dtype=np.int64)
+    for j in range(width):
+        value = np.where(is_digit[:, j], value * 10 + digits[:, j], value)
+    places = (is_digit & np.logical_or.accumulate(is_point, axis=1)).sum(axis=1)
+    ratings = value / POW10[np.where(plain, places, 0)]
+    for i in np.flatnonzero(~plain).tolist():
+        ratings[i] = float(block[starts[i]:ends[i]].decode("utf-8"))
+    return ratings
+
+
+def _token_keys(buf, starts, lengths, words):
+    """One key per token buf[starts[i]:starts[i] + lengths[i]]: its bytes
+    padded with 0xFF to 8 * words bytes, as uint64 when words == 1 and as raw
+    bytes otherwise."""
+    # the 8 bytes from each position, read as one (unaligned) uint64; bytes
+    # past a token are masked, so the padding's value does not matter
+    padded = np.concatenate([buf, np.zeros(8 * words, dtype=np.uint8)])
+    at = np.ndarray((len(buf) + 8 * words - 7,), np.uint64, buffer=padded, strides=(1,))
+    keys = np.empty((len(starts), words), dtype=np.uint64)
+    for j in range(words):
+        keys[:, j] = at[starts + 8 * j] | PAD[np.clip(lengths - 8 * j, 0, 8)]
+    return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
+
+
+class _TokenCodes:
+    """Codes byte tokens 0, 1, ... by first appearance; `tokens` lists them
+    decoded, in code order.
+
+    Tokens are compared by keys (see _token_keys): 0xFF never occurs in
+    UTF-8, so two keys are equal exactly when the tokens' bytes are (numpy's
+    S arrays would drop trailing NULs).
+    """
+
+    def __init__(self):
+        self.tokens = []
+        self._words = 1
+        self._keys = np.zeros(0, dtype=np.uint64)  # of the tokens seen, sorted
+        self._codes = np.zeros(0, dtype=np.int64)  # of those keys
+
+    def __call__(self, block, buf, starts, ends):
+        """The codes of the tokens block[starts[i]:ends[i]]."""
+        lengths = ends - starts
+        words = max(self._words, -(-int(lengths.max(initial=0)) // 8))
+        if words > self._words:  # widen the keys seen with 0xFF words; they sort anew
+            wide = np.full((len(self._keys), words), PAD[0])
+            wide[:, :self._words] = self._keys.view(np.uint64).reshape(-1, self._words)
+            self._words, self._keys = words, wide.view(f"V{8 * words}").ravel()
+            order = np.argsort(self._keys)
+            self._keys, self._codes = self._keys[order], self._codes[order]
+        keys, inverse = np.unique(_token_keys(buf, starts, lengths, words), return_inverse=True)
+        at = np.searchsorted(self._keys, keys)
+        known = self._keys[np.minimum(at, len(self._keys) - 1)] == keys if len(self._keys) \
+            else np.zeros(len(keys), dtype=bool)
+        codes = np.empty(len(keys), dtype=np.int64)
+        codes[known] = self._codes[at[known]]
+        new = np.flatnonzero(~known)
+        if len(new):
+            lines = np.flatnonzero(~known[inverse])  # whose token is new
+            first = np.full(len(keys), len(starts))
+            np.minimum.at(first, inverse[lines], lines)
+            new = new[np.argsort(first[new])]  # by first appearance
+            codes[new] = len(self.tokens) + np.arange(len(new))
+            self.tokens += [block[s:e].decode("utf-8") for s, e in
+                            zip(starts[first[new]].tolist(), ends[first[new]].tolist())]
+            new.sort()
+            self._keys = np.insert(self._keys, at[new], keys[new])
+            self._codes = np.insert(self._codes, at[new], codes[new])
+        return codes[inverse]
 
 
 def _check_lines(path, lines, first, delimiter):
     """Raise DataError for the first malformed line, checked one line at a
     time, so that the message and line number are exact."""
     for lineno, line in enumerate(lines, start=first):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(delimiter)
@@ -263,15 +395,13 @@ def build_matrix(records):
         raise DataError("no records to build a matrix from")
     users, user_index = _renumber(records.users, records.user_tokens)
     items, item_index = _renumber(records.items, records.item_tokens)
-    m = len(item_index)
+    n, m = len(user_index), len(item_index)
     # sorted by user, then item; np.unique would hash, which is far slower here
     pairs = np.sort(users * m + items)
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    rows = np.split(pairs % m, np.cumsum(np.bincount(pairs // m))[:-1])
-    return RatingMatrix(
-        n=len(user_index), m=m, rows=rows,
-        user_index=user_index, item_index=item_index,
-    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // m, minlength=n), out=indptr[1:])
+    return RatingMatrix.from_csr(n, m, indptr, pairs % m, user_index, item_index)
 
 
 def _renumber(codes, tokens):
@@ -329,41 +459,48 @@ def load_snapshot(path):
                 raise ValueError
             fields = dict(kv.split("=") for kv in header[len(SNAPSHOT_MAGIC):].split())
             n, m, nnz = int(fields["n"]), int(fields["m"]), int(fields["nnz"])
+            if min(n, m, nnz) < 0:
+                raise ValueError
         except (KeyError, ValueError):
             raise DataError(f"{path}: bad snapshot header {header!r}") from None
-        # the rows are parsed into one flat buffer, each row a view of it, so
-        # that they are not one heap allocation each. An item id and its
-        # separator take two characters at least, so half the file size
-        # bounds the buffer when the header's nnz is too large.
-        flat, pos = np.empty(max(0, min(nnz, os.fstat(fh.fileno()).st_size // 2)), np.int64), 0
-        rows = [None] * n
+        # the rows are parsed into one flat buffer, in file order. An item id
+        # and its separator take two characters at least (the last id one),
+        # so this bounds the buffer when the header's nnz is too large.
+        flat = np.empty(max(0, min(nnz, (os.fstat(fh.fileno()).st_size + 1) // 2)), np.int64)
+        pos = 0
+        line_of = np.full(n, -1, dtype=np.int64)  # the row in the file of each user
+        lengths = np.zeros(n, dtype=np.int64)  # of each row in the file
         for lineno, line in enumerate(fh, start=2):
             u_s, _, items_s = line.rstrip("\n").partition(":")
             try:
                 u = int(u_s)
                 # via object: parsing from a str array raised the peak RSS of train
                 items = np.array(items_s.split(), dtype=object)
-                if pos + len(items) > len(flat):  # more ids than the header's nnz
-                    flat, pos = np.empty(max(len(items), len(flat)), np.int64), 0
-                row = flat[pos:pos + len(items)]
+                # ids beyond the header's nnz are parsed, counted and dropped
+                end = pos + len(items)
+                row = flat[pos:end] if end <= len(flat) else np.empty(len(items), np.int64)
                 row[:] = items
             except (ValueError, OverflowError):
                 raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
-            pos += len(row)
             if not 0 <= u < n:
                 raise DataError(f"{path}:{lineno}: user id {u} outside [0, {n})")
-            if rows[u] is not None:
+            if line_of[u] >= 0:
                 raise DataError(f"{path}:{lineno}: second row for user {u}")
             if len(row) and (row[0] < 0 or row[-1] >= m or not (row[1:] > row[:-1]).all()):
                 raise DataError(f"{path}:{lineno}: item ids of user {u} must be "
                                 f"strictly increasing and lie in [0, {m})")
-            rows[u] = row
-    if any(r is None for r in rows):
+            # a row after the n-th has a user out of range or repeated, so lineno - 2 < n
+            line_of[u], lengths[lineno - 2], pos = lineno - 2, len(row), end
+    if (line_of < 0).any():
         raise DataError(f"{path}: missing user rows")
-    mat = RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
-    if mat.nnz != nnz:
-        raise DataError(f"{path}: header nnz={nnz} but rows hold {mat.nnz}")
-    return mat
+    if pos != nnz:
+        raise DataError(f"{path}: header nnz={nnz} but rows hold {pos}")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    in_file_order = RatingMatrix.from_csr(n, m, indptr, flat, {}, {})
+    if (line_of == np.arange(n)).all():
+        return in_file_order
+    return in_file_order.take(line_of)
 
 
 def save_maps(matrix, users_path, items_path):

@@ -9,18 +9,6 @@ import numpy as np
 
 from .data import DataError
 
-__all__ = [
-    "precision_at",
-    "ndcg_at",
-    "score_users",
-    "evaluate_method",
-    "paired_t_test",
-    "aggregate_runs",
-    "EvalReport",
-    "best_baseline",
-    "write_report_table",
-]
-
 BLOCK_ROWS = 256
 METRICS = ("P", "NDCG")
 
@@ -62,7 +50,7 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     n_max = max(Ns)
     user_ids = np.asarray(user_ids, dtype=np.int64)
     known = matrix.dense(user_ids, dtype=bool)
-    truth_size = known.sum(axis=1) - known[:, seeds].sum(axis=1)
+    truth_size = matrix.user_counts(user_ids) - known[:, seeds].sum(axis=1)
     scored = np.flatnonzero(truth_size > 0)
     users, truth_size = user_ids[scored], truth_size[scored]
     hits = [np.zeros((0, n_max), dtype=bool)]

@@ -5,16 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SvdResult",
-    "MaxvolResult",
-    "truncated_svd",
-    "maxvol",
-    "ridge_solve",
-    "gumbel_noise",
-    "softmax_rows",
-]
-
 
 @dataclass
 class SvdResult:

@@ -12,27 +12,6 @@ from . import evaluate
 from .data import DataError, densify
 from .linalg import gumbel_noise, softmax_rows
 
-__all__ = [
-    "TrainConfig",
-    "DecoderParams",
-    "AdamState",
-    "temperature",
-    "init_encoder",
-    "init_decoder",
-    "encode",
-    "rng_streams",
-    "decode",
-    "mse_loss",
-    "backward",
-    "adam_step",
-    "train",
-    "extract_seeds",
-    "retrain_decoder",
-    "recommend",
-    "save_checkpoint",
-    "load_checkpoint",
-]
-
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 BLOCK_ELEMS = 1 << 16  # elements per block of the decoder step's elementwise passes

@@ -70,6 +70,15 @@ def test_prepare_missing_file(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+def test_prepare_invalid_utf8_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "ratings.dat"
+    # in a field the parser otherwise ignores
+    path.write_bytes(b"u1::i1::5::1\nu2::i2::5::\xff\n")
+    assert cli.main(["prepare", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+
+
 def test_train_artifacts(prepared, tmp_path):
     out = str(tmp_path / "run")
     rc = cli.main(["train", "--data-dir", prepared, "--out", out,

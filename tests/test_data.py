@@ -270,9 +270,16 @@ def test_snapshot_roundtrip(tmp_path, cluster_matrix):
 
 # ------------------------------------------- columnar ingest vs the reference
 
-TOKENS = st.sampled_from(["u1", "u2", "u3", "i:1", "i,2", "7", "", " ", "x y"])
-RATINGS = st.sampled_from(["5", "4", "4.0", " 4 ", "3.5", "3.6", "2", "1e1", "-1",
-                           "abc", "", "nan", "inf", "-Infinity"])
+TOKENS = st.sampled_from(["u1", "u2", "u3", "i:1", "i,2", "7", "", " ", "x y", "ü", "u1\x00"])
+# ratings that float() reads, parsed in numpy (plain decimals of at most 15
+# digits) or by float() itself (the rest). The 16 digits of 96.48064786969077
+# exceed 2**53, and digits / 10**places rounds twice, to another float.
+GOOD_RATINGS = ["5", "4", "4.5", "3", "1", "+4", "4_0", " 4e0", ".5", "5.", "0004.50",
+                "3.50000000000001", "999999999999999", "96.48064786969077", "\u0663"]
+RATINGS = st.sampled_from(GOOD_RATINGS + [
+    "4.0", " 4 ", "3.5", "3.6", "2", "1e1", "-1", "abc", "", "nan", "inf", "-Infinity",
+    ".", "1.2.3", "4.5e", "٣.٥x", "4\x00", "12345678901234567"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 STAMPS = st.sampled_from(["978300760", "0", "-5", " 12 ", "1_0", "x", "", "1.5",
                           "9223372036854775807", "9223372036854775808",
                           "-9223372036854775809"])
@@ -292,10 +299,13 @@ def log_lines(draw, delimiter, malformed):
         return delimiter.join(draw(st.lists(TOKENS, min_size=1, max_size=2)))
     if kind == 3:
         return draw(st.text(alphabet=":, 1a.\r\x85", max_size=8))
-    good = st.sampled_from(["5", "4", "4.5", "3", "1"])
-    fields = [draw(st.sampled_from(["u1", "u2", "u3", "u:4"])),
-              draw(st.sampled_from(["a", "b", "c", "d:e", "f,g"])),
-              draw(RATINGS if kind == 4 else good)]
+    # multi-byte UTF-8, trailing NULs, tokens of more than 8 and 16 bytes, and
+    # pieces of the delimiters, so that delimiter matches overlap
+    fields = [draw(st.sampled_from(["u1", "u2", "u3", "u:4", "u1\x00", "ü1", "user-00000012",
+                                    "user-00000012-long", "x:", "x-+"])),
+              draw(st.sampled_from(["a", "b", "c", "d:e", "f,g", "b\x00", "\x00", "日本",
+                                    "item-0000", "item-00000", ":y", "-y"])),
+              draw(RATINGS if kind == 4 else st.sampled_from(GOOD_RATINGS))]
     if kind == 5:  # a user or item token that may be empty
         fields[draw(st.integers(0, 1))] = draw(TOKENS)
     fields += draw(st.lists(STAMPS, max_size=2))
@@ -315,17 +325,21 @@ def _pipeline(load, binarize, filter_min, build, path, delimiter, min_count):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.data())
 def test_columnar_ingest_matches_per_line_reference(tmp_path_factory, draw):
-    delimiter = draw.draw(st.sampled_from(["::", ","]))
+    delimiter = draw.draw(st.sampled_from(["::", ",", "-+-"]))
     lines = draw.draw(st.lists(log_lines(delimiter, draw.draw(st.booleans())), max_size=40))
-    header = draw.draw(st.sampled_from(["", delimiter.join(["user", "item", "rating"]) + "\n"]))
-    text = header + "\n".join(lines) + draw.draw(st.sampled_from(["\n", ""]))
+    header = draw.draw(st.sampled_from(["", delimiter.join(["user", "item", "rating"])]))
+    lines = [header] + lines if header else lines
+    ends = draw.draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if lines and draw.draw(st.booleans()):  # no line end after the last line
+        text = text[:-len(ends[-1])]
     path = tmp_path_factory.getbasetemp() / "ingest.log"
     path.write_bytes(text.encode("utf-8"))
     min_count = draw.draw(st.integers(0, 3))
     expected = _pipeline(ref_load_interactions, ref_binarize, ref_filter_min_ratings,
                          ref_build_matrix, path, delimiter, min_count)
     chunk = draw.draw(st.integers(1, 64))
-    with mock.patch.object(data, "READ_CHUNK_CHARS", chunk):
+    with mock.patch.object(data, "READ_CHUNK_BYTES", chunk):
         got = _pipeline(data.load_interactions, data.binarize, data.filter_min_ratings,
                         data.build_matrix, path, delimiter, min_count)
     event("error" if isinstance(expected, str) else "matrix")
@@ -334,6 +348,9 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path_factory, draw):
         return
     (ref_records, ref_matrix), (records, matrix) = expected, got
     assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
+    # codes number tokens by first appearance
+    assert records.user_tokens == list(dict.fromkeys(r.user for r in ref_records))
+    assert records.item_tokens == list(dict.fromkeys(r.item for r in ref_records))
     assert list(matrix.user_index.items()) == list(ref_matrix.user_index.items())
     assert list(matrix.item_index.items()) == list(ref_matrix.item_index.items())
     assert same_csr(matrix, ref_matrix)
@@ -349,7 +366,7 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
     ])
     ref = ref_build_matrix(ref_filter_min_ratings(ref_binarize(ref_load_interactions(path)), 5))
     for chunk in (1, 100, 4096):
-        monkeypatch.setattr(data, "READ_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
         matrix = data.build_matrix(data.filter_min_ratings(
             data.binarize(data.load_interactions(path)), 5))
         assert list(matrix.user_index.items()) == list(ref.user_index.items())
@@ -373,12 +390,14 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     ("2:0 1 3", "2:0 1 1", ":4: item ids of user 2"),
     (" nnz=6", "", "bad snapshot header"),
     ("n=3", "n=three", "bad snapshot header"),
+    ("n=3", "n=-3", "bad snapshot header"),
     ("nnz=6", "nnz=5", "header nnz=5 but rows hold 6"),
     ("nnz=6", "nnz=7", "header nnz=7 but rows hold 6"),
     ("nnz=6", "nnz=999999999999", "header nnz=999999999999 but rows hold 6"),
 ], ids=["user_ge_n", "user_negative", "user_twice", "user_missing", "item_not_int",
         "user_not_int", "item_ge_m", "item_negative", "items_unsorted", "item_twice",
-        "header_without_nnz", "header_bad_n", "nnz_low", "nnz_high", "nnz_huge"])
+        "header_without_nnz", "header_bad_n", "header_negative_n", "nnz_low", "nnz_high",
+        "nnz_huge"])
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)
@@ -388,15 +407,28 @@ def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
         data.load_snapshot(path)
 
 
+def test_load_snapshot_reads_rows_in_any_order(tmp_path):
+    path = tmp_path / "matrix.snapshot"
+    path.write_text("ELICIT-MATRIX v1 n=3 m=4 nnz=6\n2:0 1 3\n0:0 2\n1:1\n")
+    matrix = data.load_snapshot(path)
+    assert [r.tolist() for r in row_list(matrix)] == [[0, 2], [1], [0, 1, 3]]
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int64
+
+
 # ------------------------------------------------------- CSR layout and files
 
 @st.composite
 def rating_matrices(draw):
-    """(matrix, rows) for a random matrix whose users may have empty rows."""
+    """(matrix, rows) for a random matrix whose users may have empty rows,
+    built from its rows or from its CSR arrays."""
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 9))
     rows = [np.array(sorted(draw(st.sets(st.integers(0, m - 1)))), dtype=np.int64)
             for _ in range(n)]
-    return data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={}), rows
+    from_rows = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
+    indptr = np.array([0] + [len(r) for r in rows], dtype=np.int64).cumsum()
+    from_csr = data.RatingMatrix.from_csr(n, m, indptr, np.concatenate(rows), {}, {})
+    assert same_csr(from_csr, from_rows)
+    return (from_csr if draw(st.booleans()) else from_rows), rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -418,6 +450,8 @@ def test_csr_matches_per_row_reference(case, draw):
     sub = matrix.take(user_ids)
     assert sub.m == matrix.m and [r.tolist() for r in row_list(sub)] == [
         rows[u].tolist() for u in user_ids]
+    counts = matrix.user_counts(user_ids)
+    assert counts.dtype == np.int64 and counts.tolist() == [len(rows[u]) for u in user_ids]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
