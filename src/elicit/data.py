@@ -9,8 +9,10 @@ import numpy as np
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
 # Bytes of the log read at a time. A block of whole lines is parsed as numpy
-# arrays a few times its size, so this bounds the ingest's memory.
-READ_CHUNK_BYTES = 4 << 20
+# arrays about ten times its size, so this bounds the parse's memory above
+# that of the columns it returns. On a 1M-line log, blocks of 512 KiB to
+# 1 MiB parsed fastest; at 4 MiB the parse's temporaries set the peak memory.
+READ_CHUNK_BYTES = 1 << 20
 # A rating of at most this many decimal digits and one optional point is
 # parsed in numpy as digits / 10**places: both are exact float64 values below
 # 2**53, so their quotient is float()'s correctly rounded value.
@@ -161,24 +163,33 @@ def load_interactions(path, delimiter="::"):
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
     user_codes, item_codes = _TokenCodes(), _TokenCodes()
-    columns = []
-    lineno = 1  # of the block's first line
-    for block in _blocks(path):
-        first, lineno = lineno, lineno + np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
-        end = block.index(b"\n")
-        if first == 1 and _is_header(block[:end].decode("utf-8"), delimiter):
-            block, first = block[end + 1:], 2
-        columns.append(_parse_block(path, block, first, sep, delimiter, user_codes, item_codes))
-    if not sum(len(column[0]) for column in columns):
+    parts = ([], [], [])  # of the users, items and ratings columns, one per block
+    for first, block in _blocks(path):
+        if first == 1:
+            end = block.index(b"\n")
+            if _is_header(block[:end].decode("utf-8"), delimiter):
+                block, first = block[end + 1:], 2
+        for part, column in zip(parts, _parse_block(path, block, first, sep, delimiter,
+                                                     user_codes, item_codes)):
+            part.append(column)
+    if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no interaction records")
-    users, items, ratings = (np.concatenate(column) for column in zip(*columns))
-    return Interactions(users, items, ratings, user_codes.tokens, item_codes.tokens)
+    # a column's parts are freed once it is joined, so the join holds one
+    # column twice at most, not all three
+    columns = []
+    for part in parts:
+        columns.append(np.concatenate(part))
+        part.clear()
+    return Interactions(*columns, user_codes.tokens, item_codes.tokens)
 
 
 def _blocks(path):
-    """The file's bytes as blocks of whole lines, checked to be UTF-8, with
-    \\r\\n and lone \\r translated to \\n; each block ends in \\n."""
+    """(first, block) pairs: the file's bytes as blocks of whole lines, each
+    ending in \\n, with \\r\\n and lone \\r translated to \\n, and the number
+    of each block's first line. Raises DataError at the first line that is
+    not UTF-8."""
     rest = b""
+    lineno = 1
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(READ_CHUNK_BYTES)
@@ -193,9 +204,15 @@ def _blocks(path):
             if block and not block.endswith(b"\n"):  # the last line of the file
                 block += b"\n"
             if not block.isascii():
-                block.decode("utf-8")  # raises UnicodeDecodeError on invalid bytes
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad = lineno + block.count(b"\n", 0, exc.start)
+                    raise DataError(f"{path}:{bad}: invalid utf-8 byte "
+                                    f"0x{block[exc.start]:02x} ({exc.reason})") from None
             if block:
-                yield block
+                yield lineno, block
+                lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
             if not chunk:
                 return
 
@@ -406,8 +423,12 @@ def build_matrix(records):
 
 def _renumber(codes, tokens):
     """Codes renumbered 0, 1, ... by first appearance, and the token -> index map."""
-    uniq, first = np.unique(codes, return_index=True)
-    in_order = uniq[np.argsort(first)]
+    # codes lie below len(tokens): a scatter-min finds each one's first
+    # position in linear time, and only the distinct codes are sorted
+    first = np.full(len(tokens), len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    used = np.flatnonzero(first < len(codes))
+    in_order = used[np.argsort(first[used])]
     rank = np.empty(len(tokens), dtype=np.int64)
     rank[in_order] = np.arange(len(in_order))
     return rank[codes], {tokens[code]: k for k, code in enumerate(in_order.tolist())}

@@ -18,12 +18,19 @@ def make_cluster_matrix(n_per_cluster=100, items_per_cluster=10, clusters=3,
             while len(liked) < 2:
                 liked = block[rng.random(items_per_cluster) < p_like]
             rows.append(np.sort(liked).astype(np.int64))
-    n = len(rows)
-    return data.RatingMatrix(
-        n=n, m=m, rows=rows,
-        user_index={str(u): u for u in range(n)},
-        item_index={str(i): i for i in range(m)},
-    )
+    return matrix_from_rows(rows, m, user_index={str(u): u for u in range(len(rows))},
+                            item_index={str(i): i for i in range(m)})
+
+
+def matrix_from_rows(rows, m, user_index=None, item_index=None):
+    """The RatingMatrix over m items whose user u has the strictly increasing
+    item ids rows[u], built through RatingMatrix.from_csr."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(np.int64)
+    return data.RatingMatrix.from_csr(len(rows), m, indptr, indices,
+                                      {} if user_index is None else user_index,
+                                      {} if item_index is None else item_index)
 
 
 def write_raw_file(path, records, delimiter="::"):

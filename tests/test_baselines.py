@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from elicit import baselines, data, model
-from conftest import make_cluster_matrix
+from conftest import make_cluster_matrix, matrix_from_rows
 
 
 def test_select_random_exhaustive_and_deterministic():
@@ -35,10 +35,7 @@ def _matrix_from_counts(counts):
         rows.extend([np.array([j], dtype=np.int64)] * c)
     # pad a final user liking everything so every row is nonempty regardless
     rows.append(np.arange(len(counts), dtype=np.int64))
-    return data.RatingMatrix(
-        n=len(rows), m=len(counts), rows=rows,
-        user_index={}, item_index={str(j): j for j in range(len(counts))},
-    )
+    return matrix_from_rows(rows, len(counts), item_index={str(j): j for j in range(len(counts))})
 
 
 def test_select_popular_tie_break():

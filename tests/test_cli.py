@@ -77,6 +77,20 @@ def test_prepare_invalid_utf8_is_one_line_error(tmp_path, capsys):
     assert cli.main(["prepare", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+    assert "ratings.dat:2:" in err
+
+
+def test_prepare_invalid_utf8_in_a_later_block_names_its_line(tmp_path, capsys, monkeypatch):
+    # blocks of a few bytes: the bad byte sits blocks after the file's start,
+    # and its line is counted from there, across a CRLF and a lone CR
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"u1::i1::5\r\nu2::i2::5\ru3::i3::4::1\n\nu4::\xc3\xbc::5\n"
+                     b"u5::i5::5::\xc3(\nu6::i6::5\n")
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", 5)
+    assert cli.main(["prepare", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ratings.dat:6: invalid utf-8 byte 0xc3" in err
 
 
 def test_train_artifacts(prepared, tmp_path):

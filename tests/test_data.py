@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from elicit import data
-from conftest import write_raw_file
+from conftest import matrix_from_rows, write_raw_file
 
 
 # ---------------------------------------------------------------- reference
@@ -84,8 +85,7 @@ def ref_build_matrix(records):
             pairs.add((u, i))
             row_items[u].append(i)
     rows = [np.array(sorted(items), dtype=np.int64) for items in row_items]
-    return data.RatingMatrix(n=len(user_index), m=len(item_index), rows=rows,
-                             user_index=user_index, item_index=item_index)
+    return matrix_from_rows(rows, len(item_index), user_index, item_index)
 
 
 # ------------------------------------------------------------------ helpers
@@ -215,6 +215,28 @@ def test_build_matrix_invariants():
     counts = matrix.item_counts()
     assert np.all(counts > 0)  # no all-zero columns
     assert matrix.n == len(matrix.user_index) and matrix.m == len(matrix.item_index)
+
+
+def ref_renumber(codes, tokens):
+    """The np.unique-based renumbering that data._renumber replaced."""
+    uniq, first = np.unique(codes, return_index=True)
+    in_order = uniq[np.argsort(first)]
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[in_order] = np.arange(len(in_order))
+    return rank[codes], {tokens[code]: k for k, code in enumerate(in_order.tolist())}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_renumber_matches_unique_reference(draw):
+    # repeats, gaps, and tokens that no code uses, before, between and after
+    # the used ones
+    tokens = [f"t{j}" for j in range(draw.draw(st.integers(1, 40)))]
+    codes = np.array(draw.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=60)),
+                     dtype=np.int64)
+    got, expected = data._renumber(codes, tokens), ref_renumber(codes, tokens)
+    assert got[0].dtype == np.int64 and np.array_equal(got[0], expected[0])
+    assert list(got[1].items()) == list(expected[1].items())
 
 
 def test_pipeline_idempotence(tmp_path):
@@ -374,6 +396,30 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
         assert same_csr(matrix, ref)
 
 
+def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monkeypatch):
+    path = tmp_path / "raw.dat"
+    rng = np.random.Generator(np.random.PCG64(5))
+    n = 200_000
+    users = np.sort(rng.integers(0, 500, n)).tolist()
+    items, stars = rng.integers(0, 1000, n).tolist(), rng.integers(1, 6, n).tolist()
+    path.write_text("".join(f"u{u}::i{i}::{s}::978300760\n" for u, i, s in
+                            zip(users, items, stars)))
+    chunk = 64 << 10  # the log spans about 75 blocks
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        records = data.load_interactions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = records.users.nbytes + records.items.nbytes + records.ratings.nbytes
+    assert columns == 24 * n
+    # joining a column holds its per-block parts and the joined copy: a third
+    # of the columns above them. Holding every part while the columns are
+    # joined would double them.
+    assert peak - columns < columns / 2 + 8 * chunk
+
+
 SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
 
 
@@ -425,8 +471,7 @@ def rating_matrices(draw):
     rows = [np.array(sorted(draw(st.sets(st.integers(0, m - 1)))), dtype=np.int64)
             for _ in range(n)]
     from_rows = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
-    indptr = np.array([0] + [len(r) for r in rows], dtype=np.int64).cumsum()
-    from_csr = data.RatingMatrix.from_csr(n, m, indptr, np.concatenate(rows), {}, {})
+    from_csr = matrix_from_rows(rows, m)
     assert same_csr(from_csr, from_rows)
     return (from_csr if draw(st.booleans()) else from_rows), rows
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from elicit import data, evaluate, model
+from conftest import matrix_from_rows
 
 
 def test_precision_hand_cases():
@@ -54,7 +55,7 @@ def _tiny_matrix():
         np.array([2]),            # u2: only positive is the seed -> skipped
         np.array([1, 3, 4]),      # u3
     ]
-    return data.RatingMatrix(n=4, m=5, rows=rows, user_index={}, item_index={})
+    return matrix_from_rows(rows, 5)
 
 
 def test_evaluate_method_protocol():
@@ -84,7 +85,7 @@ def test_score_users_blocks_match_per_user_metrics():
     rng = np.random.Generator(np.random.PCG64(3))
     n, m, Ns = 600, 40, (5, 10)
     rows = [np.sort(rng.choice(m, size=rng.integers(1, 8), replace=False)) for _ in range(n)]
-    matrix = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
+    matrix = matrix_from_rows(rows, m)
     seeds = np.array([4, 9, 30])
     weights = rng.integers(-2, 3, size=(len(seeds), m)).astype(np.float64)
     item_bias = rng.permutation(m) / m
@@ -156,7 +157,7 @@ def test_score_users_bit_identical_to_per_block_float_reference(user_ids):
     n, m, Ns, seeds = 600, 40, (5, 10), np.array([4, 9, 30])
     rows = [np.sort(rng.choice(m, size=rng.integers(1, 8), replace=False)) for _ in range(n)]
     rows[:20] = [seeds[:rng.integers(1, 4)] for _ in range(20)]
-    matrix = data.RatingMatrix(n=n, m=m, rows=rows, user_index={}, item_index={})
+    matrix = matrix_from_rows(rows, m)
     theta = model.init_decoder(len(seeds), 16, m, rng)
     theta.b2[:] = rng.standard_normal(m).astype(np.float32)
     x = rng.standard_normal((len(seeds), m))
@@ -194,7 +195,7 @@ def test_evaluate_method_rejects_seed_leak():
 
 def test_evaluate_method_all_skipped():
     rows = [np.array([0])]
-    matrix = data.RatingMatrix(n=1, m=3, rows=rows, user_index={}, item_index={})
+    matrix = matrix_from_rows(rows, 3)
     split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.array([0]))
     with pytest.raises(ValueError, match="degenerate"):
         evaluate.evaluate_method(lambda z: [1, 2], matrix, split, np.array([0]), Ns=(1,))

@@ -3,7 +3,7 @@ import pytest
 
 from elicit import data, model
 from elicit.linalg import gumbel_noise, softmax_rows
-from conftest import corrupt_checkpoint, write_small_checkpoint
+from conftest import corrupt_checkpoint, matrix_from_rows, write_small_checkpoint
 
 
 def small_instance(k=2, m=4, d=3, b=2, seed=0, dtype=np.float64):
@@ -424,8 +424,8 @@ def test_retrain_decoder_bit_identical_to_resident_matrix_reference(cluster_matr
     # one positive at every item
     n, m = cluster_matrix.n, cluster_matrix.m
     rows = np.split(cluster_matrix.indices, cluster_matrix.indptr[1:-1])
-    matrix = data.RatingMatrix(n + 2, m, rows + [np.array([], np.int64), np.arange(m)],
-                               {}, cluster_matrix.item_index)
+    matrix = matrix_from_rows(rows + [np.array([], np.int64), np.arange(m)], m,
+                              item_index=cluster_matrix.item_index)
     split = data.split_users(matrix, seed=0)
     split = data.SplitSpec(np.union1d(split.train_users, [n, n + 1]), split.val_users,
                            split.test_users)
