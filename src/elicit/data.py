@@ -3,7 +3,7 @@
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +31,20 @@ class DataError(ValueError):
 class Interactions:
     """An interaction log as columns, one entry per line, in file order.
 
-    `users` and `items` are int64 codes into `user_tokens` and `item_tokens`,
-    numbered by first appearance in the file. A subset keeps the token lists,
-    so its codes need not be contiguous.
+    `users` and `items` hold each line's token as a key of its exact bytes
+    (see _token_keys), all keys of a column of one width.
     """
 
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray  # float64
-    user_tokens: list = field(repr=False)
-    item_tokens: list = field(repr=False)
 
     def __len__(self):
         return len(self.users)
 
     def take(self, mask):
         """The lines selected by a boolean mask, in order."""
-        return replace(self, users=self.users[mask], items=self.items[mask],
-                       ratings=self.ratings[mask])
+        return Interactions(self.users[mask], self.items[mask], self.ratings[mask])
 
 
 def densify(positives, shape, dtype=np.float64):
@@ -162,15 +158,13 @@ def load_interactions(path, delimiter="::"):
     # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
-    user_codes, item_codes = _TokenCodes(), _TokenCodes()
     parts = ([], [], [])  # of the users, items and ratings columns, one per block
     for first, block in _blocks(path):
         if first == 1:
             end = block.index(b"\n")
             if _is_header(block[:end].decode("utf-8"), delimiter):
                 block, first = block[end + 1:], 2
-        for part, column in zip(parts, _parse_block(path, block, first, sep, delimiter,
-                                                     user_codes, item_codes)):
+        for part, column in zip(parts, _parse_block(path, block, first, sep, delimiter)):
             part.append(column)
     if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no interaction records")
@@ -178,9 +172,23 @@ def load_interactions(path, delimiter="::"):
     # column twice at most, not all three
     columns = []
     for part in parts:
-        columns.append(np.concatenate(part))
+        columns.append(_join(part))
         part.clear()
-    return Interactions(*columns, user_codes.tokens, item_codes.tokens)
+    return Interactions(*columns)
+
+
+def _join(parts):
+    """The column of its per-block parts. Key parts narrower than the widest
+    are padded with 0xFF words, which keeps each key's token."""
+    width = max(part.dtype.itemsize for part in parts)
+    for j, part in enumerate(parts):
+        words = part.dtype.itemsize // 8
+        if 8 * words < width:
+            wide = np.full((len(part), width // 8), PAD[0])
+            # not reshape(len(part), -1): an empty part leaves -1 undefined
+            wide[:, :words] = part.view(np.uint64).reshape(-1, words)
+            parts[j] = wide.view(f"V{width}").ravel()
+    return np.concatenate(parts)
 
 
 def _blocks(path):
@@ -228,9 +236,9 @@ def _is_header(line, delimiter):
     return False
 
 
-def _parse_block(path, block, first, sep, delimiter, user_codes, item_codes):
+def _parse_block(path, block, first, sep, delimiter):
     """Columns (users, items, ratings) of a block of lines numbered from
-    `first`, each ending in \\n, with tokens coded through the shared coders."""
+    `first`, each ending in \\n, with tokens as keys (see _token_keys)."""
     buf = np.frombuffer(block, dtype=np.uint8)
     # every line end and delimiter, in order, after a virtual line end at -1
     marks = np.concatenate(([-1], np.flatnonzero((buf == 10) | _delimiter_starts(buf, sep))))
@@ -253,7 +261,7 @@ def _parse_block(path, block, first, sep, delimiter, user_codes, item_codes):
     except ValueError:
         _check_lines(path, block.decode("utf-8").split("\n"), first, delimiter)
         raise
-    return user_codes(block, buf, *user), item_codes(block, buf, *item), ratings
+    return _token_keys(buf, *user), _token_keys(buf, *item), ratings
 
 
 def _delimiter_starts(buf, sep):
@@ -308,10 +316,17 @@ def _parse_ratings(block, buf, starts, ends):
     return ratings
 
 
-def _token_keys(buf, starts, lengths, words):
-    """One key per token buf[starts[i]:starts[i] + lengths[i]]: its bytes
-    padded with 0xFF to 8 * words bytes, as uint64 when words == 1 and as raw
-    bytes otherwise."""
+def _token_keys(buf, starts, ends):
+    """One key per token buf[starts[i]:ends[i]]: its bytes padded with 0xFF
+    to 8 * words bytes, words enough for the longest token; as uint64 when
+    words == 1 and as raw bytes otherwise.
+
+    0xFF never occurs in UTF-8, so keys of one width are equal exactly when
+    the tokens' bytes are, and each key decodes back to its token (numpy's S
+    arrays would drop trailing NULs).
+    """
+    lengths = ends - starts
+    words = max(1, -(-int(lengths.max(initial=0)) // 8))
     # the 8 bytes from each position, read as one (unaligned) uint64; bytes
     # past a token are masked, so the padding's value does not matter
     padded = np.concatenate([buf, np.zeros(8 * words, dtype=np.uint8)])
@@ -320,52 +335,6 @@ def _token_keys(buf, starts, lengths, words):
     for j in range(words):
         keys[:, j] = at[starts + 8 * j] | PAD[np.clip(lengths - 8 * j, 0, 8)]
     return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
-
-
-class _TokenCodes:
-    """Codes byte tokens 0, 1, ... by first appearance; `tokens` lists them
-    decoded, in code order.
-
-    Tokens are compared by keys (see _token_keys): 0xFF never occurs in
-    UTF-8, so two keys are equal exactly when the tokens' bytes are (numpy's
-    S arrays would drop trailing NULs).
-    """
-
-    def __init__(self):
-        self.tokens = []
-        self._words = 1
-        self._keys = np.zeros(0, dtype=np.uint64)  # of the tokens seen, sorted
-        self._codes = np.zeros(0, dtype=np.int64)  # of those keys
-
-    def __call__(self, block, buf, starts, ends):
-        """The codes of the tokens block[starts[i]:ends[i]]."""
-        lengths = ends - starts
-        words = max(self._words, -(-int(lengths.max(initial=0)) // 8))
-        if words > self._words:  # widen the keys seen with 0xFF words; they sort anew
-            wide = np.full((len(self._keys), words), PAD[0])
-            wide[:, :self._words] = self._keys.view(np.uint64).reshape(-1, self._words)
-            self._words, self._keys = words, wide.view(f"V{8 * words}").ravel()
-            order = np.argsort(self._keys)
-            self._keys, self._codes = self._keys[order], self._codes[order]
-        keys, inverse = np.unique(_token_keys(buf, starts, lengths, words), return_inverse=True)
-        at = np.searchsorted(self._keys, keys)
-        known = self._keys[np.minimum(at, len(self._keys) - 1)] == keys if len(self._keys) \
-            else np.zeros(len(keys), dtype=bool)
-        codes = np.empty(len(keys), dtype=np.int64)
-        codes[known] = self._codes[at[known]]
-        new = np.flatnonzero(~known)
-        if len(new):
-            lines = np.flatnonzero(~known[inverse])  # whose token is new
-            first = np.full(len(keys), len(starts))
-            np.minimum.at(first, inverse[lines], lines)
-            new = new[np.argsort(first[new])]  # by first appearance
-            codes[new] = len(self.tokens) + np.arange(len(new))
-            self.tokens += [block[s:e].decode("utf-8") for s, e in
-                            zip(starts[first[new]].tolist(), ends[first[new]].tolist())]
-            new.sort()
-            self._keys = np.insert(self._keys, at[new], keys[new])
-            self._codes = np.insert(self._codes, at[new], codes[new])
-        return codes[inverse]
 
 
 def _check_lines(path, lines, first, delimiter):
@@ -389,13 +358,15 @@ def _check_lines(path, lines, first, delimiter):
 
 def binarize(records, threshold=3.5):
     """Keep lines with rating strictly above threshold, as positives (rating 1)."""
-    kept = records.take(records.ratings > threshold)
-    return replace(kept, ratings=np.ones(len(kept)))
+    mask = records.ratings > threshold
+    users = records.users[mask]
+    return Interactions(users, records.items[mask], np.ones(len(users)))
 
 
 def filter_min_ratings(records, min_count):
     """Drop users with fewer than min_count positive lines; duplicate lines count."""
-    kept = records.take(np.bincount(records.users)[records.users] >= min_count)
+    inverse = np.unique(records.users, return_inverse=True)[1]
+    kept = records.take(np.bincount(inverse)[inverse] >= min_count)
     if not len(kept):
         raise DataError("no users survive the minimum-rating filter")
     return kept
@@ -410,8 +381,8 @@ def build_matrix(records):
     """
     if not len(records):
         raise DataError("no records to build a matrix from")
-    users, user_index = _renumber(records.users, records.user_tokens)
-    items, item_index = _renumber(records.items, records.item_tokens)
+    users, user_index = _renumber(records.users)
+    items, item_index = _renumber(records.items)
     n, m = len(user_index), len(item_index)
     # sorted by user, then item; np.unique would hash, which is far slower here
     pairs = np.sort(users * m + items)
@@ -421,17 +392,21 @@ def build_matrix(records):
     return RatingMatrix.from_csr(n, m, indptr, pairs % m, user_index, item_index)
 
 
-def _renumber(codes, tokens):
-    """Codes renumbered 0, 1, ... by first appearance, and the token -> index map."""
-    # codes lie below len(tokens): a scatter-min finds each one's first
-    # position in linear time, and only the distinct codes are sorted
-    first = np.full(len(tokens), len(codes), dtype=np.int64)
+def _renumber(keys):
+    """Token keys numbered 0, 1, ... by first appearance, and the token ->
+    number map."""
+    distinct, codes = np.unique(keys, return_inverse=True)
+    # a scatter-min finds each distinct key's first position in linear time
+    first = np.full(len(distinct), len(codes), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(codes)))
-    used = np.flatnonzero(first < len(codes))
-    in_order = used[np.argsort(first[used])]
-    rank = np.empty(len(tokens), dtype=np.int64)
+    in_order = np.argsort(first)
+    rank = np.empty(len(distinct), dtype=np.int64)
     rank[in_order] = np.arange(len(in_order))
-    return rank[codes], {tokens[code]: k for k, code in enumerate(in_order.tolist())}
+    # only the distinct keys are decoded: each is its token's bytes, then 0xFF
+    blob, width = distinct[in_order].tobytes(), distinct.dtype.itemsize
+    tokens = (blob[at:at + width].rstrip(b"\xff").decode("utf-8")
+              for at in range(0, len(blob), width))
+    return rank[codes], {token: k for k, token in enumerate(tokens)}
 
 
 def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):

@@ -90,23 +90,32 @@ def ref_build_matrix(records):
 
 # ------------------------------------------------------------------ helpers
 
+def token_keys(tokens):
+    """The key column (see data._token_keys) of a list of str tokens."""
+    encoded = [token.encode("utf-8") for token in tokens]
+    lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return data._token_keys(np.frombuffer(b"".join(encoded), np.uint8), ends - lengths, ends)
+
+
+def key_tokens(keys):
+    """The str tokens of a key column: each key is its token's bytes, then 0xFF."""
+    blob, width = keys.tobytes(), keys.dtype.itemsize
+    return [blob[at:at + width].rstrip(b"\xff").decode("utf-8")
+            for at in range(0, len(blob), width)]
+
+
 def make_table(rows):
     """Interactions from (user, item, rating) tuples."""
-    users, items = {}, {}
     return data.Interactions(
-        users=np.array([users.setdefault(row[0], len(users)) for row in rows], dtype=np.int64),
-        items=np.array([items.setdefault(row[1], len(items)) for row in rows], dtype=np.int64),
+        users=token_keys([row[0] for row in rows]), items=token_keys([row[1] for row in rows]),
         ratings=np.array([row[2] for row in rows], dtype=np.float64),
-        user_tokens=list(users), item_tokens=list(items),
     )
 
 
 def as_records(table):
     """(user, item, rating) per line of an Interactions table."""
-    return [
-        (table.user_tokens[u], table.item_tokens[i], r)
-        for u, i, r in zip(table.users.tolist(), table.items.tolist(), table.ratings.tolist())
-    ]
+    return list(zip(key_tokens(table.users), key_tokens(table.items), table.ratings.tolist()))
 
 
 def row_list(matrix):
@@ -230,11 +239,11 @@ def ref_renumber(codes, tokens):
 @given(st.data())
 def test_renumber_matches_unique_reference(draw):
     # repeats, gaps, and tokens that no code uses, before, between and after
-    # the used ones
-    tokens = [f"t{j}" for j in range(draw.draw(st.integers(1, 40)))]
+    # the used ones; tokens of up to 15 bytes, so some keys take two words
+    tokens = [f"t{j}" * (1 + j % 5) for j in range(draw.draw(st.integers(1, 40)))]
     codes = np.array(draw.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=60)),
                      dtype=np.int64)
-    got, expected = data._renumber(codes, tokens), ref_renumber(codes, tokens)
+    got, expected = data._renumber(token_keys(tokens)[codes]), ref_renumber(codes, tokens)
     assert got[0].dtype == np.int64 and np.array_equal(got[0], expected[0])
     assert list(got[1].items()) == list(expected[1].items())
 
@@ -370,9 +379,6 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path_factory, draw):
         return
     (ref_records, ref_matrix), (records, matrix) = expected, got
     assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
-    # codes number tokens by first appearance
-    assert records.user_tokens == list(dict.fromkeys(r.user for r in ref_records))
-    assert records.item_tokens == list(dict.fromkeys(r.item for r in ref_records))
     assert list(matrix.user_index.items()) == list(ref_matrix.user_index.items())
     assert list(matrix.item_index.items()) == list(ref_matrix.item_index.items())
     assert same_csr(matrix, ref_matrix)
@@ -394,6 +400,36 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
         assert list(matrix.user_index.items()) == list(ref.user_index.items())
         assert list(matrix.item_index.items()) == list(ref.item_index.items())
         assert same_csr(matrix, ref)
+
+
+def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
+    # blocks of a few bytes: the blank lines make blocks without a token, and
+    # tokens of more than 8 and 16 bytes first appear blocks after the short ones
+    path = tmp_path / "raw.dat"
+    path.write_bytes("u1::a::5\n\n\n\n\nu2::b\x00::4\n\n\n\nuser-00000012-long::a::5\n"
+                     "u1::item-0000012::4\n\n\n\nu2::日本-item-00012::5\nu2::a::2\n"
+                     "user-00000012-long::b\x00::4\n".encode("utf-8"))
+    parse = data._parse_block
+    widths = []  # of each block's (users, items) key parts
+
+    def spy(*args):
+        columns = parse(*args)
+        widths.append((len(columns[0]), columns[0].dtype.itemsize, columns[1].dtype.itemsize))
+        return columns
+
+    monkeypatch.setattr(data, "_parse_block", spy)
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", 2)
+    records = data.load_interactions(path)
+    assert (0, 8, 8) in widths and widths[0] == (1, 8, 8)
+    assert {w[1] for w in widths} == {8, 24} and {w[2] for w in widths} == {8, 16, 24}
+    ref_records = ref_load_interactions(path)
+    assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
+    assert (records.users.dtype.itemsize, records.items.dtype.itemsize) == (24, 24)
+    matrix = data.build_matrix(data.filter_min_ratings(data.binarize(records), 1))
+    ref = ref_build_matrix(ref_filter_min_ratings(ref_binarize(ref_records), 1))
+    assert list(matrix.user_index.items()) == list(ref.user_index.items())
+    assert list(matrix.item_index.items()) == list(ref.item_index.items())
+    assert same_csr(matrix, ref)
 
 
 def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monkeypatch):
