@@ -1,7 +1,6 @@
 """Raw interaction ingestion, binarization, filtering, matrix building and user splits."""
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 
@@ -149,9 +148,9 @@ def load_interactions(path, delimiter="::"):
 
     Lines need at least (user, item, rating) fields; later fields are
     ignored. The file must be UTF-8; lines end at \\n, \\r\\n or \\r, as in text
-    mode. Blank lines are skipped, and so is a first line whose rating field
-    is not a number (a header). Any other malformed line raises DataError
-    naming its line number.
+    mode. Blank lines are skipped, and so is a first line of at least 3
+    fields whose rating field is not a number (a header). Any other malformed
+    line raises DataError naming its line number.
     """
     if not delimiter or "\n" in delimiter:
         raise DataError(f"delimiter must be non-empty and hold no newline, got {delimiter!r}")
@@ -160,11 +159,7 @@ def load_interactions(path, delimiter="::"):
     sep = delimiter.encode("utf-8", "surrogatepass")
     parts = ([], [], [])  # of the users, items and ratings columns, one per block
     for first, block in _blocks(path):
-        if first == 1:
-            end = block.index(b"\n")
-            if _is_header(block[:end].decode("utf-8"), delimiter):
-                block, first = block[end + 1:], 2
-        for part, column in zip(parts, _parse_block(path, block, first, sep, delimiter)):
+        for part, column in zip(parts, _parse_block(path, block, first, sep)):
             part.append(column)
     if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no interaction records")
@@ -225,20 +220,11 @@ def _blocks(path):
                 return
 
 
-def _is_header(line, delimiter):
-    parts = line.split(delimiter)
-    if len(parts) < 3:
-        return False
-    try:
-        float(parts[2])
-    except ValueError:
-        return True
-    return False
-
-
-def _parse_block(path, block, first, sep, delimiter):
+def _parse_block(path, block, first, sep):
     """Columns (users, items, ratings) of a block of lines numbered from
-    `first`, each ending in \\n, with tokens as keys (see _token_keys)."""
+    `first`, each ending in \\n, with tokens as keys (see _token_keys).
+    Skips blank lines and a header, and raises DataError at the first
+    malformed line, as load_interactions describes."""
     buf = np.frombuffer(block, dtype=np.uint8)
     # every line end and delimiter, in order, after a virtual line end at -1
     marks = np.concatenate(([-1], np.flatnonzero((buf == 10) | _delimiter_starts(buf, sep))))
@@ -246,22 +232,30 @@ def _parse_block(path, block, first, sep, delimiter):
     line_start = np.concatenate(([0], line_end))[:-1]  # the mark before the line
     n_delims = line_end - line_start - 1
     blank = (n_delims == 0) & (marks[line_end] == marks[line_start] + 1)
-    at = line_start[n_delims >= 2]
+    full = n_delims >= 2  # the lines of at least 3 fields
+    at = line_start[full]
     user = marks[at] + 1, marks[at + 1]
     item = user[1] + len(sep), marks[at + 2]
     rating = item[1] + len(sep), marks[at + 3]  # up to the third delimiter or the line end
-    try:
-        if not (blank | (n_delims >= 2)).all():
-            raise ValueError("a line with fewer than 3 fields is not blank")
-        ratings = _parse_ratings(block, buf, *rating)
-        if not np.isfinite(ratings).all():
-            raise ValueError("non-finite rating")
-        if (user[0] == user[1]).any() or (item[0] == item[1]).any():
-            raise ValueError("empty user or item token")
-    except ValueError:
-        _check_lines(path, block.decode("utf-8").split("\n"), first, delimiter)
-        raise
-    return _token_keys(buf, *user), _token_keys(buf, *item), ratings
+    ratings, unparsed = _parse_ratings(block, buf, *rating)
+    # each line's first fault, in the order the checks are made; 0 for none
+    fault = np.where(blank | full, 0, 1)
+    fault[full] = np.select(
+        [unparsed, ~np.isfinite(ratings), (user[0] == user[1]) | (item[0] == item[1])],
+        [2, 3, 4])
+    # the file's first line is a header when its rating is unparseable
+    header = int(first == 1 and fault[0] == 2)
+    fault[:header] = 0
+    if fault.any():
+        i = int(np.flatnonzero(fault)[0])
+        reason = ["", f"expected >=3 fields, got {n_delims[i] + 1}", "unparseable rating",
+                  "non-finite rating", "empty user or item token"][fault[i]]
+        if fault[i] == 2:
+            j = np.count_nonzero(full[:i])  # the line's place among the full lines
+            reason += f" {block[rating[0][j]:rating[1][j]].decode('utf-8')!r}"
+        raise DataError(f"{path}:{first + i}: {reason}")
+    return (_token_keys(buf, user[0][header:], user[1][header:]),
+            _token_keys(buf, item[0][header:], item[1][header:]), ratings[header:])
 
 
 def _delimiter_starts(buf, sep):
@@ -293,9 +287,9 @@ def _delimiter_starts(buf, sep):
 
 
 def _parse_ratings(block, buf, starts, ends):
-    """float() of each field block[starts[i]:ends[i]], raising ValueError
-    where float() does. Plain decimals are parsed in numpy, every other
-    field by float() itself."""
+    """(ratings, unparsed): float() of each field block[starts[i]:ends[i]],
+    and a mask of the fields float() rejects, whose ratings are NaN. Plain
+    decimals are parsed in numpy, every other field by float() itself."""
     lengths = ends - starts
     width = int(np.clip(lengths.max(initial=0), 1, MAX_PLAIN_DIGITS + 1))
     inside = np.arange(width) < lengths[:, None]
@@ -311,9 +305,13 @@ def _parse_ratings(block, buf, starts, ends):
         value = np.where(is_digit[:, j], value * 10 + digits[:, j], value)
     places = (is_digit & np.logical_or.accumulate(is_point, axis=1)).sum(axis=1)
     ratings = value / POW10[np.where(plain, places, 0)]
+    unparsed = np.zeros(len(starts), dtype=bool)
     for i in np.flatnonzero(~plain).tolist():
-        ratings[i] = float(block[starts[i]:ends[i]].decode("utf-8"))
-    return ratings
+        try:
+            ratings[i] = float(block[starts[i]:ends[i]].decode("utf-8"))
+        except ValueError:
+            ratings[i], unparsed[i] = np.nan, True
+    return ratings, unparsed
 
 
 def _token_keys(buf, starts, ends):
@@ -335,25 +333,6 @@ def _token_keys(buf, starts, ends):
     for j in range(words):
         keys[:, j] = at[starts + 8 * j] | PAD[np.clip(lengths - 8 * j, 0, 8)]
     return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
-
-
-def _check_lines(path, lines, first, delimiter):
-    """Raise DataError for the first malformed line, checked one line at a
-    time, so that the message and line number are exact."""
-    for lineno, line in enumerate(lines, start=first):
-        if not line:
-            continue
-        parts = line.split(delimiter)
-        if len(parts) < 3:
-            raise DataError(f"{path}:{lineno}: expected >=3 fields, got {len(parts)}")
-        try:
-            rating = float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: unparseable rating {parts[2]!r}") from None
-        if not math.isfinite(rating):
-            raise DataError(f"{path}:{lineno}: non-finite rating")
-        if not parts[0] or not parts[1]:
-            raise DataError(f"{path}:{lineno}: empty user or item token")
 
 
 def binarize(records, threshold=3.5):
@@ -429,6 +408,9 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
     n_val = int(round(val_frac_of_train * len(rest)))
     val = rest[:n_val]
     train = rest[n_val:]
+    for name, part in (("test", test), ("validation", val), ("train", train)):
+        if not len(part):
+            raise ValueError(f"the split fractions leave no {name} users out of {n}")
     return SplitSpec(
         train_users=np.sort(train), val_users=np.sort(val),
         test_users=np.sort(test),

@@ -204,8 +204,9 @@ def aggregate_runs(run_reports, pairings=(), run_seeds=None):
     """Combine per-run evaluation tables into an EvalReport.
 
     run_reports: {method: [evaluate_method result, one per run]}.
-    pairings: (method_a, method_b) pairs to t-test; both a per-run test and a
-    pooled test over all runs' concatenated per-user scores are reported.
+    pairings: (method_a, method_b) pairs to t-test on the users both scored;
+    both a per-run test and a pooled test over all runs' concatenated
+    per-user scores are reported.
     """
     methods = sorted(run_reports)
     n_runs = {m: len(r) for m, r in run_reports.items()}
@@ -226,16 +227,17 @@ def aggregate_runs(run_reports, pairings=(), run_seeds=None):
                     "runs": means,
                 }
     for a, b in pairings:
+        runs = list(zip(run_reports[a], run_reports[b]))
+        # score_users skips the users whose positives all lie in a method's
+        # seeds, so each run pairs the scores of the users both methods scored
+        common = [np.intersect1d(ra["users"], rb["users"], assume_unique=True,
+                                 return_indices=True)[1:] for ra, rb in runs]
         for metric in METRICS:
             for N in Ns:
-                per_run = [
-                    paired_t_test(ra[metric][N], rb[metric][N])
-                    for ra, rb in zip(run_reports[a], run_reports[b])
-                ]
-                pooled = paired_t_test(
-                    np.concatenate([r[metric][N] for r in run_reports[a]]),
-                    np.concatenate([r[metric][N] for r in run_reports[b]]),
-                )
+                pairs = [(ra[metric][N][ia], rb[metric][N][ib])
+                         for (ra, rb), (ia, ib) in zip(runs, common)]
+                per_run = [paired_t_test(sa, sb) for sa, sb in pairs]
+                pooled = paired_t_test(*(np.concatenate(side) for side in zip(*pairs)))
                 report.tests[(a, b, metric, N)] = {
                     "per_run": [[t, p] for t, p in per_run],
                     "pooled": list(pooled),

@@ -252,14 +252,12 @@ def extract_seeds(phi):
     if m < k:
         raise ValueError(f"cannot pick {k} distinct items out of {m}")
     order = np.argsort(-probs.max(axis=1), kind="stable")
-    taken = set()
+    free = np.ones(m, dtype=bool)
     items = np.empty(k, dtype=np.int64)
     for row in order:
-        for j in np.argsort(-probs[row], kind="stable"):
-            if int(j) not in taken:
-                taken.add(int(j))
-                items[row] = j
-                break
+        # probabilities are >= 0, so a taken item (-1) is never the argmax
+        items[row] = np.argmax(np.where(free, probs[row], -1.0))
+        free[items[row]] = False
     return items
 
 

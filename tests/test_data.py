@@ -288,6 +288,14 @@ def test_split_users_bad_fractions(cluster_matrix):
         data.split_users(cluster_matrix, test_frac=1.5)
 
 
+@pytest.mark.parametrize("fracs, part", [((0.001, 0.1), "test"), ((0.2, 0.001), "validation"),
+                                         ((0.2, 0.9999), "train")])
+def test_split_users_rejects_an_empty_part(cluster_matrix, fracs, part):
+    # 300 users: the rounded share of the named part is 0
+    with pytest.raises(ValueError, match=f"no {part} users"):
+        data.split_users(cluster_matrix, *fracs)
+
+
 def test_snapshot_roundtrip(tmp_path, cluster_matrix):
     snap = tmp_path / "matrix.snapshot"
     data.save_snapshot(cluster_matrix, snap)

@@ -263,6 +263,25 @@ def test_aggregate_runs_pairings_and_json_roundtrip(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2  # methods x metrics x Ns
 
 
+
+def test_aggregate_runs_pairs_scores_by_user():
+    # score_users skips a user whose positives all lie in the method's seeds:
+    # in run 0 each method skips a different user (equal lengths, other
+    # users), in run 1 only B skips two
+    def run(users, scores):
+        return {"users": users, "P": {10: np.array(scores)}, "NDCG": {10: np.array(scores)},
+                "skipped": 5 - len(users)}
+
+    runs_a = [run([0, 1, 2, 4], [0.9, 0.1, 0.7, 0.6]),
+              run([0, 1, 2, 3, 4], [0.5, 0.8, 0.4, 0.9, 0.7])]
+    runs_b = [run([0, 2, 3, 4], [0.2, 0.3, 0.95, 0.4]), run([1, 3, 4], [0.1, 0.3, 0.6])]
+    rep = evaluate.aggregate_runs({"A": runs_a, "B": runs_b}, pairings=[("A", "B")])
+    common = [([0.9, 0.7, 0.6], [0.2, 0.3, 0.4]), ([0.8, 0.9, 0.7], [0.1, 0.3, 0.6])]
+    test = rep.tests[("A", "B", "P", 10)]
+    assert test["per_run"] == [list(evaluate.paired_t_test(a, b)) for a, b in common]
+    assert test["pooled"] == list(evaluate.paired_t_test(common[0][0] + common[1][0],
+                                                         common[0][1] + common[1][1]))
+
 def _corrupt_report(raw, fault):
     cells, tests = raw["cells"], raw["tests"]
     if fault == "not_an_object":
