@@ -2,6 +2,8 @@
 the linear least-squares decoder, the '++' variants that pair any selector
 with the neural decoder, and the non-personalized popularity ranking."""
 
+import functools
+
 import numpy as np
 
 from . import model
@@ -44,13 +46,11 @@ def plusplus_decoder(matrix, split, seeds, cfg):
     decoder with one input per seed, trained on hard selections with the full
     epoch budget. Shares the training loop and architecture with the
     end-to-end model."""
-    # stream 0, the one retrain_decoder shuffles with: kept for byte-identical output.
-    # The initial decoder is passed inline: CPython (3.11+) hands call arguments
-    # over to the callee, so it is freed once retrain_decoder has its working copy.
-    return model.retrain_decoder(
-        matrix, split, seeds,
-        model.init_decoder(len(seeds), cfg.d, matrix.m, model.rng_streams(cfg.seed)[0]),
-        epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed)
+    # stream 0, the one retrain_decoder shuffles with: kept for byte-identical output
+    fresh = functools.partial(model.init_decoder, len(seeds), cfg.d, matrix.m,
+                              model.rng_streams(cfg.seed)[0])
+    return model.retrain_decoder(matrix, split, seeds, fresh, epochs=cfg.epochs, lr=cfg.lr,
+                                 batch_size=cfg.batch_size, seed=cfg.seed)
 
 
 def mostpop_ranking(matrix_train, excluded, N):

@@ -3,7 +3,6 @@ hyperparameter sweeps, one-shot elicitation and report rendering."""
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import itertools
 import os
@@ -174,7 +173,6 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     if twice:
         raise ValueError(f"methods named more than once: {','.join(twice)}")
     train_view = matrix.take(split.train_users)
-    train_csr = functools.cache(train_view.csr)  # built once, read by the RBMF kernels
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
     # (theta, seeds) of a given DRE checkpoint, used by every run
     loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)
@@ -192,7 +190,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
 
     def rbmf(run):
         return once("RBMF", lambda: baselines.rbmf_select(
-            train_csr(), k, seed=stream_seed(master, "RBMF", run)))
+            train_view.csr(), k, seed=stream_seed(master, "RBMF", run)))
 
     def random_seeds(run):
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -211,7 +209,8 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        x = baselines.rbmf_decoder(train_csr(), seeds)
+        # the CSR is built at each use, so none is held while other methods train
+        x = baselines.rbmf_decoder(train_view.csr(), seeds)
         return lambda z: model._rank_candidates(z @ x, seeds, n_max)
 
     def popularity(seeds, run):

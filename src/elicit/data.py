@@ -46,10 +46,14 @@ class Interactions:
         return Interactions(self.users[mask], self.items[mask], self.ratings[mask])
 
 
-def densify(positives, shape, dtype=np.float64):
+def densify(positives, shape, dtype=np.float64, out=None):
     """The 0/1 array of the given shape that is 1 exactly at positives, a
-    pair (rows, items) of index arrays."""
-    out = np.zeros(shape, dtype=dtype)
+    pair (rows, items) of index arrays; written to `out` when given, an
+    array of that shape and dtype."""
+    if out is None:
+        out = np.zeros(shape, dtype=dtype)
+    else:
+        out.fill(0)
     out[positives] = 1
     return out
 

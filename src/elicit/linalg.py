@@ -55,7 +55,8 @@ def _pivoted_init(B):
         if piv != col:
             W[[col, piv]] = W[[piv, col]]
             order[[col, piv]] = order[[piv, col]]
-        W[col + 1:] -= np.outer(W[col + 1:, col] / W[col, col], W[col])
+        # the later columns' steps read only the trailing block
+        W[col + 1:, col + 1:] -= np.outer(W[col + 1:, col] / W[col, col], W[col, col + 1:])
     return order[:k]
 
 
@@ -101,18 +102,27 @@ def ridge_solve(A, B, lam=1e-6):
         raise np.linalg.LinAlgError(f"normal matrix singular despite lam={lam}") from exc
 
 
-def gumbel_noise(rows, cols, rng, dtype=np.float64):
-    """I.i.d. Gumbel(0, 1) samples: g = -log(-log(u)), u ~ Uniform(0, 1)."""
-    u = rng.random((rows, cols), dtype=np.float64)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return (-np.log(-np.log(u))).astype(dtype, copy=False)
+def gumbel_noise(rows, cols, rng, dtype=np.float64, out=None):
+    """I.i.d. Gumbel(0, 1) samples: g = -log(-log(u)), u ~ Uniform(0, 1),
+    computed in float64 and returned as dtype. When given, `out` (a float64
+    rows x cols array) receives the float64 samples, so that only a cast to
+    another dtype allocates."""
+    u = rng.random((rows, cols), dtype=np.float64, out=out)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    return u.astype(dtype, copy=False)
 
 
-def softmax_rows(M, tau):
-    """Row-wise softmax of M / tau, stabilized by row-max subtraction."""
+def softmax_rows(M, tau, out=None):
+    """Row-wise softmax of M / tau, stabilized by row-max subtraction;
+    written to `out` when given, which may be M itself."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    Z = M / tau
-    Z = Z - Z.max(axis=-1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=-1, keepdims=True)
+    Z = np.divide(M, tau, out=out)
+    Z -= Z.max(axis=-1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-1, keepdims=True)
+    return Z

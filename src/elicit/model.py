@@ -62,6 +62,26 @@ class AdamState:
     t: int = 0
 
 
+class Workspace:
+    """The arrays of one training unit (one `train` or `retrain_decoder`
+    call), which every step of the unit reuses, or of one decode. A named
+    array is made at its first request; a later request for no more rows,
+    as from a ragged last batch, gets the leading rows of the same array.
+    Steps write into these arrays with out= or in place, so no step
+    allocates an array the size of a minibatch or a parameter, and a step's
+    results are overwritten by the next step's instead of staying alive
+    while it allocates its own."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name, shape, dtype):
+        a = self._arrays.get(name)
+        if a is None or a.dtype != dtype or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a[:shape[0]]
+
+
 def temperature(e, cfg):
     """Exponential annealing from t0 down to te over the epoch budget."""
     return cfg.t0 * (cfg.te / cfg.t0) ** (e / cfg.epochs)
@@ -83,11 +103,15 @@ def init_decoder(k, d, m, rng, dtype=np.float32):
     )
 
 
-def encode(phi, r_batch, tau, g):
+def encode(phi, r_batch, tau, g, ws=None):
     """Relaxed categorical selection: y = softmax((phi + g) / tau) with one
-    Gumbel draw g shared across the batch; z = r @ y^T."""
-    y = softmax_rows(phi + g, tau)
-    return y, r_batch @ y.T
+    Gumbel draw g shared across the batch; z = r @ y^T. Both are arrays of
+    the workspace ws, a fresh one when not given."""
+    ws = Workspace() if ws is None else ws
+    y = ws.get("y", phi.shape, np.result_type(phi, g))
+    softmax_rows(np.add(phi, g, out=y), tau, out=y)
+    z = ws.get("z", (len(r_batch), len(y)), np.result_type(r_batch, y))
+    return y, np.matmul(r_batch, y.T, out=z)
 
 
 def _block_rows(a):
@@ -121,17 +145,18 @@ def _sigmoid(x, bias, out=None):
     return out
 
 
-def _decoder_forward(theta, z):
-    """Hidden activations and reconstruction for a block of inputs z; each
-    layer's product buffer takes its bias and then its output."""
-    a = z @ theta.w1
-    h = _sigmoid(a, theta.b1, out=a)
-    a = h @ theta.w2
-    return h, _sigmoid(a, theta.b2, out=a)
+def _decoder_forward(theta, z, ws):
+    """Hidden activations and reconstruction for a block of inputs z, as
+    arrays of the workspace ws; each layer's product buffer takes its bias
+    and then its output."""
+    a = ws.get("h", (len(z), theta.w1.shape[1]), np.result_type(z, theta.w1))
+    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, out=a)
+    a = ws.get("r_hat", (len(z), theta.w2.shape[1]), np.result_type(h, theta.w2))
+    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, out=a)
 
 
 def decode(theta, z_batch):
-    return _decoder_forward(theta, z_batch)[1]
+    return _decoder_forward(theta, z_batch, Workspace())[1]
 
 
 def mse_loss(r_hat, r_batch):
@@ -140,21 +165,22 @@ def mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
-def _decoder_backward(theta, z, h, r_hat, positives, sq_err=None):
+def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
     """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
     gradient at the hidden pre-activation, from which callers that also
-    train the encoder continue the chain rule. The 0/1 target r is given by
-    its positives (rows, items), ordered by row, as RatingMatrix.positives
-    returns them. The output gradient is written over r_hat. When given,
-    sq_err (shaped like r_hat) receives the squared residual (r_hat - r)**2
-    of each element, from which the caller sums the loss."""
+    train the encoder continue the chain rule, all arrays of the workspace
+    ws. The 0/1 target r is given by its positives (rows, items), ordered by
+    row, as RatingMatrix.positives returns them. The output gradient is
+    written over r_hat. When given, sq_err (shaped like r_hat) receives the
+    squared residual (r_hat - r)**2 of each element, from which the caller
+    sums the loss."""
     b, m = r_hat.shape
     rows, items = positives
     at = rows * m
     at += items  # flat positions of the positives
     flat = r_hat.reshape(-1, copy=False)
     step = _block_rows(r_hat)
-    rh_buf = np.empty_like(r_hat[:step])
+    rh_buf = ws.get("r_hat block", r_hat[:step].shape, r_hat.dtype)
     # by row blocks that stay in cache, with the operations and order of
     # (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical to it:
     # r_hat - r is r_hat - 1 at a positive and r_hat itself elsewhere
@@ -170,27 +196,39 @@ def _decoder_backward(theta, z, h, r_hat, positives, sq_err=None):
         d *= rh
         d *= np.subtract(1.0, rh, out=rh)
     d_out = r_hat
-    d_h = d_out @ theta.w2.T
+    d_h = np.matmul(d_out, theta.w2.T, out=ws.get("d_h", h.shape, np.result_type(d_out, theta.w2)))
     d_h *= h
-    d_h *= 1.0 - h
-    grads = {"w1": z.T @ d_h, "b1": d_h.sum(axis=0), "w2": h.T @ d_out, "b2": d_out.sum(axis=0)}
+    d_h *= np.subtract(1.0, h, out=ws.get("1 - h", h.shape, h.dtype))
+    grads = {
+        "w1": np.matmul(z.T, d_h, out=ws.get("d_w1", theta.w1.shape, np.result_type(z, d_h))),
+        "b1": np.sum(d_h, axis=0, out=ws.get("d_b1", theta.b1.shape, d_h.dtype)),
+        "w2": np.matmul(h.T, d_out, out=ws.get("d_w2", theta.w2.shape, np.result_type(h, d_out))),
+        "b2": np.sum(d_out, axis=0, out=ws.get("d_b2", theta.b2.shape, d_out.dtype)),
+    }
     return grads, d_h
 
 
-def _forward_backward(phi, theta, positives, b, tau, g):
+def _forward_backward(phi, theta, positives, b, tau, g, ws):
     """Forward pass with the given Gumbel noise g, then exact reverse-mode
-    gradients of the MSE loss w.r.t. phi and all decoder parameters. The
-    target is the 0/1 minibatch of b rows whose positives (rows, items),
-    ordered by row, are given; the encoder reads it densified in phi's dtype."""
-    r_batch = densify(positives, (b, phi.shape[1]), phi.dtype)
-    y, z = encode(phi, r_batch, tau, g)
-    h, r_hat = _decoder_forward(theta, z)
-    sq_err = np.empty_like(r_hat)
-    grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, sq_err)
-    d_z = d_h @ theta.w1.T                  # b x k
-    d_y = d_z.T @ r_batch                   # k x m
-    # softmax backward per row, through (phi + g) / tau
-    grads["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
+    gradients of the MSE loss w.r.t. phi and all decoder parameters, as
+    arrays of the workspace ws. The target is the 0/1 minibatch of b rows
+    whose positives (rows, items), ordered by row, are given; the encoder
+    reads it densified in phi's dtype."""
+    m = phi.shape[1]
+    r_batch = densify(positives, (b, m), phi.dtype, out=ws.get("r", (b, m), phi.dtype))
+    y, z = encode(phi, r_batch, tau, g, ws)
+    h, r_hat = _decoder_forward(theta, z, ws)
+    sq_err = ws.get("sq_err", r_hat.shape, r_hat.dtype)
+    grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err)
+    d_z = np.matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
+    d_y = np.matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
+    # softmax backward per row, through (phi + g) / tau, by the operations of
+    # (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
+    d_phi = np.multiply(d_y, y, out=ws.get("d_phi", y.shape, np.result_type(d_y, y)))
+    np.subtract(d_y, d_phi.sum(axis=1, keepdims=True), out=d_phi)
+    d_phi *= y
+    d_phi /= tau
+    grads["phi"] = d_phi
     # mse_loss's sum over the same squares, so the same bits
     return float(np.sum(sq_err) / b), grads
 
@@ -200,7 +238,8 @@ def backward(phi, theta, r_batch, tau, g):
     replayed noise draw g, computed in phi's dtype."""
     if not ((r_batch == 0) | (r_batch == 1)).all():
         raise ValueError("r_batch must hold only 0 and 1")
-    return _forward_backward(phi, theta, np.nonzero(r_batch), len(r_batch), tau, g)[1]
+    return _forward_backward(phi, theta, np.nonzero(r_batch), len(r_batch), tau, g,
+                             Workspace())[1]
 
 
 def adam_step(params, grads, state, lr):
@@ -300,6 +339,7 @@ def train(matrix, split, cfg):
     n_train = len(train_users)
     state = AdamState()
     params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
+    ws = Workspace()
 
     history = []
     best = (-1.0, None, None)  # replaced at the last epoch at the latest
@@ -309,8 +349,11 @@ def train(matrix, split, cfg):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             ids = train_users[order[start:start + cfg.batch_size]]
-            g = gumbel_noise(cfg.k, m, noise_rng, dtype=dtype)
-            loss, grads = _forward_backward(phi, theta, matrix.positives(ids), len(ids), tau, g)
+            # drawn in float64, then cast as gumbel_noise's dtype argument would
+            g = ws.get("g", phi.shape, dtype)
+            np.copyto(g, gumbel_noise(cfg.k, m, noise_rng, out=ws.get("u", phi.shape, np.float64)))
+            positives = matrix.positives(ids)
+            loss, grads = _forward_backward(phi, theta, positives, len(ids), tau, g, ws)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at epoch {e} (loss={loss})")
             adam_step(params, grads, state, cfg.lr)
@@ -330,7 +373,14 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     """Decoder-only Adam training with the encoder frozen: the input is the
     hard selection r[:, seeds] of each minibatch r, with no Gumbel noise and
     no encoder update. Only the seed columns of a minibatch are built dense;
-    the target is its positives."""
+    the target is its positives.
+
+    theta is the decoder to start from, which is left as it is (a copy is
+    trained), or a function of no arguments that makes it; a decoder made
+    so is trained in place, and no caller holds its starting weights."""
+    fresh = callable(theta)
+    if fresh:
+        theta = theta()
     if epochs == 0:
         return theta
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -338,13 +388,15 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
         raise ValueError("seeds must be distinct")
     column = np.full(matrix.m, -1, dtype=np.int64)  # item -> its input, -1 if not a seed
     column[seeds] = np.arange(len(seeds))
-    theta = theta.copy()
+    if not fresh:
+        theta = theta.copy()
     # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
     shuffle_rng = rng_streams(seed)[0]
     train_users = split.train_users
     n_train = len(train_users)
     state = AdamState()
     params = {"w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
+    ws = Workspace()
     for e in range(epochs):
         order = shuffle_rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
@@ -353,9 +405,11 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
             # in C order, as the BLAS products below can round differently
             # for an F-order input
             hit = column[items]
-            z = densify((rows[hit >= 0], hit[hit >= 0]), (len(ids), len(seeds)), theta.w1.dtype)
-            h, r_hat = _decoder_forward(theta, z)
-            grads = _decoder_backward(theta, z, h, r_hat, positives)[0]
+            shape = (len(ids), len(seeds))
+            z = densify((rows[hit >= 0], hit[hit >= 0]), shape, theta.w1.dtype,
+                        out=ws.get("z", shape, theta.w1.dtype))
+            h, r_hat = _decoder_forward(theta, z, ws)
+            grads = _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
             # the loss is finite unless r_hat holds a NaN (r_hat lies in
             # [0, 1], r in {0, 1}), and such a NaN reaches the sum over its
             # column, so one check of b2's gradient stands for the loss
@@ -368,19 +422,31 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
 def _rank_candidates(scores, seeds, N):
     """Top-N item indices by descending score, seeds excluded, ties broken
     by ascending index. `scores` is one row of m scores or a (b, m) block,
-    giving one ranking or b rows of rankings."""
+    giving one ranking or b rows of rankings. The rows are ranked in chunks
+    of about BLOCK_ELEMS scores, each row on its own, so the working arrays
+    are a chunk's, not the block's."""
     scores = np.asarray(scores)
     mask = np.ones(scores.shape[-1], dtype=bool)
     mask[np.asarray(seeds, dtype=np.int64)] = False
     candidates = np.nonzero(mask)[0]
     if not 0 <= N <= len(candidates):
         raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
+    block = np.atleast_2d(scores)
+    ranked = np.empty((len(block), N), dtype=candidates.dtype)
+    step = _block_rows(block)
+    for i in range(0, len(block), step):
+        ranked[i:i + step] = _rank_chunk(block[i:i + step], candidates, N)
+    return ranked if scores.ndim == 2 else ranked[0]
+
+
+def _rank_chunk(scores, candidates, N):
+    """_rank_candidates of the rows of a (b, m) block, given its candidates."""
     # negated in their own float dtype (float32 -> float64 is exact, so the
     # order, the ties and the NaNs are those of float64 keys); integer scores,
     # such as item counts, as float64. The column selection is a copy, made
     # by take in C order: the partition below reads rows about 2.5x faster
     # than from the F-order copy that scores[:, candidates] makes.
-    keys = np.take(np.atleast_2d(scores), candidates, axis=1)
+    keys = np.take(scores, candidates, axis=1)
     if keys.dtype.kind != "f":
         keys = keys.astype(np.float64)
     np.negative(keys, out=keys)
@@ -399,8 +465,7 @@ def _rank_candidates(scores, seeds, N):
         top = np.take_along_axis(top, order, axis=1)
         if redo.any():
             top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
-    ranked = candidates[top]
-    return ranked if scores.ndim == 2 else ranked[0]
+    return candidates[top]
 
 
 def recommend(theta, seeds, z, N):

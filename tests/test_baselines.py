@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,35 @@ def test_plusplus_decoder_deterministic_and_learns(cluster_matrix):
     fresh = model.init_decoder(3, 8, cluster_matrix.m, rng)
     assert (model.mse_loss(model.decode(t1, z), R)
             < model.mse_loss(model.decode(fresh, z), R))
+
+
+def test_plusplus_decoder_peak_memory_is_one_decoder_fit():
+    # 2 epochs of 2 minibatches, the second ragged
+    rng = np.random.Generator(np.random.PCG64(3))
+    n, m = 700, 4000
+    matrix = matrix_from_rows([np.sort(rng.choice(m, rng.integers(10, 70), replace=False))
+                               for _ in range(n)], m)
+    split = data.split_users(matrix, seed=0)
+    k, d, b = 8, 128, 256
+    assert b < len(split.train_users) < 2 * b
+    cfg = model.TrainConfig(k=k, d=d, lr=0.01, epochs=2, batch_size=b, t0=5.0, te=0.1,
+                            retrain_epochs=1, seed=0, val_every=1)
+    seeds = np.arange(0, m, m // k)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        baselines.plusplus_decoder(matrix, split, seeds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = 4 * (k * d + d + d * m + m)  # float32
+    # the trained decoder, its Adam moments, and one workspace: the input,
+    # hidden and output rows of a minibatch and the gradients. A second
+    # decoder (the starting one next to a trained copy), or a step's output
+    # and gradients kept while the next step allocates its own, exceed the
+    # slack, which covers the per-parameter and per-block scratch buffers
+    # and the minibatch's positives.
+    workspace = 4 * b * (k + 3 * d + m) + params
+    assert peak - (3 * params + workspace) < 16 * 4 * model.BLOCK_ELEMS
 
 
 def test_mostpop_ranking():

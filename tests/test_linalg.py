@@ -81,6 +81,32 @@ def test_maxvol_dominance_and_det_growth():
         assert abs(np.linalg.det(B[res.indices])) >= d_init - 1e-12
 
 
+def _full_update_pivoted_init(B):
+    """The maxvol initialization before its elimination updated only the
+    trailing block, frozen as its reference."""
+    m, k = B.shape
+    W = np.array(B, dtype=np.float64)
+    order = np.arange(m)
+    for col in range(k):
+        piv = col + np.argmax(np.abs(W[col:, col]))
+        if piv != col:
+            W[[col, piv]] = W[[piv, col]]
+            order[[col, piv]] = order[[piv, col]]
+        W[col + 1:] -= np.outer(W[col + 1:, col] / W[col, col], W[col])
+    return order[:k]
+
+
+def test_pivoted_init_picks_the_pivots_of_the_full_update():
+    from elicit.linalg import _pivoted_init
+    rng = np.random.Generator(np.random.PCG64(16))
+    # small integers give equal magnitudes, so argmax's first-of-ties choice
+    # is compared too
+    blocks = [rng.standard_normal((300, 20)), rng.integers(-3, 4, (60, 8)).astype(float),
+              rng.standard_normal((9, 9))]
+    for B in blocks:
+        assert np.array_equal(_pivoted_init(B), _full_update_pivoted_init(B))
+
+
 def test_maxvol_near_optimal_det():
     rng = np.random.Generator(np.random.PCG64(7))
     B = rng.standard_normal((12, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,8 @@ def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
     r[[94, -1]] = 1
     g = gumbel_noise(*phi.shape, rng, dtype=dtype)
     tau = 0.8
-    loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g)
+    loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g,
+                                          model.Workspace())
 
     y, z = model.encode(phi, r, tau, g)
     h, r_hat = _unblocked_decoder_forward(theta, z)
@@ -251,7 +254,7 @@ def test_backward_zero_gradient_at_minimum():
     r = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0],
                   [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
     d_out = (0.5 - r) / 8
-    h = model._decoder_forward(theta, r @ softmax_rows(phi + g, 1.0).T)[0]
+    h = model._decoder_forward(theta, r @ softmax_rows(phi + g, 1.0).T, model.Workspace())[0]
     assert len(np.unique(h, axis=0)) == len(r)
     grads = model.backward(phi, theta, r, 1.0, g)
     assert np.array_equal(grads["b2"], [-0.125, 0.125, 0.0, 0.125])
@@ -265,10 +268,12 @@ def test_backward_shift_invariance():
     phi, theta, r = small_instance(seed=6)
     g = gumbel_noise(*phi.shape, rng=np.random.Generator(np.random.PCG64(7)))
     tau = 0.9
-    loss1, _ = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g)
+    loss1, _ = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g,
+                                       model.Workspace())
     shifted = phi.copy()
     shifted[0] += 3.17
-    loss2, grads = model._forward_backward(shifted, theta, np.nonzero(r), len(r), tau, g)
+    loss2, grads = model._forward_backward(shifted, theta, np.nonzero(r), len(r), tau, g,
+                                           model.Workspace())
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     assert abs(grads["phi"][0].sum()) <= 1e-12
 
@@ -379,6 +384,74 @@ def test_train_determinism_and_loss_decrease(cluster_matrix):
     assert hist1[0]["tau"] == pytest.approx(5.0)
 
 
+def _train_with_allocating_steps(matrix, split, cfg):
+    """Reference: model.train's epochs with the training matrix held dense,
+    minibatches taken by row, and each step allocating its arrays: the
+    encoder and its softmax backward as plain expressions, the frozen
+    unblocked decoder step and loss, and the allocating Adam step. It
+    returns the final parameters and the per-epoch losses, which are what
+    model.train returns when it validates only after the last epoch."""
+    init_rng, noise_rng, shuffle_rng = model.rng_streams(cfg.seed)
+    phi = model.init_encoder(cfg.k, matrix.m, init_rng)
+    theta = model.init_decoder(cfg.k, cfg.d, matrix.m, init_rng)
+    R = matrix.dense(split.train_users, dtype=np.float32)
+    state = model.AdamState()
+    params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
+    losses = []
+    for e in range(cfg.epochs):
+        tau = model.temperature(e, cfg)
+        order = shuffle_rng.permutation(len(R))
+        epoch_loss = 0.0
+        for start in range(0, len(R), cfg.batch_size):
+            r = R[order[start:start + cfg.batch_size]]
+            g = gumbel_noise(cfg.k, matrix.m, noise_rng, dtype=np.float32)
+            y = softmax_rows(phi + g, tau)
+            z = r @ y.T
+            h, r_hat = _unblocked_decoder_forward(theta, z)
+            loss = _unblocked_mse_loss(r_hat, r)
+            grads, d_h = _unblocked_decoder_backward(theta, z, h, r_hat, r)
+            d_y = (d_h @ theta.w1.T).T @ r
+            grads["phi"] = (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
+            _allocating_adam_step(params, grads, state, cfg.lr)
+            epoch_loss += loss * len(r)
+        losses.append(epoch_loss / len(R))
+    return phi, theta, losses
+
+
+def test_train_bit_identical_to_allocating_reference(cluster_matrix):
+    # the cluster users, 6 with no positive and 6 positive at every item; 3
+    # epochs of 4 minibatches, the last one ragged. A workspace array that a
+    # step reads before writing all of it would carry the previous step's
+    # rows, which differ most from the next step's at these users.
+    n, m = cluster_matrix.n, cluster_matrix.m
+    rows = np.split(cluster_matrix.indices, cluster_matrix.indptr[1:-1])
+    matrix = matrix_from_rows(rows + [np.array([], np.int64)] * 6 + [np.arange(m)] * 6, m)
+    split = data.split_users(matrix, seed=0)
+    split = data.SplitSpec(np.union1d(split.train_users, np.arange(n, n + 12)),
+                           split.val_users, split.test_users)
+    cfg = _quick_cfg(k=4, d=16, epochs=3, batch_size=64, val_every=3)
+    n_train = len(split.train_users)
+    assert 3 * cfg.batch_size < n_train < 4 * cfg.batch_size
+    # consecutive minibatches where one holds an all-positive user and the
+    # next a user with no positive, or the other way round
+    shuffle_rng = model.rng_streams(cfg.seed)[2]
+    kinds = []
+    for _ in range(cfg.epochs):
+        users = split.train_users[shuffle_rng.permutation(n_train)]
+        for start in range(0, n_train, cfg.batch_size):
+            batch = users[start:start + cfg.batch_size]
+            full, empty = batch >= n + 6, (batch >= n) & (batch < n + 6)
+            kinds.append((bool(full.any()), bool(empty.any())))
+    assert any((a[0] and b[1]) or (a[1] and b[0]) for a, b in zip(kinds, kinds[1:]))
+
+    phi, theta, history = model.train(matrix, split, cfg)
+    want_phi, want_theta, want_losses = _train_with_allocating_steps(matrix, split, cfg)
+    assert [row["loss"] for row in history] == want_losses
+    assert phi.tobytes() == want_phi.tobytes()
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(theta, name).tobytes() == getattr(want_theta, name).tobytes(), name
+
+
 def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
     cfg = _quick_cfg(epochs=10)
@@ -434,8 +507,19 @@ def test_retrain_decoder_bit_identical_to_resident_matrix_reference(cluster_matr
     got = model.retrain_decoder(matrix, split, seeds, theta, 3, lr=0.01,
                                 batch_size=batch_size, seed=2)
     want = _retrain_with_resident_matrix(matrix, split, seeds, theta, 3, 0.01, batch_size, 2)
+    # a decoder made by the given function is trained in place, to the same bits
+    made = []
+
+    def fresh():
+        made.append(theta.copy())
+        return made[0]
+
+    in_place = model.retrain_decoder(matrix, split, seeds, fresh, 3, lr=0.01,
+                                     batch_size=batch_size, seed=2)
+    assert in_place is made[0]
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(in_place, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_retrain_decoder_nan_weight_diverges_at_epoch_0(cluster_matrix):
@@ -522,6 +606,27 @@ def test_rank_candidates_block_matches_lexsort_reference():
     # equal keys straddle the cut in many rows, and the N-th key is NaN in
     # some: both take the full stable sort
     assert straddled > 50 and nan_cut > 5
+
+
+def test_rank_candidates_peak_memory_is_one_chunk():
+    m = 2000
+    scores = np.random.Generator(np.random.PCG64(17)).standard_normal((256, m))
+    seeds = np.arange(0, m, 500)
+    assert model._block_rows(scores) < len(scores) // 4
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        ranked = model._rank_candidates(scores, seeds, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rankings and one chunk of about BLOCK_ELEMS candidates: its float64
+    # keys and their int64 partition (with the boolean tie count, 17 bytes
+    # per candidate) and slack. A copy of the whole block's keys alone would
+    # take 8 bytes for each of its 256 x 1996 candidates, 62 BLOCK_ELEMS.
+    assert peak - ranked.nbytes < 32 * model.BLOCK_ELEMS
+    candidates = np.setdiff1d(np.arange(m), seeds)
+    want = candidates[np.argsort(-scores[:, candidates], axis=1, kind="stable")[:, :100]]
+    assert np.array_equal(ranked, want)
 
 
 def test_checkpoint_roundtrip(tmp_path):
