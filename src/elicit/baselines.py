@@ -18,10 +18,10 @@ def select_random(m, k, rng):
     return rng.permutation(m)[:k].astype(np.int64)
 
 
-def select_popular(matrix, k):
-    """Top-k items by positive-interaction count, ties by ascending index."""
-    counts = matrix.item_counts()
-    order = np.lexsort((np.arange(matrix.m), -counts))
+def select_popular(counts, k):
+    """Top-k items by their positive-interaction counts, ties by ascending
+    index."""
+    order = np.lexsort((np.arange(len(counts)), -counts))
     return order[:k].astype(np.int64)
 
 
@@ -53,10 +53,11 @@ def plusplus_decoder(matrix, split, seeds, cfg):
                                  batch_size=cfg.batch_size, seed=cfg.seed)
 
 
-def mostpop_ranking(matrix_train, excluded, N):
-    """Popularity-descending ranking over all items minus the excluded seed
-    set; identical for every user. Ties broken by ascending item index."""
-    return model._rank_candidates(matrix_train.item_counts(), excluded, N)
+def mostpop_ranking(counts, excluded, N):
+    """Popularity-descending ranking, by the items' positive-interaction
+    counts, over all items minus the excluded seed set; identical for every
+    user. Ties broken by ascending item index."""
+    return model._rank_candidates(counts, excluded, N)
 
 
 def save_seeds(seeds, path):

@@ -105,7 +105,8 @@ def cmd_prepare(args):
 def _train_once(matrix, split, tcfg):
     phi, theta, history = model.train(matrix, split, tcfg)
     seeds = model.extract_seeds(phi)
-    theta = model.retrain_decoder(matrix, split, seeds, theta, tcfg.retrain_epochs,
+    # handed over to be trained in place: no one else holds train's best decoder
+    theta = model.retrain_decoder(matrix, split, seeds, lambda: theta, tcfg.retrain_epochs,
                                   lr=tcfg.lr, batch_size=tcfg.batch_size, seed=tcfg.seed)
     return phi, theta, seeds, history
 
@@ -161,8 +162,11 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     split; stochastic methods re-select seeds and re-train per run.
 
     Each method is a pair (select(run) -> seeds, fit(seeds, run) -> predictor).
-    Within a run, the DRE model and the RBMF selection are computed once and
-    shared by the methods that use them."""
+    Within a run, the DRE seeds and the RBMF selection are computed once and
+    shared by the methods that use them. A decoder lives from its fit (or
+    DRE's, from its training or its read from the checkpoint) to the end of
+    its scoring, and DRE is scored first in each run, so no decoder is held
+    while another one trains."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if not Ns or min(Ns) < 1:
@@ -172,10 +176,13 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     twice = sorted({meth for meth in methods if methods.count(meth) > 1})
     if twice:
         raise ValueError(f"methods named more than once: {','.join(twice)}")
-    train_view = matrix.take(split.train_users)
+    # the training rows are taken again at each use (train_csr), so none are
+    # held while other methods train; their item counts are kept
+    train_counts = matrix.take(split.train_users).item_counts()
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
-    # (theta, seeds) of a given DRE checkpoint, used by every run
-    loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)
+    # the seeds of a given DRE checkpoint, admitted once; its decoder is
+    # read again at DRE's turn in each run
+    loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)[1]
               if checkpoint and "DRE" in methods else None)
     shared = {}  # artifacts of the current run that two methods use
 
@@ -184,13 +191,29 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             shared[key] = make()
         return shared[key]
 
-    def dre(run):  # (theta, seeds)
-        return loaded or once("DRE", lambda: _train_once(
-            matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))[1:3])
+    def trained_dre(run):  # DRE's seeds; its decoder waits for its scoring
+        theta, seeds = _train_once(
+            matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))[1:3]
+        shared["DRE decoder"] = theta
+        return seeds
+
+    def dre(run):  # DRE's seeds
+        return loaded if loaded is not None else once("DRE", lambda: trained_dre(run))
+
+    def dre_decoder(seeds, run):
+        if loaded is None:
+            return ranker(shared.pop("DRE decoder"), seeds)
+        theta, again = load_eval_checkpoint(checkpoint, matrix, cfg)
+        if not np.array_equal(again, loaded):
+            raise data.DataError(f"{checkpoint}: its seeds changed during eval")
+        return ranker(theta, seeds)
+
+    def train_csr():
+        return matrix.take(split.train_users).csr()
 
     def rbmf(run):
         return once("RBMF", lambda: baselines.rbmf_select(
-            train_view.csr(), k, seed=stream_seed(master, "RBMF", run)))
+            train_csr(), k, seed=stream_seed(master, "RBMF", run)))
 
     def random_seeds(run):
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -199,7 +222,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     def excluded(run):
         # candidate universe shared with the DRE run when present,
         # otherwise the full itemset
-        return dre(run)[1] if "DRE" in methods else np.array([], dtype=np.int64)
+        return dre(run) if "DRE" in methods else np.array([], dtype=np.int64)
 
     def ranker(theta, seeds):
         return lambda z: model.recommend(theta, seeds, z, n_max)
@@ -209,21 +232,20 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
 
     def linear(seeds, run):
-        # the CSR is built at each use, so none is held while other methods train
-        x = baselines.rbmf_decoder(train_view.csr(), seeds)
+        x = baselines.rbmf_decoder(train_csr(), seeds)
         return lambda z: model._rank_candidates(z @ x, seeds, n_max)
 
     def popularity(seeds, run):
-        ranking = baselines.mostpop_ranking(train_view, seeds, n_max)
+        ranking = baselines.mostpop_ranking(train_counts, seeds, n_max)
         return lambda z: ranking
 
     table = {
         "MOSTPOP": (excluded, popularity),
         "RAN++": (random_seeds, neural("RAN++")),
-        "POP++": (lambda run: baselines.select_popular(train_view, k), neural("POP++")),
+        "POP++": (lambda run: baselines.select_popular(train_counts, k), neural("POP++")),
         "RBMF": (rbmf, linear),
         "RBMF++": (rbmf, neural("RBMF++")),
-        "DRE": (lambda run: dre(run)[1], lambda seeds, run: ranker(dre(run)[0], seeds)),
+        "DRE": (dre, dre_decoder),
     }
     for name, seeds in (external_seeds or {}).items():
         table[name] = (lambda run, s=seeds: s, neural(name))
@@ -232,7 +254,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             raise ValueError(f"unknown method {meth!r}")
     # each method ranks the items other than its seeds (MOSTPOP: other than
     # DRE's), so the largest N must fit the smallest candidate count
-    dre_k = len(loaded[1]) if loaded else k
+    dre_k = len(loaded) if loaded is not None else k
     n_seeds = {name: len(seeds) for name, seeds in (external_seeds or {}).items()}
     n_seeds.update(DRE=dre_k, MOSTPOP=dre_k if "DRE" in methods else 0)
     n_candidates = matrix.m - max(n_seeds.get(meth, k) for meth in methods)
@@ -242,7 +264,7 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     run_reports = {meth: [] for meth in methods}
     for run in range(runs):
         shared.clear()
-        for meth in methods:
+        for meth in sorted(methods, key=lambda meth: meth != "DRE"):
             select, fit = table[meth]
             seeds = select(run)
             run_reports[meth].append(

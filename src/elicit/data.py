@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import BLOCK_ELEMS
+
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
 # Bytes of the log read at a time. A block of whole lines is parsed as numpy
 # arrays about ten times its size, so this bounds the parse's memory above
@@ -20,6 +22,7 @@ POW10 = np.array([float(10**k) for k in range(MAX_PLAIN_DIGITS + 1)])
 # PAD[l] is 0xFF from its l-th byte on: OR-ed into the 8 bytes from a token's
 # start, it keeps the token's first l bytes and pads the rest with 0xFF
 PAD = np.triu(np.full((9, 8), 0xFF, dtype=np.uint8)).view(np.uint64).ravel()
+MAX_ITEMS = np.iinfo(np.int32).max  # item ids are int32
 
 
 class DataError(ValueError):
@@ -31,12 +34,16 @@ class Interactions:
     """An interaction log as columns, one entry per line, in file order.
 
     `users` and `items` hold each line's token as a key of its exact bytes
-    (see _token_keys), all keys of a column of one width.
+    (see _token_keys), all keys of a column of one width. `user_codes`, when
+    known, is (distinct, codes) as an np.unique that saw these lines found
+    them: sorted user keys, which may hold keys that no line has, and the
+    index among them of each line's user.
     """
 
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray  # float64
+    user_codes: tuple = None
 
     def __len__(self):
         return len(self.users)
@@ -60,7 +67,8 @@ def densify(positives, shape, dtype=np.float64, out=None):
 
 class RatingMatrix:
     """Binary implicit-feedback matrix in CSR form: the positives of user u
-    are the item ids indices[indptr[u]:indptr[u + 1]], strictly increasing.
+    are the item ids indices[indptr[u]:indptr[u + 1]], strictly increasing;
+    indptr is int64 and indices int32.
 
     Immutable after construction; safe to share read-only across threads.
     """
@@ -70,17 +78,20 @@ class RatingMatrix:
         the CSR arrays themselves."""
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=indptr[1:])
-        indices = np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(
-            np.int64, copy=False)
+        indices = np.concatenate([np.zeros(0, dtype=np.int32), *rows])
         vars(self).update(vars(self.from_csr(n, m, indptr, indices, user_index, item_index)))
 
     @classmethod
     def from_csr(cls, n, m, indptr, indices, user_index, item_index):
-        """The matrix over the int64 arrays indptr (n + 1) and indices, kept
-        as they are."""
+        """The matrix over the arrays indptr (n + 1) and indices, kept as
+        they are when they are int64 and int32. Raises DataError for more
+        items than int32 ids can number."""
+        if m > MAX_ITEMS:
+            raise DataError(f"{m} items: at most {MAX_ITEMS} are supported")
         matrix = cls.__new__(cls)
         matrix.n, matrix.m = n, m
-        matrix.indptr, matrix.indices = indptr, indices
+        matrix.indptr = indptr.astype(np.int64, copy=False)
+        matrix.indices = indices.astype(np.int32, copy=False)
         matrix.user_index, matrix.item_index = user_index, item_index
         return matrix
 
@@ -112,8 +123,9 @@ class RatingMatrix:
 
     def positives(self, user_ids):
         """(rows, items) of the positives of the users user_ids, as int64
-        arrays: rows[i] is the position in user_ids of the user of the i-th
-        positive and items[i] its item; ordered by row, then by item."""
+        and int32 arrays: rows[i] is the position in user_ids of the user of
+        the i-th positive and items[i] its item; ordered by row, then by
+        item."""
         indptr, items = self._gather(np.asarray(user_ids, dtype=np.int64))
         return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), items
 
@@ -347,11 +359,14 @@ def binarize(records, threshold=3.5):
 
 
 def filter_min_ratings(records, min_count):
-    """Drop users with fewer than min_count positive lines; duplicate lines count."""
-    inverse = np.unique(records.users, return_inverse=True)[1]
-    kept = records.take(np.bincount(inverse)[inverse] >= min_count)
+    """Drop users with fewer than min_count positive lines; duplicate lines
+    count. The kept lines carry the user codes of the filter's np.unique."""
+    distinct, inverse = np.unique(records.users, return_inverse=True)
+    keep = np.bincount(inverse)[inverse] >= min_count
+    kept = records.take(keep)
     if not len(kept):
         raise DataError("no users survive the minimum-rating filter")
+    kept.user_codes = distinct, inverse[keep]
     return kept
 
 
@@ -364,7 +379,7 @@ def build_matrix(records):
     """
     if not len(records):
         raise DataError("no records to build a matrix from")
-    users, user_index = _renumber(records.users)
+    users, user_index = _renumber(records.users, records.user_codes)
     items, item_index = _renumber(records.items)
     n, m = len(user_index), len(item_index)
     # sorted by user, then item; np.unique would hash, which is far slower here
@@ -372,17 +387,21 @@ def build_matrix(records):
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs // m, minlength=n), out=indptr[1:])
-    return RatingMatrix.from_csr(n, m, indptr, pairs % m, user_index, item_index)
+    return RatingMatrix.from_csr(n, m, indptr, np.remainder(pairs, m, out=pairs),
+                                 user_index, item_index)
 
 
-def _renumber(keys):
+def _renumber(keys, unique=None):
     """Token keys numbered 0, 1, ... by first appearance, and the token ->
-    number map."""
-    distinct, codes = np.unique(keys, return_inverse=True)
-    # a scatter-min finds each distinct key's first position in linear time
+    number map. `unique`, when given, is (distinct, codes) as in
+    Interactions.user_codes, so keys need no sort: distinct may hold keys
+    that no line has."""
+    distinct, codes = np.unique(keys, return_inverse=True) if unique is None else unique
+    # a scatter-min finds each distinct key's first position in linear time;
+    # a key no line has keeps len(codes), so it sorts after every used one
     first = np.full(len(distinct), len(codes), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(codes)))
-    in_order = np.argsort(first)
+    in_order = np.argsort(first)[:np.count_nonzero(first < len(codes))]
     rank = np.empty(len(distinct), dtype=np.int64)
     rank[in_order] = np.arange(len(in_order))
     # only the distinct keys are decoded: each is its token's bytes, then 0xFF
@@ -445,10 +464,12 @@ def load_snapshot(path):
                 raise ValueError
         except (KeyError, ValueError):
             raise DataError(f"{path}: bad snapshot header {header!r}") from None
+        if m > MAX_ITEMS:
+            raise DataError(f"{path}: {m} items: at most {MAX_ITEMS} are supported")
         # the rows are parsed into one flat buffer, in file order. An item id
         # and its separator take two characters at least (the last id one),
         # so this bounds the buffer when the header's nnz is too large.
-        flat = np.empty(max(0, min(nnz, (os.fstat(fh.fileno()).st_size + 1) // 2)), np.int64)
+        flat = np.empty(max(0, min(nnz, (os.fstat(fh.fileno()).st_size + 1) // 2)), np.int32)
         pos = 0
         line_of = np.full(n, -1, dtype=np.int64)  # the row in the file of each user
         lengths = np.zeros(n, dtype=np.int64)  # of each row in the file
@@ -460,8 +481,8 @@ def load_snapshot(path):
                 items = np.array(items_s.split(), dtype=object)
                 # ids beyond the header's nnz are parsed, counted and dropped
                 end = pos + len(items)
-                row = flat[pos:end] if end <= len(flat) else np.empty(len(items), np.int64)
-                row[:] = items
+                row = flat[pos:end] if end <= len(flat) else np.empty(len(items), np.int32)
+                row[:] = items  # an id beyond int32 overflows
             except (ValueError, OverflowError):
                 raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
             if not 0 <= u < n:
@@ -517,5 +538,8 @@ def matrix_fingerprint(matrix):
     """Stable hash of the matrix contents, recorded in checkpoint manifests."""
     h = hashlib.sha256()
     h.update(f"{matrix.n},{matrix.m},{matrix.nnz};".encode())
-    h.update(matrix.indices.tobytes())  # rows in user order: existing manifests still match
+    # the rows in user order, as int64 bytes, so existing manifests still
+    # match; converted by blocks, so no int64 copy of the indices is made
+    for i in range(0, matrix.nnz, BLOCK_ELEMS):
+        h.update(matrix.indices[i:i + BLOCK_ELEMS].astype(np.int64).tobytes())
     return h.hexdigest()[:16]

@@ -49,8 +49,9 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     is_seed[seeds] = True
     n_max = max(Ns)
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    known = matrix.dense(user_ids, dtype=bool)
-    truth_size = matrix.user_counts(user_ids) - known[:, seeds].sum(axis=1)
+    rows, items = matrix.positives(user_ids)
+    truth_size = matrix.user_counts(user_ids) - np.bincount(rows[is_seed[items]],
+                                                            minlength=len(user_ids))
     scored = np.flatnonzero(truth_size > 0)
     users, truth_size = user_ids[scored], truth_size[scored]
     hits = [np.zeros((0, n_max), dtype=bool)]
@@ -58,8 +59,8 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     # scored): a 1-row decode takes numpy's matrix-vector path, which rounds
     # differently from the matrix-matrix product
     n_blocks = -(-len(users) // BLOCK_ROWS)
-    for block in np.array_split(scored, n_blocks) if n_blocks else []:
-        R = known[block]
+    for block in np.array_split(users, n_blocks) if n_blocks else []:
+        R = matrix.dense(block, dtype=bool)
         # float64 feedback in F order, the layout of a column selection from a
         # float block, as the predictors' products can round differently in
         # another layout
@@ -125,6 +126,8 @@ class EvalReport:
     skipped: dict = field(default_factory=dict)  # method -> per-run skip counts
 
     def to_json(self):
+        """The report as strict JSON: a t statistic that is not finite (the
+        t of constant, non-zero differences is infinite) is written as null."""
         return json.dumps({
             "methods": self.methods,
             "Ns": list(self.Ns),
@@ -133,10 +136,12 @@ class EvalReport:
                 f"{m}|{metric}|{N}": v for (m, metric, N), v in self.cells.items()
             },
             "tests": {
-                f"{a}|{b}|{metric}|{N}": v for (a, b, metric, N), v in self.tests.items()
+                f"{a}|{b}|{metric}|{N}": {"per_run": [_finite_t(*tp) for tp in v["per_run"]],
+                                          "pooled": _finite_t(*v["pooled"])}
+                for (a, b, metric, N), v in self.tests.items()
             },
             "skipped": self.skipped,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text):
@@ -145,7 +150,7 @@ class EvalReport:
         distinct integers; the cells are exactly methods x METRICS x Ns, each
         with a mean, a std and one value per run, all finite and in [0, 1];
         and each test pairs two of the methods at one metric and one of the
-        Ns, with a pooled p-value in [0, 1]."""
+        Ns, with a pooled p-value in [0, 1]; a t may be null (see to_json)."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise DataError("eval report: not a JSON object")
@@ -178,6 +183,12 @@ class EvalReport:
                                 f"metric and N of the report, with a pooled p in [0, 1]")
             rep.tests[(a, b, metric, N)] = test
         return rep
+
+
+def _finite_t(t, p):
+    """A test's [t, p], with None (null) for a t that is not finite (or is
+    None already, as in a parsed report)."""
+    return [t if t is not None and math.isfinite(t) else None, p]
 
 
 def _distinct(values, kind):

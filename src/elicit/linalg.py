@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BLOCK_ELEMS = 1 << 16  # elements per block of the elementwise passes over large arrays
+
 
 @dataclass
 class SvdResult:
@@ -104,16 +106,26 @@ def ridge_solve(A, B, lam=1e-6):
 
 def gumbel_noise(rows, cols, rng, dtype=np.float64, out=None):
     """I.i.d. Gumbel(0, 1) samples: g = -log(-log(u)), u ~ Uniform(0, 1),
-    computed in float64 and returned as dtype. When given, `out` (a float64
-    rows x cols array) receives the float64 samples, so that only a cast to
-    another dtype allocates."""
-    u = rng.random((rows, cols), dtype=np.float64, out=out)
-    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    return u.astype(dtype, copy=False)
+    computed in float64 and returned as dtype, or written to `out` (a
+    C-contiguous rows x cols array) in its own dtype. The uniforms are drawn
+    in blocks of BLOCK_ELEMS in C order, the order in which the generator
+    fills a whole array, so the samples and the generator's state after the
+    draw do not depend on the block size, and no rows x cols float64 array
+    is made for another dtype."""
+    if out is None:
+        out = np.empty((rows, cols), dtype)
+    flat = out.reshape(-1, copy=False)
+    u_buf = np.empty(min(flat.size, BLOCK_ELEMS), np.float64)
+    for i in range(0, flat.size, BLOCK_ELEMS):
+        block = flat[i:i + BLOCK_ELEMS]
+        u = rng.random(out=u_buf[:len(block)])
+        np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        block[...] = u
+    return out
 
 
 def softmax_rows(M, tau, out=None):

@@ -10,11 +10,10 @@ import numpy as np
 
 from . import evaluate
 from .data import DataError, densify
-from .linalg import gumbel_noise, softmax_rows
+from .linalg import BLOCK_ELEMS, gumbel_noise, softmax_rows
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-BLOCK_ELEMS = 1 << 16  # elements per block of the decoder step's elementwise passes
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,16 @@ class DecoderParams:
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)  # dtype -> two block buffers
     t: int = 0
 
 
 class Workspace:
     """The arrays of one training unit (one `train` or `retrain_decoder`
-    call), which every step of the unit reuses, or of one decode. A named
-    array is made at its first request; a later request for no more rows,
-    as from a ragged last batch, gets the leading rows of the same array.
+    call), which every step and validation of the unit reuses, or of one
+    decode. A named array is made at its first request, and made again with
+    more rows at a request for more; a request for no more rows, as from a
+    ragged last batch, gets the leading rows of the same array.
     Steps write into these arrays with out= or in place, so no step
     allocates an array the size of a minibatch or a parameter, and a step's
     results are overwritten by the next step's instead of staying alive
@@ -155,8 +155,10 @@ def _decoder_forward(theta, z, ws):
     return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, out=a)
 
 
-def decode(theta, z_batch):
-    return _decoder_forward(theta, z_batch, Workspace())[1]
+def decode(theta, z_batch, ws=None):
+    """The reconstruction of z_batch, an array of the workspace ws, a fresh
+    one when not given."""
+    return _decoder_forward(theta, z_batch, Workspace() if ws is None else ws)[1]
 
 
 def mse_loss(r_hat, r_batch):
@@ -213,13 +215,17 @@ def _forward_backward(phi, theta, positives, b, tau, g, ws):
     gradients of the MSE loss w.r.t. phi and all decoder parameters, as
     arrays of the workspace ws. The target is the 0/1 minibatch of b rows
     whose positives (rows, items), ordered by row, are given; the encoder
-    reads it densified in phi's dtype."""
+    reads it densified in phi's dtype. Once the encoder has read it, the
+    minibatch's array holds the squared residuals, and then the minibatch
+    again."""
     m = phi.shape[1]
     r_batch = densify(positives, (b, m), phi.dtype, out=ws.get("r", (b, m), phi.dtype))
     y, z = encode(phi, r_batch, tau, g, ws)
     h, r_hat = _decoder_forward(theta, z, ws)
-    sq_err = ws.get("sq_err", r_hat.shape, r_hat.dtype)
-    grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err)
+    grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=r_batch)
+    # mse_loss's sum over the same squares, so the same bits
+    loss = float(np.sum(r_batch) / b)
+    densify(positives, (b, m), phi.dtype, out=r_batch)
     d_z = np.matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
     d_y = np.matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
     # softmax backward per row, through (phi + g) / tau, by the operations of
@@ -229,8 +235,7 @@ def _forward_backward(phi, theta, positives, b, tau, g, ws):
     d_phi *= y
     d_phi /= tau
     grads["phi"] = d_phi
-    # mse_loss's sum over the same squares, so the same bits
-    return float(np.sum(sq_err) / b), grads
+    return loss, grads
 
 
 def backward(phi, theta, r_batch, tau, g):
@@ -246,7 +251,7 @@ def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on the params dict and
     on the moments. Each parameter (C-contiguous, as are its gradient and
     moments) is updated in consecutive BLOCK_ELEMS-sized slices of its flat
-    view, with two block-sized scratch buffers per parameter kept in state."""
+    view, with two block-sized scratch buffers per dtype kept in state."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
@@ -255,13 +260,15 @@ def adam_step(params, grads, state, lr):
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-            n = min(p.size, BLOCK_ELEMS)
-            state.scratch[name] = (np.empty(n, p.dtype), np.empty(n, p.dtype))
+        n = min(p.size, BLOCK_ELEMS)
+        scratch = state.scratch.get(p.dtype)
+        if scratch is None or len(scratch[0]) < n:
+            scratch = state.scratch[p.dtype] = (np.empty(n, p.dtype), np.empty(n, p.dtype))
         # reshape with copy=False raises where a flat view would be a copy,
         # which would silently drop the update
         flat = [a.reshape(-1, copy=False)
                 for a in (p, grads[name], state.m[name], state.v[name])]
-        s_buf, r_buf = state.scratch[name]
+        s_buf, r_buf = scratch
         for i in range(0, p.size, BLOCK_ELEMS):
             pb, grad, m, v = (a[i:i + BLOCK_ELEMS] for a in flat)
             s, r = s_buf[:len(pb)], r_buf[:len(pb)]
@@ -286,7 +293,9 @@ def extract_seeds(phi):
     """Hard seed itemset: per-row argmax, with collisions resolved by letting
     the most confident rows pick first and later rows fall back to their best
     not-yet-taken item. Output order follows encoder rows."""
-    probs = softmax_rows(np.asarray(phi, dtype=np.float64), 1.0)
+    # in place on a float64 copy, which is made even of a float64 phi
+    probs = np.array(phi, dtype=np.float64)
+    softmax_rows(probs, 1.0, out=probs)
     k, m = probs.shape
     if m < k:
         raise ValueError(f"cannot pick {k} distinct items out of {m}")
@@ -300,13 +309,14 @@ def extract_seeds(phi):
     return items
 
 
-def _validation_ndcg(theta, seeds, matrix, user_ids):
+def _validation_ndcg(theta, seeds, matrix, user_ids, ws=None):
     """NDCG@20 (or @ the candidate count, when smaller) on the given users
     with hard seed feedback, seeds excluded from ranking and from ground
-    truth. Users with empty truth are skipped."""
+    truth. Users with empty truth are skipped. Decodes into the workspace
+    ws, a fresh one when not given."""
     N = min(20, matrix.m - len(set(int(s) for s in seeds)))
     table = evaluate.score_users(
-        lambda z: recommend(theta, seeds, z, N), matrix, user_ids, seeds, (N,))
+        lambda z: recommend(theta, seeds, z, N, ws), matrix, user_ids, seeds, (N,))
     return float(table["NDCG"][N].mean()) if table["users"] else 0.0
 
 
@@ -324,7 +334,8 @@ def train(matrix, split, cfg):
     minibatch (densified from its positives; the whole training matrix never
     is) run encode -> decode, MSE loss, backprop, one Adam step on both parameter
     groups. Validation NDCG@20 (hard extracted seeds) is recorded every
-    cfg.val_every epochs and the best snapshot is kept.
+    cfg.val_every epochs, decoded in the training workspace, and the best
+    snapshot is kept, refreshed in place.
 
     Returns (phi, theta, history) for the best-validation snapshot.
     """
@@ -342,16 +353,14 @@ def train(matrix, split, cfg):
     ws = Workspace()
 
     history = []
-    best = (-1.0, None, None)  # replaced at the last epoch at the latest
+    best_ndcg, best = -1.0, None  # replaced at the last epoch at the latest
     for e in range(cfg.epochs):
         tau = temperature(e, cfg)
         order = shuffle_rng.permutation(n_train)
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             ids = train_users[order[start:start + cfg.batch_size]]
-            # drawn in float64, then cast as gumbel_noise's dtype argument would
-            g = ws.get("g", phi.shape, dtype)
-            np.copyto(g, gumbel_noise(cfg.k, m, noise_rng, out=ws.get("u", phi.shape, np.float64)))
+            g = gumbel_noise(cfg.k, m, noise_rng, out=ws.get("g", phi.shape, dtype))
             positives = matrix.positives(ids)
             loss, grads = _forward_backward(phi, theta, positives, len(ids), tau, g, ws)
             if not np.isfinite(loss):
@@ -362,11 +371,15 @@ def train(matrix, split, cfg):
 
         val_ndcg = None
         if (e + 1) % cfg.val_every == 0 or e == cfg.epochs - 1:
-            val_ndcg = _validation_ndcg(theta, extract_seeds(phi), matrix, split.val_users)
-            if val_ndcg > best[0]:
-                best = (val_ndcg, phi.copy(), theta.copy())
+            val_ndcg = _validation_ndcg(theta, extract_seeds(phi), matrix, split.val_users, ws)
+            if val_ndcg > best_ndcg:
+                best_ndcg = val_ndcg
+                if best is None:
+                    best = {name: np.empty_like(p) for name, p in params.items()}
+                for name, p in params.items():
+                    np.copyto(best[name], p)
         history.append({"epoch": e, "tau": tau, "loss": epoch_loss, "val_ndcg": val_ndcg})
-    return best[1], best[2], history
+    return best.pop("phi"), DecoderParams(**best), history
 
 
 def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
@@ -376,8 +389,9 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     the target is its positives.
 
     theta is the decoder to start from, which is left as it is (a copy is
-    trained), or a function of no arguments that makes it; a decoder made
-    so is trained in place, and no caller holds its starting weights."""
+    trained), or a function of no arguments that makes or hands over it; a
+    decoder got so is trained in place, so no copy of its starting weights
+    is made."""
     fresh = callable(theta)
     if fresh:
         theta = theta()
@@ -468,13 +482,14 @@ def _rank_chunk(scores, candidates, N):
     return candidates[top]
 
 
-def recommend(theta, seeds, z, N):
+def recommend(theta, seeds, z, N, ws=None):
     """Rank candidate items for new users from their seed feedback: z is one
-    user's k answers or a (b, k) block, giving one ranking or b rows."""
+    user's k answers or a (b, k) block, giving one ranking or b rows. The
+    scores are decoded into the workspace ws, a fresh one when not given."""
     z = np.asarray(z, dtype=theta.w1.dtype)
     if z.ndim not in (1, 2) or z.shape[-1] != len(seeds):
         raise ValueError(f"feedback must have {len(seeds)} entries per user, got {z.shape}")
-    scores = decode(theta, np.atleast_2d(z))
+    scores = decode(theta, np.atleast_2d(z), ws)
     return _rank_candidates(scores if z.ndim == 2 else scores[0], seeds, N)
 
 

@@ -41,14 +41,14 @@ def _matrix_from_counts(counts):
 
 def test_select_popular_tie_break():
     matrix = _matrix_from_counts([5, 9, 9, 2])  # +1 each from the pad user
-    assert baselines.select_popular(matrix, 2).tolist() == [1, 2]
-    assert baselines.select_popular(matrix, 1).tolist() == [1]
+    assert baselines.select_popular(matrix.item_counts(), 2).tolist() == [1, 2]
+    assert baselines.select_popular(matrix.item_counts(), 1).tolist() == [1]
 
 
 def test_select_popular_user_order_invariant(cluster_matrix):
     shuffled = cluster_matrix.take(np.arange(cluster_matrix.n)[::-1])
-    assert np.array_equal(baselines.select_popular(cluster_matrix, 5),
-                          baselines.select_popular(shuffled, 5))
+    assert np.array_equal(baselines.select_popular(cluster_matrix.item_counts(), 5),
+                          baselines.select_popular(shuffled.item_counts(), 5))
 
 
 def test_rbmf_select_block_structure():
@@ -98,7 +98,7 @@ def test_rbmf_decoder_matches_qr_oracle():
 
 def test_plusplus_decoder_deterministic_and_learns(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
-    seeds = baselines.select_popular(cluster_matrix, 3)
+    seeds = baselines.select_popular(cluster_matrix.item_counts(), 3)
     cfg = model.TrainConfig(k=3, d=8, lr=0.01, epochs=15, batch_size=64,
                             t0=5.0, te=0.1, retrain_epochs=10, seed=0, val_every=10)
     t1 = baselines.plusplus_decoder(cluster_matrix, split, seeds, cfg)
@@ -135,7 +135,7 @@ def test_plusplus_decoder_peak_memory_is_one_decoder_fit():
     # hidden and output rows of a minibatch and the gradients. A second
     # decoder (the starting one next to a trained copy), or a step's output
     # and gradients kept while the next step allocates its own, exceed the
-    # slack, which covers the per-parameter and per-block scratch buffers
+    # slack, which covers the per-dtype and per-block scratch buffers
     # and the minibatch's positives.
     workspace = 4 * b * (k + 3 * d + m) + params
     assert peak - (3 * params + workspace) < 16 * 4 * model.BLOCK_ELEMS
@@ -145,11 +145,11 @@ def test_mostpop_ranking():
     matrix = _matrix_from_counts([3, 1, 2])
     counts = matrix.item_counts()
     assert np.array_equal(np.argsort(-counts, kind="stable"), [0, 2, 1])
-    assert baselines.mostpop_ranking(matrix, np.array([], dtype=np.int64), 3).tolist() == [0, 2, 1]
-    excl = baselines.mostpop_ranking(matrix, np.array([0]), 2)
+    assert baselines.mostpop_ranking(counts, np.array([], dtype=np.int64), 3).tolist() == [0, 2, 1]
+    excl = baselines.mostpop_ranking(counts, np.array([0]), 2)
     assert 0 not in excl.tolist() and excl.tolist() == [2, 1]
     with pytest.raises(ValueError):
-        baselines.mostpop_ranking(matrix, np.array([0]), 3)
+        baselines.mostpop_ranking(counts, np.array([0]), 3)
 
 
 def test_seed_file_roundtrip(tmp_path):

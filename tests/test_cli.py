@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,55 @@ def test_eval_checkpoint_of_other_item_count_is_one_line_error(prepared, tmp_pat
     assert not (tmp_path / "eval").exists()
 
 
+def test_eval_holds_no_dre_decoder_while_another_decoder_trains(prepared, tmp_path,
+                                                               monkeypatch):
+    out = tmp_path / "train"
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3"]
+                    + FAST_TRAIN) == 0
+    loaded, alive_at_fit = [], []  # weak references to each loaded decoder's w2
+    load, retrain = model.load_checkpoint, model.retrain_decoder
+
+    def recorded_load(path):
+        phi, theta, seeds = load(path)
+        loaded.append(weakref.ref(theta.w2))
+        return phi, theta, seeds
+
+    def recorded_retrain(*args, **kwargs):
+        alive_at_fit.append(sum(ref() is not None for ref in loaded))
+        return retrain(*args, **kwargs)
+
+    monkeypatch.setattr(model, "load_checkpoint", recorded_load)
+    monkeypatch.setattr(model, "retrain_decoder", recorded_retrain)
+    assert cli.main(["eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(out / "checkpoint.dre"), "--runs", "2",
+                     "--seed", "0"] + EVAL_FLAGS) == 0
+    # RAN++, POP++ and RBMF++ fit a decoder in each of the 2 runs
+    assert loaded and alive_at_fit == [0] * 6
+
+
+def test_eval_checkpoint_whose_seeds_change_is_one_line_error(prepared, tmp_path, capsys,
+                                                              monkeypatch):
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    rng = np.random.Generator(np.random.PCG64(12))
+    phi, theta = rng.standard_normal((3, 18)).astype(np.float32), model.init_decoder(3, 4, 18, rng)
+    model.save_checkpoint(checkpoint, phi, theta, np.array([2, 4, 8]))
+    load = model.load_checkpoint
+
+    def load_then_replace(path):
+        # the file is replaced once eval has admitted it
+        result = load(path)
+        model.save_checkpoint(checkpoint, phi, theta, np.array([2, 4, 9]))
+        return result
+
+    monkeypatch.setattr(model, "load_checkpoint", load_then_replace)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "MOSTPOP,DRE", "--runs", "1", "--checkpoint", checkpoint,
+        "--k", "3", "--ns", "5"])
+    assert "seeds changed" in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_external_seeds_must_be_a_method(prepared, tmp_path, capsys):
     seeds_path = tmp_path / "ext.txt"
     seeds_path.write_text("0\n6\n12\n")
@@ -486,6 +536,37 @@ def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):
     err = _one_line_error(capsys, ["train", "--data-dir", str(data_dir),
                                    "--out", str(tmp_path / "run")] + FAST_TRAIN)
     assert "user id 999" in err
+
+
+def test_phase_rss_tool_traces_train_and_eval(prepared, tmp_path):
+    tool = Path(__file__).parent.parent / "tools" / "phase_rss.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent))
+    commands = {
+        "train": ["train", "--data-dir", prepared, "--out", str(tmp_path / "train"),
+                  "--seed", "3"] + FAST_TRAIN,
+        "eval": ["eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+                 "--runs", "1", "--seed", "0", "--checkpoint",
+                 str(tmp_path / "train" / "checkpoint.dre")] + EVAL_FLAGS,
+    }
+    phases = {"train": {"data.load_snapshot", "model.train", "model._validation_ndcg",
+                        "model.retrain_decoder"},
+              "eval": {"data.load_snapshot", "model.retrain_decoder", "baselines.rbmf_select",
+                       "baselines.rbmf_decoder", "evaluate.evaluate_method",
+                       "evaluate.aggregate_runs"}}
+    for name, argv in commands.items():
+        proc = subprocess.run([sys.executable, str(tool), "--"] + argv, env=env,
+                              capture_output=True, text=True, check=True)
+        print(f"phase trace of the fixture {name}:\n{proc.stdout}")  # shown by pytest -s
+        events = {}  # phase -> the events seen
+        for line in proc.stdout.splitlines():
+            fields = line.split()
+            if fields[1:2] == ["s"]:
+                assert fields[4] == "VmRSS" and fields[7] == "VmHWM"
+                assert 0 < float(fields[5]) <= float(fields[8])
+                events.setdefault(fields[3], set()).add(fields[2])
+        assert events.pop("cli.main") == {"start", "end"}
+        assert set(events) == phases[name]
+        assert all(seen == {"enter", "exit"} for seen in events.values())
 
 
 def test_grid_sweep(prepared, tmp_path):

@@ -124,7 +124,8 @@ def row_list(matrix):
 
 
 def same_csr(a, b):
-    return ((a.n, a.m) == (b.n, b.m) and a.indptr.dtype == a.indices.dtype == np.int64
+    return ((a.n, a.m) == (b.n, b.m) and a.indptr.dtype == np.int64
+            and a.indices.dtype == np.int32
             and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
 
 
@@ -484,10 +485,11 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     ("nnz=6", "nnz=5", "header nnz=5 but rows hold 6"),
     ("nnz=6", "nnz=7", "header nnz=7 but rows hold 6"),
     ("nnz=6", "nnz=999999999999", "header nnz=999999999999 but rows hold 6"),
+    ("m=4", "m=2147483648", "2147483648 items: at most 2147483647"),
 ], ids=["user_ge_n", "user_negative", "user_twice", "user_missing", "item_not_int",
         "user_not_int", "item_ge_m", "item_negative", "items_unsorted", "item_twice",
         "header_without_nnz", "header_bad_n", "header_negative_n", "nnz_low", "nnz_high",
-        "nnz_huge"])
+        "nnz_huge", "m_beyond_int32"])
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)
@@ -497,12 +499,19 @@ def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
         data.load_snapshot(path)
 
 
+def test_item_ids_must_fit_int32():
+    empty = np.zeros(0, dtype=np.int64)
+    assert data.RatingMatrix.from_csr(1, 2**31 - 1, np.zeros(2, np.int64), empty, {}, {}).m
+    with pytest.raises(data.DataError, match="at most 2147483647"):
+        data.RatingMatrix.from_csr(1, 2**31, np.zeros(2, np.int64), empty, {}, {})
+
+
 def test_load_snapshot_reads_rows_in_any_order(tmp_path):
     path = tmp_path / "matrix.snapshot"
     path.write_text("ELICIT-MATRIX v1 n=3 m=4 nnz=6\n2:0 1 3\n0:0 2\n1:1\n")
     matrix = data.load_snapshot(path)
     assert [r.tolist() for r in row_list(matrix)] == [[0, 2], [1], [0, 1, 3]]
-    assert matrix.indptr.dtype == matrix.indices.dtype == np.int64
+    assert matrix.indptr.dtype == np.int64 and matrix.indices.dtype == np.int32
 
 
 # ------------------------------------------------------- CSR layout and files

@@ -264,6 +264,24 @@ def test_aggregate_runs_pairings_and_json_roundtrip(tmp_path):
 
 
 
+def test_report_of_constant_differences_is_strict_json():
+    # B scores 0.25 below A for every user: the paired t is +inf, with p = 0
+    r_a = _fake_run({"P": [1.0, 0.75, 0.25], "NDCG": [1.0, 0.75, 0.25]})
+    r_b = _fake_run({"P": [0.75, 0.5, 0.0], "NDCG": [0.75, 0.5, 0.0]})
+    rep = evaluate.aggregate_runs({"A": [r_a], "B": [r_b]}, pairings=[("A", "B")])
+    assert rep.tests[("A", "B", "P", 10)]["pooled"] == [math.inf, 0.0]
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    text = rep.to_json()
+    raw = json.loads(text, parse_constant=reject)
+    assert raw["tests"]["A|B|P|10"] == {"per_run": [[None, 0.0]], "pooled": [None, 0.0]}
+    loaded = evaluate.EvalReport.from_json(text)
+    assert loaded.tests[("A", "B", "NDCG", 20)]["pooled"] == [None, 0.0]
+    assert loaded.to_json() == text
+
+
 def test_aggregate_runs_pairs_scores_by_user():
     # score_users skips a user whose positives all lie in the method's seeds:
     # in run 0 each method skips a different user (equal lengths, other

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from elicit import linalg
 from elicit.linalg import (
     gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
 )
@@ -165,6 +166,22 @@ def test_gumbel_deterministic():
     g1 = gumbel_noise(4, 5, np.random.Generator(np.random.PCG64(12)))
     g2 = gumbel_noise(4, 5, np.random.Generator(np.random.PCG64(12)))
     assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gumbel_noise_blocks_match_one_float64_draw(dtype):
+    # 3 x 30,000 elements: one full block of BLOCK_ELEMS and a ragged one
+    rows, cols = 3, 30_000
+    assert linalg.BLOCK_ELEMS < rows * cols < 2 * linalg.BLOCK_ELEMS
+    rng, ref_rng = (np.random.Generator(np.random.PCG64(21)) for _ in range(2))
+    out = np.full((rows, cols), np.nan, dtype=dtype)
+    assert gumbel_noise(rows, cols, rng, out=out) is out
+    u = ref_rng.random((rows, cols), dtype=np.float64)
+    ref = -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
+    assert np.array_equal(out.view(np.uint8), ref.astype(dtype).view(np.uint8))
+    assert np.array_equal(gumbel_noise(rows, cols, np.random.Generator(np.random.PCG64(21)),
+                                       dtype=dtype), out)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_softmax_hand_cases():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elicit import data, model
+from elicit import data, evaluate, model
 from elicit.linalg import gumbel_noise, softmax_rows
 from conftest import corrupt_checkpoint, matrix_from_rows, write_small_checkpoint
 
@@ -627,6 +627,39 @@ def test_rank_candidates_peak_memory_is_one_chunk():
     candidates = np.setdiff1d(np.arange(m), seeds)
     want = candidates[np.argsort(-scores[:, candidates], axis=1, kind="stable")[:, :100]]
     assert np.array_equal(ranked, want)
+
+
+def test_train_peak_memory_is_one_unit_with_one_snapshot():
+    # 8 minibatches an epoch, the last ragged, and a validation after each of
+    # 2 epochs, the second better: its snapshot replaces the first
+    rng = np.random.Generator(np.random.PCG64(4))
+    n, m = 2500, 4000
+    matrix = matrix_from_rows([np.sort(rng.choice(m, rng.integers(10, 70), replace=False))
+                               for _ in range(n)], m)
+    split = data.split_users(matrix, seed=0)
+    k, d, b = 8, 128, 256
+    b_val = len(split.val_users)
+    assert 7 * b < len(split.train_users) < 8 * b and b_val < evaluate.BLOCK_ROWS
+    cfg = model.TrainConfig(k=k, d=d, lr=0.01, epochs=2, batch_size=b, t0=5.0, te=0.1,
+                            retrain_epochs=1, seed=0, val_every=1)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        history = model.train(matrix, split, cfg)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < history[0]["val_ndcg"] < history[1]["val_ndcg"]
+    params = 4 * (k * m + k * d + d + d * m + m)  # float32 phi and decoder
+    # the parameters, their Adam moments and one best snapshot; and one
+    # workspace: the minibatch (which also holds the squared residuals), the
+    # output, the encoder's input, hidden and softmax arrays (y, its
+    # gradient and the Gumbel draw) and the gradients. Validation decodes into
+    # the same workspace. A squared-residual buffer, a second decode output
+    # (b_val x m) next to the workspace's, or two snapshots alive at once
+    # each exceed the slack, which covers the scratch and block buffers, the
+    # positives and validation's boolean rows and rankings.
+    workspace = 4 * (b * (2 * m + 2 * k + 3 * d) + 3 * k * m) + params
+    assert peak - (4 * params + workspace) < 4 * b_val * m
 
 
 def test_checkpoint_roundtrip(tmp_path):
