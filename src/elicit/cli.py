@@ -203,9 +203,9 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     def dre_decoder(seeds, run):
         if loaded is None:
             return ranker(shared.pop("DRE decoder"), seeds)
-        theta, again = load_eval_checkpoint(checkpoint, matrix, cfg)
-        if not np.array_equal(again, loaded):
-            raise data.DataError(f"{checkpoint}: its seeds changed during eval")
+        theta, again = model.load_checkpoint(checkpoint)[1:]
+        if not (np.array_equal(again, loaded) and theta.w2.shape[1] == matrix.m):
+            raise data.DataError(f"{checkpoint}: its seeds changed during eval, or its item count")
         return ranker(theta, seeds)
 
     def train_csr():

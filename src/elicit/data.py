@@ -137,11 +137,13 @@ class RatingMatrix:
 
     def csr(self):
         """The matrix as a float64 scipy.sparse CSR array over the same
-        indptr/indices, for kernels that only multiply by it."""
+        indices, for kernels that only multiply by it. Its indptr is an int32
+        copy where nnz fits: with an int64 one, scipy copies the indices."""
         # imported here: scipy.sparse adds about 0.25 s to the start-up of
         # every command
         from scipy.sparse import csr_array
-        return csr_array((np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.m))
+        indptr = self.indptr.astype(np.int32) if self.nnz < 2**31 else self.indptr
+        return csr_array((np.ones(self.nnz), self.indices, indptr), shape=(self.n, self.m))
 
     def item_counts(self):
         return np.bincount(self.indices, minlength=self.m)
@@ -173,67 +175,78 @@ def load_interactions(path, delimiter="::"):
     # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
-    parts = ([], [], [])  # of the users, items and ratings columns, one per block
-    for first, block in _blocks(path):
-        for part, column in zip(parts, _parse_block(path, block, first, sep)):
-            part.append(column)
-    if not sum(map(len, parts[0])):
+    with open(path, "rb") as fh:
+        # each block's columns are written straight into the three columns,
+        # sized by the line ends (a pipe, which reads once, starts empty) and
+        # grown when a block does not fit
+        size = _line_ends(fh) if fh.seekable() else 0
+        columns, n = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)], 0
+        for first, block in _blocks(path, fh):
+            parts = _parse_block(path, block, first, sep)
+            columns = [_put(column, n, part) for column, part in zip(columns, parts)]
+            n += len(parts[2])
+    if not n:
         raise DataError(f"{path}: no interaction records")
-    # a column's parts are freed once it is joined, so the join holds one
-    # column twice at most, not all three
-    columns = []
-    for part in parts:
-        columns.append(_join(part))
-        part.clear()
-    return Interactions(*columns)
+    return Interactions(*(column[:n] for column in columns))
 
 
-def _join(parts):
-    """The column of its per-block parts. Key parts narrower than the widest
-    are padded with 0xFF words, which keeps each key's token."""
-    width = max(part.dtype.itemsize for part in parts)
-    for j, part in enumerate(parts):
-        words = part.dtype.itemsize // 8
-        if 8 * words < width:
-            wide = np.full((len(part), width // 8), PAD[0])
-            # not reshape(len(part), -1): an empty part leaves -1 undefined
-            wide[:, :words] = part.view(np.uint64).reshape(-1, words)
-            parts[j] = wide.view(f"V{width}").ravel()
-    return np.concatenate(parts)
+def _line_ends(fh):
+    """At least fh's number of lines: its \\n and \\r bytes plus 1 (exact for \\n ends)."""
+    count = 1
+    while chunk := fh.read(READ_CHUNK_BYTES):
+        buf = np.frombuffer(chunk, np.uint8)
+        count += np.count_nonzero(buf == 10) + np.count_nonzero(buf == 13)
+    fh.seek(0)
+    return count
 
 
-def _blocks(path):
-    """(first, block) pairs: the file's bytes as blocks of whole lines, each
-    ending in \\n, with \\r\\n and lone \\r translated to \\n, and the number
-    of each block's first line. Raises DataError at the first line that is
-    not UTF-8."""
+def _put(column, at, part):
+    """column with part written from `at` on: a new column when it is too short
+    (grown by half at least) or its keys are narrower than part's."""
+    end, wide = at + len(part), max(column.dtype, part.dtype, key=lambda dt: dt.itemsize)
+    if end > len(column) or wide != column.dtype:
+        size = len(column) if end <= len(column) else max(end, len(column) * 3 // 2)
+        column = _put(np.empty(size, wide), 0, column[:at])
+    # 0xFF words pad a narrower key and keep its token (see _token_keys); not
+    # reshape(len(part), -1): an empty part leaves -1 undefined
+    rows = column[at:end].view(np.uint64).reshape(-1, wide.itemsize // 8)
+    words = part.dtype.itemsize // 8
+    rows[:, :words] = part.view(np.uint64).reshape(-1, words)
+    rows[:, words:] = PAD[0]
+    return column
+
+
+def _blocks(path, fh):
+    """(first, block) pairs: the bytes of fh, the file at path, as blocks of
+    whole lines, each ending in \\n, with \\r\\n and lone \\r translated to
+    \\n, and the number of each block's first line. Raises DataError at the
+    first line that is not UTF-8."""
     rest = b""
     lineno = 1
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(READ_CHUNK_BYTES)
-            buf = rest + chunk
-            if chunk:  # cut after the last line end, but a final \r waits for a \n
-                cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
-                block, rest = buf[:cut], buf[cut:]
-            else:
-                block = buf
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if block and not block.endswith(b"\n"):  # the last line of the file
-                block += b"\n"
-            if not block.isascii():
-                try:
-                    block.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    bad = lineno + block.count(b"\n", 0, exc.start)
-                    raise DataError(f"{path}:{bad}: invalid utf-8 byte "
-                                    f"0x{block[exc.start]:02x} ({exc.reason})") from None
-            if block:
-                yield lineno, block
-                lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
-            if not chunk:
-                return
+    while True:
+        chunk = fh.read(READ_CHUNK_BYTES)
+        buf = rest + chunk
+        if chunk:  # cut after the last line end, but a final \r waits for a \n
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+            block, rest = buf[:cut], buf[cut:]
+        else:
+            block = buf
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if block and not block.endswith(b"\n"):  # the last line of the file
+            block += b"\n"
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = lineno + block.count(b"\n", 0, exc.start)
+                raise DataError(f"{path}:{bad}: invalid utf-8 byte "
+                                f"0x{block[exc.start]:02x} ({exc.reason})") from None
+        if block:
+            yield lineno, block
+            lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+        if not chunk:
+            return
 
 
 def _parse_block(path, block, first, sep):
@@ -379,14 +392,17 @@ def build_matrix(records):
     """
     if not len(records):
         raise DataError("no records to build a matrix from")
-    users, user_index = _renumber(records.users, records.user_codes)
+    # items first, so no user ranks are held while the items are sorted
     items, item_index = _renumber(records.items)
+    pairs, user_index = _renumber(records.users, records.user_codes)
     n, m = len(user_index), len(item_index)
-    # sorted by user, then item; np.unique would hash, which is far slower here
-    pairs = np.sort(users * m + items)
+    # sorted by user, then item, in place; np.unique would hash, which is far
+    # slower here
+    pairs *= m
+    pairs += items
+    pairs.sort()
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs // m, minlength=n), out=indptr[1:])
+    indptr = np.searchsorted(pairs, np.arange(n + 1) * m)  # each user's first pair
     return RatingMatrix.from_csr(n, m, indptr, np.remainder(pairs, m, out=pairs),
                                  user_index, item_index)
 

@@ -370,6 +370,22 @@ def test_eval_holds_no_dre_decoder_while_another_decoder_trains(prepared, tmp_pa
     assert loaded and alive_at_fit == [0] * 6
 
 
+def test_eval_checkpoint_is_admitted_once(prepared, tmp_path, monkeypatch):
+    out = tmp_path / "train"
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3"]
+                    + FAST_TRAIN) == 0
+    hashed, loaded = [], []
+    fingerprint, load = data.matrix_fingerprint, model.load_checkpoint
+    monkeypatch.setattr(data, "matrix_fingerprint",
+                        lambda matrix: hashed.append(1) or fingerprint(matrix))
+    monkeypatch.setattr(model, "load_checkpoint", lambda path: loaded.append(1) or load(path))
+    assert cli.main(["eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+                     "--methods", "MOSTPOP,DRE", "--checkpoint", str(out / "checkpoint.dre"),
+                     "--runs", "2", "--seed", "0"] + EVAL_FLAGS) == 0
+    # the manifest is checked once; each run reads the decoder again
+    assert len(hashed) == 1 and len(loaded) == 3
+
+
 def test_eval_checkpoint_whose_seeds_change_is_one_line_error(prepared, tmp_path, capsys,
                                                               monkeypatch):
     checkpoint = str(tmp_path / "checkpoint.dre")
@@ -538,17 +554,21 @@ def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):
     assert "user id 999" in err
 
 
-def test_phase_rss_tool_traces_train_and_eval(prepared, tmp_path):
+def test_phase_rss_tool_traces_prepare_train_and_eval(raw_dataset, prepared, tmp_path):
     tool = Path(__file__).parent.parent / "tools" / "phase_rss.py"
     env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent))
     commands = {
+        "prepare": ["prepare", "--dataset", raw_dataset, "--min-count", "3",
+                    "--out", str(tmp_path / "prepared")],
         "train": ["train", "--data-dir", prepared, "--out", str(tmp_path / "train"),
                   "--seed", "3"] + FAST_TRAIN,
         "eval": ["eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
                  "--runs", "1", "--seed", "0", "--checkpoint",
                  str(tmp_path / "train" / "checkpoint.dre")] + EVAL_FLAGS,
     }
-    phases = {"train": {"data.load_snapshot", "model.train", "model._validation_ndcg",
+    phases = {"prepare": {"data.load_interactions", "data.binarize", "data.filter_min_ratings",
+                          "data.build_matrix", "data.save_snapshot"},
+              "train": {"data.load_snapshot", "model.train", "model._validation_ndcg",
                         "model.retrain_decoder"},
               "eval": {"data.load_snapshot", "model.retrain_decoder", "baselines.rbmf_select",
                        "baselines.rbmf_decoder", "evaluate.evaluate_method",

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
@@ -459,10 +461,60 @@ def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monke
         tracemalloc.stop()
     columns = records.users.nbytes + records.items.nbytes + records.ratings.nbytes
     assert columns == 24 * n
-    # joining a column holds its per-block parts and the joined copy: a third
-    # of the columns above them. Holding every part while the columns are
-    # joined would double them.
-    assert peak - columns < columns / 2 + 8 * chunk
+    # each block is parsed straight into the columns, sized once by the line
+    # ends, so only a block's parse (about 13 blocks) is held above them.
+    # Parts of every block joined into the columns would add a third of them.
+    assert peak - columns < 16 * chunk
+
+
+def test_build_matrix_peak_memory_is_bounded_by_its_key_columns():
+    rng = np.random.Generator(np.random.PCG64(6))
+    n = 200_000
+    records = data.filter_min_ratings(data.Interactions(
+        token_keys([f"u{u}" for u in np.sort(rng.integers(0, 500, n))]),
+        token_keys([f"i{i}" for i in rng.integers(0, 1000, n)]), np.ones(n)), 1)
+    keys = records.users.nbytes + records.items.nbytes
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        matrix = data.build_matrix(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz > n // 2
+    # about 2.6 times the key columns: the item ranks, the pairs and the
+    # deduplicated pairs; a copy of the pairs or the user ranks held while
+    # the items are numbered would add another half at least
+    assert peak < 2.8 * keys
+
+
+def test_load_interactions_reads_a_pipe(tmp_path):
+    path, pipe = tmp_path / "raw.dat", tmp_path / "raw.pipe"
+    write_raw_file(path, [(f"u{u % 7}", f"i{u % 11}", str(u % 5 + 1), "0")
+                          for u in range(3000)])
+    os.mkfifo(pipe)
+    # a daemon: a writer left waiting for a reader cannot hold up the exit
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        records = data.load_interactions(pipe)  # no line count: the columns grow
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert as_records(records) == as_records(data.load_interactions(path))
+
+
+def test_load_interactions_grows_columns_past_the_line_count(tmp_path, monkeypatch):
+    # as for a file that grows during the read: more lines than counted,
+    # and tokens that outgrow 8 and 16 bytes after the columns have grown
+    path = tmp_path / "raw.dat"
+    rows = [(f"user-{'x' * (u // 200)}{u % 9}", f"i{u % 13}", str(u % 5 + 1), "0")
+            for u in range(3000)]
+    write_raw_file(path, rows)
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", 1000)
+    monkeypatch.setattr(data, "_line_ends", lambda fh: 7)
+    records = data.load_interactions(path)
+    assert records.users.dtype.itemsize == 24
+    assert as_records(records) == [(u, i, float(r)) for u, i, r, _ in rows]
 
 
 SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
@@ -561,6 +613,15 @@ def test_snapshot_roundtrip_keeps_csr_and_fingerprint(tmp_path_factory, case):
     loaded = data.load_snapshot(path)
     assert same_csr(loaded, matrix)
     assert data.matrix_fingerprint(loaded) == data.matrix_fingerprint(matrix)
+
+
+def test_csr_view_shares_the_int32_indices(cluster_matrix):
+    csr = cluster_matrix.csr()
+    # an int64 indptr would make scipy copy the indices to int64
+    assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
+    assert np.shares_memory(csr.indices, cluster_matrix.indices)
+    assert np.array_equal(csr.indptr, cluster_matrix.indptr)
+    assert np.array_equal(csr.toarray(), cluster_matrix.dense())
 
 
 def test_fingerprint_is_stable(cluster_matrix):
