@@ -4,5 +4,4 @@ baselines, and a top-N ranking evaluation protocol."""
 
 from . import baselines, data, evaluate, linalg, model
 
-__all__ = ["baselines", "data", "evaluate", "linalg", "model"]
 __version__ = "0.1.0"

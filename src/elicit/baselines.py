@@ -2,8 +2,6 @@
 the linear least-squares decoder, the '++' variants that pair any selector
 with the neural decoder, and the non-personalized popularity ranking."""
 
-import functools
-
 import numpy as np
 
 from . import model
@@ -47,9 +45,8 @@ def plusplus_decoder(matrix, split, seeds, cfg):
     epoch budget. Shares the training loop and architecture with the
     end-to-end model."""
     # stream 0, the one retrain_decoder shuffles with: kept for byte-identical output
-    fresh = functools.partial(model.init_decoder, len(seeds), cfg.d, matrix.m,
-                              model.rng_streams(cfg.seed)[0])
-    return model.retrain_decoder(matrix, split, seeds, fresh, epochs=cfg.epochs, lr=cfg.lr,
+    theta = model.init_decoder(len(seeds), cfg.d, matrix.m, model.rng_streams(cfg.seed)[0])
+    return model.retrain_decoder(matrix, split, seeds, theta, epochs=cfg.epochs, lr=cfg.lr,
                                  batch_size=cfg.batch_size, seed=cfg.seed)
 
 

@@ -105,8 +105,7 @@ def cmd_prepare(args):
 def _train_once(matrix, split, tcfg):
     phi, theta, history = model.train(matrix, split, tcfg)
     seeds = model.extract_seeds(phi)
-    # handed over to be trained in place: no one else holds train's best decoder
-    theta = model.retrain_decoder(matrix, split, seeds, lambda: theta, tcfg.retrain_epochs,
+    theta = model.retrain_decoder(matrix, split, seeds, theta, tcfg.retrain_epochs,
                                   lr=tcfg.lr, batch_size=tcfg.batch_size, seed=tcfg.seed)
     return phi, theta, seeds, history
 
@@ -156,17 +155,70 @@ def load_eval_checkpoint(path, matrix, cfg):
     return theta, seeds
 
 
+def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint=None, loaded=None,
+             external_seeds=None):
+    """{method: evaluate_method table} of one seeded run of each of `methods`
+    on the fixed test split. A run needs nothing from another: each
+    stochastic method draws from its own stream_seed(cfg['seed'], method, run).
+    DRE is trained, or read from `checkpoint`, whose seeds `loaded` were
+    admitted by load_eval_checkpoint. Each decoder is dropped once it is
+    scored, and DRE is scored first, so no decoder is held while another
+    one trains."""
+    k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
+    train_counts = matrix.take(split.train_users).item_counts()
+    tables = {}
+
+    def score(meth, seeds, predictor):
+        tables[meth] = evaluate.evaluate_method(predictor, matrix, split, seeds, Ns)
+
+    def plusplus(meth, seeds):  # a fresh decoder trained on the method's own stream
+        theta = baselines.plusplus_decoder(
+            matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run)))
+        score(meth, seeds, lambda z: model.recommend(theta, seeds, z, n_max))
+
+    # MOSTPOP ranks the items other than DRE's seeds when DRE runs, else all
+    dre_seeds = np.array([], dtype=np.int64)
+    if "DRE" in methods:
+        if checkpoint is None:
+            theta, dre_seeds = _train_once(
+                matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))[1:3]
+        else:
+            theta, dre_seeds = model.load_checkpoint(checkpoint)[1:]
+            if not (np.array_equal(dre_seeds, loaded) and theta.w2.shape[1] == matrix.m):
+                raise data.DataError(f"{checkpoint}: its seeds changed during eval, "
+                                     "or its item count")
+        score("DRE", dre_seeds, lambda z: model.recommend(theta, dre_seeds, z, n_max))
+        del theta
+    if "MOSTPOP" in methods:
+        ranking = baselines.mostpop_ranking(train_counts, dre_seeds, n_max)
+        score("MOSTPOP", dre_seeds, lambda z: ranking)
+    if "RAN++" in methods:
+        rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
+        plusplus("RAN++", baselines.select_random(matrix.m, k, rng))
+    if "POP++" in methods:
+        plusplus("POP++", baselines.select_popular(train_counts, k))
+    if "RBMF" in methods or "RBMF++" in methods:
+        # the training rows are taken again at each use, so none are held
+        # while a decoder trains
+        rbmf_seeds = baselines.rbmf_select(matrix.take(split.train_users).csr(), k,
+                                           seed=stream_seed(master, "RBMF", run))
+        if "RBMF" in methods:
+            x = baselines.rbmf_decoder(matrix.take(split.train_users).csr(), rbmf_seeds)
+            score("RBMF", rbmf_seeds,
+                  lambda z: model._rank_candidates(z @ x, rbmf_seeds, n_max))
+            del x
+        if "RBMF++" in methods:
+            plusplus("RBMF++", rbmf_seeds)
+    for name, seeds in (external_seeds or {}).items():
+        plusplus(name, seeds)
+    return tables
+
+
 def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
              external_seeds=None):
-    """Evaluate each method over `runs` seeded repetitions on the fixed test
-    split; stochastic methods re-select seeds and re-train per run.
-
-    Each method is a pair (select(run) -> seeds, fit(seeds, run) -> predictor).
-    Within a run, the DRE seeds and the RBMF selection are computed once and
-    shared by the methods that use them. A decoder lives from its fit (or
-    DRE's, from its training or its read from the checkpoint) to the end of
-    its scoring, and DRE is scored first in each run, so no decoder is held
-    while another one trains."""
+    """Evaluate each method over `runs` seeded repetitions (eval_run) on the
+    fixed test split; stochastic methods re-select seeds and re-train per
+    run. Every input is checked before any method runs."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if not Ns or min(Ns) < 1:
@@ -176,106 +228,31 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     twice = sorted({meth for meth in methods if methods.count(meth) > 1})
     if twice:
         raise ValueError(f"methods named more than once: {','.join(twice)}")
-    # the training rows are taken again at each use (train_csr), so none are
-    # held while other methods train; their item counts are kept
-    train_counts = matrix.take(split.train_users).item_counts()
-    k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
-    # the seeds of a given DRE checkpoint, admitted once; its decoder is
-    # read again at DRE's turn in each run
-    loaded = (load_eval_checkpoint(checkpoint, matrix, cfg)[1]
-              if checkpoint and "DRE" in methods else None)
-    shared = {}  # artifacts of the current run that two methods use
-
-    def once(key, make):
-        if key not in shared:
-            shared[key] = make()
-        return shared[key]
-
-    def trained_dre(run):  # DRE's seeds; its decoder waits for its scoring
-        theta, seeds = _train_once(
-            matrix, split, train_config(cfg, seed=stream_seed(master, "DRE", run)))[1:3]
-        shared["DRE decoder"] = theta
-        return seeds
-
-    def dre(run):  # DRE's seeds
-        return loaded if loaded is not None else once("DRE", lambda: trained_dre(run))
-
-    def dre_decoder(seeds, run):
-        if loaded is None:
-            return ranker(shared.pop("DRE decoder"), seeds)
-        theta, again = model.load_checkpoint(checkpoint)[1:]
-        if not (np.array_equal(again, loaded) and theta.w2.shape[1] == matrix.m):
-            raise data.DataError(f"{checkpoint}: its seeds changed during eval, or its item count")
-        return ranker(theta, seeds)
-
-    def train_csr():
-        return matrix.take(split.train_users).csr()
-
-    def rbmf(run):
-        return once("RBMF", lambda: baselines.rbmf_select(
-            train_csr(), k, seed=stream_seed(master, "RBMF", run)))
-
-    def random_seeds(run):
-        rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
-        return baselines.select_random(matrix.m, k, rng)
-
-    def excluded(run):
-        # candidate universe shared with the DRE run when present,
-        # otherwise the full itemset
-        return dre(run) if "DRE" in methods else np.array([], dtype=np.int64)
-
-    def ranker(theta, seeds):
-        return lambda z: model.recommend(theta, seeds, z, n_max)
-
-    def neural(meth):  # a fresh decoder trained on the method's own stream
-        return lambda seeds, run: ranker(baselines.plusplus_decoder(
-            matrix, split, seeds, train_config(cfg, seed=stream_seed(master, meth, run))), seeds)
-
-    def linear(seeds, run):
-        x = baselines.rbmf_decoder(train_csr(), seeds)
-        return lambda z: model._rank_candidates(z @ x, seeds, n_max)
-
-    def popularity(seeds, run):
-        ranking = baselines.mostpop_ranking(train_counts, seeds, n_max)
-        return lambda z: ranking
-
-    table = {
-        "MOSTPOP": (excluded, popularity),
-        "RAN++": (random_seeds, neural("RAN++")),
-        "POP++": (lambda run: baselines.select_popular(train_counts, k), neural("POP++")),
-        "RBMF": (rbmf, linear),
-        "RBMF++": (rbmf, neural("RBMF++")),
-        "DRE": (dre, dre_decoder),
-    }
-    for name, seeds in (external_seeds or {}).items():
-        table[name] = (lambda run, s=seeds: s, neural(name))
+    external_seeds = external_seeds or {}
     for meth in methods:
-        if meth not in table:
+        if meth not in METHODS and meth not in external_seeds:
             raise ValueError(f"unknown method {meth!r}")
+    if checkpoint and "DRE" not in methods:
+        raise ValueError(f"--checkpoint {checkpoint} is given, but DRE is not one of --methods")
+    # the seeds of a given DRE checkpoint, admitted once; each run reads its
+    # decoder again
+    loaded = load_eval_checkpoint(checkpoint, matrix, cfg)[1] if checkpoint else None
     # each method ranks the items other than its seeds (MOSTPOP: other than
     # DRE's), so the largest N must fit the smallest candidate count
-    dre_k = len(loaded) if loaded is not None else k
-    n_seeds = {name: len(seeds) for name, seeds in (external_seeds or {}).items()}
+    k = cfg["k"]
+    dre_k = len(loaded) if checkpoint else k
+    n_seeds = {name: len(seeds) for name, seeds in external_seeds.items()}
     n_seeds.update(DRE=dre_k, MOSTPOP=dre_k if "DRE" in methods else 0)
     n_candidates = matrix.m - max(n_seeds.get(meth, k) for meth in methods)
-    if n_max > n_candidates:
-        raise ValueError(f"N={n_max} is not within the candidate count {n_candidates}")
+    if max(Ns) > n_candidates:
+        raise ValueError(f"N={max(Ns)} is not within the candidate count {n_candidates}")
 
-    run_reports = {meth: [] for meth in methods}
-    for run in range(runs):
-        shared.clear()
-        for meth in sorted(methods, key=lambda meth: meth != "DRE"):
-            select, fit = table[meth]
-            seeds = select(run)
-            run_reports[meth].append(
-                evaluate.evaluate_method(fit(seeds, run), matrix, split, seeds, Ns))
-
-    pairings = []
-    if "DRE" in methods:
-        pairings = [("DRE", meth) for meth in methods if meth != "DRE"]
+    tables = [eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded,
+                       external_seeds) for run in range(runs)]
+    pairings = [("DRE", meth) for meth in methods if meth != "DRE"] if "DRE" in methods else []
     return evaluate.aggregate_runs(
-        run_reports, pairings,
-        run_seeds=[stream_seed(master, "DRE", r) for r in range(runs)])
+        {meth: [run_tables[meth] for run_tables in tables] for meth in methods}, pairings,
+        run_seeds=[stream_seed(cfg["seed"], "DRE", run) for run in range(runs)])
 
 
 def cmd_eval(args):

@@ -181,10 +181,12 @@ def load_interactions(path, delimiter="::"):
         # grown when a block does not fit
         size = _line_ends(fh) if fh.seekable() else 0
         columns, n = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)], 0
-        for first, block in _blocks(path, fh):
-            parts = _parse_block(path, block, first, sep)
+        first = 1  # the number of the block's first line
+        for block in _blocks(fh):
+            *parts, lines = _parse_block(path, block, first, sep)
             columns = [_put(column, n, part) for column, part in zip(columns, parts)]
             n += len(parts[2])
+            first += lines
     if not n:
         raise DataError(f"{path}: no interaction records")
     return Interactions(*(column[:n] for column in columns))
@@ -216,13 +218,10 @@ def _put(column, at, part):
     return column
 
 
-def _blocks(path, fh):
-    """(first, block) pairs: the bytes of fh, the file at path, as blocks of
-    whole lines, each ending in \\n, with \\r\\n and lone \\r translated to
-    \\n, and the number of each block's first line. Raises DataError at the
-    first line that is not UTF-8."""
+def _blocks(fh):
+    """The bytes of fh as blocks of whole lines, each ending in \\n, with
+    \\r\\n and lone \\r translated to \\n."""
     rest = b""
-    lineno = 1
     while True:
         chunk = fh.read(READ_CHUNK_BYTES)
         buf = rest + chunk
@@ -235,25 +234,25 @@ def _blocks(path, fh):
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if block and not block.endswith(b"\n"):  # the last line of the file
             block += b"\n"
-        if not block.isascii():
-            try:
-                block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                bad = lineno + block.count(b"\n", 0, exc.start)
-                raise DataError(f"{path}:{bad}: invalid utf-8 byte "
-                                f"0x{block[exc.start]:02x} ({exc.reason})") from None
         if block:
-            yield lineno, block
-            lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+            yield block
         if not chunk:
             return
 
 
 def _parse_block(path, block, first, sep):
     """Columns (users, items, ratings) of a block of lines numbered from
-    `first`, each ending in \\n, with tokens as keys (see _token_keys).
-    Skips blank lines and a header, and raises DataError at the first
-    malformed line, as load_interactions describes."""
+    `first`, each ending in \\n, with tokens as keys (see _token_keys), and
+    the block's line count. Skips blank lines and a header, and raises
+    DataError at the first line that is not UTF-8 or is malformed, as
+    load_interactions describes."""
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = first + block.count(b"\n", 0, exc.start)
+            raise DataError(f"{path}:{bad}: invalid utf-8 byte "
+                            f"0x{block[exc.start]:02x} ({exc.reason})") from None
     buf = np.frombuffer(block, dtype=np.uint8)
     # every line end and delimiter, in order, after a virtual line end at -1
     marks = np.concatenate(([-1], np.flatnonzero((buf == 10) | _delimiter_starts(buf, sep))))
@@ -284,7 +283,8 @@ def _parse_block(path, block, first, sep):
             reason += f" {block[rating[0][j]:rating[1][j]].decode('utf-8')!r}"
         raise DataError(f"{path}:{first + i}: {reason}")
     return (_token_keys(buf, user[0][header:], user[1][header:]),
-            _token_keys(buf, item[0][header:], item[1][header:]), ratings[header:])
+            _token_keys(buf, item[0][header:], item[1][header:]), ratings[header:],
+            len(line_end))
 
 
 def _delimiter_starts(buf, sep):

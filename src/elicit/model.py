@@ -386,15 +386,9 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     """Decoder-only Adam training with the encoder frozen: the input is the
     hard selection r[:, seeds] of each minibatch r, with no Gumbel noise and
     no encoder update. Only the seed columns of a minibatch are built dense;
-    the target is its positives.
-
-    theta is the decoder to start from, which is left as it is (a copy is
-    trained), or a function of no arguments that makes or hands over it; a
-    decoder got so is trained in place, so no copy of its starting weights
-    is made."""
-    fresh = callable(theta)
-    if fresh:
-        theta = theta()
+    the target is its positives. theta, the decoder to start from, is
+    trained in place and returned; a caller that needs its starting weights
+    passes a copy."""
     if epochs == 0:
         return theta
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -402,8 +396,6 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
         raise ValueError("seeds must be distinct")
     column = np.full(matrix.m, -1, dtype=np.int64)  # item -> its input, -1 if not a seed
     column[seeds] = np.arange(len(seeds))
-    if not fresh:
-        theta = theta.copy()
     # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
     shuffle_rng = rng_streams(seed)[0]
     train_users = split.train_users

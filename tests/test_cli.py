@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -420,6 +422,58 @@ def test_eval_external_seeds_must_be_a_method(prepared, tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+def test_eval_checkpoint_without_dre_is_one_line_error(prepared, tmp_path, capsys,
+                                                       monkeypatch):
+    # it used to be ignored, and a report without DRE was written
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before the checkpoint was checked")
+
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "MOSTPOP", "--runs", "1",
+        "--checkpoint", str(tmp_path / "missing" / "checkpoint.dre")] + EVAL_FLAGS)
+    assert "--checkpoint" in err and "DRE" in err and "--methods" in err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("with_checkpoint", [False, True], ids=["trained", "checkpoint"])
+def test_eval_run_alone_reproduces_that_run_of_run_eval(prepared, tmp_path, monkeypatch,
+                                                        with_checkpoint):
+    # each (method, run) has its own stream (stream_seed), so a run needs no other
+    matrix = cli._load_dataset(prepared)
+    cfg = dict(cli.CONFIG_DEFAULTS, k=3, d=8, epochs=12, t0=5.0, retrain_epochs=4,
+               val_every=6, batch_size=32)
+    split = data.split_users(matrix, cfg["test_frac"], cfg["val_frac"], cfg["split_seed"])
+    checkpoint = loaded = None
+    if with_checkpoint:
+        assert cli.main(["train", "--data-dir", prepared, "--out", str(tmp_path),
+                         "--seed", "3"] + FAST_TRAIN) == 0
+        checkpoint = str(tmp_path / "checkpoint.dre")
+        loaded = cli.load_eval_checkpoint(checkpoint, matrix, cfg)[1]
+    external = {"EXT": np.array([0, 6, 12])}
+    methods, Ns = list(cli.METHODS) + ["EXT"], (5, 10)
+    runs = []  # run_eval's per-run tables, as it hands them to aggregate_runs
+    aggregate = evaluate.aggregate_runs
+    monkeypatch.setattr(evaluate, "aggregate_runs",
+                        lambda reports, *args, **kwargs: runs.append(reports)
+                        or aggregate(reports, *args, **kwargs))
+    cli.run_eval(matrix, split, cfg, methods, 2, Ns, checkpoint=checkpoint,
+                 external_seeds=external)
+    alone = cli.eval_run(matrix, split, cfg, methods, Ns, 1, checkpoint, loaded, external)
+    assert sorted(alone) == sorted(methods)
+    for meth in methods:
+        want, got = runs[0][meth][1], alone[meth]
+        assert got["skipped"] == want["skipped"], meth
+        assert np.array_equal(got["users"], want["users"]), meth
+        for N in Ns:
+            assert np.array_equal(got["P"][N], want["P"][N]), meth
+            assert np.array_equal(got["NDCG"][N], want["NDCG"][N]), meth
+    # the two runs differ, so the run number reaches the methods
+    assert any(not np.array_equal(runs[0][meth][0]["NDCG"][N], runs[0][meth][1]["NDCG"][N])
+               for meth in methods for N in Ns)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--runs", "0", "runs must be at least 1, got 0"),
     ("--ns", "0", "every N must be at least 1, got 0"),
@@ -587,6 +641,20 @@ def test_phase_rss_tool_traces_prepare_train_and_eval(raw_dataset, prepared, tmp
         assert events.pop("cli.main") == {"start", "end"}
         assert set(events) == phases[name]
         assert all(seen == {"enter", "exit"} for seen in events.values())
+
+
+def test_criterion07_margin_tool_runs(capsys, monkeypatch):
+    tool = Path(__file__).parent.parent / "tools" / "criterion07_margin.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds tests/ to it
+    spec = importlib.util.spec_from_file_location("criterion07_margin", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"run 0: blocks [0-3]/3 DRE=\d\.\d{4} RAN\+\+=\d\.\d{4}", lines[0])
+    assert re.fullmatch(r"coverage [01]/1, wins [01]/1, passing 5-run windows 0/0, \d+ s",
+                        lines[1])
 
 
 def test_grid_sweep(prepared, tmp_path):
