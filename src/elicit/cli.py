@@ -137,17 +137,16 @@ def load_eval_checkpoint(path, matrix, cfg):
     """(theta, seeds) of a DRE checkpoint, admitted for eval on `matrix` with
     cfg's user split. Raises DataError when its manifest (path + '.manifest',
     which train writes) names other data or another split, or when its item
-    count is not the data's."""
-    if os.path.exists(path + ".manifest"):
-        with open(path + ".manifest", encoding="utf-8") as fh:
-            manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-        # compared as train wrote them, so a value that does not parse differs
-        want = {key: str(cfg[key]) for key in ("test_frac", "val_frac", "split_seed")}
-        want["data_fingerprint"] = data.matrix_fingerprint(matrix)
-        for key, value in want.items():
-            if manifest.get(key) != value:
-                raise data.DataError(f"{path}: trained on other data or another split "
-                                     f"({key}={manifest.get(key)}, here {value})")
+    count is not the data's, and OSError when the manifest is missing."""
+    with open(path + ".manifest", encoding="utf-8") as fh:
+        manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+    # compared as train wrote them, so a value that does not parse differs
+    want = {key: str(cfg[key]) for key in ("test_frac", "val_frac", "split_seed")}
+    want["data_fingerprint"] = data.matrix_fingerprint(matrix)
+    for key, value in want.items():
+        if manifest.get(key) != value:
+            raise data.DataError(f"{path}: trained on other data or another split "
+                                 f"({key}={manifest.get(key)}, here {value})")
     theta, seeds = model.load_checkpoint(path)[1:]
     if theta.w2.shape[1] != matrix.m:
         raise data.DataError(f"{path}: checkpoint has {theta.w2.shape[1]} items, "
@@ -296,6 +295,8 @@ def parse_grid(spec):
         key, _, values = part.partition("=")
         if key not in GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}")
+        if key in grid:
+            raise ValueError(f"grid key {key!r} is given more than once")
         parsed = []
         for tok in values.split(","):
             if key == "te" and tok.lower() == "t0":

@@ -1,7 +1,8 @@
 """Raw interaction ingestion, binarization, filtering, matrix building and user splits."""
 
+import array
 import hashlib
-import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,8 @@ import numpy as np
 from .linalg import BLOCK_ELEMS
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
+# at most 19 digits: an int64 count, and below int()'s limit on digits
+SNAPSHOT_HEADER = SNAPSHOT_MAGIC + r" n=([0-9]{1,19}) m=([0-9]{1,19}) nnz=([0-9]{1,19})"
 # Bytes of the log read at a time. A block of whole lines is parsed as numpy
 # arrays about ten times its size, so this bounds the parse's memory above
 # that of the columns it returns. On a 1M-line log, blocks of 512 KiB to
@@ -42,7 +45,7 @@ class Interactions:
 
     users: np.ndarray
     items: np.ndarray
-    ratings: np.ndarray  # float64
+    ratings: np.ndarray = None  # float64; None for positives
     user_codes: tuple = None
 
     def __len__(self):
@@ -50,7 +53,8 @@ class Interactions:
 
     def take(self, mask):
         """The lines selected by a boolean mask, in order."""
-        return Interactions(self.users[mask], self.items[mask], self.ratings[mask])
+        ratings = None if self.ratings is None else self.ratings[mask]
+        return Interactions(self.users[mask], self.items[mask], ratings)
 
 
 def densify(positives, shape, dtype=np.float64, out=None):
@@ -170,8 +174,8 @@ def load_interactions(path, delimiter="::"):
     fields whose rating field is not a number (a header). Any other malformed
     line raises DataError naming its line number.
     """
-    if not delimiter or "\n" in delimiter:
-        raise DataError(f"delimiter must be non-empty and hold no newline, got {delimiter!r}")
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise DataError(f"delimiter must be non-empty and hold no line end, got {delimiter!r}")
     # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
@@ -365,10 +369,10 @@ def _token_keys(buf, starts, ends):
 
 
 def binarize(records, threshold=3.5):
-    """Keep lines with rating strictly above threshold, as positives (rating 1)."""
+    """The lines with rating strictly above threshold, as positives: lines
+    with no rating."""
     mask = records.ratings > threshold
-    users = records.users[mask]
-    return Interactions(users, records.items[mask], np.ones(len(users)))
+    return Interactions(records.users[mask], records.items[mask])
 
 
 def filter_min_ratings(records, min_count):
@@ -466,60 +470,43 @@ def save_snapshot(matrix, path):
 
 
 def load_snapshot(path):
-    """Read a matrix.snapshot. Raises DataError unless every user id in [0, n)
-    has exactly one row and each row's item ids are integers, strictly
-    increasing and in [0, m). The matrix has no user or item index."""
+    """Read a matrix.snapshot as save_snapshot writes it: the header, then the
+    rows of users 0..n-1 in order. Raises DataError for any other layout, and
+    unless each row's item ids are strictly increasing and lie in [0, m). The
+    matrix has no user or item index."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        try:
-            if not header.startswith(SNAPSHOT_MAGIC):
-                raise ValueError
-            fields = dict(kv.split("=") for kv in header[len(SNAPSHOT_MAGIC):].split())
-            n, m, nnz = int(fields["n"]), int(fields["m"]), int(fields["nnz"])
-            if min(n, m, nnz) < 0:
-                raise ValueError
-        except (KeyError, ValueError):
-            raise DataError(f"{path}: bad snapshot header {header!r}") from None
+        fields = re.fullmatch(SNAPSHOT_HEADER, header)
+        if not fields:
+            raise DataError(f"{path}: bad snapshot header {header!r}")
+        n, m, nnz = map(int, fields.groups())
         if m > MAX_ITEMS:
             raise DataError(f"{path}: {m} items: at most {MAX_ITEMS} are supported")
-        # the rows are parsed into one flat buffer, in file order. An item id
-        # and its separator take two characters at least (the last id one),
-        # so this bounds the buffer when the header's nnz is too large.
-        flat = np.empty(max(0, min(nnz, (os.fstat(fh.fileno()).st_size + 1) // 2)), np.int32)
-        pos = 0
-        line_of = np.full(n, -1, dtype=np.int64)  # the row in the file of each user
-        lengths = np.zeros(n, dtype=np.int64)  # of each row in the file
-        for lineno, line in enumerate(fh, start=2):
+        # the rows' ids grow one buffer, so nothing is sized from the header
+        flat, lengths = array.array("i"), []
+        for u, line in enumerate(fh):
+            lineno = u + 2
             u_s, _, items_s = line.rstrip("\n").partition(":")
             try:
-                u = int(u_s)
+                user = int(u_s)
                 # via object: parsing from a str array raised the peak RSS of train
-                items = np.array(items_s.split(), dtype=object)
-                # ids beyond the header's nnz are parsed, counted and dropped
-                end = pos + len(items)
-                row = flat[pos:end] if end <= len(flat) else np.empty(len(items), np.int32)
-                row[:] = items  # an id beyond int32 overflows
-            except (ValueError, OverflowError):
+                row = np.array(items_s.split(), dtype=object).astype(np.int32)
+            except (ValueError, OverflowError):  # an id beyond int32 overflows
                 raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
-            if not 0 <= u < n:
-                raise DataError(f"{path}:{lineno}: user id {u} outside [0, {n})")
-            if line_of[u] >= 0:
-                raise DataError(f"{path}:{lineno}: second row for user {u}")
+            if user != u:
+                raise DataError(f"{path}:{lineno}: user id {user}, expected {u} in user order")
             if len(row) and (row[0] < 0 or row[-1] >= m or not (row[1:] > row[:-1]).all()):
                 raise DataError(f"{path}:{lineno}: item ids of user {u} must be "
                                 f"strictly increasing and lie in [0, {m})")
-            # a row after the n-th has a user out of range or repeated, so lineno - 2 < n
-            line_of[u], lengths[lineno - 2], pos = lineno - 2, len(row), end
-    if (line_of < 0).any():
-        raise DataError(f"{path}: missing user rows")
-    if pos != nnz:
-        raise DataError(f"{path}: header nnz={nnz} but rows hold {pos}")
+            flat.frombytes(row.view(np.uint8))
+            lengths.append(len(row))
+    if len(lengths) != n:
+        raise DataError(f"{path}: {len(lengths)} rows, the header says n={n}")
+    if len(flat) != nnz:
+        raise DataError(f"{path}: header nnz={nnz} but rows hold {len(flat)}")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    in_file_order = RatingMatrix.from_csr(n, m, indptr, flat, {}, {})
-    if (line_of == np.arange(n)).all():
-        return in_file_order
-    return in_file_order.take(line_of)
+    return RatingMatrix.from_csr(n, m, indptr, np.frombuffer(flat, np.int32), {}, {})
 
 
 def save_maps(matrix, users_path, items_path):
@@ -530,23 +517,18 @@ def save_maps(matrix, users_path, items_path):
 
 
 def load_item_map(path, m):
-    """The item tokens of an items.map, in index order. Raises DataError
-    unless every line is token<TAB>index and the indices are 0..m-1, each
-    once."""
-    tokens = [None] * m
+    """The item tokens of an items.map as save_maps writes it: m lines, line
+    i (from 0) token<TAB>i. Raises DataError for any other layout."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token, tab, idx = line.rstrip("\n").rpartition("\t")
-            try:
-                i = int(idx)
-            except ValueError:
-                i = None
-            if not (tab and token and i is not None and 0 <= i < m and tokens[i] is None):
-                raise DataError(f"{path}:{lineno}: expected token<TAB>index with each "
-                                f"index in [0, {m}) once, got {line.rstrip()!r}")
-            tokens[i] = token
-    if None in tokens:
-        raise DataError(f"{path}: no token for item {tokens.index(None)}")
+        for i, line in enumerate(fh):
+            token, _, idx = line.rstrip("\n").rpartition("\t")
+            if not (i < m and token and idx == str(i)):
+                raise DataError(f"{path}:{i + 1}: expected {m} lines, each token<TAB>index "
+                                f"in index order, got {line.rstrip()!r}")
+            tokens.append(token)
+    if len(tokens) != m:
+        raise DataError(f"{path}: {len(tokens)} lines, expected one per item, {m}")
     return tokens
 
 

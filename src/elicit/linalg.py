@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_ELEMS = 1 << 16  # elements per block of the elementwise passes over large arrays
+MAXVOL_DELTA = 0.01  # Maxvol stops once every |C_ij| is at most 1 + this
 
 
 @dataclass
@@ -62,13 +63,13 @@ def _pivoted_init(B):
     return order[:k]
 
 
-def maxvol(B, delta=0.01):
+def maxvol(B):
     """Classic Maxvol: find k rows of the m x k matrix B whose submatrix has
     near-maximal |determinant|.
 
     Starting from a partial-pivoting initialization, repeatedly swap in the
     row with the largest coefficient of C = B @ B_S^{-1} until every |C_ij|
-    is at most 1 + delta. |det(B_S)| is non-decreasing across swaps.
+    is at most 1 + MAXVOL_DELTA. |det(B_S)| is non-decreasing across swaps.
     """
     B = np.asarray(B, dtype=np.float64)
     m, k = B.shape
@@ -83,7 +84,7 @@ def maxvol(B, delta=0.01):
         C = np.linalg.solve(B[indices].T, B.T).T  # C @ B_S = B
         flat = np.argmax(np.abs(C))
         i, j = divmod(flat, k)
-        if np.abs(C[i, j]) <= 1.0 + delta:
+        if np.abs(C[i, j]) <= 1.0 + MAXVOL_DELTA:
             converged = True
             break
         indices[j] = i  # |det| grows by factor |C_ij| > 1

@@ -270,6 +270,14 @@ def test_eval_external_seeds_of_any_length(prepared, tmp_path):
     assert report.methods == ["EXT", "MOSTPOP"]
 
 
+def write_manifest(checkpoint, data_dir):
+    """The keys of the manifest that eval checks, as train would write them
+    next to a checkpoint for the data in data_dir and the default split."""
+    manifest = {key: cli.CONFIG_DEFAULTS[key] for key in ("test_frac", "val_frac", "split_seed")}
+    manifest["data_fingerprint"] = data.matrix_fingerprint(cli._load_dataset(data_dir))
+    Path(checkpoint + ".manifest").write_text("".join(f"{k}={v}\n" for k, v in manifest.items()))
+
+
 def _one_line_error(capsys, argv):
     capsys.readouterr()
     rc = cli.main(argv)
@@ -333,16 +341,32 @@ def test_eval_external_seeds_name_given_twice_is_one_line_error(prepared, tmp_pa
 @pytest.mark.parametrize("m, seeds", [(10, [2, 4, 8]), (25, [2, 4, 20])], ids=["fewer", "more"])
 def test_eval_checkpoint_of_other_item_count_is_one_line_error(prepared, tmp_path, capsys,
                                                                m, seeds):
-    # no manifest, so only the shape tells that the checkpoint is not for this data
+    # a manifest of this data, so only the shape tells that the checkpoint is not for it
     checkpoint = str(tmp_path / "checkpoint.dre")
     rng = np.random.Generator(np.random.PCG64(12))
     model.save_checkpoint(checkpoint, rng.standard_normal((3, m)).astype(np.float32),
                           model.init_decoder(3, 4, m, rng), np.array(seeds))
+    write_manifest(checkpoint, prepared)
     err = _one_line_error(capsys, [
         "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
         "--methods", "MOSTPOP,DRE", "--runs", "1", "--checkpoint", checkpoint,
         "--k", "3", "--ns", "5"])
     assert f"checkpoint has {m} items, the data has 18" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_checkpoint_without_its_manifest_is_one_line_error(prepared, tmp_path, capsys):
+    # train writes the manifest; a checkpoint copied without it is not admitted
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3"]
+                    + FAST_TRAIN) == 0
+    checkpoint = tmp_path / "copy" / "checkpoint.dre"
+    checkpoint.parent.mkdir()
+    checkpoint.write_bytes((out / "checkpoint.dre").read_bytes())
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"), "--methods", "DRE",
+        "--runs", "1", "--checkpoint", str(checkpoint)] + EVAL_FLAGS)
+    assert f"{checkpoint}.manifest" in err
     assert not (tmp_path / "eval").exists()
 
 
@@ -394,6 +418,7 @@ def test_eval_checkpoint_whose_seeds_change_is_one_line_error(prepared, tmp_path
     rng = np.random.Generator(np.random.PCG64(12))
     phi, theta = rng.standard_normal((3, 18)).astype(np.float32), model.init_decoder(3, 4, 18, rng)
     model.save_checkpoint(checkpoint, phi, theta, np.array([2, 4, 8]))
+    write_manifest(checkpoint, prepared)
     load = model.load_checkpoint
 
     def load_then_replace(path):
@@ -608,6 +633,23 @@ def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):
     assert "user id 999" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("n=60 ", "n=999999999999 ")] + lines[1:],
+     "60 rows, the header says n=999999999999"),
+    (lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+     "matrix.snapshot:2: user id 1, expected 0 in user order"),
+], ids=["header_n_beyond_rows", "row_out_of_user_order"])
+def test_train_snapshot_not_as_prepare_writes_it_is_one_line_error(prepared, tmp_path, capsys,
+                                                                 edit, message):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    lines = Path(prepared, "matrix.snapshot").read_text().splitlines(keepends=True)
+    (data_dir / "matrix.snapshot").write_text("".join(edit(lines)))
+    err = _one_line_error(capsys, ["train", "--data-dir", str(data_dir),
+                                   "--out", str(tmp_path / "run")] + FAST_TRAIN)
+    assert message in err
+
+
 def test_phase_rss_tool_traces_prepare_train_and_eval(raw_dataset, prepared, tmp_path):
     tool = Path(__file__).parent.parent / "tools" / "phase_rss.py"
     env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent))
@@ -696,6 +738,12 @@ def test_parse_grid_errors():
     assert grid["te"] == [0.1, "t0"] and grid["lr"] == [0.01]
 
 
+def test_parse_grid_rejects_a_key_given_twice():
+    # the last list would silently replace the first
+    with pytest.raises(ValueError, match="'t0' is given more than once"):
+        cli.parse_grid("t0=1,10 t0=50")
+
+
 def test_recommend_file_mode(prepared, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--data-dir", prepared, "--out", out,
@@ -760,6 +808,19 @@ def test_recommend_corrupt_item_map_is_one_line_error(prepared, tmp_path, capsys
                                    "--items-map", str(items_map),
                                    "--feedback", str(feedback), "--top-n", "4"])
     assert "items.map:11:" in err
+
+
+def test_recommend_item_map_out_of_index_order_is_one_line_error(prepared, tmp_path, capsys):
+    checkpoint = str(tmp_path / "checkpoint.dre")
+    write_small_checkpoint(checkpoint)  # m=10
+    items_map = tmp_path / "items.map"
+    items_map.write_text("".join(f"i{i}\t{i}\n" for i in (1, 0, *range(2, 10))))
+    feedback = tmp_path / "fb.txt"
+    feedback.write_text("1 0 1\n")
+    err = _one_line_error(capsys, ["recommend", "--checkpoint", checkpoint,
+                                   "--items-map", str(items_map),
+                                   "--feedback", str(feedback), "--top-n", "4"])
+    assert "items.map:1:" in err and "index order" in err
 
 
 def test_stream_seed_distinct():

@@ -1,13 +1,16 @@
 import os
+import re
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from elicit import data
 from conftest import matrix_from_rows, write_raw_file
@@ -120,6 +123,13 @@ def as_records(table):
     return list(zip(key_tokens(table.users), key_tokens(table.items), table.ratings.tolist()))
 
 
+def as_pairs(table):
+    """(user, item) per line of an Interactions table of positives, which
+    carries no rating."""
+    assert table.ratings is None
+    return list(zip(key_tokens(table.users), key_tokens(table.items)))
+
+
 def row_list(matrix):
     """Each user's item ids, read from the CSR arrays."""
     return [matrix.indices[a:b] for a, b in zip(matrix.indptr[:-1], matrix.indptr[1:])]
@@ -169,8 +179,9 @@ def test_load_interactions_skips_header(tmp_path):
     assert len(records) == 1
 
 
-@pytest.mark.parametrize("delimiter", ["", "\n", ":\n:"],
-                         ids=["empty", "newline", "holds_newline"])
+@pytest.mark.parametrize("delimiter", ["", "\n", ":\n:", "\r", ":\r:"],
+                         ids=["empty", "newline", "holds_newline", "carriage_return",
+                              "holds_carriage_return"])
 def test_load_interactions_rejects_bad_delimiter(tmp_path, delimiter):
     path = tmp_path / "raw.dat"
     path.write_text("1::2::4.0\n")
@@ -180,23 +191,22 @@ def test_load_interactions_rejects_bad_delimiter(tmp_path, delimiter):
 
 def test_binarize_strict_threshold():
     records = make_table([("u", "a", 4.0), ("u", "b", 3.5), ("u", "c", 3.6)])
-    kept = as_records(data.binarize(records))
+    kept = as_pairs(data.binarize(records))
     assert [r[1] for r in kept] == ["a", "c"]
-    assert all(r[2] == 1.0 for r in kept)
 
 
 def test_binarize_implicit_passthrough():
     records = make_table([("u", "a", 1.0), ("u", "b", 0.0)])
-    kept = as_records(data.binarize(records, threshold=0.5))
+    kept = as_pairs(data.binarize(records, threshold=0.5))
     assert [r[1] for r in kept] == ["a"]
 
 
 def test_binarize_and_filter_keep_timestamps():
-    # the user, item and rating columns stay aligned through both masks
+    # the user and item columns stay aligned through both masks
     records = make_table([("u", "a", 5.0), ("w", "c", 1.0), ("u", "b", 5.0), ("v", "a", 5.0),
                           ("u", "c", 1.0), ("w", "d", 4.0), ("w", "b", 5.0)])
-    kept = as_records(data.filter_min_ratings(data.binarize(records), 2))
-    assert kept == [("u", "a", 1.0), ("u", "b", 1.0), ("w", "d", 1.0), ("w", "b", 1.0)]
+    kept = as_pairs(data.filter_min_ratings(data.binarize(records), 2))
+    assert kept == [("u", "a"), ("u", "b"), ("w", "d"), ("w", "b")]
 
 
 def test_filter_min_ratings():
@@ -521,10 +531,13 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("1:1\n", "3:1\n", r":3: user id 3 outside \[0, 3\)"),
-    ("1:1\n", "-1:1\n", r":3: user id -1 outside \[0, 3\)"),
-    ("1:1\n", "0:1\n", ":3: second row for user 0"),
-    ("1:1\n", "", "missing user rows"),
+    ("1:1\n", "3:1\n", ":3: user id 3, expected 1 in user order"),
+    ("1:1\n", "-1:1\n", ":3: user id -1, expected 1 in user order"),
+    ("1:1\n", "0:1\n", ":3: user id 0, expected 1 in user order"),
+    ("1:1\n", "", ":3: user id 2, expected 1 in user order"),
+    ("n=3", "n=4", "3 rows, the header says n=4"),
+    ("n=3", "n=999999999999", "3 rows, the header says n=999999999999"),
+    ("2:0 1 3\n", "2:0 1 3\n3:\n", "4 rows, the header says n=3"),
     ("1:1\n", "1:1.5\n", ":3: malformed row"),
     ("1:1\n", "x:1\n", ":3: malformed row"),
     ("1:1\n", "1:4\n", r":3: item ids of user 1 must be strictly increasing and lie in \[0, 4\)"),
@@ -534,19 +547,25 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     (" nnz=6", "", "bad snapshot header"),
     ("n=3", "n=three", "bad snapshot header"),
     ("n=3", "n=-3", "bad snapshot header"),
+    ("n=3", "n=+3", "bad snapshot header"),
+    ("n=3", "n=\uff13", "bad snapshot header"),
+    ("nnz=6", "nnz=6 ", "bad snapshot header"),
+    ("n=3", "n=" + "9" * 5000, "bad snapshot header"),
     ("nnz=6", "nnz=5", "header nnz=5 but rows hold 6"),
     ("nnz=6", "nnz=7", "header nnz=7 but rows hold 6"),
     ("nnz=6", "nnz=999999999999", "header nnz=999999999999 but rows hold 6"),
     ("m=4", "m=2147483648", "2147483648 items: at most 2147483647"),
-], ids=["user_ge_n", "user_negative", "user_twice", "user_missing", "item_not_int",
-        "user_not_int", "item_ge_m", "item_negative", "items_unsorted", "item_twice",
-        "header_without_nnz", "header_bad_n", "header_negative_n", "nnz_low", "nnz_high",
-        "nnz_huge", "m_beyond_int32"])
+], ids=["user_ge_n", "user_negative", "user_twice", "user_missing", "rows_fewer_than_n",
+        "rows_fewer_than_huge_n", "rows_more_than_n", "item_not_int", "user_not_int",
+        "item_ge_m", "item_negative", "items_unsorted", "item_twice", "header_without_nnz",
+        "header_bad_n", "header_negative_n", "header_signed_n", "header_non_ascii_digit",
+        "header_trailing_space", "header_n_of_5000_digits", "nnz_low", "nnz_high", "nnz_huge",
+        "m_beyond_int32"])
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)
     assert [r.tolist() for r in row_list(data.load_snapshot(path))] == [[0, 2], [1], [0, 1, 3]]
-    path.write_text(SMALL_SNAPSHOT.replace(old, new, 1))
+    path.write_text(SMALL_SNAPSHOT.replace(old, new, 1), encoding="utf-8")
     with pytest.raises(data.DataError, match=message):
         data.load_snapshot(path)
 
@@ -558,12 +577,12 @@ def test_item_ids_must_fit_int32():
         data.RatingMatrix.from_csr(1, 2**31, np.zeros(2, np.int64), empty, {}, {})
 
 
-def test_load_snapshot_reads_rows_in_any_order(tmp_path):
+def test_load_snapshot_rejects_rows_out_of_user_order(tmp_path):
+    # save_snapshot writes the rows in user order, and load_snapshot reads no other
     path = tmp_path / "matrix.snapshot"
     path.write_text("ELICIT-MATRIX v1 n=3 m=4 nnz=6\n2:0 1 3\n0:0 2\n1:1\n")
-    matrix = data.load_snapshot(path)
-    assert [r.tolist() for r in row_list(matrix)] == [[0, 2], [1], [0, 1, 3]]
-    assert matrix.indptr.dtype == np.int64 and matrix.indices.dtype == np.int32
+    with pytest.raises(data.DataError, match=":2: user id 2, expected 0 in user order$"):
+        data.load_snapshot(path)
 
 
 # ------------------------------------------------------- CSR layout and files
@@ -615,6 +634,60 @@ def test_snapshot_roundtrip_keeps_csr_and_fingerprint(tmp_path_factory, case):
     assert data.matrix_fingerprint(loaded) == data.matrix_fingerprint(matrix)
 
 
+@st.composite
+def mutated_snapshots(draw):
+    """The bytes of a matrix.snapshot that save_snapshot wrote, after one to
+    three mutations: a cut at a byte, a flipped byte, a dropped, duplicated
+    or swapped line, or digits inserted into the header's n, m or nnz."""
+    matrix, _ = draw(rating_matrices())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matrix.snapshot")
+        data.save_snapshot(matrix, path)
+        text = bytearray(Path(path).read_bytes())
+    for kind in draw(st.lists(st.sampled_from(
+            ["cut", "flip", "drop", "duplicate", "swap", "digits"]), min_size=1, max_size=3)):
+        lines = text.splitlines(keepends=True)
+        if kind == "cut":
+            del text[draw(st.integers(0, len(text))):]
+        elif kind == "flip" and text:
+            text[draw(st.integers(0, len(text) - 1))] ^= draw(st.integers(1, 255))
+        elif kind in ("drop", "duplicate", "swap") and lines:
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = bytearray(b"".join(lines))
+        elif kind == "digits":
+            field = draw(st.sampled_from([b" n=", b" m=", b" nnz="]))
+            start = text.find(field, 0, len(lines[0]) if lines else 0) + len(field)
+            if start >= len(field):
+                digits = draw(st.text("0123456789", min_size=1, max_size=12))
+                end = start + len(re.match(rb"[0-9]*", text[start:]).group())
+                text[draw(st.integers(start, end)):0] = digits.encode()
+    return bytes(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_snapshots())
+@example(b"ELICIT-MATRIX v1 n=999999999999 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n")
+def test_load_snapshot_of_a_mutated_file_loads_or_is_one_line_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutated.snapshot"
+    path.write_bytes(text)
+    try:
+        matrix = data.load_snapshot(path)
+    except (data.DataError, UnicodeDecodeError) as exc:
+        # the CLI prints it as one error: line
+        event(type(exc).__name__)
+        assert "\n" not in str(exc) and "\r" not in str(exc)
+    else:
+        event("loaded")
+        assert isinstance(matrix, data.RatingMatrix)
+        assert len(matrix.indptr) == matrix.n + 1 and matrix.indptr[-1] == matrix.nnz
+
+
 def test_csr_view_shares_the_int32_indices(cluster_matrix):
     csr = cluster_matrix.csr()
     # an int64 indptr would make scipy copy the indices to int64
@@ -639,16 +712,21 @@ def test_item_map_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("a\t0\nb\t1\nc\t2\nfoo\t99999\n", r":4: expected token<TAB>index"),
+    ("a\t0\nb\t1\nc\t2\nfoo\t99999\n", r":4: expected 3 lines, each token<TAB>index"),
+    ("a\t0\nb\t1\nc\t2\nd\t3\n", r":4: expected 3 lines"),
     ("a\t0\nb\t1\nc\t3\n", ":3:"),
     ("a\t0\nb\t-1\nc\t2\n", ":2:"),
     ("a\t0\nb\t0\nc\t2\n", ":2:"),
     ("a\t0\nb 1\nc\t2\n", ":2:"),
     ("a\t0\nb\tone\nc\t2\n", ":2:"),
     ("a\t0\n\t1\nc\t2\n", ":2:"),
-    ("a\t0\nc\t2\n", "no token for item 1"),
-], ids=["extra", "index_ge_m", "index_negative", "index_twice", "no_tab", "index_not_int",
-        "empty_token", "index_missing"])
+    ("a\t0\nc\t2\n", r":2: expected 3 lines, each token<TAB>index in index order"),
+    ("b\t1\na\t0\nc\t2\n", ":1:"),
+    ("a\t0\nb\t1\nc\t02\n", ":3:"),
+    ("a\t0\nb\t1\n", "2 lines, expected one per item, 3"),
+], ids=["extra", "extra_in_order", "index_ge_m", "index_negative", "index_twice", "no_tab",
+        "index_not_int", "empty_token", "index_missing", "out_of_order", "index_not_canonical",
+        "too_few"])
 def test_load_item_map_rejects_corrupt_map(tmp_path, text, message):
     path = tmp_path / "items.map"
     path.write_text("a\t0\nb\t1\nc\t2\n")

@@ -6,7 +6,7 @@ from scipy.sparse import csr_array
 
 from elicit import linalg
 from elicit.linalg import (
-    gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
+    MAXVOL_DELTA, gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
 )
 
 
@@ -73,9 +73,9 @@ def test_maxvol_dominance_and_det_growth():
     rng = np.random.Generator(np.random.PCG64(6))
     for _ in range(10):
         B = rng.standard_normal((15, 4))
-        res = maxvol(B, delta=0.01)
+        res = maxvol(B)
         C = np.linalg.solve(B[res.indices].T, B.T).T
-        assert np.max(np.abs(C)) <= 1.01 + 1e-9
+        assert np.max(np.abs(C)) <= 1 + MAXVOL_DELTA + 1e-9
         # at least as large as the pivoted initialization's determinant
         from elicit.linalg import _pivoted_init
         d_init = abs(np.linalg.det(B[_pivoted_init(B)]))
