@@ -3,7 +3,6 @@ hyperparameter sweeps, one-shot elicitation and report rendering."""
 
 import argparse
 import dataclasses
-import hashlib
 import itertools
 import os
 import sys
@@ -74,6 +73,7 @@ def load_config(path=None, overrides=None):
 def stream_seed(master_seed, method, run):
     """Per-(method, run) RNG stream derived by SHA-256 of 'master:method:run',
     truncated to 63 bits. Documented so runs are reproducible independently."""
+    import hashlib  # here: it maps OpenSSL, which prepare never needs
     digest = hashlib.sha256(f"{master_seed}:{method}:{run}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
 

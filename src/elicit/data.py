@@ -1,7 +1,6 @@
 """Raw interaction ingestion, binarization, filtering, matrix building and user splits."""
 
 import array
-import hashlib
 import re
 from dataclasses import dataclass
 
@@ -10,13 +9,26 @@ import numpy as np
 from .linalg import BLOCK_ELEMS
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
-# at most 19 digits: an int64 count, and below int()'s limit on digits
-SNAPSHOT_HEADER = SNAPSHOT_MAGIC + r" n=([0-9]{1,19}) m=([0-9]{1,19}) nnz=([0-9]{1,19})"
+# a count as save_snapshot writes it: ASCII digits, no sign or leading zero,
+# and at most 19 of them (an int64, and below int()'s limit on digits)
+SNAPSHOT_COUNT = "(0|[1-9][0-9]{0,18})"
+SNAPSHOT_HEADER = f"{SNAPSHOT_MAGIC} n={SNAPSHOT_COUNT} m={SNAPSHOT_COUNT} nnz={SNAPSHOT_COUNT}"
 # Bytes of the log read at a time. A block of whole lines is parsed as numpy
 # arrays about ten times its size, so this bounds the parse's memory above
-# that of the columns it returns. On a 1M-line log, blocks of 512 KiB to
-# 1 MiB parsed fastest; at 4 MiB the parse's temporaries set the peak memory.
-READ_CHUNK_BYTES = 1 << 20
+# that of the columns it returns. On a 1M-line log (24.5 MB; 2-core VM,
+# numpy 2.4), blocks of 512 KiB parsed in 171-196 ms, of 256 KiB and 1 MiB
+# in 184-208 ms; 1 MiB blocks raised the high-water mark by 36 MB over the
+# parse, 512 KiB by 29 MB, and at 4 MiB the parse's temporaries set the
+# peak memory of prepare.
+READ_CHUNK_BYTES = 1 << 19
+# Bytes of matrix.snapshot read at a time. Its rows hold a token in about
+# every 4.5 bytes, so their parse's temporaries are larger for their size;
+# 128 KiB blocks loaded a 2.5 MB snapshot fastest (37 ms on a 2-core VM; 46
+# ms at 512 KiB) and raised the high-water mark by 5 MB (14 MB at 512 KiB).
+SNAPSHOT_CHUNK_BYTES = 1 << 17
+# Keys coded at a time by _unique_inverse: each block's sort and permutation
+# stay this small
+UNIQUE_BLOCK = 1 << 16
 # A rating of at most this many decimal digits and one optional point is
 # parsed in numpy as digits / 10**places: both are exact float64 values below
 # 2**53, so their quotient is float()'s correctly rounded value.
@@ -38,9 +50,9 @@ class Interactions:
 
     `users` and `items` hold each line's token as a key of its exact bytes
     (see _token_keys), all keys of a column of one width. `user_codes`, when
-    known, is (distinct, codes) as an np.unique that saw these lines found
-    them: sorted user keys, which may hold keys that no line has, and the
-    index among them of each line's user.
+    known, is (distinct, codes) as a _unique_inverse that saw these lines
+    found them: distinct user keys, which may hold keys that no line has, and
+    the index among them of each line's user.
     """
 
     users: np.ndarray
@@ -186,7 +198,7 @@ def load_interactions(path, delimiter="::"):
         size = _line_ends(fh) if fh.seekable() else 0
         columns, n = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)], 0
         first = 1  # the number of the block's first line
-        for block in _blocks(fh):
+        for block in _blocks(fh, READ_CHUNK_BYTES):
             *parts, lines = _parse_block(path, block, first, sep)
             columns = [_put(column, n, part) for column, part in zip(columns, parts)]
             n += len(parts[2])
@@ -222,19 +234,20 @@ def _put(column, at, part):
     return column
 
 
-def _blocks(fh):
-    """The bytes of fh as blocks of whole lines, each ending in \\n, with
-    \\r\\n and lone \\r translated to \\n."""
+def _blocks(fh, size, text=True):
+    """The bytes of fh, read `size` bytes at a time, as blocks of whole lines,
+    each ending in \\n; with text, \\r\\n and lone \\r end lines too and are
+    translated to \\n."""
     rest = b""
     while True:
-        chunk = fh.read(READ_CHUNK_BYTES)
+        chunk = fh.read(size)
         buf = rest + chunk
         if chunk:  # cut after the last line end, but a final \r waits for a \n
-            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1) if text else -1) + 1
             block, rest = buf[:cut], buf[cut:]
         else:
             block = buf
-        if b"\r" in block:
+        if text and b"\r" in block:
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if block and not block.endswith(b"\n"):  # the last line of the file
             block += b"\n"
@@ -377,9 +390,10 @@ def binarize(records, threshold=3.5):
 
 def filter_min_ratings(records, min_count):
     """Drop users with fewer than min_count positive lines; duplicate lines
-    count. The kept lines carry the user codes of the filter's np.unique."""
-    distinct, inverse = np.unique(records.users, return_inverse=True)
-    keep = np.bincount(inverse)[inverse] >= min_count
+    count. The kept lines carry the user codes the filter found (see
+    _unique_inverse)."""
+    distinct, inverse = _unique_inverse(records.users)
+    keep = (np.bincount(inverse) >= min_count)[inverse]
     kept = records.take(keep)
     if not len(kept):
         raise DataError("no users survive the minimum-rating filter")
@@ -416,7 +430,7 @@ def _renumber(keys, unique=None):
     number map. `unique`, when given, is (distinct, codes) as in
     Interactions.user_codes, so keys need no sort: distinct may hold keys
     that no line has."""
-    distinct, codes = np.unique(keys, return_inverse=True) if unique is None else unique
+    distinct, codes = _unique_inverse(keys) if unique is None else unique
     # a scatter-min finds each distinct key's first position in linear time;
     # a key no line has keeps len(codes), so it sorts after every used one
     first = np.full(len(distinct), len(codes), dtype=np.int64)
@@ -429,6 +443,43 @@ def _renumber(keys, unique=None):
     tokens = (blob[at:at + width].rstrip(b"\xff").decode("utf-8")
               for at in range(0, len(blob), width))
     return rank[codes], {token: k for k, token in enumerate(tokens)}
+
+
+def _unique_inverse(keys):
+    """(distinct, codes): the distinct keys, ordered as _sorted_unique orders
+    them, and the index among them of each key, so that distinct[codes] ==
+    keys; found without a permutation of all keys: each block of
+    UNIQUE_BLOCK keys is coded on its own, and its codes are mapped through
+    one coding of the blocks' few distinct keys."""
+    blocks = range(0, len(keys), UNIQUE_BLOCK)
+    codes, parts = np.empty(len(keys), np.int64), []
+    for i in blocks:
+        part, codes[i:i + UNIQUE_BLOCK] = _sorted_unique(keys[i:i + UNIQUE_BLOCK])
+        parts.append(part)
+    distinct, to_distinct = _sorted_unique(np.concatenate([keys[:0], *parts]))
+    at = 0
+    for i, part in zip(blocks, parts):
+        block = codes[i:i + UNIQUE_BLOCK]
+        block[:] = to_distinct[at:at + len(part)][block]
+        at += len(part)
+    return distinct, codes
+
+
+def _sorted_unique(keys):
+    """np.unique(keys, return_inverse=True), except that keys wider than 8
+    bytes are sorted by their uint64 words, not byte by byte: np.lexsort of
+    the words is faster than np.unique's byte compare."""
+    if keys.dtype == np.uint64:
+        return np.unique(keys, return_inverse=True)
+    words = keys.view(np.uint64).reshape(len(keys), keys.dtype.itemsize // 8)
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    new = np.empty(len(keys), dtype=bool)  # where ordered starts a key
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return keys[order[new]], inverse
 
 
 def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
@@ -471,11 +522,12 @@ def save_snapshot(matrix, path):
 
 def load_snapshot(path):
     """Read a matrix.snapshot as save_snapshot writes it: the header, then the
-    rows of users 0..n-1 in order. Raises DataError for any other layout, and
+    rows of users 0..n-1 in order, each `u:id id ...` in ASCII decimals with
+    no sign or leading zero. Raises DataError for any other layout, and
     unless each row's item ids are strictly increasing and lie in [0, m). The
     matrix has no user or item index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        header = fh.readline().rstrip(b"\n").decode("utf-8", "backslashreplace")
         fields = re.fullmatch(SNAPSHOT_HEADER, header)
         if not fields:
             raise DataError(f"{path}: bad snapshot header {header!r}")
@@ -483,30 +535,68 @@ def load_snapshot(path):
         if m > MAX_ITEMS:
             raise DataError(f"{path}: {m} items: at most {MAX_ITEMS} are supported")
         # the rows' ids grow one buffer, so nothing is sized from the header
-        flat, lengths = array.array("i"), []
-        for u, line in enumerate(fh):
-            lineno = u + 2
-            u_s, _, items_s = line.rstrip("\n").partition(":")
-            try:
-                user = int(u_s)
-                # via object: parsing from a str array raised the peak RSS of train
-                row = np.array(items_s.split(), dtype=object).astype(np.int32)
-            except (ValueError, OverflowError):  # an id beyond int32 overflows
-                raise DataError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
-            if user != u:
-                raise DataError(f"{path}:{lineno}: user id {user}, expected {u} in user order")
-            if len(row) and (row[0] < 0 or row[-1] >= m or not (row[1:] > row[:-1]).all()):
-                raise DataError(f"{path}:{lineno}: item ids of user {u} must be "
-                                f"strictly increasing and lie in [0, {m})")
-            flat.frombytes(row.view(np.uint8))
-            lengths.append(len(row))
+        flat, lengths = array.array("i"), array.array("q")
+        for block in _blocks(fh, SNAPSHOT_CHUNK_BYTES, text=False):
+            ids, row_lengths = _parse_rows(path, block, len(lengths), m)
+            flat.frombytes(ids.view(np.uint8))
+            lengths.frombytes(row_lengths.view(np.uint8))
     if len(lengths) != n:
         raise DataError(f"{path}: {len(lengths)} rows, the header says n={n}")
     if len(flat) != nnz:
         raise DataError(f"{path}: header nnz={nnz} but rows hold {len(flat)}")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
+    np.cumsum(np.frombuffer(lengths, np.int64), out=indptr[1:])
     return RatingMatrix.from_csr(n, m, indptr, np.frombuffer(flat, np.int32), {}, {})
+
+
+def _parse_rows(path, block, first, m):
+    """(ids, lengths) of a block of snapshot rows of users first, first + 1,
+    ..., each ending in \\n: their item ids as int32, row after row, and each
+    row's count as int64. Raises DataError at the first row that
+    load_snapshot does not admit."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    sep = (buf == 32) | (buf == 58) | (buf == 10)  # ' ', ':' and '\n'
+    marks = np.flatnonzero(sep)
+    kind = buf[marks]
+    row_end = kind == 10
+    ends = marks[row_end]
+    # token j runs from the byte after mark j - 1 to mark j; a row's first
+    # token is its user's
+    starts = np.concatenate(([0], marks[:-1] + 1))
+    lengths = marks - starts
+    opens = np.concatenate(([True], row_end[:-1]))
+    row = np.cumsum(row_end) - row_end
+    # the empty token of a row without items, between its ':' and its '\n'
+    empty = (lengths == 0) & row_end & np.concatenate(([False], kind[:-1] == 58))
+    # more than 10 digits lie beyond int32
+    malformed = (opens != (kind == 58)) | ((lengths == 0) & ~empty) | (lengths > 10)
+    malformed |= (lengths > 1) & (buf[starts] == 48)  # a leading zero
+    value = np.zeros(len(marks), dtype=np.int64)
+    for j in range(int(np.clip(lengths.max(initial=0), 0, 10))):
+        digit = buf[np.minimum(starts + j, len(buf) - 1)] - 48
+        value = np.where(j < lengths, value * 10 + digit, value)
+    is_id = ~opens & ~empty
+    ids, id_row = value[is_id], row[is_id]
+    # each row's first fault, in the order the checks are made; 0 for none
+    fault = np.zeros(len(ends), dtype=np.int8)
+    fault[id_row[ids >= m]] = 3
+    fault[id_row[1:][(ids[1:] <= ids[:-1]) & (id_row[1:] == id_row[:-1])]] = 3
+    users = value[opens]
+    fault[users != np.arange(first, first + len(ends))] = 2
+    fault[row[malformed]] = 1
+    # bytes other than digits and separators
+    fault[np.searchsorted(ends, np.flatnonzero(~sep & (buf - 48 > 9)))] = 1
+    if fault.any():
+        i = int(np.flatnonzero(fault)[0])
+        u, where = first + i, f"{path}:{first + i + 2}"
+        if fault[i] == 1:
+            text = block[ends[i - 1] + 1 if i else 0:ends[i]].decode("utf-8", "backslashreplace")
+            raise DataError(f"{where}: malformed row {text!r}")
+        if fault[i] == 2:
+            raise DataError(f"{where}: user id {users[i]}, expected {u} in user order")
+        raise DataError(f"{where}: item ids of user {u} must be "
+                        f"strictly increasing and lie in [0, {m})")
+    return ids.astype(np.int32), np.bincount(id_row, minlength=len(ends))
 
 
 def save_maps(matrix, users_path, items_path):
@@ -534,6 +624,7 @@ def load_item_map(path, m):
 
 def matrix_fingerprint(matrix):
     """Stable hash of the matrix contents, recorded in checkpoint manifests."""
+    import hashlib  # here: it maps OpenSSL, which prepare never needs
     h = hashlib.sha256()
     h.update(f"{matrix.n},{matrix.m},{matrix.nnz};".encode())
     # the rows in user order, as int64 bytes, so existing manifests still

@@ -68,6 +68,18 @@ def test_prepare_deterministic(raw_dataset, tmp_path):
     assert s1 == s2
 
 
+def test_prepare_in_blocks_of_a_few_bytes_and_keys_writes_the_same_files(
+        raw_dataset, prepared, tmp_path, monkeypatch):
+    # `prepared` was written with the default block sizes
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", 7)
+    monkeypatch.setattr(data, "UNIQUE_BLOCK", 5)
+    out = tmp_path / "out"
+    assert cli.main(["prepare", "--dataset", raw_dataset, "--min-count", "3",
+                     "--out", str(out)]) == 0
+    for name in ("matrix.snapshot", "users.map", "items.map"):
+        assert (out / name).read_bytes() == Path(prepared, name).read_bytes(), name
+
+
 def test_prepare_missing_file(tmp_path):
     assert cli.main(["prepare", "--dataset", str(tmp_path / "nope.dat"),
                      "--out", str(tmp_path)]) == 1

@@ -261,6 +261,33 @@ def test_renumber_matches_unique_reference(draw):
     assert list(got[1].items()) == list(expected[1].items())
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_unique_inverse_codes_every_key(draw):
+    # runs of equal keys, cut by blocks of 1 to 8 keys; tokens of up to 15
+    # bytes, so that keys are uint64 or, over 8 bytes, void
+    long = draw.draw(st.booleans())
+    tokens = [f"t{j}" * (1 + j % 5 if long else 1) for j in range(draw.draw(st.integers(1, 30)))]
+    runs = draw.draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), st.integers(1, 6)),
+                              max_size=20))
+    keys = token_keys(tokens)[np.repeat(*np.array(runs, dtype=np.int64).reshape(-1, 2).T)]
+    with mock.patch.object(data, "UNIQUE_BLOCK", draw.draw(st.integers(1, 8))):
+        distinct, codes = data._unique_inverse(keys)
+    # the same distinct set as np.unique; for uint64 keys in its order too
+    assert len(np.unique(distinct)) == len(distinct)
+    assert np.array_equal(np.sort(distinct), np.unique(keys))
+    assert keys.dtype != np.uint64 or np.array_equal(distinct, np.unique(keys))
+    assert codes.dtype == np.int64 and np.array_equal(distinct[codes], keys)
+
+
+@pytest.mark.parametrize("tokens", [[], ["a"], ["a-long-token"]], ids=["empty", "one", "one_void"])
+def test_unique_inverse_of_no_key_or_one(tokens):
+    keys = token_keys(tokens) if tokens else np.zeros(0, dtype=np.uint64)
+    distinct, codes = data._unique_inverse(keys)
+    assert distinct.dtype == keys.dtype and np.array_equal(distinct, keys)
+    assert codes.dtype == np.int64 and codes.tolist() == [0] * len(tokens)
+
+
 def test_pipeline_idempotence(tmp_path):
     path = tmp_path / "raw.dat"
     rng = np.random.Generator(np.random.PCG64(5))
@@ -532,7 +559,7 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
 
 @pytest.mark.parametrize("old, new, message", [
     ("1:1\n", "3:1\n", ":3: user id 3, expected 1 in user order"),
-    ("1:1\n", "-1:1\n", ":3: user id -1, expected 1 in user order"),
+    ("1:1\n", "-1:1\n", ":3: malformed row '-1:1'"),
     ("1:1\n", "0:1\n", ":3: user id 0, expected 1 in user order"),
     ("1:1\n", "", ":3: user id 2, expected 1 in user order"),
     ("n=3", "n=4", "3 rows, the header says n=4"),
@@ -541,7 +568,7 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     ("1:1\n", "1:1.5\n", ":3: malformed row"),
     ("1:1\n", "x:1\n", ":3: malformed row"),
     ("1:1\n", "1:4\n", r":3: item ids of user 1 must be strictly increasing and lie in \[0, 4\)"),
-    ("1:1\n", "1:-1\n", ":3: item ids of user 1"),
+    ("1:1\n", "1:-1\n", ":3: malformed row '1:-1'"),
     ("2:0 1 3", "2:1 0 3", ":4: item ids of user 2"),
     ("2:0 1 3", "2:0 1 1", ":4: item ids of user 2"),
     (" nnz=6", "", "bad snapshot header"),
@@ -550,6 +577,7 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
     ("n=3", "n=+3", "bad snapshot header"),
     ("n=3", "n=\uff13", "bad snapshot header"),
     ("nnz=6", "nnz=6 ", "bad snapshot header"),
+    ("n=3", "n=03", "bad snapshot header"),
     ("n=3", "n=" + "9" * 5000, "bad snapshot header"),
     ("nnz=6", "nnz=5", "header nnz=5 but rows hold 6"),
     ("nnz=6", "nnz=7", "header nnz=7 but rows hold 6"),
@@ -559,8 +587,8 @@ SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
         "rows_fewer_than_huge_n", "rows_more_than_n", "item_not_int", "user_not_int",
         "item_ge_m", "item_negative", "items_unsorted", "item_twice", "header_without_nnz",
         "header_bad_n", "header_negative_n", "header_signed_n", "header_non_ascii_digit",
-        "header_trailing_space", "header_n_of_5000_digits", "nnz_low", "nnz_high", "nnz_huge",
-        "m_beyond_int32"])
+        "header_trailing_space", "header_n_with_leading_zero", "header_n_of_5000_digits",
+        "nnz_low", "nnz_high", "nnz_huge", "m_beyond_int32"])
 def test_load_snapshot_rejects_corrupt_rows(tmp_path, old, new, message):
     path = tmp_path / "matrix.snapshot"
     path.write_text(SMALL_SNAPSHOT)
@@ -686,6 +714,50 @@ def test_load_snapshot_of_a_mutated_file_loads_or_is_one_line_error(tmp_path_fac
         event("loaded")
         assert isinstance(matrix, data.RatingMatrix)
         assert len(matrix.indptr) == matrix.n + 1 and matrix.indptr[-1] == matrix.nnz
+        # what loads is what save_snapshot writes for that matrix, up to the
+        # final line end (not written by save_snapshot, whose time grows with m)
+        rows = "".join(f"{u}:{' '.join(map(str, row.tolist()))}\n"
+                       for u, row in enumerate(row_list(matrix)))
+        written = f"ELICIT-MATRIX v1 n={matrix.n} m={matrix.m} nnz={matrix.nnz}\n{rows}"
+        assert written.encode() in (text, text + b"\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1:1\n", "1:+1\n"), ("1:1\n", "+1:1\n"), ("0:0 2\n", "+0:0 2\n"),
+    ("2:0 1 3", "2:0 1_0"), ("1:1\n", "1:01\n"), ("1:1\n", "01:1\n"), ("0:0 2", "00:0 2"),
+    ("0:0 2", "-0:0 2"), ("1:1\n", "1:\uff11\n"), ("1:1\n", "\u0661:1\n"), ("1:1\n", "1: 1\n"),
+    ("1:1\n", "1:1 \n"), ("0:0 2", "0:0  2"), ("1:1\n", "1:1\r\n"), ("1:1\n", " 1:1\n"),
+    ("1:1\n", "1:1:1\n"), ("1:1\n", "1\n"), ("1:1\n", "1:1\t\n"), ("1:1\n", "\n1:1\n"),
+    ("1:1\n", "1:99999999999\n"),
+], ids=["item_plus", "user_plus", "user_plus_zero", "item_underscore", "item_leading_zero",
+        "user_leading_zero", "user_00", "user_minus_zero", "item_fullwidth_digit",
+        "user_arabic_indic_digit", "space_after_colon", "trailing_space", "double_space",
+        "crlf", "leading_space", "two_colons", "no_colon", "tab", "blank_line",
+        "item_of_11_digits"])
+def test_load_snapshot_rejects_ids_not_as_save_snapshot_writes_them(tmp_path, old, new):
+    # every row is u:id id ... in ASCII decimals without sign or leading zero
+    path = tmp_path / "matrix.snapshot"
+    text = SMALL_SNAPSHOT.replace(old, new, 1)
+    assert text != SMALL_SNAPSHOT
+    path.write_bytes(text.encode("utf-8"))
+    line = text[:text.index(new)].count("\n") + 1
+    with pytest.raises(data.DataError, match=f"snapshot:{line}: malformed row"):
+        data.load_snapshot(path)
+
+
+def test_load_snapshot_reads_rows_across_blocks(tmp_path, monkeypatch, cluster_matrix):
+    # blocks of a few bytes cut rows and ids anywhere; a fault is named by
+    # its line in the file, not in its block
+    path = tmp_path / "matrix.snapshot"
+    data.save_snapshot(cluster_matrix, path)
+    whole = data.load_snapshot(path)
+    monkeypatch.setattr(data, "SNAPSHOT_CHUNK_BYTES", 3)
+    assert same_csr(data.load_snapshot(path), whole)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-2] = lines[-2].replace(":", ":07 ", 1)
+    path.write_text("".join(lines))
+    with pytest.raises(data.DataError, match=f"snapshot:{len(lines) - 1}: malformed row"):
+        data.load_snapshot(path)
 
 
 def test_csr_view_shares_the_int32_indices(cluster_matrix):

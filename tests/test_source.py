@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -48,15 +49,25 @@ def test_only_data_reads_the_matrix_layout():
     assert not found, f"matrix layout read outside data.py: {found}"
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def test_cli_import_loads_no_scipy_and_prepare_no_openssl(tmp_path):
     # scipy.stats takes about a second to import, and no command needs it;
-    # scipy.sparse takes about 0.25 s, and only the RBMF methods need it
-    code = ("import sys, elicit.cli; "
-            "print([name for name in ('scipy.stats', 'scipy.sparse') if name in sys.modules])")
+    # scipy.sparse takes about 0.25 s, and only the RBMF methods need it.
+    # hashlib maps OpenSSL (about 4 MB), which prepare never uses.
+    log = tmp_path / "ratings.dat"
+    log.write_text("u1::i1::5::1\nu1::i2::4::2\n")
+    code = ("import json, sys; early = '_hashlib' in sys.modules; import elicit.cli; "
+            "loaded = [name for name in ('scipy.stats', 'scipy.sparse') if name in sys.modules]; "
+            f"elicit.cli.main(['prepare', '--dataset', {str(log)!r}, '--min-count', '1', "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(json.dumps([early, loaded, '_hashlib' in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    early, loaded, hashlib_after_prepare = json.loads(out.splitlines()[-1])
+    assert loaded == []
+    if early:
+        pytest.skip("this interpreter loads _hashlib before elicit is imported")
+    assert not hashlib_after_prepare
 
 
 def test_elicit_is_imported_from_the_first_pythonpath_entry():
