@@ -2,11 +2,16 @@
 the linear least-squares decoder, the '++' variants that pair any selector
 with the neural decoder, and the non-personalized popularity ranking."""
 
+import re
+
 import numpy as np
 
 from . import model
 from .data import DataError
 from .linalg import maxvol, ridge_solve, truncated_svd
+
+
+SEED_INDEX = "0|[1-9][0-9]{0,18}"  # an item index as save_seeds writes it
 
 
 def select_random(m, k, rng):
@@ -64,19 +69,17 @@ def save_seeds(seeds, path):
             fh.write(f"{int(s)}\n")
 
 
-def load_seeds(path):
-    """Read a save_seeds file. Raises DataError naming path:line for a line
-    that is not an integer, and ValueError for a repeated index."""
-    seeds = []
+def load_seeds(path, m):
+    """Read a save_seeds file of distinct item indices below m. Raises
+    DataError naming path:line for a line that is not such an index as
+    save_seeds writes it (ASCII digits, no sign, no leading zero) or that
+    repeats an earlier line's."""
+    seeds = {}  # kept in file order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    seeds.append(int(line))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: expected an item index, "
-                                    f"got {line.strip()!r}") from None
-    seeds = np.array(seeds, dtype=np.int64)
-    if len(set(seeds.tolist())) != len(seeds):
-        raise ValueError(f"{path}: duplicate seed indices")
-    return seeds
+            text = line.removesuffix("\n")
+            if not re.fullmatch(SEED_INDEX, text) or int(text) >= m or int(text) in seeds:
+                raise DataError(f"{path}:{lineno}: expected a distinct item index in [0, {m}), "
+                                f"got {text!r}")
+            seeds[int(text)] = None
+    return np.array(list(seeds), dtype=np.int64)

@@ -49,21 +49,23 @@ def load_config(path=None, overrides=None):
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
+                if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
+                key, _, value = line.removesuffix("\n").partition("=")
                 key = key.strip()
                 if key not in cfg:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                # spaces around a value are dropped, but a value of only
+                # whitespace (a tab delimiter) is kept as written
+                value = value.strip() or value
                 kind = type(CONFIG_DEFAULTS[key])
                 try:
-                    cfg[key] = kind(value.strip())
+                    cfg[key] = kind(value)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
-                                     f"got {value.strip()!r}") from None
+                                     f"got {value!r}") from None
     for key, value in (overrides or {}).items():
         if key in cfg and value is not None:
             cfg[key] = value
@@ -268,8 +270,8 @@ def cmd_eval(args):
             raise ValueError(f"--external-seeds {name} is not one of --methods")
         if name.upper() in external:
             raise ValueError(f"--external-seeds {name} is given more than once")
-        seeds = baselines.load_seeds(path)
-        if not len(seeds) or ((seeds < 0) | (seeds >= matrix.m)).any():
+        seeds = baselines.load_seeds(path, matrix.m)
+        if not len(seeds):
             raise data.DataError(f"{path}: need at least one seed index, each in [0, {matrix.m})")
         external[name.upper()] = seeds
     Ns = tuple(int(t) for t in str(cfg["Ns"]).split(","))

@@ -327,58 +327,69 @@ def rng_streams(seed):
             for s in np.random.SeedSequence(seed).spawn(3)]
 
 
+def _fit(params, users, epochs, batch_size, shuffle_rng, lr, step, unit, after_epoch=None):
+    """The epoch loop of a training unit. Per epoch: permute the users with
+    shuffle_rng, and for each minibatch of them take the gradients
+    step(e, ids) returns and one Adam step on params; then after_epoch(e),
+    when given. The loss is finite unless r_hat holds a NaN (r_hat lies in
+    [0, 1], r in {0, 1}), and such a NaN reaches the sum over its column,
+    so one check of b2's gradient stands for the loss."""
+    state = AdamState()
+    for e in range(epochs):
+        order = shuffle_rng.permutation(len(users))
+        for start in range(0, len(users), batch_size):
+            grads = step(e, users[order[start:start + batch_size]])
+            if not np.isfinite(grads["b2"]).all():
+                raise RuntimeError(f"{unit} diverged at epoch {e}")
+            adam_step(params, grads, state, lr)
+        if after_epoch is not None:
+            after_epoch(e)
+
+
 def train(matrix, split, cfg):
-    """Joint end-to-end training of encoder logits and decoder.
-
-    Per epoch: anneal the temperature, reshuffle training users, and for each
-    minibatch (densified from its positives; the whole training matrix never
-    is) run encode -> decode, MSE loss, backprop, one Adam step on both parameter
-    groups. Validation NDCG@20 (hard extracted seeds) is recorded every
-    cfg.val_every epochs, decoded in the training workspace, and the best
-    snapshot is kept, refreshed in place.
-
-    Returns (phi, theta, history) for the best-validation snapshot.
-    """
+    """Joint end-to-end training of encoder logits and decoder: each step
+    draws Gumbel noise at the epoch's annealed temperature and runs encode
+    -> decode, MSE loss and backprop on a minibatch (densified from its
+    positives; the whole training matrix never is). Validation NDCG@20 (hard
+    extracted seeds) is recorded every cfg.val_every epochs, decoded in the
+    training workspace, and the best snapshot is kept, refreshed in place.
+    Returns (phi, theta, history) for the best-validation snapshot."""
     init_rng, noise_rng, shuffle_rng = rng_streams(cfg.seed)
     m = matrix.m
     if cfg.k >= m:
         raise ValueError(f"k={cfg.k} must be smaller than the item count {m}")
-    dtype = np.float32
-    phi = init_encoder(cfg.k, m, init_rng, dtype)
-    theta = init_decoder(cfg.k, cfg.d, m, init_rng, dtype)
-    train_users = split.train_users
-    n_train = len(train_users)
-    state = AdamState()
-    params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
+    phi = init_encoder(cfg.k, m, init_rng)
+    theta = init_decoder(cfg.k, cfg.d, m, init_rng)
+    params = {"phi": phi, **vars(theta)}
     ws = Workspace()
+    history, best = [], {}  # best is filled at the last epoch at the latest
+    best_ndcg, epoch_loss = -1.0, 0.0
 
-    history = []
-    best_ndcg, best = -1.0, None  # replaced at the last epoch at the latest
-    for e in range(cfg.epochs):
-        tau = temperature(e, cfg)
-        order = shuffle_rng.permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            ids = train_users[order[start:start + cfg.batch_size]]
-            g = gumbel_noise(cfg.k, m, noise_rng, out=ws.get("g", phi.shape, dtype))
-            positives = matrix.positives(ids)
-            loss, grads = _forward_backward(phi, theta, positives, len(ids), tau, g, ws)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"training diverged at epoch {e} (loss={loss})")
-            adam_step(params, grads, state, cfg.lr)
-            epoch_loss += loss * len(ids)
-        epoch_loss /= n_train
+    def step(e, ids):
+        nonlocal epoch_loss
+        g = gumbel_noise(cfg.k, m, noise_rng, out=ws.get("g", phi.shape, phi.dtype))
+        loss, grads = _forward_backward(phi, theta, matrix.positives(ids), len(ids),
+                                        temperature(e, cfg), g, ws)
+        epoch_loss += loss * len(ids)
+        return grads
 
+    def after_epoch(e):
+        nonlocal best_ndcg, epoch_loss
         val_ndcg = None
         if (e + 1) % cfg.val_every == 0 or e == cfg.epochs - 1:
             val_ndcg = _validation_ndcg(theta, extract_seeds(phi), matrix, split.val_users, ws)
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                if best is None:
-                    best = {name: np.empty_like(p) for name, p in params.items()}
+                if not best:
+                    best.update((name, np.empty_like(p)) for name, p in params.items())
                 for name, p in params.items():
                     np.copyto(best[name], p)
-        history.append({"epoch": e, "tau": tau, "loss": epoch_loss, "val_ndcg": val_ndcg})
+        history.append({"epoch": e, "tau": temperature(e, cfg),
+                        "loss": epoch_loss / len(split.train_users), "val_ndcg": val_ndcg})
+        epoch_loss = 0.0
+
+    _fit(params, split.train_users, cfg.epochs, cfg.batch_size, shuffle_rng, cfg.lr, step,
+         "training", after_epoch)
     return best.pop("phi"), DecoderParams(**best), history
 
 
@@ -389,39 +400,27 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     the target is its positives. theta, the decoder to start from, is
     trained in place and returned; a caller that needs its starting weights
     passes a copy."""
-    if epochs == 0:
-        return theta
     seeds = np.asarray(seeds, dtype=np.int64)
     if len(np.unique(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     column = np.full(matrix.m, -1, dtype=np.int64)  # item -> its input, -1 if not a seed
     column[seeds] = np.arange(len(seeds))
-    # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
-    shuffle_rng = rng_streams(seed)[0]
-    train_users = split.train_users
-    n_train = len(train_users)
-    state = AdamState()
-    params = {"w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
     ws = Workspace()
-    for e in range(epochs):
-        order = shuffle_rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            ids = train_users[order[start:start + batch_size]]
-            positives = rows, items = matrix.positives(ids)
-            # in C order, as the BLAS products below can round differently
-            # for an F-order input
-            hit = column[items]
-            shape = (len(ids), len(seeds))
-            z = densify((rows[hit >= 0], hit[hit >= 0]), shape, theta.w1.dtype,
-                        out=ws.get("z", shape, theta.w1.dtype))
-            h, r_hat = _decoder_forward(theta, z, ws)
-            grads = _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
-            # the loss is finite unless r_hat holds a NaN (r_hat lies in
-            # [0, 1], r in {0, 1}), and such a NaN reaches the sum over its
-            # column, so one check of b2's gradient stands for the loss
-            if not np.isfinite(grads["b2"]).all():
-                raise RuntimeError(f"decoder retraining diverged at epoch {e}")
-            adam_step(params, grads, state, lr)
+
+    def step(e, ids):
+        positives = rows, items = matrix.positives(ids)
+        # in C order, as the BLAS products below can round differently
+        # for an F-order input
+        hit = column[items]
+        shape = (len(ids), len(seeds))
+        z = densify((rows[hit >= 0], hit[hit >= 0]), shape, theta.w1.dtype,
+                    out=ws.get("z", shape, theta.w1.dtype))
+        h, r_hat = _decoder_forward(theta, z, ws)
+        return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
+
+    # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
+    _fit(vars(theta), split.train_users, epochs, batch_size, rng_streams(seed)[0], lr,
+         step, "decoder retraining")
     return theta
 
 
@@ -523,5 +522,4 @@ def load_checkpoint(path):
     seeds = np.frombuffer(raw, dtype="<u4", count=k, offset=16 + 4 * n_floats).astype(np.int64)
     if len(np.unique(seeds)) != k or (seeds >= m).any():
         raise DataError(f"{path}: seeds must be {k} distinct item indices below m={m}")
-    theta = DecoderParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
-    return arrays["phi"], theta, seeds
+    return arrays.pop("phi"), DecoderParams(**arrays), seeds

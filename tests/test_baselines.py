@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -157,8 +158,26 @@ def test_seed_file_roundtrip(tmp_path):
     seeds = np.array([5, 1, 9], dtype=np.int64)
     baselines.save_seeds(seeds, path)
     assert Path(path).read_text() == "5\n1\n9\n"
-    assert np.array_equal(baselines.load_seeds(path), seeds)
-    with open(path, "w") as fh:
-        fh.write("1\n1\n")
-    with pytest.raises(ValueError):
-        baselines.load_seeds(path)
+    assert np.array_equal(baselines.load_seeds(path, 10), seeds)
+    # the last line's end may be missing
+    Path(path).write_text("0\n10\n9")
+    assert baselines.load_seeds(path, 11).tolist() == [0, 10, 9]
+    Path(path).write_text("1\n4\n1\n")
+    with pytest.raises(data.DataError, match=r"seeds\.txt:3: expected a distinct item index "
+                                             r"in \[0, 10\), got '1'$"):
+        baselines.load_seeds(path, 10)
+
+
+@pytest.mark.parametrize("line", [
+    "+3", "-1", "1_0", "07", "00", "\u0664", "\uff13", " 3", "3 ", "3\t", "", "3.0", "0x3",
+    "10", "1" * 20,
+], ids=["plus", "minus", "underscore", "leading_zero", "double_zero", "arabic_indic",
+        "full_width", "leading_space", "trailing_space", "tab", "blank", "float", "hex",
+        "eq_m", "20_digits"])
+def test_load_seeds_rejects_lines_not_as_save_seeds_writes_them(tmp_path, line):
+    # int() reads each of these but blank, float and hex as an integer
+    path = tmp_path / "seeds.txt"
+    path.write_text(f"4\n{line}\n2\n", encoding="utf-8")
+    with pytest.raises(data.DataError, match=rf"seeds\.txt:2: expected a distinct item index in "
+                                             rf"\[0, 10\), got {re.escape(repr(line))}$"):
+        baselines.load_seeds(path, 10)

@@ -554,6 +554,20 @@ def test_eval_external_seeds_not_an_integer(prepared, tmp_path, capsys):
     assert f"{seeds_path}:2:" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("line", ["+6", "06", "1_2", "\u0666", "", "6\n6"],
+                         ids=["plus", "leading_zero", "underscore", "arabic_indic", "blank",
+                              "repeated"])
+def test_eval_external_seeds_not_as_save_seeds_writes_them(prepared, tmp_path, capsys, line):
+    seeds_path = tmp_path / "ext.txt"
+    seeds_path.write_text(f"0\n{line}\n12\n", encoding="utf-8")
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "EXT", "--runs", "1", "--external-seeds", f"EXT={seeds_path}"]
+        + EVAL_FLAGS)
+    assert re.search(rf"{re.escape(str(seeds_path))}:[23]: ", err)
+    assert not (tmp_path / "eval").exists()
+
+
 def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment\nk=abc\n")
@@ -711,6 +725,21 @@ def test_criterion07_margin_tool_runs(capsys, monkeypatch):
                         lines[1])
 
 
+def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
+    tool = Path(__file__).parent.parent / "tools" / "output_digests.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent))
+    runs = [subprocess.run([sys.executable, str(tool), str(tmp_path / out)], env=env,
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+            for out in ("a", "b")]
+    assert runs[0] == runs[1]
+    paths = [line.split("  ")[1] for line in runs[0]]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in runs[0])
+    assert paths == sorted(paths)
+    assert {"ratings.dat", "prepared/matrix.snapshot", "train/checkpoint.dre",
+            "train/checkpoint.dre.manifest", "train/seeds.txt", "train/history.tsv",
+            "eval/eval_report.json", "eval/eval_report.tsv", "grid/sweep.tsv"} <= set(paths)
+
+
 def test_grid_sweep(prepared, tmp_path):
     out = str(tmp_path / "grid")
     rc = cli.main(["grid", "--data-dir", prepared, "--out", out,
@@ -862,10 +891,25 @@ def test_render_report_improvement():
 
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nk=7\nlr=0.01\nt0=20\n")
+    path.write_text("# comment\nk = 7\n  lr=0.01 \nt0=20\ndelimiter=\t\n")
     cfg = cli.load_config(str(path), {"lr": 0.5, "epochs": None})
     assert cfg["k"] == 7 and cfg["lr"] == 0.5 and cfg["t0"] == 20.0
+    assert cfg["delimiter"] == "\t"
     assert cfg["epochs"] == 400
     path.write_text("mystery=1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.load_config(str(path))
+
+
+def test_config_file_tab_delimiter_prepares_as_the_flag_does(raw_dataset, tmp_path):
+    log = tmp_path / "ratings.tsv"
+    log.write_text(Path(raw_dataset).read_text().replace("::", "\t"))
+    config = tmp_path / "prepare.cfg"
+    config.write_text("delimiter=\t\nmin_count = 3\n")
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert cli.main(["prepare", "--dataset", str(log), "--delimiter", "\t", "--min-count", "3",
+                     "--out", str(by_flag)]) == 0
+    assert cli.main(["prepare", "--dataset", str(log), "--config", str(config),
+                     "--out", str(by_file)]) == 0
+    for name in ("matrix.snapshot", "users.map", "items.map"):
+        assert (by_file / name).read_bytes() == (by_flag / name).read_bytes(), name

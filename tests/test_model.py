@@ -452,6 +452,34 @@ def test_train_bit_identical_to_allocating_reference(cluster_matrix):
         assert getattr(theta, name).tobytes() == getattr(want_theta, name).tobytes(), name
 
 
+def test_train_returns_the_best_validation_snapshot(cluster_matrix, monkeypatch):
+    # the second of three validations scores best: train must return the
+    # parameters as they were then, not the last ones nor the first
+    script = [0.2, 0.5, 0.1]
+    phis, thetas = [], []  # the parameters at each validation
+    extract_seeds = model.extract_seeds
+
+    def recording_extract_seeds(phi):
+        phis.append(phi.copy())
+        return extract_seeds(phi)
+
+    def scripted_validation(theta, seeds, matrix, user_ids, ws=None):
+        thetas.append(theta.copy())
+        return script[len(thetas) - 1]
+
+    monkeypatch.setattr(model, "extract_seeds", recording_extract_seeds)
+    monkeypatch.setattr(model, "_validation_ndcg", scripted_validation)
+    split = data.split_users(cluster_matrix, seed=0)
+    phi, theta, history = model.train(cluster_matrix, split, _quick_cfg(epochs=3, val_every=1))
+    assert [row["val_ndcg"] for row in history] == script
+    assert len(phis) == len(thetas) == 3
+    # the epochs trained on, so the snapshot is not the last parameters
+    assert phis[2].tobytes() != phis[1].tobytes()
+    assert phi.tobytes() == phis[1].tobytes()
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(theta, name).tobytes() == getattr(thetas[1], name).tobytes(), name
+
+
 def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
     cfg = _quick_cfg(epochs=10)
@@ -526,9 +554,10 @@ def test_retrain_decoder_nan_weight_diverges_at_epoch_0(cluster_matrix):
 def test_retrain_decoder_rejects_repeated_seed(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
     theta = model.init_decoder(3, 8, cluster_matrix.m, np.random.Generator(np.random.PCG64(4)))
-    with pytest.raises(ValueError, match="distinct"):
-        model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 0]), theta, 1,
-                              lr=0.005, batch_size=256, seed=0)
+    for epochs in (1, 0):
+        with pytest.raises(ValueError, match="distinct"):
+            model.retrain_decoder(cluster_matrix, split, np.array([0, 11, 0]), theta, epochs,
+                                  lr=0.005, batch_size=256, seed=0)
 
 
 def test_train_nan_encoder_diverges_at_epoch_0(cluster_matrix, monkeypatch):

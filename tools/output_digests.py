@@ -1,0 +1,72 @@
+"""SHA-256 digests of every file a small `elicit` pipeline writes: the
+`perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
+--checkpoint` of all six methods over 2 runs and a 2-cell `grid`, each with
+small budgets.
+
+    PYTHONPATH=src python tools/output_digests.py OUT
+
+Prints `sha256  path` per file, paths relative to OUT and sorted; the
+commands' own output goes to stderr. Two source trees whose lines match
+write the same bytes here: run it once with each tree's `src` on
+PYTHONPATH and compare the lines (`diff`).
+"""
+
+import contextlib
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import corpus  # noqa: E402
+from elicit import cli  # noqa: E402
+
+CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
+SMALL = ["--k", "5", "--epochs", "8"]
+
+
+def commands(out):
+    """The pipeline's elicit argument lists, in order."""
+    prepared, cfg = os.path.join(out, "prepared"), os.path.join(out, "run.cfg")
+    common = ["--data-dir", prepared, "--config", cfg] + SMALL
+    return [
+        ["prepare", "--dataset", os.path.join(out, "ratings.dat"), "--out", prepared],
+        ["train", "--out", os.path.join(out, "train")] + common,
+        ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
+         "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
+        ["grid", "--out", os.path.join(out, "grid"), "--grid", "t0=1,5"] + common,
+    ]
+
+
+def digests(out):
+    """(sha256, path relative to out) of every file under out, sorted by path."""
+    found = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found.append((hashlib.sha256(fh.read()).hexdigest(), os.path.relpath(path, out)))
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: output_digests.py OUT")
+    out = argv[0]
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "ratings.dat"), "w", encoding="utf-8") as fh:
+        fh.write(corpus.generate(corpus.TINY, 7)[0])
+    with open(os.path.join(out, "run.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(CONFIG)
+    for args in commands(out):
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli.main(args)
+        if code != 0:
+            sys.exit(f"elicit {args[0]} exited {code}")
+    for digest, path in digests(out):
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
