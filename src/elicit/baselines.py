@@ -1,6 +1,7 @@
 """Comparison methods: random / popularity / maximal-volume seed selection,
-the linear least-squares decoder, the '++' variants that pair any selector
-with the neural decoder, and the non-personalized popularity ranking."""
+the linear least-squares decoder and the '++' variants that pair any selector
+with the neural decoder. MOSTPOP, the non-personalized popularity ranking, is
+model._rank_candidates over the items' training counts."""
 
 import re
 
@@ -53,13 +54,6 @@ def plusplus_decoder(matrix, split, seeds, cfg):
     theta = model.init_decoder(len(seeds), cfg.d, matrix.m, model.rng_streams(cfg.seed)[0])
     return model.retrain_decoder(matrix, split, seeds, theta, epochs=cfg.epochs, lr=cfg.lr,
                                  batch_size=cfg.batch_size, seed=cfg.seed)
-
-
-def mostpop_ranking(counts, excluded, N):
-    """Popularity-descending ranking, by the items' positive-interaction
-    counts, over all items minus the excluded seed set; identical for every
-    user. Ties broken by ascending item index."""
-    return model._rank_candidates(counts, excluded, N)
 
 
 def save_seeds(seeds, path):

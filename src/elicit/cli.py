@@ -191,7 +191,7 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint=None, loaded=None,
         score("DRE", dre_seeds, lambda z: model.recommend(theta, dre_seeds, z, n_max))
         del theta
     if "MOSTPOP" in methods:
-        ranking = baselines.mostpop_ranking(train_counts, dre_seeds, n_max)
+        ranking = model._rank_candidates(train_counts, dre_seeds, n_max)
         score("MOSTPOP", dre_seeds, lambda z: ranking)
     if "RAN++" in methods:
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
@@ -321,13 +321,15 @@ def run_grid(matrix, split, cfg, grid):
         print(f"warning: grid has {len(cells)} cells, capping at {MAX_GRID_CELLS}",
               file=sys.stderr)
         cells = cells[:MAX_GRID_CELLS]
-    rows = []
+    # every cell's config is built, and so checked, before the first one trains
+    tcfgs = []
     for values in cells:
-        cell_cfg = dict(cfg)
-        cell_cfg.update(dict(zip(keys, values)))
+        cell_cfg = dict(cfg, **dict(zip(keys, values)))
         if cell_cfg["te"] == "t0":
             cell_cfg["te"] = cell_cfg["t0"]
-        tcfg = train_config(cell_cfg)
+        tcfgs.append(train_config(cell_cfg))
+    rows = []
+    for values, tcfg in zip(cells, tcfgs):
         phi, theta, seeds, _ = _train_once(matrix, split, tcfg)
         score = model._validation_ndcg(theta, seeds, matrix, split.val_users)
         rows.append({"params": dict(zip(keys, values)), "val_ndcg20": score})
@@ -337,18 +339,13 @@ def run_grid(matrix, split, cfg, grid):
 
 def _pivot_t0_te(rows):
     """Table 3-style layout: te down the side, t0 across the top."""
-    t0s = sorted({r["params"]["t0"] for r in rows})
-    tes = []
+    scores = {}  # (te, t0) -> the first row's score, te in the rows' order
     for r in rows:
-        if r["params"]["te"] not in tes:
-            tes.append(r["params"]["te"])
+        scores.setdefault((r["params"]["te"], r["params"]["t0"]), r["val_ndcg20"])
+    t0s = sorted({t0 for _, t0 in scores})
     lines = ["te\\t0\t" + "\t".join(str(t) for t in t0s)]
-    for te in tes:
-        cells = []
-        for t0 in t0s:
-            match = [r for r in rows
-                     if r["params"]["t0"] == t0 and r["params"]["te"] == te]
-            cells.append(f"{match[0]['val_ndcg20']:.4f}" if match else "")
+    for te in dict.fromkeys(te for te, _ in scores):
+        cells = [f"{scores[te, t0]:.4f}" if (te, t0) in scores else "" for t0 in t0s]
         lines.append(f"{te}\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -419,24 +416,24 @@ def significance_stars(p):
     return ""
 
 
-def render_report(report, dre="DRE"):
+def render_report(report):
     """Comparison table: per metric x N, every method's mean, the improvement
-    of the end-to-end model over the best baseline, and significance stars
-    from the pooled paired t-test against that baseline."""
-    if dre not in report.methods:
-        raise ValueError(f"report has no {dre!r} column")
+    of DRE, the end-to-end model, over the best baseline, and significance
+    stars from the pooled paired t-test against that baseline."""
+    if "DRE" not in report.methods:
+        raise ValueError("report has no 'DRE' column")
     lines = ["\t".join(["metric", "N"] + report.methods + ["best_baseline", "improv", "sig"])]
     for metric in evaluate.METRICS:
         for N in report.Ns:
             means = {meth: report.cells[(meth, metric, N)]["mean"] for meth in report.methods}
-            best = evaluate.best_baseline(report, dre, metric, N)
+            best = evaluate.best_baseline(report, "DRE", metric, N)
             cells = [f"{means[meth]:.4f}" for meth in report.methods]
             if best is None or means[best] == 0.0:
                 improv, stars = "", ""
             else:
-                pct = 100.0 * (means[dre] - means[best]) / means[best]
+                pct = 100.0 * (means["DRE"] - means[best]) / means[best]
                 improv = f"{pct:.2f}%"
-                test = report.tests.get((dre, best, metric, N))
+                test = report.tests.get(("DRE", best, metric, N))
                 stars = significance_stars(test["pooled"][1]) if test else ""
             lines.append("\t".join([metric, str(N)] + cells + [best or "", improv, stars]))
     return "\n".join(lines) + "\n"
@@ -447,7 +444,7 @@ def cmd_report(args):
         report = evaluate.EvalReport.from_json(fh.read())
     if len(report.methods) < 2:
         raise data.DataError("need at least 2 methods to compare")
-    sys.stdout.write(render_report(report, dre=args.dre_method))
+    sys.stdout.write(render_report(report))
     return 0
 
 
@@ -513,7 +510,6 @@ def build_parser():
 
     p = sub.add_parser("report", help="render a comparison table from an eval dump")
     p.add_argument("--dump", required=True, help="eval_report.json")
-    p.add_argument("--dre-method", default="DRE")
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -522,8 +518,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -64,9 +64,8 @@ class Interactions:
         return len(self.users)
 
     def take(self, mask):
-        """The lines selected by a boolean mask, in order."""
-        ratings = None if self.ratings is None else self.ratings[mask]
-        return Interactions(self.users[mask], self.items[mask], ratings)
+        """The lines selected by a boolean mask, in order, as positives."""
+        return Interactions(self.users[mask], self.items[mask])
 
 
 def densify(positives, shape, dtype=np.float64, out=None):
@@ -384,8 +383,7 @@ def _token_keys(buf, starts, ends):
 def binarize(records, threshold=3.5):
     """The lines with rating strictly above threshold, as positives: lines
     with no rating."""
-    mask = records.ratings > threshold
-    return Interactions(records.users[mask], records.items[mask])
+    return records.take(records.ratings > threshold)
 
 
 def filter_min_ratings(records, min_count):
@@ -446,40 +444,22 @@ def _renumber(keys, unique=None):
 
 
 def _unique_inverse(keys):
-    """(distinct, codes): the distinct keys, ordered as _sorted_unique orders
-    them, and the index among them of each key, so that distinct[codes] ==
-    keys; found without a permutation of all keys: each block of
-    UNIQUE_BLOCK keys is coded on its own, and its codes are mapped through
-    one coding of the blocks' few distinct keys."""
+    """(distinct, codes): np.unique(keys, return_inverse=True), found without
+    a permutation of all keys: each block of UNIQUE_BLOCK keys is coded on its
+    own, and its codes are mapped through one coding of the blocks' few
+    distinct keys."""
     blocks = range(0, len(keys), UNIQUE_BLOCK)
     codes, parts = np.empty(len(keys), np.int64), []
     for i in blocks:
-        part, codes[i:i + UNIQUE_BLOCK] = _sorted_unique(keys[i:i + UNIQUE_BLOCK])
+        part, codes[i:i + UNIQUE_BLOCK] = np.unique(keys[i:i + UNIQUE_BLOCK], return_inverse=True)
         parts.append(part)
-    distinct, to_distinct = _sorted_unique(np.concatenate([keys[:0], *parts]))
+    distinct, to_distinct = np.unique(np.concatenate([keys[:0], *parts]), return_inverse=True)
     at = 0
     for i, part in zip(blocks, parts):
         block = codes[i:i + UNIQUE_BLOCK]
         block[:] = to_distinct[at:at + len(part)][block]
         at += len(part)
     return distinct, codes
-
-
-def _sorted_unique(keys):
-    """np.unique(keys, return_inverse=True), except that keys wider than 8
-    bytes are sorted by their uint64 words, not byte by byte: np.lexsort of
-    the words is faster than np.unique's byte compare."""
-    if keys.dtype == np.uint64:
-        return np.unique(keys, return_inverse=True)
-    words = keys.view(np.uint64).reshape(len(keys), keys.dtype.itemsize // 8)
-    order = np.lexsort(words.T[::-1])
-    ordered = words[order]
-    new = np.empty(len(keys), dtype=bool)  # where ordered starts a key
-    new[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return keys[order[new]], inverse
 
 
 def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):

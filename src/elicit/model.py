@@ -49,9 +49,6 @@ class DecoderParams:
     w2: np.ndarray  # d x m
     b2: np.ndarray  # m
 
-    def copy(self):
-        return DecoderParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 @dataclass
 class AdamState:
@@ -498,14 +495,17 @@ def save_checkpoint(path, phi, theta, seeds):
 
 
 def load_checkpoint(path):
-    """Read a save_checkpoint file. Raises DataError unless its length is what
-    the header implies, every float is finite and the seeds are k distinct
-    item indices below m."""
+    """Read a save_checkpoint file. Raises DataError unless its header has
+    1 <= k < m and d >= 1, as train admits, its length is what the header
+    implies, every float is finite and the seeds are k distinct item indices
+    below m."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a DRE1 checkpoint")
     k, m, d = struct.unpack_from("<III", raw, 4)
+    if not (1 <= k < m and d >= 1):
+        raise DataError(f"{path}: header (k={k}, m={m}, d={d}) needs 1 <= k < m and d >= 1")
     shapes = [("phi", (k, m)), ("w1", (k, d)), ("b1", (d,)), ("w2", (d, m)), ("b2", (m,))]
     n_floats = sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != 16 + 4 * (n_floats + k):

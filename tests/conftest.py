@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,11 +48,26 @@ def write_small_checkpoint(path):
     model.save_checkpoint(path, phi, model.init_decoder(3, 4, 10, rng), np.array([2, 4, 8]))
 
 
+def checkpoint_bytes(k, m, d):
+    """A DRE1 file of the length its header (k, m, d) implies, with zero
+    weights and the seeds 0, 1, ..., k - 1."""
+    floats = k * m + k * d + d + d * m + m
+    return (model.CHECKPOINT_MAGIC + struct.pack("<III", k, m, d) + bytes(4 * floats)
+            + np.arange(k, dtype="<u4").tobytes())
+
+
+# headers that train never writes, in files of the length they imply
+HEADER_FAULTS = {"k_zero": (0, 10, 0), "k_equals_m": (10, 10, 4), "d_zero": (3, 10, 0)}
+
+
 def corrupt_checkpoint(path, fault):
-    """Rewrite a write_small_checkpoint file (k=3, m=10, d=4) with one fault."""
+    """Rewrite a write_small_checkpoint file (k=3, m=10, d=4) with one fault;
+    a fault of HEADER_FAULTS replaces the whole file."""
     with open(path, "rb") as fh:
         raw = bytearray(fh.read())
-    if fault == "truncated":
+    if fault in HEADER_FAULTS:
+        raw = checkpoint_bytes(*HEADER_FAULTS[fault])
+    elif fault == "truncated":
         raw = raw[:-3]
     elif fault == "trailing":
         raw += b"\0"

@@ -142,15 +142,16 @@ def test_plusplus_decoder_peak_memory_is_one_decoder_fit():
     assert peak - (3 * params + workspace) < 16 * 4 * model.BLOCK_ELEMS
 
 
-def test_mostpop_ranking():
+def test_mostpop_ranks_items_by_count():
+    # MOSTPOP's ranking: the candidates ranked by their training counts
     matrix = _matrix_from_counts([3, 1, 2])
     counts = matrix.item_counts()
     assert np.array_equal(np.argsort(-counts, kind="stable"), [0, 2, 1])
-    assert baselines.mostpop_ranking(counts, np.array([], dtype=np.int64), 3).tolist() == [0, 2, 1]
-    excl = baselines.mostpop_ranking(counts, np.array([0]), 2)
+    assert model._rank_candidates(counts, np.array([], dtype=np.int64), 3).tolist() == [0, 2, 1]
+    excl = model._rank_candidates(counts, np.array([0]), 2)
     assert 0 not in excl.tolist() and excl.tolist() == [2, 1]
     with pytest.raises(ValueError):
-        baselines.mostpop_ranking(counts, np.array([0]), 3)
+        model._rank_candidates(counts, np.array([0]), 3)
 
 
 def test_seed_file_roundtrip(tmp_path):

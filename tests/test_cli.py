@@ -584,10 +584,14 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     ("train", ["--lr", "nan"], "", "lr must be finite and positive, got nan"),
     ("train", ["--lr", "inf"], "", "lr must be finite and positive, got inf"),
     ("grid", ["--grid", "t0=1,5"], "val_every=0\n", "val_every must be at least 1, got 0"),
+    # only a later cell is bad: every cell is checked before the first trains
+    ("grid", ["--grid", "lr=0.01,-1"], "", "lr must be finite and positive, got -1.0"),
+    ("grid", ["--grid", "t0=5,1 te=2"], "", "need t0 >= te > 0"),
     ("eval", ["--methods", "MOSTPOP", "--runs", "1", "--ns", "5"], "batch_size=0\n",
      "batch_size must be at least 1, got 0"),
 ], ids=["batch_size", "val_every", "retrain_epochs", "lr_negative", "lr_nan", "lr_inf",
-        "grid_val_every", "eval_batch_size"])
+        "grid_val_every", "grid_second_cell_lr", "grid_second_cell_t0_below_te",
+        "eval_batch_size"])
 def test_bad_training_hyperparameter_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                                        command, flags, config, message):
     def never(*args, **kwargs):
@@ -602,6 +606,31 @@ def test_bad_training_hyperparameter_is_one_line_error(prepared, tmp_path, capsy
                           + FAST_FLAGS + flags)
     assert message in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 37.3 GiB for an array with shape (3, 10000000000) and data type float32",
+    "",
+], ids=["numpy", "bare"])
+def test_allocation_failure_is_one_line_error(prepared, tmp_path, capsys, monkeypatch, message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(model, "init_decoder", no_memory)
+    err = _one_line_error(capsys, ["train", "--data-dir", prepared, "--out",
+                                   str(tmp_path / "run"), "--d", "10000000000"] + FAST_FLAGS)
+    assert err == f"error: {message or 'MemoryError'}\n"
+
+
+def test_report_dump_without_dre_is_one_line_error(tmp_path, capsys):
+    rep = evaluate.EvalReport(methods=["BASE", "OTHER"], Ns=[10], run_seeds=[0])
+    for meth in rep.methods:
+        for metric in ("P", "NDCG"):
+            rep.cells[(meth, metric, 10)] = {"mean": 0.5, "std": 0.0, "runs": [0.5]}
+    dump = tmp_path / "eval_report.json"
+    dump.write_text(rep.to_json())
+    err = _one_line_error(capsys, ["report", "--dump", str(dump)])
+    assert err == "error: report has no 'DRE' column\n"
 
 
 def test_report_dump_without_methods_is_one_line_error(tmp_path, capsys):
@@ -737,7 +766,9 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
     assert paths == sorted(paths)
     assert {"ratings.dat", "prepared/matrix.snapshot", "train/checkpoint.dre",
             "train/checkpoint.dre.manifest", "train/seeds.txt", "train/history.tsv",
-            "eval/eval_report.json", "eval/eval_report.tsv", "grid/sweep.tsv"} <= set(paths)
+            "eval/eval_report.json", "eval/eval_report.tsv", "grid/sweep.tsv",
+            "ratings-long.dat", "prepared-long/matrix.snapshot", "prepared-long/users.map",
+            "prepared-long/items.map"} <= set(paths)
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -826,16 +857,17 @@ def test_recommend_end_of_input_is_one_line_error(tmp_path, capsys, monkeypatch,
     assert rc == 1 and err.splitlines() == [f"error: input ended after {n} of 3 answers"]
 
 
-@pytest.mark.parametrize("fault", ["truncated", "nan", "seed_out_of_range"])
-def test_recommend_corrupt_checkpoint_is_one_line_error(prepared, tmp_path, capsys, fault):
+@pytest.mark.parametrize("fault", ["truncated", "nan", "seed_out_of_range", "k_zero"])
+def test_recommend_corrupt_checkpoint_is_one_line_error(tmp_path, capsys, fault):
+    # the checkpoint is refused before any question: with k_zero (k = 0 and
+    # d = 0) none would be asked, and a ranking printed
     checkpoint = str(tmp_path / "checkpoint.dre")
     write_small_checkpoint(checkpoint)
-    corrupt_checkpoint(checkpoint, fault)
-    feedback = str(tmp_path / "fb.txt")
-    Path(feedback).write_text("1 0 1\n")
+    corrupt_checkpoint(checkpoint, fault)  # m=10, as the item map
+    items_map = tmp_path / "items.map"
+    items_map.write_text("".join(f"i{i}\t{i}\n" for i in range(10)))
     _one_line_error(capsys, ["recommend", "--checkpoint", checkpoint,
-                             "--items-map", os.path.join(prepared, "items.map"),
-                             "--feedback", feedback, "--top-n", "4"])
+                             "--items-map", str(items_map), "--top-n", "4"])
 
 
 def test_recommend_corrupt_item_map_is_one_line_error(prepared, tmp_path, capsys):

@@ -1,11 +1,17 @@
+import copy
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from elicit import data, evaluate, model
 from elicit.linalg import gumbel_noise, softmax_rows
-from conftest import corrupt_checkpoint, matrix_from_rows, write_small_checkpoint
+from conftest import (checkpoint_bytes, corrupt_checkpoint, matrix_from_rows,
+                      write_small_checkpoint)
 
 
 def small_instance(k=2, m=4, d=3, b=2, seed=0, dtype=np.float64):
@@ -464,7 +470,7 @@ def test_train_returns_the_best_validation_snapshot(cluster_matrix, monkeypatch)
         return extract_seeds(phi)
 
     def scripted_validation(theta, seeds, matrix, user_ids, ws=None):
-        thetas.append(theta.copy())
+        thetas.append(copy.deepcopy(theta))
         return script[len(thetas) - 1]
 
     monkeypatch.setattr(model, "extract_seeds", recording_extract_seeds)
@@ -489,7 +495,8 @@ def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     assert model.retrain_decoder(cluster_matrix, split, seeds, theta, 0, seed=0, **kw) is theta
     phi_before = phi.copy()
     # trained in place: the copy keeps theta's weights for the comparison below
-    theta2 = model.retrain_decoder(cluster_matrix, split, seeds, theta.copy(), 5, seed=1, **kw)
+    theta2 = model.retrain_decoder(cluster_matrix, split, seeds, copy.deepcopy(theta), 5,
+                                   seed=1, **kw)
     assert np.array_equal(phi, phi_before)  # encoder untouched
     R = cluster_matrix.dense(split.train_users, dtype=np.float32)
     z = R[:, seeds]
@@ -502,7 +509,7 @@ def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch
     """Reference: retrain_decoder with the whole training matrix held dense
     and its seed columns sliced once, minibatches taken by row, and the
     frozen unblocked decoder step and allocating Adam step."""
-    theta = theta.copy()
+    theta = copy.deepcopy(theta)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     R_train = matrix.dense(split.train_users, dtype=theta.w1.dtype)
     Z = R_train[:, seeds]
@@ -706,6 +713,9 @@ def test_checkpoint_roundtrip(tmp_path):
     ("inf", "non-finite"),
     ("seed_out_of_range", "distinct item indices below m=10"),
     ("duplicate_seed", "distinct item indices below m=10"),
+    ("k_zero", r"header \(k=0, m=10, d=0\) needs 1 <= k < m and d >= 1"),
+    ("k_equals_m", r"header \(k=10, m=10, d=4\) needs"),
+    ("d_zero", r"header \(k=3, m=10, d=0\) needs"),
 ])
 def test_load_checkpoint_rejects_corrupt_file(tmp_path, fault, message):
     path = str(tmp_path / "ckpt.dre")
@@ -714,6 +724,52 @@ def test_load_checkpoint_rejects_corrupt_file(tmp_path, fault, message):
     corrupt_checkpoint(path, fault)
     with pytest.raises(data.DataError, match=message):
         model.load_checkpoint(path)
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """The bytes of a write_small_checkpoint file (k=3, m=10, d=4) after one
+    to three mutations: a cut at a byte, a flipped byte, inserted bytes, or a
+    new header (k, m, d) of small values with the body resized to what it
+    implies."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.dre")
+        write_small_checkpoint(path)
+        raw = bytearray(Path(path).read_bytes())
+    for kind in draw(st.lists(st.sampled_from(["cut", "flip", "insert", "header"]),
+                              min_size=1, max_size=3)):
+        if kind == "cut":
+            del raw[draw(st.integers(0, len(raw))):]
+        elif kind == "flip" and raw:
+            raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+        elif kind == "insert":
+            raw[draw(st.integers(0, len(raw))):0] = draw(st.binary(min_size=1, max_size=8))
+        elif kind == "header":
+            raw = bytearray(checkpoint_bytes(*(draw(st.integers(0, 12)) for _ in range(3))))
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_checkpoints())
+@example(checkpoint_bytes(0, 10, 0))
+def test_load_checkpoint_of_a_mutated_file_loads_or_is_data_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "mutated.dre"
+    path.write_bytes(raw)
+    try:
+        phi, theta, seeds = model.load_checkpoint(str(path))
+    except data.DataError as exc:
+        # the CLI prints it as one error: line
+        event("DataError")
+        assert "\n" not in str(exc)
+    else:
+        # what loads is what train could have written
+        event("loaded")
+        (k, m), d = phi.shape, theta.w1.shape[1]
+        assert 1 <= k < m and d >= 1
+        assert [getattr(theta, name).shape for name in ("w1", "b1", "w2", "b2")] == [
+            (k, d), (d,), (d, m), (m,)]
+        assert np.isfinite(phi).all() and all(np.isfinite(p).all() for p in vars(theta).values())
+        assert len(np.unique(seeds)) == k and (seeds < m).all()
 
 
 def test_load_checkpoint_rejects_short_header(tmp_path):

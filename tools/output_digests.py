@@ -1,7 +1,9 @@
 """SHA-256 digests of every file a small `elicit` pipeline writes: the
 `perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
 --checkpoint` of all six methods over 2 runs and a 2-cell `grid`, each with
-small budgets.
+small budgets. A copy of the log whose user tokens are 12 bytes and item
+tokens 20 bytes long, past the one and two 8-byte words of a short key, is
+prepared too, into `prepared-long/`.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -31,11 +33,23 @@ def commands(out):
     common = ["--data-dir", prepared, "--config", cfg] + SMALL
     return [
         ["prepare", "--dataset", os.path.join(out, "ratings.dat"), "--out", prepared],
+        ["prepare", "--dataset", os.path.join(out, "ratings-long.dat"),
+         "--out", os.path.join(out, "prepared-long")],
         ["train", "--out", os.path.join(out, "train")] + common,
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
         ["grid", "--out", os.path.join(out, "grid"), "--grid", "t0=1,5"] + common,
     ]
+
+
+def long_tokens(log):
+    """The log with each user token zero-padded to 12 bytes and each item
+    token to 20, behind a prefix."""
+    lines = []
+    for line in log.splitlines(keepends=True):
+        user, item, rest = line.split("::", 2)
+        lines.append(f"user{user:>08}::item{item:>016}::{rest}")
+    return "".join(lines)
 
 
 def digests(out):
@@ -54,8 +68,10 @@ def main(argv):
         sys.exit("usage: output_digests.py OUT")
     out = argv[0]
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "ratings.dat"), "w", encoding="utf-8") as fh:
-        fh.write(corpus.generate(corpus.TINY, 7)[0])
+    log = corpus.generate(corpus.TINY, 7)[0]
+    for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log))):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     with open(os.path.join(out, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(CONFIG)
     for args in commands(out):
