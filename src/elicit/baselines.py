@@ -8,11 +8,8 @@ import re
 import numpy as np
 
 from . import model
-from .data import DataError
+from .data import CANONICAL_INT, DataError, read_lines
 from .linalg import maxvol, ridge_solve, truncated_svd
-
-
-SEED_INDEX = "0|[1-9][0-9]{0,18}"  # an item index as save_seeds writes it
 
 
 def select_random(m, k, rng):
@@ -33,9 +30,7 @@ def rbmf_select(R, k, seed=0):
     """Maximal-volume seed selection: rank-k SVD of the training matrix R
     (scipy.sparse or dense), then Maxvol over the item rows of the
     (value-weighted) right factor."""
-    svd = truncated_svd(R, k, seed=seed)
-    result = maxvol(svd.right.T)
-    return result.indices.astype(np.int64)
+    return maxvol(truncated_svd(R, k, seed=seed).T).indices.astype(np.int64)
 
 
 def rbmf_decoder(R, seeds):
@@ -69,11 +64,9 @@ def load_seeds(path, m):
     save_seeds writes it (ASCII digits, no sign, no leading zero) or that
     repeats an earlier line's."""
     seeds = {}  # kept in file order
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.removesuffix("\n")
-            if not re.fullmatch(SEED_INDEX, text) or int(text) >= m or int(text) in seeds:
-                raise DataError(f"{path}:{lineno}: expected a distinct item index in [0, {m}), "
-                                f"got {text!r}")
-            seeds[int(text)] = None
+    for lineno, text in enumerate(read_lines(path, universal=False), start=1):
+        if not re.fullmatch(CANONICAL_INT, text) or int(text) >= m or int(text) in seeds:
+            raise DataError(f"{path}:{lineno}: expected a distinct item index in [0, {m}), "
+                            f"got {text!r}")
+        seeds[int(text)] = None
     return np.array(list(seeds), dtype=np.int64)

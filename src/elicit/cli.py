@@ -46,26 +46,24 @@ def load_config(path=None, overrides=None):
     keys of CONFIG_DEFAULTS: other overrides (the subcommand, its function,
     --data-dir and so on) are not config."""
     cfg = dict(CONFIG_DEFAULTS)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.removesuffix("\n").partition("=")
-                key = key.strip()
-                if key not in cfg:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                # spaces around a value are dropped, but a value of only
-                # whitespace (a tab delimiter) is kept as written
-                value = value.strip() or value
-                kind = type(CONFIG_DEFAULTS[key])
-                try:
-                    cfg[key] = kind(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
-                                     f"got {value!r}") from None
+    for lineno, line in enumerate(data.read_lines(path) if path else [], start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in cfg:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        # spaces around a value are dropped, but a value of only
+        # whitespace (a tab delimiter) is kept as written
+        value = value.strip() or value
+        kind = type(CONFIG_DEFAULTS[key])
+        try:
+            cfg[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                             f"got {value!r}") from None
     for key, value in (overrides or {}).items():
         if key in cfg and value is not None:
             cfg[key] = value
@@ -140,15 +138,15 @@ def load_eval_checkpoint(path, matrix, cfg):
     cfg's user split. Raises DataError when its manifest (path + '.manifest',
     which train writes) names other data or another split, or when its item
     count is not the data's, and OSError when the manifest is missing."""
-    with open(path + ".manifest", encoding="utf-8") as fh:
-        manifest = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+    manifest = dict(line.partition("=")[::2]
+                    for line in data.read_lines(path + ".manifest", universal=False))
     # compared as train wrote them, so a value that does not parse differs
     want = {key: str(cfg[key]) for key in ("test_frac", "val_frac", "split_seed")}
     want["data_fingerprint"] = data.matrix_fingerprint(matrix)
     for key, value in want.items():
         if manifest.get(key) != value:
             raise data.DataError(f"{path}: trained on other data or another split "
-                                 f"({key}={manifest.get(key)}, here {value})")
+                                 f"({key}={manifest.get(key)!r}, here {value!r})")
     theta, seeds = model.load_checkpoint(path)[1:]
     if theta.w2.shape[1] != matrix.m:
         raise data.DataError(f"{path}: checkpoint has {theta.w2.shape[1]} items, "
@@ -274,7 +272,10 @@ def cmd_eval(args):
         if not len(seeds):
             raise data.DataError(f"{path}: need at least one seed index, each in [0, {matrix.m})")
         external[name.upper()] = seeds
-    Ns = tuple(int(t) for t in str(cfg["Ns"]).split(","))
+    try:
+        Ns = tuple(int(t) for t in cfg["Ns"].split(","))
+    except ValueError:
+        raise ValueError(f"Ns must be comma-separated int values, got {cfg['Ns']!r}") from None
     report = run_eval(matrix, split, cfg, methods, cfg["runs"], Ns,
                       checkpoint=args.checkpoint, external_seeds=external)
     os.makedirs(cfg["out"], exist_ok=True)
@@ -299,13 +300,13 @@ def parse_grid(spec):
             raise ValueError(f"unknown grid key {key!r}")
         if key in grid:
             raise ValueError(f"grid key {key!r} is given more than once")
-        parsed = []
-        for tok in values.split(","):
-            if key == "te" and tok.lower() == "t0":
-                parsed.append("t0")
-            else:
-                parsed.append(type(CONFIG_DEFAULTS[key])(tok))
-        grid[key] = parsed
+        kind = type(CONFIG_DEFAULTS[key])
+        try:
+            grid[key] = ["t0" if key == "te" and tok.lower() == "t0" else kind(tok)
+                         for tok in values.split(",")]
+        except ValueError:
+            raise ValueError(f"grid key {key} must be comma-separated {kind.__name__} values, "
+                             f"got {values!r}") from None
     if not grid:
         raise ValueError("empty grid spec")
     return grid
@@ -376,8 +377,7 @@ def cmd_recommend(args):
     inverse = data.load_item_map(args.items_map, phi.shape[1])
     k = len(seeds)
     if args.feedback:
-        with open(args.feedback, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
+        tokens = [tok for line in data.read_lines(args.feedback) for tok in line.split()]
         if len(tokens) != k:
             raise data.DataError(f"feedback file must hold exactly {k} binary values, "
                                  f"got {len(tokens)}")
@@ -440,12 +440,19 @@ def render_report(report):
 
 
 def cmd_report(args):
-    with open(args.dump, "r", encoding="utf-8") as fh:
-        report = evaluate.EvalReport.from_json(fh.read())
+    report = evaluate.EvalReport.from_json("\n".join(data.read_lines(args.dump)))
     if len(report.methods) < 2:
         raise data.DataError("need at least 2 methods to compare")
     sys.stdout.write(render_report(report))
     return 0
+
+
+def config_flags(p, *keys, **helps):
+    """Add to p the flag --key, lower-cased with '-' for '_', of each config
+    key, typed as its CONFIG_DEFAULTS value; `helps` holds help texts by key."""
+    for key in keys:
+        p.add_argument("--" + key.lower().replace("_", "-"), dest=key,
+                       type=type(CONFIG_DEFAULTS[key]), help=helps.get(key))
 
 
 def build_parser():
@@ -456,38 +463,31 @@ def build_parser():
 
     def common(p, data_dir=True):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory")
+        config_flags(p, "out", out="output directory")
         # the commands that read a data dir are the ones that draw random numbers
         # and split the users
         if data_dir:
             p.add_argument("--data-dir", required=True,
                            help="directory holding matrix.snapshot + maps")
-            p.add_argument("--seed", type=int, help="master RNG seed")
-            p.add_argument("--split-seed", dest="split_seed", type=int,
-                           help="seed of the train/validation/test user split")
+            config_flags(p, "seed", "split_seed", seed="master RNG seed",
+                         split_seed="seed of the train/validation/test user split")
 
     p = sub.add_parser("prepare", help="ingest a raw interaction log")
-    p.add_argument("--dataset", help="raw interaction file")
-    p.add_argument("--delimiter", help="field delimiter (default '::')")
-    p.add_argument("--threshold", type=float, help="binarization threshold")
-    p.add_argument("--min-count", dest="min_count", type=int)
+    config_flags(p, "dataset", "delimiter", "threshold", "min_count",
+                 dataset="raw interaction file", delimiter="field delimiter (default '::')",
+                 threshold="binarization threshold")
     common(p, data_dir=False)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="end-to-end training + decoder retraining")
-    for flag, typ in (("--k", int), ("--d", int), ("--lr", float), ("--epochs", int),
-                      ("--batch-size", int), ("--t0", float), ("--te", float),
-                      ("--retrain-epochs", int), ("--val-every", int)):
-        p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
+    config_flags(p, "k", "d", "lr", "epochs", "batch_size", "t0", "te", "retrain_epochs",
+                 "val_every")
     common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="multi-run evaluation of selected methods")
     p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--runs", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ns", dest="Ns", help="comma-separated ranking cutoffs")
+    config_flags(p, "runs", "k", "epochs", "Ns", Ns="comma-separated ranking cutoffs")
     p.add_argument("--checkpoint", help="reuse a trained DRE checkpoint")
     p.add_argument("--external-seeds", action="append", metavar="NAME=PATH",
                    help="evaluate an external seed list with the neural decoder")
@@ -496,8 +496,7 @@ def build_parser():
 
     p = sub.add_parser("grid", help="hyperparameter sweep on validation NDCG@20")
     p.add_argument("--grid", required=True, help="e.g. 't0=1,10 te=0.5,0.1,t0'")
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
+    config_flags(p, "k", "epochs")
     common(p)
     p.set_defaults(func=cmd_grid)
 

@@ -9,10 +9,10 @@ import numpy as np
 from .linalg import BLOCK_ELEMS
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
-# a count as save_snapshot writes it: ASCII digits, no sign or leading zero,
-# and at most 19 of them (an int64, and below int()'s limit on digits)
-SNAPSHOT_COUNT = "(0|[1-9][0-9]{0,18})"
-SNAPSHOT_HEADER = f"{SNAPSHOT_MAGIC} n={SNAPSHOT_COUNT} m={SNAPSHOT_COUNT} nnz={SNAPSHOT_COUNT}"
+# a non-negative integer as str() writes it: ASCII digits, no sign or leading
+# zero, and at most 19 of them (an int64, and below int()'s limit on digits)
+CANONICAL_INT = "(0|[1-9][0-9]{0,18})"
+SNAPSHOT_HEADER = f"{SNAPSHOT_MAGIC} n={CANONICAL_INT} m={CANONICAL_INT} nnz={CANONICAL_INT}"
 # Bytes of the log read at a time. A block of whole lines is parsed as numpy
 # arrays about ten times its size, so this bounds the parse's memory above
 # that of the columns it returns. On a 1M-line log (24.5 MB; 2-core VM,
@@ -42,6 +42,33 @@ MAX_ITEMS = np.iinfo(np.int32).max  # item ids are int32
 
 class DataError(ValueError):
     """Malformed input file or degenerate dataset."""
+
+
+def _invalid_utf8(path, line, exc):
+    """The DataError of a UnicodeDecodeError at the given line of path."""
+    return DataError(f"{path}:{line}: invalid utf-8 byte 0x{exc.object[exc.start]:02x} "
+                     f"({exc.reason})")
+
+
+def read_lines(path, universal=True):
+    """The lines of the UTF-8 text file at path, without their line ends;
+    the last line's end may be missing. Lines end at \\n, and with
+    `universal` also at \\r\\n and a lone \\r, as in text mode; without it,
+    for the files this program writes, a \\r stays in its line. Raises
+    DataError naming path:line at the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+
+    def split(text):
+        if universal:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text.split("\n")
+
+    try:
+        lines = split(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _invalid_utf8(path, len(split(raw[:exc.start].decode("utf-8"))), exc) from None
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 @dataclass
@@ -163,11 +190,6 @@ class RatingMatrix:
     def item_counts(self):
         return np.bincount(self.indices, minlength=self.m)
 
-    def user_counts(self, user_ids):
-        """The number of positives of each user of user_ids, as int64."""
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        return self.indptr[user_ids + 1] - self.indptr[user_ids]
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -266,9 +288,7 @@ def _parse_block(path, block, first, sep):
         try:
             block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            bad = first + block.count(b"\n", 0, exc.start)
-            raise DataError(f"{path}:{bad}: invalid utf-8 byte "
-                            f"0x{block[exc.start]:02x} ({exc.reason})") from None
+            raise _invalid_utf8(path, first + block.count(b"\n", 0, exc.start), exc) from None
     buf = np.frombuffer(block, dtype=np.uint8)
     # every line end and delimiter, in order, after a virtual line end at -1
     marks = np.concatenate(([-1], np.flatnonzero((buf == 10) | _delimiter_starts(buf, sep))))
@@ -590,13 +610,12 @@ def load_item_map(path, m):
     """The item tokens of an items.map as save_maps writes it: m lines, line
     i (from 0) token<TAB>i. Raises DataError for any other layout."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            token, _, idx = line.rstrip("\n").rpartition("\t")
-            if not (i < m and token and idx == str(i)):
-                raise DataError(f"{path}:{i + 1}: expected {m} lines, each token<TAB>index "
-                                f"in index order, got {line.rstrip()!r}")
-            tokens.append(token)
+    for i, line in enumerate(read_lines(path, universal=False)):
+        token, _, idx = line.rpartition("\t")
+        if not (i < m and token and idx == str(i)):
+            raise DataError(f"{path}:{i + 1}: expected {m} lines, each token<TAB>index "
+                            f"in index order, got {line!r}")
+        tokens.append(token)
     if len(tokens) != m:
         raise DataError(f"{path}: {len(tokens)} lines, expected one per item, {m}")
     return tokens

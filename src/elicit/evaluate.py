@@ -50,8 +50,8 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     n_max = max(Ns)
     user_ids = np.asarray(user_ids, dtype=np.int64)
     rows, items = matrix.positives(user_ids)
-    truth_size = matrix.user_counts(user_ids) - np.bincount(rows[is_seed[items]],
-                                                            minlength=len(user_ids))
+    truth_size = (np.bincount(rows, minlength=len(user_ids))
+                  - np.bincount(rows[is_seed[items]], minlength=len(user_ids)))
     scored = np.flatnonzero(truth_size > 0)
     users, truth_size = user_ids[scored], truth_size[scored]
     hits = [np.zeros((0, n_max), dtype=bool)]

@@ -10,12 +10,6 @@ MAXVOL_DELTA = 0.01  # Maxvol stops once every |C_ij| is at most 1 + this
 
 
 @dataclass
-class SvdResult:
-    left: np.ndarray   # n x k, orthonormal columns
-    right: np.ndarray  # k x m, singular values absorbed
-
-
-@dataclass
 class MaxvolResult:
     indices: np.ndarray  # k selected row indices
     swaps: int
@@ -23,13 +17,11 @@ class MaxvolResult:
 
 
 def truncated_svd(A, k, seed=0):
-    """Rank-k approximation A ~ left @ right via randomized subspace iteration.
-
-    Singular values are absorbed into the right factor so its rows carry the
-    singular-value magnitudes; the left factor has orthonormal columns.
-    Deterministic for a given seed. A is a dense array or a scipy.sparse
-    matrix: it only ever multiplies a dense factor from the left, as A or A.T.
-    """
+    """The k x m right factor of A's rank-k approximation by randomized
+    subspace iteration: the top k right singular vectors, each scaled by its
+    singular value. Deterministic for a given seed. A is a dense array or a
+    scipy.sparse matrix: it only ever multiplies a dense factor from the
+    left, as A or A.T."""
     n, m = A.shape
     if not (1 <= k <= min(n, m)):
         raise ValueError(f"k={k} out of range for {n}x{m} matrix")
@@ -40,10 +32,8 @@ def truncated_svd(A, k, seed=0):
         Q = np.linalg.qr(A.T @ Q)[0]
         Q = np.linalg.qr(A @ Q)[0]
     B = (A.T @ Q).T  # Q.T @ A
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    left = Q @ Ub[:, :k]
-    right = s[:k, None] * Vt[:k]
-    return SvdResult(left=left, right=right)
+    s, Vt = np.linalg.svd(B, full_matrices=False)[1:]
+    return s[:k, None] * Vt[:k]
 
 
 def _pivoted_init(B):

@@ -50,14 +50,6 @@ class DecoderParams:
     b2: np.ndarray  # m
 
 
-@dataclass
-class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict)  # dtype -> two block buffers
-    t: int = 0
-
-
 class Workspace:
     """The arrays of one training unit (one `train` or `retrain_decoder`
     call), which every step and validation of the unit reuses, or of one
@@ -77,6 +69,14 @@ class Workspace:
         if a is None or a.dtype != dtype or a.shape[1:] != shape[1:] or len(a) < shape[0]:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a[:shape[0]]
+
+
+@dataclass
+class AdamState:
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    scratch: Workspace = field(default_factory=Workspace)  # adam_step's block buffers
+    t: int = 0
 
 
 def temperature(e, cfg):
@@ -248,7 +248,7 @@ def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on the params dict and
     on the moments. Each parameter (C-contiguous, as are its gradient and
     moments) is updated in consecutive BLOCK_ELEMS-sized slices of its flat
-    view, with two block-sized scratch buffers per dtype kept in state."""
+    view, with two block-sized buffers, "s" and "r", of state.scratch."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
@@ -258,14 +258,11 @@ def adam_step(params, grads, state, lr):
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         n = min(p.size, BLOCK_ELEMS)
-        scratch = state.scratch.get(p.dtype)
-        if scratch is None or len(scratch[0]) < n:
-            scratch = state.scratch[p.dtype] = (np.empty(n, p.dtype), np.empty(n, p.dtype))
+        s_buf, r_buf = (state.scratch.get(buf, (n,), p.dtype) for buf in ("s", "r"))
         # reshape with copy=False raises where a flat view would be a copy,
         # which would silently drop the update
         flat = [a.reshape(-1, copy=False)
                 for a in (p, grads[name], state.m[name], state.v[name])]
-        s_buf, r_buf = scratch
         for i in range(0, p.size, BLOCK_ELEMS):
             pb, grad, m, v = (a[i:i + BLOCK_ELEMS] for a in flat)
             s, r = s_buf[:len(pb)], r_buf[:len(pb)]

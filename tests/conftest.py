@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from elicit import data, model
 
@@ -86,3 +87,24 @@ def corrupt_checkpoint(path, fault):
 @pytest.fixture
 def cluster_matrix():
     return make_cluster_matrix(seed=0)
+
+
+def mutate(draw, raw, kind):
+    """Apply one mutation of the given kind to raw, a bytearray, and return
+    it: "cut" the file at a byte, "flip" a byte, or "drop", "duplicate" or
+    "swap" lines (split at \\n); draw is a Hypothesis draw."""
+    if kind == "cut":
+        del raw[draw(st.integers(0, len(raw))):]
+    elif kind == "flip" and raw:
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    elif kind in ("drop", "duplicate", "swap"):
+        lines = raw.split(b"\n")
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        raw = bytearray(b"\n".join(lines))
+    return raw

@@ -61,7 +61,7 @@ def test_rbmf_select_block_structure():
     assert blocks == {0, 1, 2}
     # against the brute-force volume oracle on the SVD factor
     from elicit.linalg import truncated_svd
-    right = truncated_svd(matrix.dense(), 3, seed=0).right
+    right = truncated_svd(matrix.dense(), 3, seed=0)
     best = max(
         abs(np.linalg.det(right.T[list(c)]))
         for c in itertools.combinations(range(matrix.m), 3)
@@ -171,14 +171,22 @@ def test_seed_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "+3", "-1", "1_0", "07", "00", "\u0664", "\uff13", " 3", "3 ", "3\t", "", "3.0", "0x3",
-    "10", "1" * 20,
+    "10", "1" * 20, "3\r", "3\r5",
 ], ids=["plus", "minus", "underscore", "leading_zero", "double_zero", "arabic_indic",
         "full_width", "leading_space", "trailing_space", "tab", "blank", "float", "hex",
-        "eq_m", "20_digits"])
+        "eq_m", "20_digits", "crlf", "lone_cr"])
 def test_load_seeds_rejects_lines_not_as_save_seeds_writes_them(tmp_path, line):
-    # int() reads each of these but blank, float and hex as an integer
+    # int() reads each of these but blank, float and hex as an integer; lines
+    # end at \n only, as save_seeds writes them, so a \r stays in its line
     path = tmp_path / "seeds.txt"
     path.write_text(f"4\n{line}\n2\n", encoding="utf-8")
     with pytest.raises(data.DataError, match=rf"seeds\.txt:2: expected a distinct item index in "
                                              rf"\[0, 10\), got {re.escape(repr(line))}$"):
+        baselines.load_seeds(path, 10)
+
+
+def test_load_seeds_names_the_line_of_invalid_utf8(tmp_path):
+    path = tmp_path / "seeds.txt"
+    path.write_bytes(b"4\n2\n\xff\n")
+    with pytest.raises(data.DataError, match=r"seeds\.txt:3: invalid utf-8 byte 0xff "):
         baselines.load_seeds(path, 10)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import dataclasses
 import importlib.util
 import io
@@ -11,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import elicit
 from elicit import baselines, cli, data, evaluate, model
-from conftest import (corrupt_checkpoint, make_cluster_matrix, write_raw_file,
-                      write_small_checkpoint)
+from conftest import (corrupt_checkpoint, make_cluster_matrix, matrix_from_rows, mutate,
+                      write_raw_file, write_small_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,15 @@ def prepared(raw_dataset, tmp_path_factory):
     rc = cli.main(["prepare", "--dataset", raw_dataset, "--min-count", "3",
                    "--out", out])
     assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained(prepared, tmp_path_factory):
+    """The directory of a train run on `prepared`."""
+    out = tmp_path_factory.mktemp("trained")
+    assert cli.main(["train", "--data-dir", prepared, "--out", str(out), "--seed", "3"]
+                    + FAST_TRAIN) == 0
     return out
 
 
@@ -215,11 +227,15 @@ def test_eval_fingerprint_mismatch(prepared, raw_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train_flags, eval_config, edit, message", [
-    (["--split-seed", "1"], "", None, "split_seed=1, here 0"),
-    ([], "test_frac=0.3\n", None, "test_frac=0.2, here 0.3"),
-    ([], "val_frac=0.15\n", None, "val_frac=0.1, here 0.15"),
-    ([], "", ("split_seed=0", "split_seed=zero"), "split_seed=zero, here 0"),
-], ids=["split_seed", "test_frac", "val_frac", "unparsable"])
+    (["--split-seed", "1"], "", None, "split_seed='1', here '0'"),
+    ([], "test_frac=0.3\n", None, "test_frac='0.2', here '0.3'"),
+    ([], "val_frac=0.15\n", None, "val_frac='0.1', here '0.15'"),
+    ([], "", ("split_seed=0", "split_seed=zero"), "split_seed='zero', here '0'"),
+    # train writes \n line ends only, so a \r stays in its line's value
+    ([], "", ("\n", "\r\n"), "test_frac='0.2\\r', here '0.2'"),
+    ([], "", ("\nsplit_seed=", "\rsplit_seed="), "split_seed=None, here '0'"),
+    ([], "", ("\nk=3", "\nk=\udcff"), "manifest:7: invalid utf-8 byte 0xff"),
+], ids=["split_seed", "test_frac", "val_frac", "unparsable", "crlf", "lone_cr", "invalid_utf8"])
 def test_eval_checkpoint_of_other_split_is_one_line_error(prepared, tmp_path, capsys,
                                                           train_flags, eval_config, edit,
                                                           message):
@@ -229,7 +245,8 @@ def test_eval_checkpoint_of_other_split_is_one_line_error(prepared, tmp_path, ca
                     + FAST_TRAIN + train_flags) == 0
     if edit:
         manifest = out / "checkpoint.dre.manifest"
-        manifest.write_text(manifest.read_text().replace(*edit))
+        manifest.write_bytes(manifest.read_text().replace(*edit).encode("utf-8",
+                                                                         "surrogateescape"))
     config = tmp_path / "eval.cfg"
     config.write_text(eval_config)
     checkpoint = str(out / "checkpoint.dre")
@@ -290,12 +307,17 @@ def write_manifest(checkpoint, data_dir):
     Path(checkpoint + ".manifest").write_text("".join(f"{k}={v}\n" for k, v in manifest.items()))
 
 
+def _check_one_line_error(code, out, err):
+    # how cli.main ends on bad input: exit 1, one `error:` line, no traceback
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def _one_line_error(capsys, argv):
     capsys.readouterr()
     rc = cli.main(argv)
     captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    _check_one_line_error(rc, captured.out, captured.err)
     return captured.err
 
 
@@ -515,16 +537,23 @@ def test_eval_run_alone_reproduces_that_run_of_run_eval(prepared, tmp_path, monk
     ("--runs", "0", "runs must be at least 1, got 0"),
     ("--ns", "0", "every N must be at least 1, got 0"),
     ("--ns", "5,-1", "every N must be at least 1, got 5,-1"),
-], ids=["runs_0", "ns_0", "ns_negative"])
+    ("--ns", "5,,10", "error: Ns must be comma-separated int values, got '5,,10'"),
+    ("--config", "Ns=5,,10\n", "error: Ns must be comma-separated int values, got '5,,10'"),
+], ids=["runs_0", "ns_0", "ns_negative", "ns_empty", "config_ns_empty"])
 def test_eval_range_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                       flag, value, message):
     def never(*args, **kwargs):
         raise AssertionError("a method ran before the ranges were checked")
 
     monkeypatch.setattr(evaluate, "evaluate_method", never)
+    flags = EVAL_FLAGS + [flag, value]
+    if flag == "--config":  # value is the config file's text, with no --ns to override it
+        config = tmp_path / "eval.cfg"
+        config.write_text(value)
+        flags = FAST_FLAGS + [flag, str(config)]
     err = _one_line_error(capsys, [
         "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
-        "--methods", "MOSTPOP,RAN++", "--runs", "1"] + EVAL_FLAGS + [flag, value])
+        "--methods", "MOSTPOP,RAN++", "--runs", "1"] + flags)
     assert message in err
 
 
@@ -768,7 +797,7 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
             "train/checkpoint.dre.manifest", "train/seeds.txt", "train/history.tsv",
             "eval/eval_report.json", "eval/eval_report.tsv", "grid/sweep.tsv",
             "ratings-long.dat", "prepared-long/matrix.snapshot", "prepared-long/users.map",
-            "prepared-long/items.map"} <= set(paths)
+            "prepared-long/items.map", "recommend.txt", "report.tsv"} <= set(paths)
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -801,6 +830,80 @@ def test_train_config_fields_are_config_keys():
         assert type(cli.CONFIG_DEFAULTS[field.name]) is field.type, field.name
 
 
+# each subcommand's flags: option strings, dest, default, required, help
+# and type (by name; None where argparse keeps the string)
+COMMON_FLAGS = [
+    ("--config", "config", None, False, "flat key=value config file", None),
+    ("--out", "out", None, False, "output directory", "str"),
+]
+DATA_FLAGS = COMMON_FLAGS + [
+    ("--data-dir", "data_dir", None, True, "directory holding matrix.snapshot + maps", None),
+    ("--seed", "seed", None, False, "master RNG seed", "int"),
+    ("--split-seed", "split_seed", None, False, "seed of the train/validation/test user split",
+     "int"),
+]
+PARSER_FLAGS = {
+    "prepare": [
+        ("--dataset", "dataset", None, False, "raw interaction file", "str"),
+        ("--delimiter", "delimiter", None, False, "field delimiter (default '::')", "str"),
+        ("--threshold", "threshold", None, False, "binarization threshold", "float"),
+        ("--min-count", "min_count", None, False, None, "int"),
+    ] + COMMON_FLAGS,
+    "train": [
+        ("--k", "k", None, False, None, "int"),
+        ("--d", "d", None, False, None, "int"),
+        ("--lr", "lr", None, False, None, "float"),
+        ("--epochs", "epochs", None, False, None, "int"),
+        ("--batch-size", "batch_size", None, False, None, "int"),
+        ("--t0", "t0", None, False, None, "float"),
+        ("--te", "te", None, False, None, "float"),
+        ("--retrain-epochs", "retrain_epochs", None, False, None, "int"),
+        ("--val-every", "val_every", None, False, None, "int"),
+    ] + DATA_FLAGS,
+    "eval": [
+        ("--methods", "methods", "MOSTPOP,RAN++,POP++,RBMF,RBMF++,DRE", False, None, None),
+        ("--runs", "runs", None, False, None, "int"),
+        ("--k", "k", None, False, None, "int"),
+        ("--epochs", "epochs", None, False, None, "int"),
+        ("--ns", "Ns", None, False, "comma-separated ranking cutoffs", "str"),
+        ("--checkpoint", "checkpoint", None, False, "reuse a trained DRE checkpoint", None),
+        ("--external-seeds", "external_seeds", None, False,
+         "evaluate an external seed list with the neural decoder", None),
+    ] + DATA_FLAGS,
+    "grid": [
+        ("--grid", "grid", None, True, "e.g. 't0=1,10 te=0.5,0.1,t0'", None),
+        ("--k", "k", None, False, None, "int"),
+        ("--epochs", "epochs", None, False, None, "int"),
+    ] + DATA_FLAGS,
+    "recommend": [
+        ("--checkpoint", "checkpoint", None, True, None, None),
+        ("--items-map", "items_map", None, True, None, None),
+        ("--feedback", "feedback", None, False,
+         "file with k space/newline-separated 0/1 values", None),
+        ("--top-n", "top_n", 10, False, None, "int"),
+    ],
+    "report": [("--dump", "dump", None, True, "eval_report.json", None)],
+}
+
+
+def test_parser_flags_are_pinned():
+    # every subcommand's flags, pinned; a string key's flag has type str,
+    # which argparse parses as it parses a flag with no type
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_FLAGS)
+    for name, parser in sub.choices.items():
+        flags = [(*action.option_strings, action.dest, action.default, action.required,
+                  action.help, getattr(action.type, "__name__", action.type))
+                 for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+        assert flags == PARSER_FLAGS[name], name
+    # a config key's flag takes its type from CONFIG_DEFAULTS
+    for flags in PARSER_FLAGS.values():
+        for flag, dest, *_, kind in flags:
+            if dest in cli.CONFIG_DEFAULTS:
+                assert kind == type(cli.CONFIG_DEFAULTS[dest]).__name__, flag
+
+
 def test_parse_grid_errors():
     with pytest.raises(ValueError):
         cli.parse_grid("bogus=1")
@@ -808,6 +911,13 @@ def test_parse_grid_errors():
         cli.parse_grid("")
     grid = cli.parse_grid("te=0.1,t0 lr=0.01")
     assert grid["te"] == [0.1, "t0"] and grid["lr"] == [0.01]
+    # a value that does not parse is named with its key
+    with pytest.raises(ValueError, match=r"^grid key lr must be comma-separated float values, "
+                                         r"got '0\.1,abc'$"):
+        cli.parse_grid("lr=0.1,abc")
+    with pytest.raises(ValueError, match=r"^grid key k must be comma-separated int values, "
+                                         r"got ''$"):
+        cli.parse_grid("t0=1 k=")
 
 
 def test_parse_grid_rejects_a_key_given_twice():
@@ -894,6 +1004,140 @@ def test_recommend_item_map_out_of_index_order_is_one_line_error(prepared, tmp_p
                                    "--items-map", str(items_map),
                                    "--feedback", str(feedback), "--top-n", "4"])
     assert "items.map:1:" in err and "index order" in err
+
+
+@pytest.mark.parametrize("name, raw, line", [
+    ("run.cfg", b"d=16\r\nk=\xff\n", 2),
+    ("run.cfg", b"d=16\rseed=3\r\xff", 3),
+    ("feedback.txt", b"1 0\r\n\xff\n", 2),
+    ("eval_report.json", b"{\n\"methods\": [\xff]}\n", 2),
+], ids=["config_crlf", "config_lone_cr", "feedback", "report"])
+def test_invalid_utf8_is_one_line_error_naming_file_and_line(prepared, trained, tmp_path,
+                                                             capsys, name, raw, line):
+    # these files may be written by hand, so \r\n and a lone \r end lines too
+    path = tmp_path / name
+    path.write_bytes(raw)
+    argv = {
+        "run.cfg": ["train", "--data-dir", prepared, "--out", str(tmp_path / "out"),
+                    "--config", str(path)],
+        "feedback.txt": ["recommend", "--checkpoint", str(trained / "checkpoint.dre"),
+                         "--items-map", os.path.join(prepared, "items.map"),
+                         "--feedback", str(path), "--top-n", "4"],
+        "eval_report.json": ["report", "--dump", str(path)],
+    }[name]
+    err = _one_line_error(capsys, argv)
+    assert f"{path}:{line}: invalid utf-8 byte 0xff" in err
+
+
+def test_config_lines_end_as_in_text_mode(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"k=7\r\nseed=2\rd=5")
+    cfg = cli.load_config(str(path))
+    assert (cfg["k"], cfg["seed"], cfg["d"]) == (7, 2, 5)
+
+
+def _run(argv):
+    """cli.main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def mutated(draw, raw):
+    """The bytes raw of a text file after one to three mutations: a cut at a
+    byte, a flipped byte, a dropped, duplicated or swapped line, or an
+    inserted \\r or 0xFF byte."""
+    raw = bytearray(raw)
+    for kind in draw(st.lists(st.sampled_from(
+            ["cut", "flip", "drop", "duplicate", "swap", "cr", "ff"]), min_size=1, max_size=3)):
+        if kind in ("cr", "ff"):
+            raw[draw(st.integers(0, len(raw))):0] = b"\r" if kind == "cr" else b"\xff"
+        else:
+            raw = mutate(draw, raw, kind)
+    return bytes(raw)
+
+
+# the item tokens of a save_maps file for the m=10 items of write_small_checkpoint
+FUZZ_ITEMS = ["i0", "i\t1", "\u00fc2", "item 3", "4", "i5", "#6", "i=7", "i8", "i9"]
+
+
+def _saved_items_map(tmp_path_factory):
+    """The path and bytes of the items.map save_maps writes for FUZZ_ITEMS."""
+    root = tmp_path_factory.getbasetemp()
+    matrix = matrix_from_rows([np.arange(10)], 10, {"u": 0},
+                              {token: i for i, token in enumerate(FUZZ_ITEMS)})
+    data.save_maps(matrix, root / "fuzz-users.map", root / "fuzz-items.map")
+    return root / "fuzz-items.map", (root / "fuzz-items.map").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_recommend_with_a_mutated_item_map_ranks_or_is_one_line_error(tmp_path_factory, draw):
+    path, written = _saved_items_map(tmp_path_factory)
+    # the example: the file with \r\n line ends, which save_maps never writes
+    raw = written.replace(b"\n", b"\r\n") if draw is None else draw.draw(mutated(written))
+    path.write_bytes(raw)
+    checkpoint, feedback = path.parent / "fuzz.dre", path.parent / "fuzz-feedback.txt"
+    write_small_checkpoint(str(checkpoint))  # k=3, m=10
+    feedback.write_text("1 0 1\n")
+    code, out, err = _run(["recommend", "--checkpoint", str(checkpoint), "--items-map",
+                           str(path), "--feedback", str(feedback), "--top-n", "4"])
+    try:
+        tokens = data.load_item_map(path, 10)
+    except data.DataError:
+        event("DataError")
+        _check_one_line_error(code, out, err)
+        assert str(path) in err
+    else:
+        # what loads is what save_maps writes for those tokens, up to the
+        # last line end, and recommend prints 4 of them
+        event("loaded")
+        rewritten = "".join(f"{token}\t{i}\n" for i, token in enumerate(tokens))
+        assert rewritten.encode() in (raw, raw + b"\n")
+        assert code == 0 and err == ""
+        printed = out.split("\n")
+        assert len(printed) == 5 and printed[-1] == "" and set(printed[:-1]) <= set(tokens)
+
+
+# the manifest keys eval compares with its data and split
+COMPARED = (b"test_frac", b"val_frac", b"split_seed", b"data_fingerprint")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_eval_with_a_mutated_manifest_runs_or_is_one_line_error(prepared, trained,
+                                                               tmp_path_factory, draw):
+    written = (trained / "checkpoint.dre.manifest").read_bytes()
+    # the example: the manifest with \r\n line ends, which train never writes
+    raw = written.replace(b"\n", b"\r\n") if draw is None else draw.draw(mutated(written))
+    root = tmp_path_factory.getbasetemp()
+    checkpoint = root / "fuzz-manifest" / "checkpoint.dre"
+    checkpoint.parent.mkdir(exist_ok=True)
+    checkpoint.write_bytes((trained / "checkpoint.dre").read_bytes())
+    Path(str(checkpoint) + ".manifest").write_bytes(raw)
+    code, out, err = _run(["eval", "--data-dir", prepared, "--out", str(root / "fuzz-eval"),
+                           "--methods", "DRE", "--runs", "1", "--checkpoint", str(checkpoint)]
+                          + EVAL_FLAGS)
+    # admitted exactly when the file is UTF-8 and each compared key's last
+    # line (split at \n, as train writes them) is as train wrote it
+    want, got = (dict(line.partition(b"=")[::2] for line in text.split(b"\n"))
+                 for text in (written, raw))
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        admitted = False
+    else:
+        admitted = all(got.get(key) == want[key] for key in COMPARED)
+    event("admitted" if admitted else "refused")
+    if admitted:
+        assert code == 0 and err == ""
+    else:
+        _check_one_line_error(code, out, err)
+        assert str(checkpoint) in err
 
 
 def test_stream_seed_distinct():

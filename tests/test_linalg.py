@@ -10,46 +10,52 @@ from elicit.linalg import (
 )
 
 
+def rank_k_residual(A, right):
+    """||A - A @ pinv(right) @ right||: A's distance from its projection
+    onto the row space of the right factor."""
+    return np.linalg.norm(A - A @ np.linalg.pinv(right) @ right)
+
+
 def test_svd_diagonal_by_hand():
     A = np.diag([3.0, 2.0, 1.0])
-    res = truncated_svd(A, 2, seed=0)
-    norms = np.sort(np.linalg.norm(res.right, axis=1))[::-1]
+    right = truncated_svd(A, 2, seed=0)
+    norms = np.sort(np.linalg.norm(right, axis=1))[::-1]
     assert np.allclose(norms, [3.0, 2.0], atol=1e-10)
-    residual = np.linalg.norm(A - res.left @ res.right)
-    assert abs(residual - 1.0) <= 1e-10
+    assert abs(rank_k_residual(A, right) - 1.0) <= 1e-10
 
 
 def test_svd_exact_rank_recovery():
     rng = np.random.Generator(np.random.PCG64(1))
     A = np.outer(rng.standard_normal(12), rng.standard_normal(9))
     for k in (1, 3):
-        res = truncated_svd(A, k, seed=0)
-        assert np.linalg.norm(A - res.left @ res.right) <= 1e-8
+        right = truncated_svd(A, k, seed=0)
+        assert right.shape == (k, 9)
+        assert rank_k_residual(A, right) <= 1e-8
 
 
 def test_svd_against_full_svd_oracle():
     rng = np.random.Generator(np.random.PCG64(2))
     A = rng.standard_normal((50, 40))
     k = 10
-    res = truncated_svd(A, k, seed=0)
+    right = truncated_svd(A, k, seed=0)
     s = np.linalg.svd(A, compute_uv=False)
     tail = np.sqrt(np.sum(s[k:] ** 2))
-    assert np.linalg.norm(A - res.left @ res.right) <= 1.01 * tail
+    assert rank_k_residual(A, right) <= 1.01 * tail
 
 
-def test_svd_left_orthonormal():
+def test_svd_right_rows_orthogonal_with_singular_value_norms():
     rng = np.random.Generator(np.random.PCG64(3))
     A = rng.standard_normal((30, 20))
-    res = truncated_svd(A, 5, seed=4)
-    gram = res.left.T @ res.left
-    assert np.max(np.abs(gram - np.eye(5))) <= 1e-8
+    right = truncated_svd(A, 5, seed=4)
+    s = np.linalg.svd(A, compute_uv=False)[:5]
+    gram = right @ right.T
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-8
+    assert np.allclose(np.sqrt(np.diag(gram)), s, rtol=1e-6)
 
 
 def test_svd_deterministic_and_range_checked():
     A = np.eye(4)
-    r1 = truncated_svd(A, 2, seed=9)
-    r2 = truncated_svd(A, 2, seed=9)
-    assert np.array_equal(r1.left, r2.left) and np.array_equal(r1.right, r2.right)
+    assert np.array_equal(truncated_svd(A, 2, seed=9), truncated_svd(A, 2, seed=9))
     with pytest.raises(ValueError):
         truncated_svd(A, 5)
 
@@ -215,8 +221,7 @@ def test_sparse_input_matches_dense():
     R = (rng.random((60, 25)) < 0.2).astype(np.float64)
     S = csr_array(R)
     dense, sparse = truncated_svd(R, 4, seed=1), truncated_svd(S, 4, seed=1)
-    assert np.allclose(sparse.left, dense.left, atol=1e-10)
-    assert np.allclose(sparse.right, dense.right, atol=1e-10)
+    assert np.allclose(sparse, dense, atol=1e-10)
     A = R[:, [3, 7, 11]]
     plain = np.linalg.solve(A.T @ A + 1e-6 * np.eye(3), A.T @ R)
     for B in (R, S):

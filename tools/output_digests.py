@@ -1,14 +1,16 @@
 """SHA-256 digests of every file a small `elicit` pipeline writes: the
 `perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
 --checkpoint` of all six methods over 2 runs and a 2-cell `grid`, each with
-small budgets. A copy of the log whose user tokens are 12 bytes and item
+small budgets, and the stdout of `recommend --feedback` with the trained
+checkpoint (`recommend.txt`) and of `report --dump` with the eval report
+(`report.tsv`). A copy of the log whose user tokens are 12 bytes and item
 tokens 20 bytes long, past the one and two 8-byte words of a short key, is
 prepared too, into `prepared-long/`.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
 Prints `sha256  path` per file, paths relative to OUT and sorted; the
-commands' own output goes to stderr. Two source trees whose lines match
+other commands' own output goes to stderr. Two source trees whose lines match
 write the same bytes here: run it once with each tree's `src` on
 PYTHONPATH and compare the lines (`diff`).
 """
@@ -25,6 +27,9 @@ from elicit import cli  # noqa: E402
 
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
 SMALL = ["--k", "5", "--epochs", "8"]
+FEEDBACK = "1 0 0 1 1\n"  # an answer per seed of the k=5 checkpoint
+# the commands whose stdout is written to a file under OUT, by name
+STDOUT_FILES = {"recommend": "recommend.txt", "report": "report.tsv"}
 
 
 def commands(out):
@@ -39,6 +44,10 @@ def commands(out):
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
         ["grid", "--out", os.path.join(out, "grid"), "--grid", "t0=1,5"] + common,
+        ["recommend", "--checkpoint", os.path.join(out, "train", "checkpoint.dre"),
+         "--items-map", os.path.join(prepared, "items.map"),
+         "--feedback", os.path.join(out, "feedback.txt")],
+        ["report", "--dump", os.path.join(out, "eval", "eval_report.json")],
     ]
 
 
@@ -69,13 +78,14 @@ def main(argv):
     out = argv[0]
     os.makedirs(out, exist_ok=True)
     log = corpus.generate(corpus.TINY, 7)[0]
-    for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log))):
+    for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
+                       ("run.cfg", CONFIG), ("feedback.txt", FEEDBACK)):
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-    with open(os.path.join(out, "run.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(CONFIG)
     for args in commands(out):
-        with contextlib.redirect_stdout(sys.stderr):
+        name = STDOUT_FILES.get(args[0])
+        with (open(os.path.join(out, name), "w", encoding="utf-8") if name
+              else contextlib.nullcontext(sys.stderr)) as sink, contextlib.redirect_stdout(sink):
             code = cli.main(args)
         if code != 0:
             sys.exit(f"elicit {args[0]} exited {code}")
