@@ -26,7 +26,7 @@ def select_popular(counts, k):
     return order[:k].astype(np.int64)
 
 
-def rbmf_select(R, k, seed=0):
+def rbmf_select(R, k, seed):
     """Maximal-volume seed selection: rank-k SVD of the training matrix R
     (scipy.sparse or dense), then Maxvol over the item rows of the
     (value-weighted) right factor."""

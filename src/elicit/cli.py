@@ -4,6 +4,7 @@ hyperparameter sweeps, one-shot elicitation and report rendering."""
 import argparse
 import dataclasses
 import itertools
+import json
 import os
 import sys
 
@@ -41,7 +42,7 @@ CONFIG_DEFAULTS = {
 }
 
 
-def load_config(path=None, overrides=None):
+def load_config(path, overrides):
     """Flat key=value config file, overridden by CLI flags. Holds only the
     keys of CONFIG_DEFAULTS: other overrides (the subcommand, its function,
     --data-dir and so on) are not config."""
@@ -64,7 +65,7 @@ def load_config(path=None, overrides=None):
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
                              f"got {value!r}") from None
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key in cfg and value is not None:
             cfg[key] = value
     return cfg
@@ -154,8 +155,7 @@ def load_eval_checkpoint(path, matrix, cfg):
     return theta, seeds
 
 
-def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint=None, loaded=None,
-             external_seeds=None):
+def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded, external_seeds):
     """{method: evaluate_method table} of one seeded run of each of `methods`
     on the fixed test split. A run needs nothing from another: each
     stochastic method draws from its own stream_seed(cfg['seed'], method, run).
@@ -189,8 +189,8 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint=None, loaded=None,
         score("DRE", dre_seeds, lambda z: model.recommend(theta, dre_seeds, z, n_max))
         del theta
     if "MOSTPOP" in methods:
-        ranking = model._rank_candidates(train_counts, dre_seeds, n_max)
-        score("MOSTPOP", dre_seeds, lambda z: ranking)
+        ranking = model._rank_candidates(train_counts[None], dre_seeds, n_max)
+        score("MOSTPOP", dre_seeds, lambda z: np.broadcast_to(ranking, (len(z), n_max)))
     if "RAN++" in methods:
         rng = np.random.Generator(np.random.PCG64(stream_seed(master, "RAN++", run)))
         plusplus("RAN++", baselines.select_random(matrix.m, k, rng))
@@ -208,7 +208,7 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint=None, loaded=None,
             del x
         if "RBMF++" in methods:
             plusplus("RBMF++", rbmf_seeds)
-    for name, seeds in (external_seeds or {}).items():
+    for name, seeds in external_seeds.items():
         plusplus(name, seeds)
     return tables
 
@@ -332,7 +332,7 @@ def run_grid(matrix, split, cfg, grid):
     rows = []
     for values, tcfg in zip(cells, tcfgs):
         phi, theta, seeds, _ = _train_once(matrix, split, tcfg)
-        score = model._validation_ndcg(theta, seeds, matrix, split.val_users)
+        score = model._validation_ndcg(theta, seeds, matrix, split.val_users, model.Workspace())
         rows.append({"params": dict(zip(keys, values)), "val_ndcg20": score})
     best = max(rows, key=lambda r: r["val_ndcg20"])
     return rows, best
@@ -377,16 +377,18 @@ def cmd_recommend(args):
     inverse = data.load_item_map(args.items_map, phi.shape[1])
     k = len(seeds)
     if args.feedback:
-        tokens = [tok for line in data.read_lines(args.feedback) for tok in line.split()]
-        if len(tokens) != k:
-            raise data.DataError(f"feedback file must hold exactly {k} binary values, "
-                                 f"got {len(tokens)}")
-        try:
-            z = np.array([float(t) for t in tokens])
-        except ValueError as exc:
-            raise data.DataError(f"malformed feedback value: {exc}") from None
-        if not set(np.unique(z)) <= {0.0, 1.0}:
-            raise data.DataError("feedback values must be 0 or 1")
+        # the answers the prompt takes, separated by whitespace
+        answers = []
+        for lineno, line in enumerate(data.read_lines(args.feedback), start=1):
+            for ans in line.split():
+                if ans not in ("0", "1"):
+                    raise data.DataError(f"{args.feedback}:{lineno}: expected answers 0 or 1, "
+                                         f"got {ans!r}")
+                answers.append(float(ans))
+        if len(answers) != k:
+            raise data.DataError(f"{args.feedback}: need exactly {k} answers, one per seed, "
+                                 f"got {len(answers)}")
+        z = np.array(answers)
     else:
         z = np.zeros(k)
         for i, s in enumerate(seeds):
@@ -399,8 +401,7 @@ def cmd_recommend(args):
                     z[i] = float(ans)
                     break
                 print("please answer 0 or 1")
-    ranking = model.recommend(theta, seeds, z, args.top_n)
-    for item in ranking:
+    for item in model.recommend(theta, seeds, z[None], args.top_n)[0]:
         print(inverse[int(item)])
     return 0
 
@@ -440,10 +441,17 @@ def render_report(report):
 
 
 def cmd_report(args):
-    report = evaluate.EvalReport.from_json("\n".join(data.read_lines(args.dump)))
-    if len(report.methods) < 2:
-        raise data.DataError("need at least 2 methods to compare")
-    sys.stdout.write(render_report(report))
+    text = "\n".join(data.read_lines(args.dump))
+    try:
+        report = evaluate.EvalReport.from_json(text)
+        if len(report.methods) < 2:
+            raise data.DataError("need at least 2 methods to compare")
+        # a method name may hold a lone surrogate that stdout cannot encode
+        sys.stdout.write(render_report(report))
+    except json.JSONDecodeError as exc:
+        raise data.DataError(f"{args.dump}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise data.DataError(f"{args.dump}: {exc}") from None
     return 0
 
 

@@ -95,14 +95,10 @@ class Interactions:
         return Interactions(self.users[mask], self.items[mask])
 
 
-def densify(positives, shape, dtype=np.float64, out=None):
-    """The 0/1 array of the given shape that is 1 exactly at positives, a
-    pair (rows, items) of index arrays; written to `out` when given, an
-    array of that shape and dtype."""
-    if out is None:
-        out = np.zeros(shape, dtype=dtype)
-    else:
-        out.fill(0)
+def densify(positives, out):
+    """out, written as the 0/1 array that is 1 exactly at positives, a pair
+    (rows, items) of index arrays."""
+    out.fill(0)
     out[positives] = 1
     return out
 
@@ -171,11 +167,9 @@ class RatingMatrix:
         indptr, items = self._gather(np.asarray(user_ids, dtype=np.int64))
         return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), items
 
-    def dense(self, user_ids=None, dtype=np.float64):
-        """Densify (a subset of) the matrix. Rows follow the order of user_ids."""
-        if user_ids is None:
-            user_ids = np.arange(self.n)
-        return densify(self.positives(user_ids), (len(user_ids), self.m), dtype)
+    def dense(self, user_ids):
+        """The boolean rows of user_ids, in that order."""
+        return densify(self.positives(user_ids), np.empty((len(user_ids), self.m), bool))
 
     def csr(self):
         """The matrix as a float64 scipy.sparse CSR array over the same
@@ -198,7 +192,7 @@ class SplitSpec:
     test_users: np.ndarray
 
 
-def load_interactions(path, delimiter="::"):
+def load_interactions(path, delimiter):
     """Parse a delimited interaction log into an Interactions table.
 
     Lines need at least (user, item, rating) fields; later fields are
@@ -400,7 +394,7 @@ def _token_keys(buf, starts, ends):
     return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
 
 
-def binarize(records, threshold=3.5):
+def binarize(records, threshold):
     """The lines with rating strictly above threshold, as positives: lines
     with no rating."""
     return records.take(records.ratings > threshold)

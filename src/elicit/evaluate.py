@@ -39,8 +39,8 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     ground truth is the user's positives minus the seeds. Users with empty
     ground truth are skipped (counted). The other users are scored in
     near-equal blocks of at most BLOCK_ROWS: `predictor` maps a (b, k)
-    feedback block to b rankings of length >= max(Ns) with no seed items, or
-    to one ranking shared by every user of the block.
+    feedback block to a (b, >= max(Ns)) array of b rankings with no seed
+    items.
 
     Returns {"users": [...], "P": {N: array}, "NDCG": {N: array}, "skipped": int}.
     """
@@ -60,14 +60,13 @@ def score_users(predictor, matrix, user_ids, seeds, Ns):
     # differently from the matrix-matrix product
     n_blocks = -(-len(users) // BLOCK_ROWS)
     for block in np.array_split(users, n_blocks) if n_blocks else []:
-        R = matrix.dense(block, dtype=bool)
+        R = matrix.dense(block)
         # float64 feedback in F order, the layout of a column selection from a
         # float block, as the predictors' products can round differently in
         # another layout
-        omega = np.asarray(predictor(R[:, seeds].astype(np.float64, order="F")))
-        omega = np.broadcast_to(omega, (len(R), omega.shape[-1]))
-        if omega.shape[1] < n_max:
-            raise ValueError(f"N={n_max} exceeds ranking length {omega.shape[1]}")
+        omega = predictor(R[:, seeds].astype(np.float64, order="F"))
+        if omega.ndim != 2 or len(omega) != len(R) or omega.shape[1] < n_max:
+            raise ValueError(f"need {len(R)} rankings of >= {n_max} items, got {omega.shape}")
         omega = omega[:, :n_max]
         if is_seed[omega].any():
             raise ValueError("seed item leaked into a ranking")
@@ -211,21 +210,20 @@ def _split_key(key, width):
     raise DataError(f"eval report: malformed key {key!r}")
 
 
-def aggregate_runs(run_reports, pairings=(), run_seeds=None):
+def aggregate_runs(run_reports, pairings, run_seeds):
     """Combine per-run evaluation tables into an EvalReport.
 
     run_reports: {method: [evaluate_method result, one per run]}.
     pairings: (method_a, method_b) pairs to t-test on the users both scored;
     both a per-run test and a pooled test over all runs' concatenated
-    per-user scores are reported.
+    per-user scores are reported. run_seeds: each run's seed.
     """
     methods = sorted(run_reports)
     n_runs = {m: len(r) for m, r in run_reports.items()}
     if len(set(n_runs.values())) != 1:
         raise ValueError(f"inconsistent run counts across methods: {n_runs}")
     Ns = sorted(run_reports[methods[0]][0]["P"])
-    report = EvalReport(methods=methods, Ns=Ns,
-                        run_seeds=list(run_seeds or range(next(iter(n_runs.values())))))
+    report = EvalReport(methods=methods, Ns=Ns, run_seeds=list(run_seeds))
     for method in methods:
         runs = run_reports[method]
         report.skipped[method] = [r["skipped"] for r in runs]

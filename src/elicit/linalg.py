@@ -16,7 +16,7 @@ class MaxvolResult:
     converged: bool
 
 
-def truncated_svd(A, k, seed=0):
+def truncated_svd(A, k, seed):
     """The k x m right factor of A's rank-k approximation by randomized
     subspace iteration: the top k right singular vectors, each scaled by its
     singular value. Deterministic for a given seed. A is a dense array or a
@@ -95,16 +95,16 @@ def ridge_solve(A, B, lam=1e-6):
         raise np.linalg.LinAlgError(f"normal matrix singular despite lam={lam}") from exc
 
 
-def gumbel_noise(rows, cols, rng, dtype=np.float64, out=None):
+def gumbel_noise(rows, cols, rng, out=None):
     """I.i.d. Gumbel(0, 1) samples: g = -log(-log(u)), u ~ Uniform(0, 1),
-    computed in float64 and returned as dtype, or written to `out` (a
-    C-contiguous rows x cols array) in its own dtype. The uniforms are drawn
-    in blocks of BLOCK_ELEMS in C order, the order in which the generator
-    fills a whole array, so the samples and the generator's state after the
-    draw do not depend on the block size, and no rows x cols float64 array
-    is made for another dtype."""
+    computed in float64 and written to `out` (a C-contiguous rows x cols
+    array) in its own dtype, or to a new float64 array. The uniforms are
+    drawn in blocks of BLOCK_ELEMS in C order, the order in which the
+    generator fills a whole array, so the samples and the generator's state
+    after the draw do not depend on the block size, and no rows x cols
+    float64 array is made for another dtype."""
     if out is None:
-        out = np.empty((rows, cols), dtype)
+        out = np.empty((rows, cols))
     flat = out.reshape(-1, copy=False)
     u_buf = np.empty(min(flat.size, BLOCK_ELEMS), np.float64)
     for i in range(0, flat.size, BLOCK_ELEMS):

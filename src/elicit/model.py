@@ -84,27 +84,26 @@ def temperature(e, cfg):
     return cfg.t0 * (cfg.te / cfg.t0) ** (e / cfg.epochs)
 
 
-def init_encoder(k, m, rng, dtype=np.float32):
-    return (0.01 * rng.standard_normal((k, m))).astype(dtype)
+def init_encoder(k, m, rng):
+    return (0.01 * rng.standard_normal((k, m))).astype(np.float32)
 
 
-def init_decoder(k, d, m, rng, dtype=np.float32):
-    """Glorot-uniform weights, zero biases."""
+def init_decoder(k, d, m, rng):
+    """Glorot-uniform float32 weights, zero biases."""
     lim1 = np.sqrt(6.0 / (k + d))
     lim2 = np.sqrt(6.0 / (d + m))
     return DecoderParams(
-        w1=rng.uniform(-lim1, lim1, (k, d)).astype(dtype),
-        b1=np.zeros(d, dtype=dtype),
-        w2=rng.uniform(-lim2, lim2, (d, m)).astype(dtype),
-        b2=np.zeros(m, dtype=dtype),
+        w1=rng.uniform(-lim1, lim1, (k, d)).astype(np.float32),
+        b1=np.zeros(d, dtype=np.float32),
+        w2=rng.uniform(-lim2, lim2, (d, m)).astype(np.float32),
+        b2=np.zeros(m, dtype=np.float32),
     )
 
 
-def encode(phi, r_batch, tau, g, ws=None):
+def encode(phi, r_batch, tau, g, ws):
     """Relaxed categorical selection: y = softmax((phi + g) / tau) with one
     Gumbel draw g shared across the batch; z = r @ y^T. Both are arrays of
-    the workspace ws, a fresh one when not given."""
-    ws = Workspace() if ws is None else ws
+    the workspace ws."""
     y = ws.get("y", phi.shape, np.result_type(phi, g))
     softmax_rows(np.add(phi, g, out=y), tau, out=y)
     z = ws.get("z", (len(r_batch), len(y)), np.result_type(r_batch, y))
@@ -116,18 +115,16 @@ def _block_rows(a):
     return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
 
 
-def _sigmoid(x, bias, out=None):
+def _sigmoid(x, bias, out):
     """Logistic function of x + bias (bias: one value per column) without
     overflow: 1 / (1 + e) for x + bias >= 0 and e / (1 + e) below, with
-    e = exp(-|x + bias|); written to `out` when given, which may be x itself.
+    e = exp(-|x + bias|); written to `out`, which may be x itself.
     min(a, -a) is -|a| except that it keeps the sign bit of a NaN, which
     -abs(a) would flip. The numerator max(e, a >= 0) is 1 or e as required,
     since e <= 1 and a NaN e propagates, with no branch. Works through blocks
     of whole rows, so each pass (the bias sum first) reads a block still in
     cache; every element sees the same operations, so the bits do not depend
     on the block size."""
-    if out is None:
-        out = np.empty_like(x)
     step = _block_rows(x)
     e_buf = np.empty_like(x[:step])
     pos_buf = np.empty(e_buf.shape, dtype=bool)
@@ -216,13 +213,13 @@ def _forward_backward(phi, theta, positives, b, tau, g, ws):
     minibatch's array holds the squared residuals, and then the minibatch
     again."""
     m = phi.shape[1]
-    r_batch = densify(positives, (b, m), phi.dtype, out=ws.get("r", (b, m), phi.dtype))
+    r_batch = densify(positives, ws.get("r", (b, m), phi.dtype))
     y, z = encode(phi, r_batch, tau, g, ws)
     h, r_hat = _decoder_forward(theta, z, ws)
     grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=r_batch)
     # mse_loss's sum over the same squares, so the same bits
     loss = float(np.sum(r_batch) / b)
-    densify(positives, (b, m), phi.dtype, out=r_batch)
+    densify(positives, r_batch)
     d_z = np.matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
     d_y = np.matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
     # softmax backward per row, through (phi + g) / tau, by the operations of
@@ -303,11 +300,11 @@ def extract_seeds(phi):
     return items
 
 
-def _validation_ndcg(theta, seeds, matrix, user_ids, ws=None):
+def _validation_ndcg(theta, seeds, matrix, user_ids, ws):
     """NDCG@20 (or @ the candidate count, when smaller) on the given users
     with hard seed feedback, seeds excluded from ranking and from ground
     truth. Users with empty truth are skipped. Decodes into the workspace
-    ws, a fresh one when not given."""
+    ws."""
     N = min(20, matrix.m - len(set(int(s) for s in seeds)))
     table = evaluate.score_users(
         lambda z: recommend(theta, seeds, z, N, ws), matrix, user_ids, seeds, (N,))
@@ -406,9 +403,8 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
         # in C order, as the BLAS products below can round differently
         # for an F-order input
         hit = column[items]
-        shape = (len(ids), len(seeds))
-        z = densify((rows[hit >= 0], hit[hit >= 0]), shape, theta.w1.dtype,
-                    out=ws.get("z", shape, theta.w1.dtype))
+        z = densify((rows[hit >= 0], hit[hit >= 0]),
+                    ws.get("z", (len(ids), len(seeds)), theta.w1.dtype))
         h, r_hat = _decoder_forward(theta, z, ws)
         return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
 
@@ -419,23 +415,20 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
 
 
 def _rank_candidates(scores, seeds, N):
-    """Top-N item indices by descending score, seeds excluded, ties broken
-    by ascending index. `scores` is one row of m scores or a (b, m) block,
-    giving one ranking or b rows of rankings. The rows are ranked in chunks
-    of about BLOCK_ELEMS scores, each row on its own, so the working arrays
-    are a chunk's, not the block's."""
-    scores = np.asarray(scores)
-    mask = np.ones(scores.shape[-1], dtype=bool)
-    mask[np.asarray(seeds, dtype=np.int64)] = False
+    """The (b, N) top-N item indices of each row of a (b, m) score block, by
+    descending score, seeds excluded, ties broken by ascending index. The
+    rows are ranked in chunks of about BLOCK_ELEMS scores, each row on its
+    own, so the working arrays are a chunk's, not the block's."""
+    mask = np.ones(scores.shape[1], dtype=bool)
+    mask[seeds] = False
     candidates = np.nonzero(mask)[0]
     if not 0 <= N <= len(candidates):
         raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
-    block = np.atleast_2d(scores)
-    ranked = np.empty((len(block), N), dtype=candidates.dtype)
-    step = _block_rows(block)
-    for i in range(0, len(block), step):
-        ranked[i:i + step] = _rank_chunk(block[i:i + step], candidates, N)
-    return ranked if scores.ndim == 2 else ranked[0]
+    ranked = np.empty((len(scores), N), dtype=candidates.dtype)
+    step = _block_rows(scores)
+    for i in range(0, len(scores), step):
+        ranked[i:i + step] = _rank_chunk(scores[i:i + step], candidates, N)
+    return ranked
 
 
 def _rank_chunk(scores, candidates, N):
@@ -468,14 +461,13 @@ def _rank_chunk(scores, candidates, N):
 
 
 def recommend(theta, seeds, z, N, ws=None):
-    """Rank candidate items for new users from their seed feedback: z is one
-    user's k answers or a (b, k) block, giving one ranking or b rows. The
-    scores are decoded into the workspace ws, a fresh one when not given."""
+    """The (b, N) rankings of candidate items for b new users from their
+    seed feedback z, a (b, k) block of their answers. The scores are decoded
+    into the workspace ws, a fresh one when not given."""
     z = np.asarray(z, dtype=theta.w1.dtype)
-    if z.ndim not in (1, 2) or z.shape[-1] != len(seeds):
-        raise ValueError(f"feedback must have {len(seeds)} entries per user, got {z.shape}")
-    scores = decode(theta, np.atleast_2d(z), ws)
-    return _rank_candidates(scores if z.ndim == 2 else scores[0], seeds, N)
+    if z.ndim != 2 or z.shape[1] != len(seeds):
+        raise ValueError(f"feedback must be a (b, {len(seeds)}) block, got shape {z.shape}")
+    return _rank_candidates(decode(theta, z, ws), seeds, N)
 
 
 def save_checkpoint(path, phi, theta, seeds):

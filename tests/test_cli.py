@@ -651,29 +651,48 @@ def test_allocation_failure_is_one_line_error(prepared, tmp_path, capsys, monkey
     assert err == f"error: {message or 'MemoryError'}\n"
 
 
-def test_report_dump_without_dre_is_one_line_error(tmp_path, capsys):
-    rep = evaluate.EvalReport(methods=["BASE", "OTHER"], Ns=[10], run_seeds=[0])
-    for meth in rep.methods:
+def _flat_report(methods):
+    """The eval_report.json text of `methods` over one run at N = 10, with
+    every mean 0.5."""
+    rep = evaluate.EvalReport(methods=methods, Ns=[10], run_seeds=[0])
+    for meth in methods:
         for metric in ("P", "NDCG"):
             rep.cells[(meth, metric, 10)] = {"mean": 0.5, "std": 0.0, "runs": [0.5]}
+    return rep.to_json()
+
+
+def test_report_dump_without_dre_is_one_line_error(tmp_path, capsys):
     dump = tmp_path / "eval_report.json"
-    dump.write_text(rep.to_json())
+    dump.write_text(_flat_report(["BASE", "OTHER"]))
     err = _one_line_error(capsys, ["report", "--dump", str(dump)])
-    assert err == "error: report has no 'DRE' column\n"
+    assert err == f"error: {dump}: report has no 'DRE' column\n"
 
 
 def test_report_dump_without_methods_is_one_line_error(tmp_path, capsys):
     dump = tmp_path / "eval_report.json"
     dump.write_text(json.dumps({"Ns": [10], "run_seeds": [0], "cells": {}}))
     err = _one_line_error(capsys, ["report", "--dump", str(dump)])
-    assert "'methods'" in err
+    assert err == f"error: {dump}: eval report: no 'methods' key\n"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ('{"methods": [', ":1:14", "Expecting value"),
+    ('{\n"methods": ["DRE",\n]}', ":3:1", "Expecting value"),
+    (_flat_report(["DRE"]), "", "need at least 2 methods to compare"),
+], ids=["cut", "trailing_comma", "one_method"])
+def test_report_dump_errors_name_the_file(tmp_path, capsys, text, where, message):
+    # path:line:column for a JSON syntax error, path: for the rest
+    dump = tmp_path / "eval_report.json"
+    dump.write_text(text)
+    err = _one_line_error(capsys, ["report", "--dump", str(dump)])
+    assert err == f"error: {dump}{where}: {message}\n"
 
 
 def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
     # train, retrain and every eval method densify at most one minibatch or
-    # one scoring block of float rows at a time, never the training matrix;
-    # the minibatches are built from positives, which are gathered per block
-    # too (and so are the scored users' boolean rows, fewer than a block here)
+    # one scoring block of rows at a time, never the training matrix: the
+    # float minibatches are densified from positives, which are gathered per
+    # block too, and the scored users' boolean rows by block
     matrix = make_cluster_matrix(n_per_cluster=150, seed=2)
     split = data.split_users(matrix, seed=0)
     batch = 64
@@ -682,10 +701,13 @@ def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
     requests = []
     dense, positives = data.RatingMatrix.dense, data.RatingMatrix.positives
 
-    def recorded_dense(self, user_ids=None, dtype=np.float64):
-        if np.issubdtype(dtype, np.floating):
-            requests.append(("dense", self.n if user_ids is None else len(user_ids)))
-        return dense(self, user_ids, dtype)
+    def recorded_dense(self, user_ids):
+        requests.append(("dense", len(user_ids)))
+        return dense(self, user_ids)
+
+    def recorded_densify(positives, out):
+        requests.append(("densify", len(out)))
+        return data.densify(positives, out)
 
     def recorded_positives(self, user_ids):
         requests.append(("positives", len(user_ids)))
@@ -693,6 +715,7 @@ def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
 
     monkeypatch.setattr(data.RatingMatrix, "dense", recorded_dense)
     monkeypatch.setattr(data.RatingMatrix, "positives", recorded_positives)
+    monkeypatch.setattr(model, "densify", recorded_densify)
     cfg = dict(cli.CONFIG_DEFAULTS, k=3, d=8, epochs=2, retrain_epochs=1,
                batch_size=batch, val_every=1)
     phi, theta, _ = model.train(matrix, split, cli.train_config(cfg))
@@ -700,7 +723,8 @@ def test_training_matrix_is_densified_only_in_blocks(monkeypatch):
                           lr=cfg["lr"], batch_size=batch, seed=cfg["seed"])
     cli.run_eval(matrix, split, cfg, cli.METHODS, runs=1, Ns=(5,))
     rows = [n for _, n in requests]
-    assert rows and max(rows) <= limit, sorted(set(requests))
+    assert {"dense", "densify", "positives"} <= {kind for kind, _ in requests}
+    assert max(rows) <= limit, sorted(set(requests))
 
 
 def test_train_corrupt_snapshot_is_one_line_error(prepared, tmp_path, capsys):
@@ -797,7 +821,9 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
             "train/checkpoint.dre.manifest", "train/seeds.txt", "train/history.tsv",
             "eval/eval_report.json", "eval/eval_report.tsv", "grid/sweep.tsv",
             "ratings-long.dat", "prepared-long/matrix.snapshot", "prepared-long/users.map",
-            "prepared-long/items.map", "recommend.txt", "report.tsv"} <= set(paths)
+            "prepared-long/items.map", "recommend.txt", "report.tsv",
+            "eval-train/eval_report.json", "eval-train/eval_report.tsv",
+            "eval-mostpop/eval_report.json", "eval-mostpop/eval_report.tsv"} <= set(paths)
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -953,6 +979,56 @@ def test_recommend_file_mode(prepared, tmp_path, capsys):
     assert "exactly 3" in err
 
 
+def test_report_dump_error_of_an_unprintable_method_names_the_file(tmp_path):
+    # a JSON escape of a lone surrogate parses to a method name that a UTF-8
+    # stdout cannot encode
+    dump = tmp_path / "eval_report.json"
+    dump.write_text(_flat_report(["DRE", "B\ud800"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(elicit.__file__).parent.parent),
+               PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "elicit.cli", "report", "--dump", str(dump)],
+                          env=env, capture_output=True, text=True)
+    _check_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.stderr.startswith(f"error: {dump}: ") and "surrogates" in proc.stderr
+
+
+def _small_recommend_argv(root, feedback):
+    """recommend's arguments for the k=3, m=10 write_small_checkpoint file,
+    an items.map of i0..i9 and the feedback file at `feedback`, top 4."""
+    checkpoint, items_map = root / "small.dre", root / "small-items.map"
+    write_small_checkpoint(str(checkpoint))
+    items_map.write_text("".join(f"i{i}\t{i}\n" for i in range(10)))
+    return ["recommend", "--checkpoint", str(checkpoint), "--items-map", str(items_map),
+            "--feedback", str(feedback), "--top-n", "4"]
+
+
+@pytest.mark.parametrize("raw, line, token", [
+    (b"1 0\n1.0\n", 2, "1.0"),
+    (b"1 1e0 0\n", 1, "1e0"),
+    (b"1 0 -0\n", 1, "-0"),
+    (b"+1 0 1\n", 1, "+1"),
+    (b"1\r\n0\r\n01\r\n", 3, "01"),
+    ("1 0 \uff11\n".encode(), 1, "\uff11"),
+    (b"1 0 x\n", 1, "x"),
+], ids=["point", "exponent", "minus", "plus", "leading_zero", "full_width", "letter"])
+def test_recommend_feedback_takes_only_the_prompts_answers(tmp_path, capsys, raw, line, token):
+    # the prompt takes 0 or 1, so a file holds exactly those tokens; float()
+    # admitted all but the letter
+    feedback = tmp_path / "fb.txt"
+    feedback.write_bytes(raw)
+    err = _one_line_error(capsys, _small_recommend_argv(tmp_path, feedback))
+    assert err == f"error: {feedback}:{line}: expected answers 0 or 1, got {token!r}\n"
+
+
+@pytest.mark.parametrize("raw, count", [(b"", 0), (b"1 0\n", 2), (b"1 0\n1 1\n", 4)],
+                         ids=["empty", "too_few", "too_many"])
+def test_recommend_feedback_count_error_names_the_file(tmp_path, capsys, raw, count):
+    feedback = tmp_path / "fb.txt"
+    feedback.write_bytes(raw)
+    err = _one_line_error(capsys, _small_recommend_argv(tmp_path, feedback))
+    assert err == f"error: {feedback}: need exactly 3 answers, one per seed, got {count}\n"
+
+
 @pytest.mark.parametrize("answers", ["", "1\n"], ids=["no_answer", "one_answer"])
 def test_recommend_end_of_input_is_one_line_error(tmp_path, capsys, monkeypatch, answers):
     checkpoint = str(tmp_path / "checkpoint.dre")
@@ -1032,7 +1108,7 @@ def test_invalid_utf8_is_one_line_error_naming_file_and_line(prepared, trained, 
 def test_config_lines_end_as_in_text_mode(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"k=7\r\nseed=2\rd=5")
-    cfg = cli.load_config(str(path))
+    cfg = cli.load_config(str(path), {})
     assert (cfg["k"], cfg["seed"], cfg["d"]) == (7, 2, 5)
 
 
@@ -1140,6 +1216,75 @@ def test_eval_with_a_mutated_manifest_runs_or_is_one_line_error(prepared, traine
         assert str(checkpoint) in err
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_recommend_with_a_mutated_feedback_file_ranks_or_is_one_line_error(tmp_path_factory,
+                                                                          draw):
+    written = b"1 0\n1\n"
+    # the example: \r\n line ends and a tab, which the file may hold
+    raw = b"1\t0\r\n1\r\n" if draw is None else draw.draw(mutated(written))
+    root = tmp_path_factory.getbasetemp()
+    feedback = root / "fuzz-feedback.txt"
+    feedback.write_bytes(raw)
+    argv = _small_recommend_argv(root, feedback)
+    code, out, err = _run(argv)
+    # admitted exactly when the file is UTF-8 and holds 3 answers, each 0 or 1
+    try:
+        answers = raw.decode("utf-8").split()
+    except UnicodeDecodeError:
+        answers = None
+    if answers is not None and len(answers) == 3 and set(answers) <= {"0", "1"}:
+        event("ranked")
+        theta, seeds = model.load_checkpoint(argv[2])[1:]
+        ranking = model.recommend(theta, seeds, np.array([answers], dtype=float), 4)[0]
+        assert code == 0 and err == ""
+        assert out == "".join(f"i{item}\n" for item in ranking)
+    else:
+        event("refused")
+        _check_one_line_error(code, out, err)
+        assert str(feedback) in err
+
+
+def _dumped_report():
+    """The eval_report.json text of DRE and two baselines over 2 runs at
+    N = 5 and 10, DRE t-tested against both."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    runs = {meth: [{"users": list(range(6)), "skipped": 0,
+                    **{metric: {N: rng.integers(0, N + 1, 6) / N for N in (5, 10)}
+                       for metric in evaluate.METRICS}} for _ in range(2)]
+            for meth in ("DRE", "MOSTPOP", "RAN++")}
+    pairings = [("DRE", "MOSTPOP"), ("DRE", "RAN++")]
+    return evaluate.aggregate_runs(runs, pairings, [11, 12]).to_json().encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_report_of_a_mutated_dump_renders_or_is_one_line_error(tmp_path_factory, draw):
+    written = _dumped_report()
+    # the example: the dump with \r\n line ends, which eval never writes
+    raw = written.replace(b"\n", b"\r\n") if draw is None else draw.draw(mutated(written))
+    dump = tmp_path_factory.getbasetemp() / "fuzz-report.json"
+    dump.write_bytes(raw)
+    code, out, err = _run(["report", "--dump", str(dump)])
+    if code == 0:
+        # the table of the methods, Ns and means that the file holds
+        event("rendered")
+        report = json.loads(raw.decode("utf-8"))
+        methods, lines = report["methods"], out.split("\n")
+        assert err == "" and lines[-1] == ""
+        assert lines[0] == "\t".join(["metric", "N", *methods, "best_baseline", "improv", "sig"])
+        assert [line.split("\t")[:2 + len(methods)] for line in lines[1:-1]] == [
+            [metric, str(N), *(f"{report['cells'][f'{meth}|{metric}|{N}']['mean']:.4f}"
+                               for meth in methods)]
+            for metric in evaluate.METRICS for N in report["Ns"]]
+    else:
+        event("refused")
+        _check_one_line_error(code, out, err)
+        assert str(dump) in err
+
+
 def test_stream_seed_distinct():
     seeds = {cli.stream_seed(0, meth, run)
              for meth in cli.METHODS for run in range(5)}
@@ -1174,7 +1319,7 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg["epochs"] == 400
     path.write_text("mystery=1\n")
     with pytest.raises(ValueError, match="unknown config key"):
-        cli.load_config(str(path))
+        cli.load_config(str(path), {})
 
 
 def test_config_file_tab_delimiter_prepares_as_the_flag_does(raw_dataset, tmp_path):

@@ -146,7 +146,7 @@ def same_csr(a, b):
 def test_load_interactions_parses_fields(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("1", "1193", "5", "978300760"), ("2", "7", "2.5")])
-    records = as_records(data.load_interactions(path))
+    records = as_records(data.load_interactions(path, "::"))
     assert records == [("1", "1193", 5.0), ("2", "7", 2.5)]
 
 
@@ -154,7 +154,7 @@ def test_load_interactions_ignores_fields_after_the_third(tmp_path):
     path = tmp_path / "raw.dat"
     path.write_text("u::a::4::x\nu::b::4::9223372036854775808\nu::c::4::-1::y::\n"
                     "u::d::4\nu::e::4::\n")
-    items = [r[1] for r in as_records(data.load_interactions(path))]
+    items = [r[1] for r in as_records(data.load_interactions(path, "::"))]
     assert items == ["a", "b", "c", "d", "e"]
 
 
@@ -162,14 +162,14 @@ def test_load_interactions_malformed_rating(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("1", "2", "4.0"), ("1", "3", "abc")])
     with pytest.raises(data.DataError, match=":2:"):
-        data.load_interactions(path)
+        data.load_interactions(path, "::")
 
 
 def test_load_interactions_empty_file(tmp_path):
     path = tmp_path / "raw.dat"
     path.write_text("")
     with pytest.raises(data.DataError, match="no interaction"):
-        data.load_interactions(path)
+        data.load_interactions(path, "::")
 
 
 def test_load_interactions_skips_header(tmp_path):
@@ -191,7 +191,7 @@ def test_load_interactions_rejects_bad_delimiter(tmp_path, delimiter):
 
 def test_binarize_strict_threshold():
     records = make_table([("u", "a", 4.0), ("u", "b", 3.5), ("u", "c", 3.6)])
-    kept = as_pairs(data.binarize(records))
+    kept = as_pairs(data.binarize(records, 3.5))
     assert [r[1] for r in kept] == ["a", "c"]
 
 
@@ -205,7 +205,7 @@ def test_binarize_and_filter_keep_timestamps():
     # the user and item columns stay aligned through both masks
     records = make_table([("u", "a", 5.0), ("w", "c", 1.0), ("u", "b", 5.0), ("v", "a", 5.0),
                           ("u", "c", 1.0), ("w", "d", 4.0), ("w", "b", 5.0)])
-    kept = as_pairs(data.filter_min_ratings(data.binarize(records), 2))
+    kept = as_pairs(data.filter_min_ratings(data.binarize(records, 3.5), 2))
     assert kept == [("u", "a"), ("u", "b"), ("w", "d"), ("w", "b")]
 
 
@@ -297,7 +297,7 @@ def test_pipeline_idempotence(tmp_path):
     ])
 
     def run():
-        recs = data.filter_min_ratings(data.binarize(data.load_interactions(path)), 5)
+        recs = data.filter_min_ratings(data.binarize(data.load_interactions(path, "::"), 3.5), 5)
         return data.build_matrix(recs)
 
     m1, m2 = run(), run()
@@ -395,7 +395,7 @@ def _pipeline(load, binarize, filter_min, build, path, delimiter, min_count):
     """(records, matrix) of a full ingest, or the DataError message it stops with."""
     try:
         records = load(path, delimiter=delimiter)
-        matrix = build(filter_min(binarize(records), min_count))
+        matrix = build(filter_min(binarize(records, 3.5), min_count))
     except data.DataError as exc:
         return str(exc)
     return records, matrix
@@ -444,7 +444,7 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
     for chunk in (1, 100, 4096):
         monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
         matrix = data.build_matrix(data.filter_min_ratings(
-            data.binarize(data.load_interactions(path)), 5))
+            data.binarize(data.load_interactions(path, "::"), 3.5), 5))
         assert list(matrix.user_index.items()) == list(ref.user_index.items())
         assert list(matrix.item_index.items()) == list(ref.item_index.items())
         assert same_csr(matrix, ref)
@@ -467,13 +467,13 @@ def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_parse_block", spy)
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", 2)
-    records = data.load_interactions(path)
+    records = data.load_interactions(path, "::")
     assert (0, 8, 8) in widths and widths[0] == (1, 8, 8)
     assert {w[1] for w in widths} == {8, 24} and {w[2] for w in widths} == {8, 16, 24}
     ref_records = ref_load_interactions(path)
     assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
     assert (records.users.dtype.itemsize, records.items.dtype.itemsize) == (24, 24)
-    matrix = data.build_matrix(data.filter_min_ratings(data.binarize(records), 1))
+    matrix = data.build_matrix(data.filter_min_ratings(data.binarize(records, 3.5), 1))
     ref = ref_build_matrix(ref_filter_min_ratings(ref_binarize(ref_records), 1))
     assert list(matrix.user_index.items()) == list(ref.user_index.items())
     assert list(matrix.item_index.items()) == list(ref.item_index.items())
@@ -492,7 +492,7 @@ def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monke
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        records = data.load_interactions(path)
+        records = data.load_interactions(path, "::")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,11 +533,11 @@ def test_load_interactions_reads_a_pipe(tmp_path):
     writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
     writer.start()
     try:
-        records = data.load_interactions(pipe)  # no line count: the columns grow
+        records = data.load_interactions(pipe, "::")  # no line count: the columns grow
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
-    assert as_records(records) == as_records(data.load_interactions(path))
+    assert as_records(records) == as_records(data.load_interactions(path, "::"))
 
 
 def test_load_interactions_grows_columns_past_the_line_count(tmp_path, monkeypatch):
@@ -549,7 +549,7 @@ def test_load_interactions_grows_columns_past_the_line_count(tmp_path, monkeypat
     write_raw_file(path, rows)
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", 1000)
     monkeypatch.setattr(data, "_line_ends", lambda fh: 7)
-    records = data.load_interactions(path)
+    records = data.load_interactions(path, "::")
     assert records.users.dtype.itemsize == 24
     assert as_records(records) == [(u, i, float(r)) for u, i, r, _ in rows]
 
@@ -642,8 +642,8 @@ def test_csr_matches_per_row_reference(case, draw):
     dense = np.zeros((len(user_ids), matrix.m))
     for i, u in enumerate(user_ids):
         dense[i, rows[u]] = 1.0
+    assert matrix.dense(user_ids).dtype == bool
     assert np.array_equal(matrix.dense(user_ids), dense)
-    assert np.array_equal(matrix.dense(), matrix.dense(range(matrix.n)))
     sub = matrix.take(user_ids)
     assert sub.m == matrix.m and [r.tolist() for r in row_list(sub)] == [
         rows[u].tolist() for u in user_ids]
@@ -755,7 +755,7 @@ def test_csr_view_shares_the_int32_indices(cluster_matrix):
     assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
     assert np.shares_memory(csr.indices, cluster_matrix.indices)
     assert np.array_equal(csr.indptr, cluster_matrix.indptr)
-    assert np.array_equal(csr.toarray(), cluster_matrix.dense())
+    assert np.array_equal(csr.toarray(), cluster_matrix.dense(np.arange(cluster_matrix.n)))
 
 
 def test_fingerprint_is_stable(cluster_matrix):
@@ -766,7 +766,7 @@ def test_fingerprint_is_stable(cluster_matrix):
 def test_item_map_roundtrip(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("u", "i\t2", "5"), ("u", "b", "5"), ("v", "7", "5"), ("v", "b", "5")])
-    matrix = data.build_matrix(data.load_interactions(path))
+    matrix = data.build_matrix(data.load_interactions(path, "::"))
     data.save_maps(matrix, tmp_path / "users.map", tmp_path / "items.map")
     assert data.load_item_map(tmp_path / "items.map", matrix.m) == list(matrix.item_index)
     assert data.load_item_map(tmp_path / "users.map", matrix.n) == list(matrix.user_index)

@@ -68,7 +68,7 @@ def test_evaluate_method_protocol():
     fixed = [0, 1, 3, 4]
 
     def predictor(z):
-        return fixed
+        return np.tile(fixed, (len(z), 1))
 
     table = evaluate.evaluate_method(predictor, matrix, split, seeds, Ns=(2, 4))
     assert table["skipped"] == 1
@@ -120,15 +120,14 @@ def _per_block_float_score_users(predictor, matrix, user_ids, seeds, Ns):
     is_seed[seeds] = True
     n_max = max(Ns)
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    known = matrix.dense(user_ids, dtype=bool)
+    known = matrix.dense(user_ids)
     truth_size = known.sum(axis=1) - known[:, seeds].sum(axis=1)
     users, truth_size = user_ids[truth_size > 0], truth_size[truth_size > 0]
     hits = [np.zeros((0, n_max), dtype=bool)]
     n_blocks = -(-len(users) // evaluate.BLOCK_ROWS)
     for block in np.array_split(users, n_blocks) if n_blocks else []:
-        R = matrix.dense(block)
-        omega = np.asarray(predictor(R[:, seeds]))
-        omega = np.broadcast_to(omega, (len(block), omega.shape[-1]))
+        R = matrix.dense(block).astype(np.float64)
+        omega = predictor(R[:, seeds])
         if omega.shape[1] < n_max:
             raise ValueError(f"N={n_max} exceeds ranking length {omega.shape[1]}")
         omega = omega[:, :n_max]
@@ -161,10 +160,10 @@ def test_score_users_bit_identical_to_per_block_float_reference(user_ids):
     theta = model.init_decoder(len(seeds), 16, m, rng)
     theta.b2[:] = rng.standard_normal(m).astype(np.float32)
     x = rng.standard_normal((len(seeds), m))
-    popular = model._rank_candidates(matrix.item_counts(), seeds, max(Ns))
+    popular = model._rank_candidates(matrix.item_counts()[None], seeds, max(Ns))
     for rank in (lambda z: model.recommend(theta, seeds, z, max(Ns)),
                  lambda z: model._rank_candidates(z @ x, seeds, max(Ns)),
-                 lambda z: popular):
+                 lambda z: np.broadcast_to(popular, (len(z), max(Ns)))):
         inputs = {"got": [], "want": []}
 
         def recorded(key):
@@ -190,7 +189,8 @@ def test_evaluate_method_rejects_seed_leak():
     split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.arange(4))
     for ranking, problem in (([2, 0], "seed item leaked"), ([0, 0], "duplicate item")):
         with pytest.raises(ValueError, match=problem):
-            evaluate.evaluate_method(lambda z: ranking, matrix, split, np.array([2]), Ns=(2,))
+            evaluate.evaluate_method(lambda z: np.tile(ranking, (len(z), 1)), matrix, split,
+                                     np.array([2]), Ns=(2,))
 
 
 def test_evaluate_method_all_skipped():
@@ -198,7 +198,8 @@ def test_evaluate_method_all_skipped():
     matrix = matrix_from_rows(rows, 3)
     split = data.SplitSpec(np.array([], dtype=int), np.array([], dtype=int), np.array([0]))
     with pytest.raises(ValueError, match="degenerate"):
-        evaluate.evaluate_method(lambda z: [1, 2], matrix, split, np.array([0]), Ns=(1,))
+        evaluate.evaluate_method(lambda z: np.tile([1, 2], (len(z), 1)), matrix, split,
+                                 np.array([0]), Ns=(1,))
 
 
 def test_paired_t_test_identical_and_dominant():
@@ -238,10 +239,10 @@ def _fake_run(values_by_metric, Ns=(10, 20)):
 
 def test_aggregate_runs_singleton_and_identical():
     run = _fake_run({"P": [0.5, 0.7], "NDCG": [0.6, 0.8]})
-    rep = evaluate.aggregate_runs({"A": [run]})
+    rep = evaluate.aggregate_runs({"A": [run]}, [], [0])
     cell = rep.cells[("A", "P", 10)]
     assert cell["mean"] == pytest.approx(0.6) and cell["std"] == 0.0
-    rep5 = evaluate.aggregate_runs({"A": [run] * 5})
+    rep5 = evaluate.aggregate_runs({"A": [run] * 5}, [], range(5))
     assert rep5.cells[("A", "NDCG", 20)]["std"] == 0.0
 
 
@@ -249,7 +250,7 @@ def test_aggregate_runs_pairings_and_json_roundtrip(tmp_path):
     r_a = _fake_run({"P": [0.9, 0.8, 0.7], "NDCG": [0.9, 0.8, 0.7]})
     r_b = _fake_run({"P": [0.5, 0.4, 0.6], "NDCG": [0.5, 0.4, 0.6]})
     rep = evaluate.aggregate_runs({"A": [r_a, r_a], "B": [r_b, r_b]},
-                                  pairings=[("A", "B")])
+                                  pairings=[("A", "B")], run_seeds=[0, 1])
     test = rep.tests[("A", "B", "P", 10)]
     assert len(test["per_run"]) == 2
     assert test["pooled"][1] < 0.05
@@ -268,7 +269,8 @@ def test_report_of_constant_differences_is_strict_json():
     # B scores 0.25 below A for every user: the paired t is +inf, with p = 0
     r_a = _fake_run({"P": [1.0, 0.75, 0.25], "NDCG": [1.0, 0.75, 0.25]})
     r_b = _fake_run({"P": [0.75, 0.5, 0.0], "NDCG": [0.75, 0.5, 0.0]})
-    rep = evaluate.aggregate_runs({"A": [r_a], "B": [r_b]}, pairings=[("A", "B")])
+    rep = evaluate.aggregate_runs({"A": [r_a], "B": [r_b]}, pairings=[("A", "B")],
+                                  run_seeds=[0])
     assert rep.tests[("A", "B", "P", 10)]["pooled"] == [math.inf, 0.0]
 
     def reject(token):
@@ -293,7 +295,8 @@ def test_aggregate_runs_pairs_scores_by_user():
     runs_a = [run([0, 1, 2, 4], [0.9, 0.1, 0.7, 0.6]),
               run([0, 1, 2, 3, 4], [0.5, 0.8, 0.4, 0.9, 0.7])]
     runs_b = [run([0, 2, 3, 4], [0.2, 0.3, 0.95, 0.4]), run([1, 3, 4], [0.1, 0.3, 0.6])]
-    rep = evaluate.aggregate_runs({"A": runs_a, "B": runs_b}, pairings=[("A", "B")])
+    rep = evaluate.aggregate_runs({"A": runs_a, "B": runs_b}, pairings=[("A", "B")],
+                                  run_seeds=[0, 1])
     common = [([0.9, 0.7, 0.6], [0.2, 0.3, 0.4]), ([0.8, 0.9, 0.7], [0.1, 0.3, 0.6])]
     test = rep.tests[("A", "B", "P", 10)]
     assert test["per_run"] == [list(evaluate.paired_t_test(a, b)) for a, b in common]
@@ -354,7 +357,8 @@ REPORT_FAULTS = ["not_an_object", "no_methods", "no_Ns", "no_run_seeds", "no_cel
 def test_from_json_rejects_bad_schema(fault):
     r_a = _fake_run({"P": [0.9, 0.8, 0.7], "NDCG": [0.9, 0.8, 0.7]})
     r_b = _fake_run({"P": [0.5, 0.4, 0.6], "NDCG": [0.5, 0.4, 0.6]})
-    rep = evaluate.aggregate_runs({"A": [r_a, r_a], "B": [r_b, r_b]}, pairings=[("A", "B")])
+    rep = evaluate.aggregate_runs({"A": [r_a, r_a], "B": [r_b, r_b]}, pairings=[("A", "B")],
+                                  run_seeds=[0, 1])
     raw = json.loads(rep.to_json())
     evaluate.EvalReport.from_json(json.dumps(raw))  # the intact report loads
     with pytest.raises(data.DataError, match="^eval report: "):
@@ -381,4 +385,4 @@ def test_report_table_p_is_against_the_best_baseline(tmp_path):
 def test_aggregate_runs_inconsistent():
     run = _fake_run({"P": [0.5], "NDCG": [0.5]})
     with pytest.raises(ValueError):
-        evaluate.aggregate_runs({"A": [run], "B": [run, run]})
+        evaluate.aggregate_runs({"A": [run], "B": [run, run]}, [], [0])

@@ -47,8 +47,8 @@ def test_encode_onehot_selection():
     phi[0, 2] = 50.0
     phi[1, 0] = 50.0
     r = np.array([[0.1, 0.2, 0.3, 0.4]])
-    g = gumbel_noise(2, 4, np.random.Generator(np.random.PCG64(0)), dtype=phi.dtype)
-    y, z = model.encode(phi, r, tau=0.01, g=g)
+    g = gumbel_noise(2, 4, np.random.Generator(np.random.PCG64(0)))
+    y, z = model.encode(phi, r, tau=0.01, g=g, ws=model.Workspace())
     assert np.allclose(z, [[0.3, 0.1]], atol=1e-6)
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-6)
 
@@ -69,7 +69,7 @@ def test_encode_gumbel_max_property():
     counts = np.zeros(6)
     r = np.ones((1, 6))
     for _ in range(10000):
-        y, _ = model.encode(phi, r, tau=0.05, g=gumbel_noise(1, 6, rng, dtype=phi.dtype))
+        y, _ = model.encode(phi, r, tau=0.05, g=gumbel_noise(1, 6, rng), ws=model.Workspace())
         counts[np.argmax(y[0])] += 1
     chi2 = stats.chisquare(counts, probs * 10000)
     assert chi2.pvalue > 0.01
@@ -120,12 +120,12 @@ def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     # -0.0 leaves every x as it is, so the specials reach the kernel as such
     bias = rng.standard_normal(301).astype(dtype)
     bias[:10] = bias[-10:] = -0.0
-    got, want = model._sigmoid(x, bias), _masked_sigmoid(x + bias)
+    got, want = model._sigmoid(x, bias, np.empty_like(x)), _masked_sigmoid(x + bias)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
     # in place, as the decoder calls it
     buf = x.copy()
-    assert model._sigmoid(buf, bias, out=buf) is buf
+    assert model._sigmoid(buf, bias, buf) is buf
     assert np.array_equal(buf.view(bits), want.view(bits))
 
 
@@ -175,12 +175,12 @@ def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
     assert len(r) > 2 * step and len(r) % step
     r[[0, -2]] = 0
     r[[94, -1]] = 1
-    g = gumbel_noise(*phi.shape, rng, dtype=dtype)
+    g = gumbel_noise(*phi.shape, rng, out=np.empty(phi.shape, dtype))
     tau = 0.8
     loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g,
                                           model.Workspace())
 
-    y, z = model.encode(phi, r, tau, g)
+    y, z = model.encode(phi, r, tau, g, model.Workspace())
     h, r_hat = _unblocked_decoder_forward(theta, z)
     want, d_h = _unblocked_decoder_backward(theta, z, h, r_hat, r)
     d_y = (d_h @ theta.w1.T).T @ r
@@ -400,7 +400,7 @@ def _train_with_allocating_steps(matrix, split, cfg):
     init_rng, noise_rng, shuffle_rng = model.rng_streams(cfg.seed)
     phi = model.init_encoder(cfg.k, matrix.m, init_rng)
     theta = model.init_decoder(cfg.k, cfg.d, matrix.m, init_rng)
-    R = matrix.dense(split.train_users, dtype=np.float32)
+    R = matrix.dense(split.train_users).astype(np.float32)
     state = model.AdamState()
     params = {"phi": phi, "w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
     losses = []
@@ -410,7 +410,8 @@ def _train_with_allocating_steps(matrix, split, cfg):
         epoch_loss = 0.0
         for start in range(0, len(R), cfg.batch_size):
             r = R[order[start:start + cfg.batch_size]]
-            g = gumbel_noise(cfg.k, matrix.m, noise_rng, dtype=np.float32)
+            g = gumbel_noise(cfg.k, matrix.m, noise_rng,
+                             out=np.empty((cfg.k, matrix.m), np.float32))
             y = softmax_rows(phi + g, tau)
             z = r @ y.T
             h, r_hat = _unblocked_decoder_forward(theta, z)
@@ -469,7 +470,7 @@ def test_train_returns_the_best_validation_snapshot(cluster_matrix, monkeypatch)
         phis.append(phi.copy())
         return extract_seeds(phi)
 
-    def scripted_validation(theta, seeds, matrix, user_ids, ws=None):
+    def scripted_validation(theta, seeds, matrix, user_ids, ws):
         thetas.append(copy.deepcopy(theta))
         return script[len(thetas) - 1]
 
@@ -498,7 +499,7 @@ def test_retrain_decoder_noop_and_frozen_encoder(cluster_matrix):
     theta2 = model.retrain_decoder(cluster_matrix, split, seeds, copy.deepcopy(theta), 5,
                                    seed=1, **kw)
     assert np.array_equal(phi, phi_before)  # encoder untouched
-    R = cluster_matrix.dense(split.train_users, dtype=np.float32)
+    R = cluster_matrix.dense(split.train_users).astype(np.float32)
     z = R[:, seeds]
     before = model.mse_loss(model.decode(theta, z), R)
     after = model.mse_loss(model.decode(theta2, z), R)
@@ -511,7 +512,7 @@ def _retrain_with_resident_matrix(matrix, split, seeds, theta, epochs, lr, batch
     frozen unblocked decoder step and allocating Adam step."""
     theta = copy.deepcopy(theta)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    R_train = matrix.dense(split.train_users, dtype=theta.w1.dtype)
+    R_train = matrix.dense(split.train_users).astype(theta.w1.dtype)
     Z = R_train[:, seeds]
     state = model.AdamState()
     params = {"w1": theta.w1, "b1": theta.b1, "w2": theta.w2, "b2": theta.b2}
@@ -584,10 +585,10 @@ def test_train_nan_encoder_diverges_at_epoch_0(cluster_matrix, monkeypatch):
 def test_recommend_contract():
     rng = np.random.Generator(np.random.PCG64(11))
     m, k, d = 12, 3, 4
-    theta = model.init_decoder(k, d, m, rng, dtype=np.float64)
+    theta = model.init_decoder(k, d, m, rng)
     seeds = np.array([1, 5, 9])
-    z = np.array([1.0, 0.0, 1.0])
-    full = model.recommend(theta, seeds, z, m - k)
+    z = np.array([[1.0, 0.0, 1.0]])  # one user's answers, as a block
+    full = model.recommend(theta, seeds, z, m - k)[0]
     assert sorted(full.tolist()) == sorted(set(range(m)) - {1, 5, 9})
     assert np.array_equal(model.recommend(theta, seeds, z, 5),
                           model.recommend(theta, seeds, z.copy(), 5))
@@ -595,12 +596,14 @@ def test_recommend_contract():
     for bad_n in (m - k + 1, -1):
         with pytest.raises(ValueError):
             model.recommend(theta, seeds, z, bad_n)
-    block = model.recommend(theta, seeds, np.stack([z, 1.0 - z, z]), m - k)
+    block = model.recommend(theta, seeds, np.vstack([z, 1.0 - z, z]), m - k)
     assert block.shape == (3, m - k)
     assert all(sorted(row.tolist()) == sorted(full.tolist()) for row in block)
     assert np.array_equal(block[0], block[2])
-    with pytest.raises(ValueError):
-        model.recommend(theta, seeds, np.ones((2, k + 1)), 5)
+    # a block of answers only: too many per user, or one user's alone
+    for bad_z in (np.ones((2, k + 1)), z[0]):
+        with pytest.raises(ValueError, match="block"):
+            model.recommend(theta, seeds, bad_z, 5)
 
 
 def test_rank_candidates_block_matches_lexsort_reference():
@@ -627,7 +630,7 @@ def test_rank_candidates_block_matches_lexsort_reference():
                 keys = -row[candidates].astype(np.float64)
                 reference = candidates[np.lexsort((candidates, keys))][:N]
                 assert np.array_equal(ranked, reference)
-                assert np.array_equal(model._rank_candidates(row, seeds, N), reference)
+                assert np.array_equal(model._rank_candidates(row[None], seeds, N)[0], reference)
                 cut = -np.float64(row[reference[-1]])
                 straddled += np.count_nonzero(keys <= cut) > N
                 nan_cut += bool(np.isnan(cut))

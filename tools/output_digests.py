@@ -1,7 +1,9 @@
 """SHA-256 digests of every file a small `elicit` pipeline writes: the
 `perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
---checkpoint` of all six methods over 2 runs and a 2-cell `grid`, each with
-small budgets, and the stdout of `recommend --feedback` with the trained
+--checkpoint` of all six methods over 2 runs, one `eval` run that trains DRE
+itself (`eval-train/`), one of MOSTPOP and POP++ alone, where MOSTPOP ranks
+every item (`eval-mostpop/`), and a 2-cell `grid`, each with small budgets,
+and the stdout of `recommend --feedback` with the trained
 checkpoint (`recommend.txt`) and of `report --dump` with the eval report
 (`report.tsv`). A copy of the log whose user tokens are 12 bytes and item
 tokens 20 bytes long, past the one and two 8-byte words of a short key, is
@@ -43,6 +45,10 @@ def commands(out):
         ["train", "--out", os.path.join(out, "train")] + common,
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
+        ["eval", "--out", os.path.join(out, "eval-train"), "--runs", "1", "--ns", "5,10"]
+        + common,
+        ["eval", "--out", os.path.join(out, "eval-mostpop"), "--runs", "1", "--ns", "5,10",
+         "--methods", "MOSTPOP,POP++"] + common,
         ["grid", "--out", os.path.join(out, "grid"), "--grid", "t0=1,5"] + common,
         ["recommend", "--checkpoint", os.path.join(out, "train", "checkpoint.dre"),
          "--items-map", os.path.join(prepared, "items.map"),
