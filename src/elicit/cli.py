@@ -90,8 +90,7 @@ def _load_dataset(data_dir):
 
 def cmd_prepare(args):
     cfg = load_config(args.config, vars(args))
-    records = data.load_interactions(cfg["dataset"], delimiter=cfg["delimiter"])
-    records = data.binarize(records, threshold=cfg["threshold"])
+    records = data.load_interactions(cfg["dataset"], cfg["delimiter"], cfg["threshold"])
     records = data.filter_min_ratings(records, cfg["min_count"])
     matrix = data.build_matrix(records)
     os.makedirs(cfg["out"], exist_ok=True)
@@ -222,6 +221,8 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
         raise ValueError(f"runs must be at least 1, got {runs}")
     if not Ns or min(Ns) < 1:
         raise ValueError(f"every N must be at least 1, got {','.join(map(str, Ns))}")
+    if len(set(Ns)) < len(Ns):
+        raise ValueError(f"Ns must not repeat a cutoff, got {','.join(map(str, Ns))}")
     train_config(cfg)  # rejects bad training hyperparameters before any method runs
     methods = [meth.upper() for meth in methods]
     twice = sorted({meth for meth in methods if methods.count(meth) > 1})

@@ -73,7 +73,7 @@ def read_lines(path, universal=True):
 
 @dataclass
 class Interactions:
-    """An interaction log as columns, one entry per line, in file order.
+    """The positives of a log as columns, one entry per line, in file order.
 
     `users` and `items` hold each line's token as a key of its exact bytes
     (see _token_keys), all keys of a column of one width. `user_codes`, when
@@ -84,15 +84,10 @@ class Interactions:
 
     users: np.ndarray
     items: np.ndarray
-    ratings: np.ndarray = None  # float64; None for positives
     user_codes: tuple = None
 
     def __len__(self):
         return len(self.users)
-
-    def take(self, mask):
-        """The lines selected by a boolean mask, in order, as positives."""
-        return Interactions(self.users[mask], self.items[mask])
 
 
 def densify(positives, out):
@@ -192,33 +187,36 @@ class SplitSpec:
     test_users: np.ndarray
 
 
-def load_interactions(path, delimiter):
-    """Parse a delimited interaction log into an Interactions table.
+def load_interactions(path, delimiter, threshold):
+    """The lines of a delimited log rated strictly above threshold, as Interactions.
 
     Lines need at least (user, item, rating) fields; later fields are
     ignored. The file must be UTF-8; lines end at \\n, \\r\\n or \\r, as in text
     mode. Blank lines are skipped, and so is a first line of at least 3
     fields whose rating field is not a number (a header). Any other malformed
-    line raises DataError naming its line number.
+    line raises DataError naming its line number, whatever its rating.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DataError(f"delimiter must be non-empty and hold no line end, got {delimiter!r}")
+    if not np.isfinite(threshold):
+        raise DataError(f"threshold must be a finite number, got {threshold!r}")
     # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
     with open(path, "rb") as fh:
-        # each block's columns are written straight into the three columns,
+        # each block's positives are written straight into the two columns,
         # sized by the line ends (a pipe, which reads once, starts empty) and
         # grown when a block does not fit
         size = _line_ends(fh) if fh.seekable() else 0
-        columns, n = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)], 0
+        columns, n, records = [np.empty(size, np.uint64), np.empty(size, np.uint64)], 0, 0
         first = 1  # the number of the block's first line
         for block in _blocks(fh, READ_CHUNK_BYTES):
-            *parts, lines = _parse_block(path, block, first, sep)
+            *parts, block_records, lines = _parse_block(path, block, first, sep, threshold)
             columns = [_put(column, n, part) for column, part in zip(columns, parts)]
-            n += len(parts[2])
+            n += len(parts[0])
+            records += block_records
             first += lines
-    if not n:
+    if not records:
         raise DataError(f"{path}: no interaction records")
     return Interactions(*(column[:n] for column in columns))
 
@@ -272,10 +270,11 @@ def _blocks(fh, size, text=True):
             return
 
 
-def _parse_block(path, block, first, sep):
-    """Columns (users, items, ratings) of a block of lines numbered from
-    `first`, each ending in \\n, with tokens as keys (see _token_keys), and
-    the block's line count. Skips blank lines and a header, and raises
+def _parse_block(path, block, first, sep, threshold):
+    """Columns (users, items) of the positives of a block of lines numbered
+    from `first`, each ending in \\n, with tokens as keys (see _token_keys);
+    the block's count of data lines, which are neither blank nor a header;
+    and its line count. Skips blank lines and a header, and raises
     DataError at the first line that is not UTF-8 or is malformed, as
     load_interactions describes."""
     if not block.isascii():
@@ -312,9 +311,9 @@ def _parse_block(path, block, first, sep):
             j = np.count_nonzero(full[:i])  # the line's place among the full lines
             reason += f" {block[rating[0][j]:rating[1][j]].decode('utf-8')!r}"
         raise DataError(f"{path}:{first + i}: {reason}")
-    return (_token_keys(buf, user[0][header:], user[1][header:]),
-            _token_keys(buf, item[0][header:], item[1][header:]), ratings[header:],
-            len(line_end))
+    keep = binarize(ratings, threshold)  # not the header: NaN is above no threshold
+    return (_token_keys(buf, user[0][keep], user[1][keep]),
+            _token_keys(buf, item[0][keep], item[1][keep]), len(at) - header, len(line_end))
 
 
 def _delimiter_starts(buf, sep):
@@ -394,10 +393,9 @@ def _token_keys(buf, starts, ends):
     return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
 
 
-def binarize(records, threshold):
-    """The lines with rating strictly above threshold, as positives: lines
-    with no rating."""
-    return records.take(records.ratings > threshold)
+def binarize(ratings, threshold):
+    """Mask of the ratings strictly above threshold: the positives."""
+    return ratings > threshold
 
 
 def filter_min_ratings(records, min_count):
@@ -406,7 +404,7 @@ def filter_min_ratings(records, min_count):
     _unique_inverse)."""
     distinct, inverse = _unique_inverse(records.users)
     keep = (np.bincount(inverse) >= min_count)[inverse]
-    kept = records.take(keep)
+    kept = Interactions(records.users[keep], records.items[keep])
     if not len(kept):
         raise DataError("no users survive the minimum-rating filter")
     kept.user_codes = distinct, inverse[keep]
@@ -488,6 +486,8 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
     n = matrix.n
     if n < 10:
         raise ValueError(f"need at least 10 users to split, got {n}")
+    if seed < 0:
+        raise ValueError(f"split_seed must be at least 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     n_test = int(round(test_frac * n))

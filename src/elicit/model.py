@@ -31,13 +31,14 @@ class TrainConfig:
     val_every: int
 
     def __post_init__(self):
-        if not (self.t0 >= self.te > 0):
-            raise ValueError("need t0 >= te > 0")
+        if not (math.isfinite(self.t0) and self.t0 >= self.te > 0):
+            raise ValueError(f"need t0 >= te > 0 with t0 finite, got t0={self.t0} te={self.te}")
         for name in ("k", "d", "epochs", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.retrain_epochs < 0:
-            raise ValueError(f"retrain_epochs must be at least 0, got {self.retrain_epochs}")
+        for name in ("retrain_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 

@@ -70,6 +70,17 @@ def test_prepare_outputs(prepared, capsys):
     assert matrix.n == 60 and matrix.m == 18
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_prepare_non_finite_threshold_is_one_line_error(tmp_path, capsys, threshold):
+    # not the minimum-rating filter's error, as no rating is above nan or
+    # inf; and found before the log is read: there is none
+    out = tmp_path / "prepared"
+    err = _one_line_error(capsys, ["prepare", "--dataset", str(tmp_path / "missing.dat"),
+                                   f"--threshold={threshold}", "--out", str(out)])
+    assert err == f"error: threshold must be a finite number, got {threshold}\n"
+    assert not out.exists()
+
+
 def test_prepare_deterministic(raw_dataset, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
@@ -539,7 +550,10 @@ def test_eval_run_alone_reproduces_that_run_of_run_eval(prepared, tmp_path, monk
     ("--ns", "5,-1", "every N must be at least 1, got 5,-1"),
     ("--ns", "5,,10", "error: Ns must be comma-separated int values, got '5,,10'"),
     ("--config", "Ns=5,,10\n", "error: Ns must be comma-separated int values, got '5,,10'"),
-], ids=["runs_0", "ns_0", "ns_negative", "ns_empty", "config_ns_empty"])
+    ("--ns", "5,5", "error: Ns must not repeat a cutoff, got 5,5"),
+    ("--config", "Ns=10,5,10\n", "error: Ns must not repeat a cutoff, got 10,5,10"),
+], ids=["runs_0", "ns_0", "ns_negative", "ns_empty", "config_ns_empty", "ns_repeat",
+        "config_ns_repeat"])
 def test_eval_range_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                       flag, value, message):
     def never(*args, **kwargs):
@@ -618,9 +632,19 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     ("grid", ["--grid", "t0=5,1 te=2"], "", "need t0 >= te > 0"),
     ("eval", ["--methods", "MOSTPOP", "--runs", "1", "--ns", "5"], "batch_size=0\n",
      "batch_size must be at least 1, got 0"),
+    ("train", ["--t0", "inf", "--te", "inf"], "",
+     "need t0 >= te > 0 with t0 finite, got t0=inf te=inf"),
+    ("train", ["--seed", "-5"], "", "error: seed must be at least 0, got -5"),
+    ("train", ["--split-seed", "-1"], "", "error: split_seed must be at least 0, got -1"),
+    ("grid", ["--grid", "t0=1,5"], "seed=-5\n", "error: seed must be at least 0, got -5"),
+    # eval's methods draw from streams hashed from the seed, which take any
+    # integer, but the seed is checked as train checks it
+    ("eval", ["--methods", "DRE,MOSTPOP", "--runs", "1", "--ns", "5"], "seed=-5\n",
+     "error: seed must be at least 0, got -5"),
 ], ids=["batch_size", "val_every", "retrain_epochs", "lr_negative", "lr_nan", "lr_inf",
         "grid_val_every", "grid_second_cell_lr", "grid_second_cell_t0_below_te",
-        "eval_batch_size"])
+        "eval_batch_size", "t0_inf", "seed_negative", "split_seed_negative",
+        "grid_seed_negative", "eval_seed_negative"])
 def test_bad_training_hyperparameter_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                                        command, flags, config, message):
     def never(*args, **kwargs):
@@ -823,7 +847,9 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
             "ratings-long.dat", "prepared-long/matrix.snapshot", "prepared-long/users.map",
             "prepared-long/items.map", "recommend.txt", "report.tsv",
             "eval-train/eval_report.json", "eval-train/eval_report.tsv",
-            "eval-mostpop/eval_report.json", "eval-mostpop/eval_report.tsv"} <= set(paths)
+            "eval-mostpop/eval_report.json", "eval-mostpop/eval_report.tsv",
+            "ratings-crlf.dat", "prepared-t45/matrix.snapshot", "prepared-t45/users.map",
+            "prepared-t45/items.map"} <= set(paths)
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -1244,6 +1270,43 @@ def test_recommend_with_a_mutated_feedback_file_ranks_or_is_one_line_error(tmp_p
         event("refused")
         _check_one_line_error(code, out, err)
         assert str(feedback) in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_eval_with_mutated_external_seeds_runs_or_is_one_line_error(prepared, tmp_path_factory,
+                                                                    draw):
+    written = b"0\n6\n12\n"
+    # the example: \r\n line ends, which save_seeds never writes
+    raw = b"0\r\n6\r\n12\r\n" if draw is None else draw.draw(mutated(written))
+    root = tmp_path_factory.getbasetemp()
+    seeds, out = root / "fuzz-seeds.txt", root / "fuzz-ext-eval"
+    seeds.write_bytes(raw)
+    (out / "eval_report.json").unlink(missing_ok=True)
+    code, stdout, err = _run(["eval", "--data-dir", prepared, "--out", str(out),
+                              "--methods", "EXT", "--runs", "1",
+                              "--external-seeds", f"EXT={seeds}"] + EVAL_FLAGS)
+    # admitted exactly when the file is UTF-8 and its lines (split at \n) are
+    # distinct item indices below m=18 as save_seeds writes them
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = None
+    if lines and lines[-1] == "":
+        lines.pop()
+    if lines and len(set(lines)) == len(lines) and all(
+            re.fullmatch("0|[1-9][0-9]?", line) and int(line) < 18 for line in lines):
+        event("ran")
+        assert code == 0 and err == ""
+        report = evaluate.EvalReport.from_json((out / "eval_report.json").read_text())
+        assert report.methods == ["EXT"] and report.Ns == [5, 10]
+    else:
+        event("refused")
+        _check_one_line_error(code, stdout, err)
+        # the file and the line at fault; an empty file has no line
+        assert re.match(rf"error: {re.escape(str(seeds))}:(\d+:)? ", err)
+        assert (raw == b"") == (f"{seeds}: need at least one seed index" in err)
 
 
 def _dumped_report():

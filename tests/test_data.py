@@ -111,23 +111,19 @@ def key_tokens(keys):
 
 
 def make_table(rows):
-    """Interactions from (user, item, rating) tuples."""
-    return data.Interactions(
-        users=token_keys([row[0] for row in rows]), items=token_keys([row[1] for row in rows]),
-        ratings=np.array([row[2] for row in rows], dtype=np.float64),
-    )
-
-
-def as_records(table):
-    """(user, item, rating) per line of an Interactions table."""
-    return list(zip(key_tokens(table.users), key_tokens(table.items), table.ratings.tolist()))
+    """Interactions from (user, item) tuples."""
+    return data.Interactions(users=token_keys([row[0] for row in rows]),
+                             items=token_keys([row[1] for row in rows]))
 
 
 def as_pairs(table):
-    """(user, item) per line of an Interactions table of positives, which
-    carries no rating."""
-    assert table.ratings is None
+    """(user, item) per line of an Interactions table."""
     return list(zip(key_tokens(table.users), key_tokens(table.items)))
+
+
+def ref_pairs(records):
+    """(user, item) per reference Record."""
+    return [(r.user, r.item) for r in records]
 
 
 def row_list(matrix):
@@ -144,17 +140,19 @@ def same_csr(a, b):
 # -------------------------------------------------------------------- tests
 
 def test_load_interactions_parses_fields(tmp_path):
+    # the lines rated strictly above the threshold, in file order
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("1", "1193", "5", "978300760"), ("2", "7", "2.5")])
-    records = as_records(data.load_interactions(path, "::"))
-    assert records == [("1", "1193", 5.0), ("2", "7", 2.5)]
+    for threshold, kept in ((2.0, 2), (2.5, 1), (5.0, 0)):
+        records = as_pairs(data.load_interactions(path, "::", threshold))
+        assert records == [("1", "1193"), ("2", "7")][:kept]
 
 
 def test_load_interactions_ignores_fields_after_the_third(tmp_path):
     path = tmp_path / "raw.dat"
     path.write_text("u::a::4::x\nu::b::4::9223372036854775808\nu::c::4::-1::y::\n"
                     "u::d::4\nu::e::4::\n")
-    items = [r[1] for r in as_records(data.load_interactions(path, "::"))]
+    items = [r[1] for r in as_pairs(data.load_interactions(path, "::", 3.5))]
     assert items == ["a", "b", "c", "d", "e"]
 
 
@@ -162,20 +160,20 @@ def test_load_interactions_malformed_rating(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("1", "2", "4.0"), ("1", "3", "abc")])
     with pytest.raises(data.DataError, match=":2:"):
-        data.load_interactions(path, "::")
+        data.load_interactions(path, "::", 3.5)
 
 
 def test_load_interactions_empty_file(tmp_path):
     path = tmp_path / "raw.dat"
     path.write_text("")
     with pytest.raises(data.DataError, match="no interaction"):
-        data.load_interactions(path, "::")
+        data.load_interactions(path, "::", 3.5)
 
 
 def test_load_interactions_skips_header(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("user,item,rating\n1,2,4.0\n")
-    records = data.load_interactions(path, delimiter=",")
+    records = data.load_interactions(path, ",", 3.5)
     assert len(records) == 1
 
 
@@ -186,32 +184,46 @@ def test_load_interactions_rejects_bad_delimiter(tmp_path, delimiter):
     path = tmp_path / "raw.dat"
     path.write_text("1::2::4.0\n")
     with pytest.raises(data.DataError, match="delimiter"):
-        data.load_interactions(path, delimiter=delimiter)
+        data.load_interactions(path, delimiter, 3.5)
 
 
 def test_binarize_strict_threshold():
-    records = make_table([("u", "a", 4.0), ("u", "b", 3.5), ("u", "c", 3.6)])
-    kept = as_pairs(data.binarize(records, 3.5))
-    assert [r[1] for r in kept] == ["a", "c"]
+    kept = data.binarize(np.array([4.0, 3.5, 3.6]), 3.5)
+    assert kept.tolist() == [True, False, True]
 
 
 def test_binarize_implicit_passthrough():
-    records = make_table([("u", "a", 1.0), ("u", "b", 0.0)])
-    kept = as_pairs(data.binarize(records, threshold=0.5))
-    assert [r[1] for r in kept] == ["a"]
+    kept = data.binarize(np.array([1.0, 0.0]), 0.5)
+    assert kept.tolist() == [True, False]
 
 
-def test_binarize_and_filter_keep_timestamps():
-    # the user and item columns stay aligned through both masks
-    records = make_table([("u", "a", 5.0), ("w", "c", 1.0), ("u", "b", 5.0), ("v", "a", 5.0),
-                          ("u", "c", 1.0), ("w", "d", 4.0), ("w", "b", 5.0)])
-    kept = as_pairs(data.filter_min_ratings(data.binarize(records, 3.5), 2))
+def test_binarize_and_filter_keep_timestamps(tmp_path):
+    # the user and item columns stay aligned through the parse's threshold
+    # and the filter's mask
+    path = tmp_path / "raw.dat"
+    write_raw_file(path, [("u", "a", "5"), ("w", "c", "1"), ("u", "b", "5"), ("v", "a", "5"),
+                          ("u", "c", "1"), ("w", "d", "4"), ("w", "b", "5")])
+    kept = as_pairs(data.filter_min_ratings(data.load_interactions(path, "::", 3.5), 2))
     assert kept == [("u", "a"), ("u", "b"), ("w", "d"), ("w", "b")]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("u::a::1\nu::b::3.5\n", "no users survive the minimum-rating filter"),
+    ("user::item::rating\n\n\n", "raw.dat: no interaction records"),
+    ("u::a::5\nu::::2\n", "raw.dat:2: empty user or item token"),
+], ids=["none_above", "header_only", "malformed_below"])
+def test_ingest_checks_every_line_whatever_its_rating(tmp_path, text, message):
+    # the threshold drops a line only after the line is checked, and a file
+    # of data lines none above it is not a file without records
+    path = tmp_path / "raw.dat"
+    path.write_text(text)
+    with pytest.raises(data.DataError, match=re.escape(message)):
+        data.filter_min_ratings(data.load_interactions(path, "::", 3.5), 1)
+
+
 def test_filter_min_ratings():
-    records = make_table([("big", str(i), 1.0) for i in range(5)]
-                         + [("small", str(i), 1.0) for i in range(4)])
+    records = make_table([("big", str(i)) for i in range(5)]
+                         + [("small", str(i)) for i in range(4)])
     kept = as_pairs(data.filter_min_ratings(records, 5))
     assert {r[0] for r in kept} == {"big"}
     with pytest.raises(data.DataError):
@@ -219,7 +231,7 @@ def test_filter_min_ratings():
 
 
 def test_build_matrix_hand_countable():
-    records = make_table([("u1", "a", 1.0), ("u1", "b", 1.0), ("u2", "b", 1.0)])
+    records = make_table([("u1", "a"), ("u1", "b"), ("u2", "b")])
     matrix = data.build_matrix(records)
     assert (matrix.n, matrix.m, matrix.nnz) == (2, 2, 3)
     # first-appearance indexing
@@ -229,7 +241,7 @@ def test_build_matrix_hand_countable():
 
 def test_build_matrix_invariants():
     rng = np.random.Generator(np.random.PCG64(3))
-    records = make_table([(f"u{rng.integers(20)}", f"i{rng.integers(30)}", 1.0)
+    records = make_table([(f"u{rng.integers(20)}", f"i{rng.integers(30)}")
                           for _ in range(200)])
     matrix = data.build_matrix(records)
     assert all(len(r) > 0 for r in row_list(matrix))
@@ -297,7 +309,7 @@ def test_pipeline_idempotence(tmp_path):
     ])
 
     def run():
-        recs = data.filter_min_ratings(data.binarize(data.load_interactions(path, "::"), 3.5), 5)
+        recs = data.filter_min_ratings(data.load_interactions(path, "::", 3.5), 5)
         return data.build_matrix(recs)
 
     m1, m2 = run(), run()
@@ -391,11 +403,16 @@ def log_lines(draw, delimiter, malformed):
     return delimiter.join(fields)
 
 
-def _pipeline(load, binarize, filter_min, build, path, delimiter, min_count):
+def ref_positives(path, delimiter, threshold):
+    """The reference ingest's lines rated above threshold."""
+    return ref_binarize(ref_load_interactions(path, delimiter), threshold)
+
+
+def _pipeline(load, filter_min, build, path, delimiter, threshold, min_count):
     """(records, matrix) of a full ingest, or the DataError message it stops with."""
     try:
-        records = load(path, delimiter=delimiter)
-        matrix = build(filter_min(binarize(records, 3.5), min_count))
+        records = load(path, delimiter, threshold)
+        matrix = build(filter_min(records, min_count))
     except data.DataError as exc:
         return str(exc)
     return records, matrix
@@ -415,18 +432,21 @@ def test_columnar_ingest_matches_per_line_reference(tmp_path_factory, draw):
     path = tmp_path_factory.getbasetemp() / "ingest.log"
     path.write_bytes(text.encode("utf-8"))
     min_count = draw.draw(st.integers(0, 3))
-    expected = _pipeline(ref_load_interactions, ref_binarize, ref_filter_min_ratings,
-                         ref_build_matrix, path, delimiter, min_count)
+    # a drawn rating as the threshold: the lines of that rating are not kept
+    threshold = draw.draw(st.one_of(st.sampled_from([0.5, 3.5, 4.5]),
+                                    st.sampled_from(GOOD_RATINGS).map(float)))
+    expected = _pipeline(ref_positives, ref_filter_min_ratings, ref_build_matrix,
+                         path, delimiter, threshold, min_count)
     chunk = draw.draw(st.integers(1, 64))
     with mock.patch.object(data, "READ_CHUNK_BYTES", chunk):
-        got = _pipeline(data.load_interactions, data.binarize, data.filter_min_ratings,
-                        data.build_matrix, path, delimiter, min_count)
+        got = _pipeline(data.load_interactions, data.filter_min_ratings, data.build_matrix,
+                        path, delimiter, threshold, min_count)
     event("error" if isinstance(expected, str) else "matrix")
     if isinstance(expected, str):
         assert got == expected
         return
     (ref_records, ref_matrix), (records, matrix) = expected, got
-    assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
+    assert as_pairs(records) == ref_pairs(ref_records)
     assert list(matrix.user_index.items()) == list(ref_matrix.user_index.items())
     assert list(matrix.item_index.items()) == list(ref_matrix.item_index.items())
     assert same_csr(matrix, ref_matrix)
@@ -440,11 +460,11 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
          str(rng.integers(10**9)))
         for _ in range(3000)
     ])
-    ref = ref_build_matrix(ref_filter_min_ratings(ref_binarize(ref_load_interactions(path)), 5))
+    ref = ref_build_matrix(ref_filter_min_ratings(ref_positives(path, "::", 3.5), 5))
     for chunk in (1, 100, 4096):
         monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
         matrix = data.build_matrix(data.filter_min_ratings(
-            data.binarize(data.load_interactions(path, "::"), 3.5), 5))
+            data.load_interactions(path, "::", 3.5), 5))
         assert list(matrix.user_index.items()) == list(ref.user_index.items())
         assert list(matrix.item_index.items()) == list(ref.item_index.items())
         assert same_csr(matrix, ref)
@@ -467,14 +487,14 @@ def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_parse_block", spy)
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", 2)
-    records = data.load_interactions(path, "::")
+    records = data.load_interactions(path, "::", 3.5)
     assert (0, 8, 8) in widths and widths[0] == (1, 8, 8)
     assert {w[1] for w in widths} == {8, 24} and {w[2] for w in widths} == {8, 16, 24}
-    ref_records = ref_load_interactions(path)
-    assert as_records(records) == [(r.user, r.item, r.rating) for r in ref_records]
+    ref_records = ref_positives(path, "::", 3.5)
+    assert as_pairs(records) == ref_pairs(ref_records)
     assert (records.users.dtype.itemsize, records.items.dtype.itemsize) == (24, 24)
-    matrix = data.build_matrix(data.filter_min_ratings(data.binarize(records, 3.5), 1))
-    ref = ref_build_matrix(ref_filter_min_ratings(ref_binarize(ref_records), 1))
+    matrix = data.build_matrix(data.filter_min_ratings(records, 1))
+    ref = ref_build_matrix(ref_filter_min_ratings(ref_records, 1))
     assert list(matrix.user_index.items()) == list(ref.user_index.items())
     assert list(matrix.item_index.items()) == list(ref.item_index.items())
     assert same_csr(matrix, ref)
@@ -492,15 +512,15 @@ def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monke
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        records = data.load_interactions(path, "::")
+        records = data.load_interactions(path, "::", 3.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    columns = records.users.nbytes + records.items.nbytes + records.ratings.nbytes
-    assert columns == 24 * n
-    # each block is parsed straight into the columns, sized once by the line
-    # ends, so only a block's parse (about 13 blocks) is held above them.
-    # Parts of every block joined into the columns would add a third of them.
+    assert len(records) == sum(s > 3.5 for s in stars)
+    columns = 16 * n  # the two key columns, sized once by the line count
+    # each block's positives are parsed straight into the columns, so only a
+    # block's parse (about 13 blocks) is held above them. Parts of every
+    # block joined into the columns would add a third of them.
     assert peak - columns < 16 * chunk
 
 
@@ -509,7 +529,7 @@ def test_build_matrix_peak_memory_is_bounded_by_its_key_columns():
     n = 200_000
     records = data.filter_min_ratings(data.Interactions(
         token_keys([f"u{u}" for u in np.sort(rng.integers(0, 500, n))]),
-        token_keys([f"i{i}" for i in rng.integers(0, 1000, n)]), np.ones(n)), 1)
+        token_keys([f"i{i}" for i in rng.integers(0, 1000, n)])), 1)
     keys = records.users.nbytes + records.items.nbytes
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
@@ -533,11 +553,11 @@ def test_load_interactions_reads_a_pipe(tmp_path):
     writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
     writer.start()
     try:
-        records = data.load_interactions(pipe, "::")  # no line count: the columns grow
+        records = data.load_interactions(pipe, "::", 3.5)  # no line count: the columns grow
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
-    assert as_records(records) == as_records(data.load_interactions(path, "::"))
+    assert as_pairs(records) == as_pairs(data.load_interactions(path, "::", 3.5))
 
 
 def test_load_interactions_grows_columns_past_the_line_count(tmp_path, monkeypatch):
@@ -549,9 +569,9 @@ def test_load_interactions_grows_columns_past_the_line_count(tmp_path, monkeypat
     write_raw_file(path, rows)
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", 1000)
     monkeypatch.setattr(data, "_line_ends", lambda fh: 7)
-    records = data.load_interactions(path, "::")
+    records = data.load_interactions(path, "::", 3.5)
     assert records.users.dtype.itemsize == 24
-    assert as_records(records) == [(u, i, float(r)) for u, i, r, _ in rows]
+    assert as_pairs(records) == [(u, i) for u, i, r, _ in rows if float(r) > 3.5]
 
 
 SMALL_SNAPSHOT = "ELICIT-MATRIX v1 n=3 m=4 nnz=6\n0:0 2\n1:1\n2:0 1 3\n"
@@ -766,7 +786,7 @@ def test_fingerprint_is_stable(cluster_matrix):
 def test_item_map_roundtrip(tmp_path):
     path = tmp_path / "raw.dat"
     write_raw_file(path, [("u", "i\t2", "5"), ("u", "b", "5"), ("v", "7", "5"), ("v", "b", "5")])
-    matrix = data.build_matrix(data.load_interactions(path, "::"))
+    matrix = data.build_matrix(data.load_interactions(path, "::", 3.5))
     data.save_maps(matrix, tmp_path / "users.map", tmp_path / "items.map")
     assert data.load_item_map(tmp_path / "items.map", matrix.m) == list(matrix.item_index)
     assert data.load_item_map(tmp_path / "users.map", matrix.n) == list(matrix.user_index)

@@ -7,7 +7,8 @@ and the stdout of `recommend --feedback` with the trained
 checkpoint (`recommend.txt`) and of `report --dump` with the eval report
 (`report.tsv`). A copy of the log whose user tokens are 12 bytes and item
 tokens 20 bytes long, past the one and two 8-byte words of a short key, is
-prepared too, into `prepared-long/`.
+prepared too, into `prepared-long/`, and so is a copy with a header line and
+\r\n line ends, at threshold 4.5, into `prepared-t45/`.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -42,6 +43,8 @@ def commands(out):
         ["prepare", "--dataset", os.path.join(out, "ratings.dat"), "--out", prepared],
         ["prepare", "--dataset", os.path.join(out, "ratings-long.dat"),
          "--out", os.path.join(out, "prepared-long")],
+        ["prepare", "--dataset", os.path.join(out, "ratings-crlf.dat"), "--threshold", "4.5",
+         "--out", os.path.join(out, "prepared-t45")],
         ["train", "--out", os.path.join(out, "train")] + common,
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
@@ -84,9 +87,12 @@ def main(argv):
     out = argv[0]
     os.makedirs(out, exist_ok=True)
     log = corpus.generate(corpus.TINY, 7)[0]
+    crlf = "user::item::rating::ts\r\n" + log.replace("\n", "\r\n")
     for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
-                       ("run.cfg", CONFIG), ("feedback.txt", FEEDBACK)):
-        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                       ("ratings-crlf.dat", crlf), ("run.cfg", CONFIG),
+                       ("feedback.txt", FEEDBACK)):
+        # newline="": the text's line ends are written as they are
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     for args in commands(out):
         name = STDOUT_FILES.get(args[0])
