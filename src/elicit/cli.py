@@ -375,8 +375,11 @@ def cmd_grid(args):
 
 def cmd_recommend(args):
     phi, theta, seeds = model.load_checkpoint(args.checkpoint)
-    inverse = data.load_item_map(args.items_map, phi.shape[1])
-    k = len(seeds)
+    k, m = len(seeds), phi.shape[1]
+    if not 1 <= args.top_n <= m - k:
+        raise ValueError(f"--top-n must be within 1..{m - k}, the candidate count, "
+                         f"got {args.top_n}")
+    inverse = data.load_item_map(args.items_map, m)
     if args.feedback:
         # the answers the prompt takes, separated by whitespace
         answers = []

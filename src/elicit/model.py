@@ -3,6 +3,7 @@ sigmoid decoder, joint MSE training with Adam and temperature annealing,
 decoder re-training on hard selections, and new-user recommendation."""
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -71,6 +72,13 @@ class Workspace:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a[:shape[0]]
 
+    def lane_buffers(self, lanes, n, dtype):
+        """The block buffers of each of the first `lanes` lanes (_in_lanes):
+        two arrays of n elements of dtype, which every block loop of the
+        unit shares."""
+        return [(self.get(f"lane {lane} a", (n,), dtype), self.get(f"lane {lane} b", (n,), dtype))
+                for lane in range(lanes)]
+
 
 @dataclass
 class AdamState:
@@ -116,27 +124,96 @@ def _block_rows(a):
     return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
 
 
-def _sigmoid(x, bias, out):
+_lane_cpus = None  # the CPUs this process may run on, read at the first block loop
+_lane_worker = None  # the (tasks, results) queues of the lane-1 thread, made at its first use
+
+
+def _lanes(work, block):
+    """The lanes of a loop over `work` elements (or rows) in blocks of
+    `block`: 2 when that is more than one block and the process may run on
+    2 CPUs or more, else 1. A loop of one block's work would pay the
+    hand-over to the worker for nothing."""
+    global _lane_cpus
+    if _lane_cpus is None:
+        _lane_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+    return 2 if work > block and _lane_cpus >= 2 else 1
+
+
+def _in_lanes(lanes, total, step, body):
+    """Run the block loop over range(0, total, step) as body(lane, start,
+    stop) for each of `lanes` (from _lanes) contiguous parts [start, stop)
+    of it: lane 0 on the calling thread and lane 1, if any, on one
+    persistent worker thread, started at its first use. The lanes must
+    write disjoint ranges and call only numpy, and not its BLAS products:
+    numpy releases the GIL in its loops, and OpenBLAS's own threads serve
+    the caller's products.
+    No function of this package may run on the worker, as the tracers of
+    perfbench and tools keep one span stack per process. An exception of
+    either lane is raised here once both have stopped, and the worker
+    stays usable. There is one worker, so block loops run one at a time."""
+    global _lane_worker
+    if lanes == 1:
+        body(0, 0, total)
+        return
+    if _lane_worker is None:
+        import queue
+        import threading
+        tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+        def serve():
+            while True:
+                work, start, stop = tasks.get()
+                try:
+                    work(1, start, stop)
+                    error = None
+                except BaseException as exc:  # raised again by the caller
+                    error = exc
+                work = None  # its arrays are not held until the next call
+                results.put(error)
+                error = None
+
+        threading.Thread(target=serve, name="elicit lane 1", daemon=True).start()
+        _lane_worker = tasks, results
+    tasks, results = _lane_worker
+    blocks = -(-total // step)
+    half = -(-blocks // 2) * step  # lane 0 takes the first ceil(blocks / 2) blocks
+    tasks.put((body, half, total))
+    try:
+        body(0, 0, half)
+    finally:
+        error = results.get()
+    if error is not None:
+        raise error
+
+
+def _sigmoid(x, bias, out, ws):
     """Logistic function of x + bias (bias: one value per column) without
     overflow: 1 / (1 + e) for x + bias >= 0 and e / (1 + e) below, with
     e = exp(-|x + bias|); written to `out`, which may be x itself.
     min(a, -a) is -|a| except that it keeps the sign bit of a NaN, which
     -abs(a) would flip. The numerator max(e, a >= 0) is 1 or e as required,
     since e <= 1 and a NaN e propagates, with no branch. Works through blocks
-    of whole rows, so each pass (the bias sum first) reads a block still in
+    of whole rows, in lanes (_in_lanes) with the block buffers of the
+    workspace ws, so each pass (the bias sum first) reads a block still in
     cache; every element sees the same operations, so the bits do not depend
-    on the block size."""
+    on the block size or the lanes."""
     step = _block_rows(x)
-    e_buf = np.empty_like(x[:step])
-    pos_buf = np.empty(e_buf.shape, dtype=bool)
-    for i in range(0, len(x), step):
-        a = np.add(x[i:i + step], bias, out=out[i:i + step])
-        e, pos = e_buf[:len(a)], pos_buf[:len(a)]
-        np.negative(a, out=e)
-        np.exp(np.minimum(a, e, out=e), out=e)
-        np.maximum(e, np.greater_equal(a, 0, out=pos), out=a)
-        e += 1
-        np.divide(a, e, out=a)
+    lanes = _lanes(len(x), step)
+    bufs = ws.lane_buffers(lanes, x[:step].size, x.dtype)
+
+    def rows(lane, start, stop):
+        e_buf, pos_buf = bufs[lane][0], bufs[lane][1].view(bool)  # a mask in b's bytes
+        for i in range(start, stop, step):
+            a = np.add(x[i:i + step], bias, out=out[i:i + step])
+            e, pos = e_buf[:a.size].reshape(a.shape), pos_buf[:a.size].reshape(a.shape)
+            np.negative(a, out=e)
+            np.exp(np.minimum(a, e, out=e), out=e)
+            np.maximum(e, np.greater_equal(a, 0, out=pos), out=a)
+            e += 1
+            np.divide(a, e, out=a)
+
+    _in_lanes(lanes, len(x), step, rows)
     return out
 
 
@@ -145,9 +222,9 @@ def _decoder_forward(theta, z, ws):
     arrays of the workspace ws; each layer's product buffer takes its bias
     and then its output."""
     a = ws.get("h", (len(z), theta.w1.shape[1]), np.result_type(z, theta.w1))
-    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, out=a)
+    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, a, ws)
     a = ws.get("r_hat", (len(z), theta.w2.shape[1]), np.result_type(h, theta.w2))
-    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, out=a)
+    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, a, ws)
 
 
 def decode(theta, z_batch, ws=None):
@@ -177,21 +254,27 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
     at += items  # flat positions of the positives
     flat = r_hat.reshape(-1, copy=False)
     step = _block_rows(r_hat)
-    rh_buf = ws.get("r_hat block", r_hat[:step].shape, r_hat.dtype)
-    # by row blocks that stay in cache, with the operations and order of
-    # (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical to it:
-    # r_hat - r is r_hat - 1 at a positive and r_hat itself elsewhere
-    for i in range(0, b, step):
-        d = r_hat[i:i + step]  # becomes the block of the output gradient
-        rh = rh_buf[:len(d)]
-        np.copyto(rh, d)
-        lo, hi = np.searchsorted(rows, (i, i + step))
-        flat[at[lo:hi]] -= 1
-        if sq_err is not None:
-            np.multiply(d, d, out=sq_err[i:i + step])
-        d *= 2.0 / b
-        d *= rh
-        d *= np.subtract(1.0, rh, out=rh)
+    lanes = _lanes(b, step)
+    bufs = ws.lane_buffers(lanes, r_hat[:step].size, r_hat.dtype)
+
+    # by row blocks that stay in cache, in lanes, with the operations and
+    # order of (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical
+    # to it: r_hat - r is r_hat - 1 at a positive and r_hat itself elsewhere
+    def rows_of(lane, start, stop):
+        rh_buf = bufs[lane][0]
+        for i in range(start, stop, step):
+            d = r_hat[i:i + step]  # becomes the block of the output gradient
+            rh = rh_buf[:d.size].reshape(d.shape)
+            np.copyto(rh, d)
+            lo, hi = np.searchsorted(rows, (i, i + step))
+            flat[at[lo:hi]] -= 1
+            if sq_err is not None:
+                np.multiply(d, d, out=sq_err[i:i + step])
+            d *= 2.0 / b
+            d *= rh
+            d *= np.subtract(1.0, rh, out=rh)
+
+    _in_lanes(lanes, b, step, rows_of)
     d_out = r_hat
     d_h = np.matmul(d_out, theta.w2.T, out=ws.get("d_h", h.shape, np.result_type(d_out, theta.w2)))
     d_h *= h
@@ -244,25 +327,36 @@ def backward(phi, theta, r_batch, tau, g):
 
 def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on the params dict and
-    on the moments. Each parameter (C-contiguous, as are its gradient and
-    moments) is updated in consecutive BLOCK_ELEMS-sized slices of its flat
-    view, with two block-sized buffers, "s" and "r", of state.scratch."""
+    on the moments. The parameters share one dtype. Each (C-contiguous, as
+    are its gradient and moments) is updated in consecutive
+    BLOCK_ELEMS-sized slices of its flat view; the slices of all parameters
+    are one block loop, run in lanes (_in_lanes) with the lane buffers of
+    state.scratch."""
+    dtypes = {p.dtype for p in params.values()}
+    if len(dtypes) != 1:
+        raise ValueError(f"Adam's parameters must share one dtype, got {sorted(map(str, dtypes))}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
+    blocks = []  # the (p, grad, m, v) slices of every parameter
     for name, p in params.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        n = min(p.size, BLOCK_ELEMS)
-        s_buf, r_buf = (state.scratch.get(buf, (n,), p.dtype) for buf in ("s", "r"))
         # reshape with copy=False raises where a flat view would be a copy,
         # which would silently drop the update
         flat = [a.reshape(-1, copy=False)
                 for a in (p, grads[name], state.m[name], state.v[name])]
-        for i in range(0, p.size, BLOCK_ELEMS):
-            pb, grad, m, v = (a[i:i + BLOCK_ELEMS] for a in flat)
+        blocks += [[a[i:i + BLOCK_ELEMS] for a in flat] for i in range(0, p.size, BLOCK_ELEMS)]
+    # lanes by the elements: small parameters make several blocks of little work
+    lanes = _lanes(sum(p.size for p in params.values()), BLOCK_ELEMS)
+    bufs = state.scratch.lane_buffers(lanes, max((len(block[0]) for block in blocks), default=0),
+                                      dtypes.pop())
+
+    def update(lane, start, stop):
+        s_buf, r_buf = bufs[lane]
+        for pb, grad, m, v in blocks[start:stop]:
             s, r = s_buf[:len(pb)], r_buf[:len(pb)]
             # the operations and their order are those of the plain
             # expressions, so the results are bit-identical to them:
@@ -279,6 +373,8 @@ def adam_step(params, grads, state, lr):
             np.sqrt(r, out=r)
             r += ADAM_EPS
             pb -= np.divide(s, r, out=s)
+
+    _in_lanes(lanes, len(blocks), 1, update)
 
 
 def extract_seeds(phi):
@@ -319,14 +415,15 @@ def rng_streams(seed):
             for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _fit(params, users, epochs, batch_size, shuffle_rng, lr, step, unit, after_epoch=None):
-    """The epoch loop of a training unit. Per epoch: permute the users with
-    shuffle_rng, and for each minibatch of them take the gradients
-    step(e, ids) returns and one Adam step on params; then after_epoch(e),
-    when given. The loss is finite unless r_hat holds a NaN (r_hat lies in
-    [0, 1], r in {0, 1}), and such a NaN reaches the sum over its column,
-    so one check of b2's gradient stands for the loss."""
-    state = AdamState()
+def _fit(params, users, epochs, batch_size, shuffle_rng, lr, step, unit, ws, after_epoch=None):
+    """The epoch loop of a training unit, whose workspace ws also holds
+    Adam's block buffers. Per epoch: permute the users with shuffle_rng,
+    and for each minibatch of them take the gradients step(e, ids) returns
+    and one Adam step on params; then after_epoch(e), when given. The loss
+    is finite unless r_hat holds a NaN (r_hat lies in [0, 1], r in {0, 1}),
+    and such a NaN reaches the sum over its column, so one check of b2's
+    gradient stands for the loss."""
+    state = AdamState(scratch=ws)
     for e in range(epochs):
         order = shuffle_rng.permutation(len(users))
         for start in range(0, len(users), batch_size):
@@ -381,7 +478,7 @@ def train(matrix, split, cfg):
         epoch_loss = 0.0
 
     _fit(params, split.train_users, cfg.epochs, cfg.batch_size, shuffle_rng, cfg.lr, step,
-         "training", after_epoch)
+         "training", ws, after_epoch)
     return best.pop("phi"), DecoderParams(**best), history
 
 
@@ -411,54 +508,59 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
 
     # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
     _fit(vars(theta), split.train_users, epochs, batch_size, rng_streams(seed)[0], lr,
-         step, "decoder retraining")
+         step, "decoder retraining", ws)
     return theta
 
 
 def _rank_candidates(scores, seeds, N):
     """The (b, N) top-N item indices of each row of a (b, m) score block, by
     descending score, seeds excluded, ties broken by ascending index. The
-    rows are ranked in chunks of about BLOCK_ELEMS scores, each row on its
-    own, so the working arrays are a chunk's, not the block's."""
+    rows are ranked in lanes (_in_lanes), in chunks of about BLOCK_ELEMS / 2
+    scores per lane, each row on its own, so the working arrays are a
+    chunk's, not the block's."""
     mask = np.ones(scores.shape[1], dtype=bool)
     mask[seeds] = False
     candidates = np.nonzero(mask)[0]
     if not 0 <= N <= len(candidates):
         raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
     ranked = np.empty((len(scores), N), dtype=candidates.dtype)
-    step = _block_rows(scores)
-    for i in range(0, len(scores), step):
-        ranked[i:i + step] = _rank_chunk(scores[i:i + step], candidates, N)
+    step = max(1, _block_rows(scores) // 2)
+
+    def rank_chunk(chunk):  # a call per chunk frees its arrays before the next chunk's
+        # negated in their own float dtype (float32 -> float64 is exact, so
+        # the order, the ties and the NaNs are those of float64 keys);
+        # integer scores, such as item counts, as float64. The column
+        # selection is a copy, made by take in C order: the partition below
+        # reads rows about 2.5x faster than from the F-order copy that
+        # scores[:, candidates] makes.
+        keys = np.take(chunk, candidates, axis=1)
+        if keys.dtype.kind != "f":
+            keys = keys.astype(np.float64)
+        np.negative(keys, out=keys)
+        top = np.empty((len(keys), N), dtype=np.intp)
+        if N:
+            # the N smallest keys in some order, then a stable sort of just
+            # those columns taken in ascending index order: the ranking of a
+            # full stable sort, unless equal keys straddle the cut (the
+            # partition may keep a higher index than one it drops) or the
+            # N-th key is NaN (equal to nothing); such rows take the full
+            # stable sort
+            part = np.argpartition(keys, N - 1, axis=1)
+            kth = np.take_along_axis(keys, part[:, N - 1:N], axis=1)
+            redo = np.isnan(kth[:, 0]) | (np.count_nonzero(keys <= kth, axis=1) > N)
+            top = np.sort(part[:, :N], axis=1)
+            order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
+            top = np.take_along_axis(top, order, axis=1)
+            if redo.any():
+                top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
+        return candidates[top]
+
+    def rank(lane, start, stop):
+        for i in range(start, stop, step):
+            ranked[i:i + step] = rank_chunk(scores[i:i + step])
+
+    _in_lanes(_lanes(len(scores), step), len(scores), step, rank)
     return ranked
-
-
-def _rank_chunk(scores, candidates, N):
-    """_rank_candidates of the rows of a (b, m) block, given its candidates."""
-    # negated in their own float dtype (float32 -> float64 is exact, so the
-    # order, the ties and the NaNs are those of float64 keys); integer scores,
-    # such as item counts, as float64. The column selection is a copy, made
-    # by take in C order: the partition below reads rows about 2.5x faster
-    # than from the F-order copy that scores[:, candidates] makes.
-    keys = np.take(scores, candidates, axis=1)
-    if keys.dtype.kind != "f":
-        keys = keys.astype(np.float64)
-    np.negative(keys, out=keys)
-    top = np.empty((len(keys), N), dtype=np.intp)
-    if N:
-        # the N smallest keys in some order, then a stable sort of just those
-        # columns taken in ascending index order: the ranking of a full
-        # stable sort, unless equal keys straddle the cut (the partition may
-        # keep a higher index than one it drops) or the N-th key is NaN
-        # (equal to nothing); such rows take the full stable sort
-        part = np.argpartition(keys, N - 1, axis=1)
-        kth = np.take_along_axis(keys, part[:, N - 1:N], axis=1)
-        redo = np.isnan(kth[:, 0]) | (np.count_nonzero(keys <= kth, axis=1) > N)
-        top = np.sort(part[:, :N], axis=1)
-        order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
-        top = np.take_along_axis(top, order, axis=1)
-        if redo.any():
-            top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
-    return candidates[top]
 
 
 def recommend(theta, seeds, z, N, ws=None):

@@ -794,7 +794,7 @@ def test_phase_rss_tool_traces_prepare_train_and_eval(raw_dataset, prepared, tmp
                  "--runs", "1", "--seed", "0", "--checkpoint",
                  str(tmp_path / "train" / "checkpoint.dre")] + EVAL_FLAGS,
     }
-    phases = {"prepare": {"data.load_interactions", "data.binarize", "data.filter_min_ratings",
+    phases = {"prepare": {"data.load_interactions", "data.filter_min_ratings",
                           "data.build_matrix", "data.save_snapshot"},
               "train": {"data.load_snapshot", "model.train", "model._validation_ndcg",
                         "model.retrain_decoder"},
@@ -1063,10 +1063,32 @@ def test_recommend_end_of_input_is_one_line_error(tmp_path, capsys, monkeypatch,
     items_map.write_text("".join(f"i{i}\t{i}\n" for i in range(10)))
     monkeypatch.setattr(sys, "stdin", io.StringIO(answers))
     capsys.readouterr()
-    rc = cli.main(["recommend", "--checkpoint", checkpoint, "--items-map", str(items_map)])
+    rc = cli.main(["recommend", "--checkpoint", checkpoint, "--items-map", str(items_map),
+                   "--top-n", "4"])  # of the 7 candidates
     err = capsys.readouterr().err  # stdout holds the questions asked
     n = answers.count("\n")
     assert rc == 1 and err.splitlines() == [f"error: input ended after {n} of 3 answers"]
+
+
+@pytest.mark.parametrize("top_n", ["0", "-3", "8"])
+def test_recommend_top_n_outside_the_candidates_is_one_line_error(tmp_path, capsys, monkeypatch,
+                                                                  top_n):
+    # k=3 seeds of m=10 items leave 7 candidates; the flag is refused before
+    # any question is asked (stdout stays empty)
+    argv = _small_recommend_argv(tmp_path, tmp_path / "unused.txt")
+    argv = argv[:argv.index("--feedback")] + ["--top-n", top_n]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0\n1\n"))
+    err = _one_line_error(capsys, argv)
+    assert err == f"error: --top-n must be within 1..7, the candidate count, got {top_n}\n"
+
+
+def test_recommend_top_n_may_rank_every_candidate(tmp_path, capsys):
+    feedback = tmp_path / "fb.txt"
+    feedback.write_text("1 0 1\n")
+    capsys.readouterr()
+    assert cli.main(_small_recommend_argv(tmp_path, feedback) + ["--top-n", "7"]) == 0
+    printed = capsys.readouterr().out.split()
+    assert sorted(printed) == sorted(f"i{i}" for i in range(10) if i not in (2, 4, 8))
 
 
 @pytest.mark.parametrize("fault", ["truncated", "nan", "seed_out_of_range", "k_zero"])
@@ -1202,6 +1224,50 @@ def test_recommend_with_a_mutated_item_map_ranks_or_is_one_line_error(tmp_path_f
         assert code == 0 and err == ""
         printed = out.split("\n")
         assert len(printed) == 5 and printed[-1] == "" and set(printed[:-1]) <= set(tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+@example(None)
+def test_eval_and_recommend_with_a_mutated_checkpoint_run_or_are_one_line_errors(
+        prepared, trained, tmp_path_factory, draw):
+    written = (trained / "checkpoint.dre").read_bytes()
+    # the example: the last two seeds swapped, a file train could have written
+    raw = (written[:-8] + written[-4:] + written[-8:-4] if draw is None
+           else draw.draw(mutated(written)))
+    root = tmp_path_factory.getbasetemp() / "fuzz-checkpoint"
+    root.mkdir(exist_ok=True)
+    checkpoint, feedback, out = root / "checkpoint.dre", root / "feedback.txt", root / "eval"
+    checkpoint.write_bytes(raw)
+    Path(str(checkpoint) + ".manifest").write_bytes(
+        (trained / "checkpoint.dre.manifest").read_bytes())
+    feedback.write_text("1 0 1\n")
+    (out / "eval_report.json").unlink(missing_ok=True)
+    items_map = os.path.join(prepared, "items.map")
+    runs = [_run(["eval", "--data-dir", prepared, "--out", str(out), "--methods", "DRE",
+                  "--runs", "1", "--checkpoint", str(checkpoint)] + EVAL_FLAGS),
+            _run(["recommend", "--checkpoint", str(checkpoint), "--items-map", items_map,
+                  "--feedback", str(feedback), "--top-n", "4"])]
+    # both commands run exactly when load_checkpoint admits the file; no
+    # mutation here keeps the length its header implies with another k or m
+    try:
+        phi, theta, seeds = model.load_checkpoint(str(checkpoint))
+    except data.DataError:
+        event("refused")
+        for code, stdout, err in runs:
+            _check_one_line_error(code, stdout, err)
+            assert str(checkpoint) in err
+    else:
+        event("ran")
+        assert phi.shape == (3, 18)
+        (code, stdout, err), (rec_code, rec_out, rec_err) = runs
+        assert code == 0 and err == ""
+        report = evaluate.EvalReport.from_json((out / "eval_report.json").read_text())
+        assert report.methods == ["DRE"] and report.Ns == [5, 10]
+        tokens = data.load_item_map(items_map, 18)
+        ranking = model.recommend(theta, seeds, np.array([[1.0, 0.0, 1.0]]), 4)[0]
+        assert rec_code == 0 and rec_err == ""
+        assert rec_out == "".join(f"{tokens[item]}\n" for item in ranking)
 
 
 # the manifest keys eval compares with its data and split

@@ -1,6 +1,9 @@
 import copy
+import math
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -120,12 +123,13 @@ def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     # -0.0 leaves every x as it is, so the specials reach the kernel as such
     bias = rng.standard_normal(301).astype(dtype)
     bias[:10] = bias[-10:] = -0.0
-    got, want = model._sigmoid(x, bias, np.empty_like(x)), _masked_sigmoid(x + bias)
+    got = model._sigmoid(x, bias, np.empty_like(x), model.Workspace())
+    want = _masked_sigmoid(x + bias)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
     # in place, as the decoder calls it
     buf = x.copy()
-    assert model._sigmoid(buf, bias, buf) is buf
+    assert model._sigmoid(buf, bias, buf, model.Workspace()) is buf
     assert np.array_equal(buf.view(bits), want.view(bits))
 
 
@@ -691,6 +695,195 @@ def test_train_peak_memory_is_one_unit_with_one_snapshot():
     # positives and validation's boolean rows and rankings.
     workspace = 4 * (b * (2 * m + 2 * k + 3 * d) + 3 * k * m) + params
     assert peak - (4 * params + workspace) < 4 * b_val * m
+
+
+def _in_one_and_two_lanes(monkeypatch, run):
+    """run() as on 1 CPU and as on 2: the two results, and whether the
+    second run split a block loop over two lanes."""
+    out, two_lanes = [], []
+    in_lanes = model._in_lanes
+
+    def recording_in_lanes(lanes, total, step, body):
+        two_lanes.append(lanes == 2)
+        in_lanes(lanes, total, step, body)
+
+    monkeypatch.setattr(model, "_in_lanes", recording_in_lanes)
+    for cpus in (1, 2):
+        monkeypatch.setattr(model, "_lane_cpus", cpus)
+        two_lanes.clear()
+        out.append(run())
+    return out[0], out[1], any(two_lanes)
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            _assert_same_bits(got[key], want[key])
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# rows of 10 columns per block loop at BLOCK_ELEMS = 64, 6 rows a block: an
+# odd count of blocks with a ragged last one, an even count, one block, and
+# no rows
+LANE_ROWS = {"odd_ragged": 27, "even": 24, "one_block": 4, "no_rows": 0}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", list(LANE_ROWS.values()), ids=list(LANE_ROWS))
+def test_block_loops_in_two_lanes_are_bit_identical_to_one(monkeypatch, dtype, rows):
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
+    rng = np.random.Generator(np.random.PCG64(21))
+    m, d = 10, 7
+    x = (8.0 * rng.standard_normal((rows, m))).astype(dtype)
+    x.flat[:4] = [np.nan, np.inf, -np.inf, -0.0][:x.size]
+    bias = rng.standard_normal(m).astype(dtype)
+    one, two, two_lanes = _in_one_and_two_lanes(
+        monkeypatch, lambda: model._sigmoid(x.copy(), bias, np.empty_like(x), model.Workspace()))
+    _assert_same_bits(two, one)
+    assert two_lanes == (rows > 6)
+
+    theta = model.DecoderParams(*(rng.standard_normal(shape).astype(dtype)
+                                  for shape in ((3, d), (d,), (d, m), (m,))))
+    z = rng.random((rows, 3)).astype(dtype)
+    r = (rng.random((rows, m)) < 0.3).astype(dtype)
+
+    def backward():
+        ws = model.Workspace()
+        h, r_hat = model._decoder_forward(theta, z, ws)
+        sq_err = np.empty_like(r_hat)
+        grads, d_h = model._decoder_backward(theta, z, h, r_hat, np.nonzero(r), ws, sq_err)
+        return {name: g.copy() for name, g in grads.items()}, d_h.copy(), r_hat.copy(), sq_err
+
+    one, two, two_lanes = _in_one_and_two_lanes(monkeypatch, backward)
+    _assert_same_bits(two, one)
+    assert two_lanes == (rows > 6)
+
+    # the blocks of every parameter form one loop, of 4 to 9 blocks here,
+    # ragged ones and none of the empty parameter among them
+    shapes = {"a": (rows, m), "b": (5,), "c": (2, 40), "empty": (0, 3), "d": (64,)}
+
+    def adam():
+        params = {name: np.linspace(-1, 1, math.prod(shape), dtype=dtype).reshape(shape)
+                  for name, shape in shapes.items()}
+        state = model.AdamState()
+        for step in range(3):
+            grads = {name: np.cos(p * (step + 1)) for name, p in params.items()}
+            model.adam_step(params, grads, state, lr=0.01)
+        return params, state.m, state.v
+
+    one, two, two_lanes = _in_one_and_two_lanes(monkeypatch, adam)
+    _assert_same_bits(two, one)
+    assert two_lanes
+
+    # few distinct scores, so ties straddle the cut, and a NaN
+    scores = rng.integers(-2, 3, (rows, m)).astype(dtype)
+    scores.flat[5:6] = np.nan
+    for N in (0, 3, m - 2):
+        one, two, two_lanes = _in_one_and_two_lanes(
+            monkeypatch, lambda: model._rank_candidates(scores, [1, 8], N))
+        _assert_same_bits(two, one)
+        assert two_lanes == (rows > 3)  # chunks of 3 rows
+
+
+def test_lanes_under_frequent_thread_switches_are_bit_identical_to_one(monkeypatch):
+    # blocks of 2,048 elements, past numpy's threshold for releasing the GIL
+    # in a loop, and a thread switch asked for every microsecond: lanes that
+    # shared a buffer or a range would interleave and change bits
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 2048)
+    rng = np.random.Generator(np.random.PCG64(22))
+    rows, m, d = 2000, 64, 40
+    theta = model.DecoderParams(*(rng.standard_normal(shape) for shape in
+                                  ((5, d), (d,), (d, m), (m,))))
+    z = rng.random((rows, 5))
+    positives = np.nonzero(rng.random((rows, m)) < 0.3)
+
+    def passes():
+        ws = model.Workspace()
+        h, r_hat = model._decoder_forward(theta, z, ws)
+        grads, d_h = model._decoder_backward(theta, z, h, r_hat, positives, ws)
+        params = {name: p.copy() for name, p in vars(theta).items()}
+        state = model.AdamState(scratch=ws)
+        for _ in range(2):
+            model.adam_step(params, grads, state, lr=0.01)
+        return (h.copy(), r_hat.copy(), d_h.copy(), params,
+                model._rank_candidates(r_hat, [0, 9], 10))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one, two, two_lanes = _in_one_and_two_lanes(monkeypatch, passes)
+        for _ in range(20):
+            _assert_same_bits(passes(), one)
+    finally:
+        sys.setswitchinterval(interval)
+    assert two_lanes
+    _assert_same_bits(two, one)
+
+
+def test_train_and_retrain_in_two_lanes_are_bit_identical_to_one(cluster_matrix, monkeypatch):
+    # at BLOCK_ELEMS = 300 an output block is 10 rows of the m = 30 items, so
+    # the passes over minibatches of 64 rows (the last one ragged) and
+    # validation's rankings run in two lanes
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 300)
+    split = data.split_users(cluster_matrix, seed=0)
+    cfg = _quick_cfg(epochs=4, val_every=2)
+    assert len(split.train_users) % cfg.batch_size
+
+    def fit():
+        phi, theta, history = model.train(cluster_matrix, split, cfg)
+        seeds = model.extract_seeds(phi)
+        retrained = model.retrain_decoder(cluster_matrix, split, seeds, copy.deepcopy(theta), 3,
+                                          lr=cfg.lr, batch_size=cfg.batch_size, seed=1)
+        return phi, vars(theta), vars(retrained), history
+
+    one, two, two_lanes = _in_one_and_two_lanes(monkeypatch, fit)
+    assert two_lanes and two[3] == one[3]
+    _assert_same_bits(two[:3], one[:3])
+
+
+def test_lane_exception_reaches_the_caller_and_the_lanes_stay_usable(monkeypatch):
+    monkeypatch.setattr(model, "_lane_cpus", 2)
+    for failing in (1, 0, None):
+        ran = {}  # lane -> (thread ident, the blocks it ran)
+
+        def body(lane, start, stop):
+            ran[lane] = threading.get_ident(), list(range(start, stop))
+            if lane == failing:
+                raise KeyError(f"lane {lane}")
+
+        if failing is None:
+            model._in_lanes(2, 5, 1, body)
+        else:
+            with pytest.raises(KeyError, match=f"lane {failing}"):
+                model._in_lanes(2, 5, 1, body)
+        # both lanes ran to the end, lane 1 on the worker
+        assert ran[0] == (threading.get_ident(), [0, 1, 2])
+        assert ran[1][0] != threading.get_ident() and ran[1][1] == [3, 4]
+
+
+def test_one_cpu_or_one_block_starts_no_thread(cluster_matrix, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a lane thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(model, "_lane_worker", None)
+    # one block per loop, on 2 CPUs
+    monkeypatch.setattr(model, "_lane_cpus", 2)
+    model._sigmoid(np.zeros((3, 4)), np.zeros(4), np.empty((3, 4)), model.Workspace())
+    # many blocks, on the 1 CPU that the affinity mask allows
+    monkeypatch.setattr(model, "_lane_cpus", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
+    model.train(cluster_matrix, data.split_users(cluster_matrix, seed=0), _quick_cfg(epochs=2))
+    assert model._lane_cpus == 1 and model._lane_worker is None
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -18,8 +18,8 @@ import time
 
 # (module of elicit, function): the main phases of prepare, train and eval
 PHASES = (
-    ("data", "load_interactions"), ("data", "binarize"), ("data", "filter_min_ratings"),
-    ("data", "build_matrix"), ("data", "save_snapshot"),
+    ("data", "load_interactions"), ("data", "filter_min_ratings"), ("data", "build_matrix"),
+    ("data", "save_snapshot"),
     ("data", "load_snapshot"),
     ("model", "train"), ("model", "_validation_ndcg"), ("model", "retrain_decoder"),
     ("baselines", "rbmf_select"), ("baselines", "rbmf_decoder"),
