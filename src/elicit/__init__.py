@@ -5,7 +5,7 @@ baselines, and a top-N ranking evaluation protocol."""
 import os
 
 # OpenBLAS's idle threads sleep at once instead of spinning for about 0.1 s
-# after each product, which would hold the core on which model._in_lanes
+# after each product, which would hold the core on which linalg._in_lanes
 # runs its second lane. OpenBLAS reads this when numpy loads it, so a process
 # that imported numpy before this package keeps the default; a value the
 # user set is kept too.

@@ -196,12 +196,14 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded, external_
     if "POP++" in methods:
         plusplus("POP++", baselines.select_popular(train_counts, k))
     if "RBMF" in methods or "RBMF++" in methods:
-        # the training rows are taken again at each use, so none are held
-        # while a decoder trains
-        rbmf_seeds = baselines.rbmf_select(matrix.take(split.train_users).csr(), k,
-                                           seed=stream_seed(master, "RBMF", run))
-        if "RBMF" in methods:
-            x = baselines.rbmf_decoder(matrix.take(split.train_users).csr(), rbmf_seeds)
+        # one CSR of the training rows serves the selection and the linear
+        # decoder, and is dropped before any scoring, so none is held while
+        # a decoder trains
+        train_rows = matrix.take(split.train_users).csr()
+        rbmf_seeds = baselines.rbmf_select(train_rows, k, seed=stream_seed(master, "RBMF", run))
+        x = baselines.rbmf_decoder(train_rows, rbmf_seeds) if "RBMF" in methods else None
+        del train_rows
+        if x is not None:
             score("RBMF", rbmf_seeds,
                   lambda z: model._rank_candidates(z @ x, rbmf_seeds, n_max))
             del x

@@ -3,7 +3,6 @@ sigmoid decoder, joint MSE training with Adam and temperature annealing,
 decoder re-training on hard selections, and new-user recommendation."""
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from . import evaluate
 from .data import DataError, densify
-from .linalg import BLOCK_ELEMS, gumbel_noise, softmax_rows
+from .linalg import BLOCK_ELEMS, _in_lanes, _lanes, gumbel_noise, softmax_rows
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -122,69 +121,6 @@ def encode(phi, r_batch, tau, g, ws):
 def _block_rows(a):
     """Rows of `a` per block of about BLOCK_ELEMS elements, at least one."""
     return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
-
-
-_lane_cpus = None  # the CPUs this process may run on, read at the first block loop
-_lane_worker = None  # the (tasks, results) queues of the lane-1 thread, made at its first use
-
-
-def _lanes(work, block):
-    """The lanes of a loop over `work` elements (or rows) in blocks of
-    `block`: 2 when that is more than one block and the process may run on
-    2 CPUs or more, else 1. A loop of one block's work would pay the
-    hand-over to the worker for nothing."""
-    global _lane_cpus
-    if _lane_cpus is None:
-        _lane_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
-    return 2 if work > block and _lane_cpus >= 2 else 1
-
-
-def _in_lanes(lanes, total, step, body):
-    """Run the block loop over range(0, total, step) as body(lane, start,
-    stop) for each of `lanes` (from _lanes) contiguous parts [start, stop)
-    of it: lane 0 on the calling thread and lane 1, if any, on one
-    persistent worker thread, started at its first use. The lanes must
-    write disjoint ranges and call only numpy, and not its BLAS products:
-    numpy releases the GIL in its loops, and OpenBLAS's own threads serve
-    the caller's products.
-    No function of this package may run on the worker, as the tracers of
-    perfbench and tools keep one span stack per process. An exception of
-    either lane is raised here once both have stopped, and the worker
-    stays usable. There is one worker, so block loops run one at a time."""
-    global _lane_worker
-    if lanes == 1:
-        body(0, 0, total)
-        return
-    if _lane_worker is None:
-        import queue
-        import threading
-        tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
-
-        def serve():
-            while True:
-                work, start, stop = tasks.get()
-                try:
-                    work(1, start, stop)
-                    error = None
-                except BaseException as exc:  # raised again by the caller
-                    error = exc
-                work = None  # its arrays are not held until the next call
-                results.put(error)
-                error = None
-
-        threading.Thread(target=serve, name="elicit lane 1", daemon=True).start()
-        _lane_worker = tasks, results
-    tasks, results = _lane_worker
-    blocks = -(-total // step)
-    half = -(-blocks // 2) * step  # lane 0 takes the first ceil(blocks / 2) blocks
-    tasks.put((body, half, total))
-    try:
-        body(0, 0, half)
-    finally:
-        error = results.get()
-    if error is not None:
-        raise error
 
 
 def _sigmoid(x, bias, out, ws):
@@ -565,11 +501,22 @@ def _rank_candidates(scores, seeds, N):
 
 def recommend(theta, seeds, z, N, ws=None):
     """The (b, N) rankings of candidate items for b new users from their
-    seed feedback z, a (b, k) block of their answers. The scores are decoded
-    into the workspace ws, a fresh one when not given."""
+    seed feedback z, a (b, k) block of their answers. Each distinct row of
+    z (by its bytes) is decoded and ranked once, and its ranking copied to
+    the rows that repeat it. The scores are decoded into the workspace ws,
+    a fresh one when not given."""
     z = np.asarray(z, dtype=theta.w1.dtype)
     if z.ndim != 2 or z.shape[1] != len(seeds):
         raise ValueError(f"feedback must be a (b, {len(seeds)}) block, got shape {z.shape}")
+    if len(z) > 2:
+        keys = np.ascontiguousarray(z).view(np.dtype((np.void, z[0].nbytes))).reshape(-1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if len(first) < len(z):
+            # at least 2 rows (a lone distinct row twice): a 1-row decode
+            # takes numpy's matrix-vector path, which rounds differently
+            # from the matrix product that decodes a block
+            distinct = z[np.resize(first, max(2, len(first)))]
+            return _rank_candidates(decode(theta, distinct, ws), seeds, N)[inverse]
     return _rank_candidates(decode(theta, z, ws), seeds, N)
 
 

@@ -228,3 +228,101 @@ def test_sparse_input_matches_dense():
     for B in (R, S):
         X = ridge_solve(A, B)
         assert X.tobytes() == plain.tobytes() and X.flags.c_contiguous
+
+
+def _binary_csr(rows, cols, density, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return csr_array((rng.random((rows, cols)) < density).astype(np.float64))
+
+
+def _svd_in_lanes(monkeypatch, A, k, cpus):
+    """truncated_svd(A, k) as on `cpus` CPUs, and whether a product ran in
+    two lanes."""
+    two_lanes = []
+    in_lanes = linalg._in_lanes
+
+    def recording_in_lanes(lanes, total, step, body):
+        two_lanes.append(lanes == 2)
+        in_lanes(lanes, total, step, body)
+
+    monkeypatch.setattr(linalg, "_in_lanes", recording_in_lanes)
+    monkeypatch.setattr(linalg, "_lane_cpus", cpus)
+    return truncated_svd(A, k, seed=3), any(two_lanes)
+
+
+@pytest.mark.parametrize("shape, density, k, work", [
+    # past SPARSE_LANE_WORK by itself: 1500 x 1200 at 5%, 60 columns
+    ((1500, 1200), 0.05, 50, None),
+    # small products with the lanes forced on: 5 columns split 3 + 2,
+    # 2 columns split 1 + 1, and 1 column split 1 + 0
+    ((9, 7), 0.4, 2, 0),
+    ((6, 2), 0.6, 1, 0),
+    ((6, 1), 0.6, 1, 0),
+])
+def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, shape, density,
+                                                                 k, work):
+    if work is not None:
+        monkeypatch.setattr(linalg, "SPARSE_LANE_WORK", work)
+    A = _binary_csr(*shape, density, seed=30)
+    one, one_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=1)
+    two, two_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=2)
+    assert not one_in_two and two_in_two
+    assert one.tobytes() == two.tobytes()
+    # each product in two lanes has the bits of scipy's whole product
+    X = np.random.Generator(np.random.PCG64(4)).standard_normal((shape[1], 5))
+    for M, Y in ((A, X), (A.T, A @ X)):
+        assert linalg._sparse_product(M, Y).tobytes() == (M @ Y).tobytes()
+
+
+def test_svd_of_a_csr_array_has_the_same_bits_without_the_blas_thread_setter(monkeypatch):
+    A = _binary_csr(1500, 1200, 0.05, seed=31)
+    with_setter = truncated_svd(A, 50, seed=5)
+    monkeypatch.setattr(linalg, "_blas_threads", ())
+    assert truncated_svd(A, 50, seed=5).tobytes() == with_setter.tobytes()
+
+
+def test_svd_factorizes_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    # a stand-in OpenBLAS at 2 threads: the QR and SVD calls see 1, and the
+    # count is 2 again after the SVD, also when a factorization raises
+    threads = [2]
+    seen = []
+    monkeypatch.setattr(linalg, "_blas_threads",
+                        (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counting(factorize):
+        def call(*args, **kwargs):
+            seen.append(threads[0])
+            return factorize(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "qr", counting(qr))
+    monkeypatch.setattr(np.linalg, "svd", counting(svd))
+    A = _binary_csr(40, 30, 0.3, seed=32)
+    truncated_svd(A, 5, seed=0)
+    assert seen == [1] * 10 and threads == [2]
+
+    def failing(*args, **kwargs):
+        seen.append(threads[0])
+        raise np.linalg.LinAlgError("stop")
+
+    seen.clear()
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="stop"):
+        truncated_svd(A, 5, seed=0)
+    assert seen == [1] * 10 and threads == [2]
+
+
+def test_svd_restores_the_real_blas_thread_count_after_an_exception(monkeypatch):
+    calls = linalg._openblas_threads()
+    if not calls:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    before = calls[0]()
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("stop")
+
+    monkeypatch.setattr(np.linalg, "qr", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="stop"):
+        truncated_svd(_binary_csr(40, 30, 0.3, seed=33), 5, seed=0)
+    assert calls[0]() == before

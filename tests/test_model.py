@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from elicit import data, evaluate, model
+from elicit import data, evaluate, linalg, model
 from elicit.linalg import gumbel_noise, softmax_rows
 from conftest import (checkpoint_bytes, corrupt_checkpoint, matrix_from_rows,
                       write_small_checkpoint)
@@ -610,6 +610,60 @@ def test_recommend_contract():
             model.recommend(theta, seeds, bad_z, 5)
 
 
+def _tie_decoder(k, m, dtype, rng):
+    """A decoder under which every item scores the same in exact arithmetic,
+    so that rounding alone ranks them: w1's columns are equal, so every
+    hidden unit is too, and each column of w2 permutes one negative vector,
+    so each output sums the same terms in another order (near -16, where
+    the sigmoid keeps the last bits). A product that sums in another order,
+    such as numpy's matrix-vector product of a single row, ranks them
+    otherwise."""
+    d = 64
+    base = -rng.random(d)
+    return model.DecoderParams(
+        w1=np.repeat(rng.standard_normal((k, 1)), d, axis=1).astype(dtype),
+        b1=np.zeros(d, dtype),
+        w2=np.stack([rng.permutation(base) for _ in range(m)], axis=1).astype(dtype),
+        b2=np.zeros(m, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recommend_of_distinct_rows_has_the_bits_of_decoding_every_row(monkeypatch, dtype):
+    rng = np.random.Generator(np.random.PCG64(23))
+    k, m = 4, 400
+    seeds, N = np.array([3, 50, 51, 399]), m - k
+    random = model.DecoderParams(*(rng.standard_normal(shape).astype(dtype)
+                                   for shape in ((k, 16), (16,), (16, m), (m,))))
+    answers = rng.integers(0, 2, (40, k)).astype(np.float64)  # at most 16 distinct rows
+    # {name: (feedback block, rows decoded)}
+    blocks = {
+        "repeated": (answers, len(np.unique(answers, axis=0))),
+        "repeated_f_order": (np.asfortranarray(answers), len(np.unique(answers, axis=0))),
+        "identical": (np.repeat(rng.random((1, k)), 6, axis=0), 2),
+        "two_identical": (np.repeat(rng.random((1, k)), 2, axis=0), 2),
+        "distinct": (rng.random((5, k)), 5),
+        "single": (rng.random((1, k)), 1),
+        "none": (np.zeros((0, k)), 0),
+    }
+    decoded = []
+    decode = model.decode
+
+    def counting_decode(theta, z, ws=None):
+        decoded.append(len(z))
+        return decode(theta, z, ws)
+
+    for theta in (random, _tie_decoder(k, m, dtype, rng)):
+        for name, (z, rows) in blocks.items():
+            want = model._rank_candidates(decode(theta, np.asarray(z, dtype)), seeds, N)
+            monkeypatch.setattr(model, "decode", counting_decode)
+            decoded.clear()
+            got = model.recommend(theta, seeds, z, N)
+            monkeypatch.setattr(model, "decode", decode)
+            assert decoded == [rows], name
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
 def test_rank_candidates_block_matches_lexsort_reference():
     rng = np.random.Generator(np.random.PCG64(13))
     m = 40
@@ -709,7 +763,7 @@ def _in_one_and_two_lanes(monkeypatch, run):
 
     monkeypatch.setattr(model, "_in_lanes", recording_in_lanes)
     for cpus in (1, 2):
-        monkeypatch.setattr(model, "_lane_cpus", cpus)
+        monkeypatch.setattr(linalg, "_lane_cpus", cpus)
         two_lanes.clear()
         out.append(run())
     return out[0], out[1], any(two_lanes)
@@ -850,7 +904,7 @@ def test_train_and_retrain_in_two_lanes_are_bit_identical_to_one(cluster_matrix,
 
 
 def test_lane_exception_reaches_the_caller_and_the_lanes_stay_usable(monkeypatch):
-    monkeypatch.setattr(model, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg, "_lane_cpus", 2)
     for failing in (1, 0, None):
         ran = {}  # lane -> (thread ident, the blocks it ran)
 
@@ -874,16 +928,16 @@ def test_one_cpu_or_one_block_starts_no_thread(cluster_matrix, monkeypatch):
         raise AssertionError("a lane thread was started")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(model, "_lane_worker", None)
+    monkeypatch.setattr(linalg, "_lane_worker", None)
     # one block per loop, on 2 CPUs
-    monkeypatch.setattr(model, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg, "_lane_cpus", 2)
     model._sigmoid(np.zeros((3, 4)), np.zeros(4), np.empty((3, 4)), model.Workspace())
     # many blocks, on the 1 CPU that the affinity mask allows
-    monkeypatch.setattr(model, "_lane_cpus", None)
+    monkeypatch.setattr(linalg, "_lane_cpus", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
     model.train(cluster_matrix, data.split_users(cluster_matrix, seed=0), _quick_cfg(epochs=2))
-    assert model._lane_cpus == 1 and model._lane_worker is None
+    assert linalg._lane_cpus == 1 and linalg._lane_worker is None
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ This prints each run, the coverage and win counts over all N runs and how
 many disjoint 5-run windows would pass, so a change that moves DRE-training
 bits shows whether it is worse in distribution or only unlucky at runs 0..4.
 The matrix comes from the test file itself; the loop body repeats the
-test's. 100 runs take about 5 minutes on 2 cores.
+test's. 100 runs take about 2 minutes on 2 cores.
 """
 
 import argparse
@@ -18,12 +18,15 @@ import os
 import sys
 import time
 
+# before numpy: elicit sets OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads
+# when numpy loads it, so the lanes run as in the CLI
+from elicit import baselines, data, evaluate, model
+
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tests"))
 from test_acceptance import cluster_matrix  # noqa: E402
-from elicit import baselines, data, evaluate, model  # noqa: E402
 
 
 def criterion07_run(matrix, split, run):

@@ -23,10 +23,13 @@ import hashlib
 import os
 import sys
 
+# before numpy, which corpus imports: elicit sets OPENBLAS_THREAD_TIMEOUT,
+# which OpenBLAS reads when numpy loads it, so the lanes run as in the CLI
+from elicit import cli
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import corpus  # noqa: E402
-from elicit import cli  # noqa: E402
 
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
 SMALL = ["--k", "5", "--epochs", "8"]
