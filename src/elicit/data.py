@@ -76,15 +76,14 @@ class Interactions:
     """The positives of a log as columns, one entry per line, in file order.
 
     `users` and `items` hold each line's token as a key of its exact bytes
-    (see _token_keys), all keys of a column of one width. `user_codes`, when
-    known, is (distinct, codes) as a _unique_inverse that saw these lines
-    found them: distinct user keys, which may hold keys that no line has, and
-    the index among them of each line's user.
+    (see _token_keys), all keys of a column of one width. When `user_keys`
+    is given, `users` holds instead each line's index into it: the distinct
+    user keys a _unique_inverse found, which may hold keys that no line has.
     """
 
     users: np.ndarray
     items: np.ndarray
-    user_codes: tuple = None
+    user_keys: np.ndarray = None
 
     def __len__(self):
         return len(self.users)
@@ -400,15 +399,13 @@ def binarize(ratings, threshold):
 
 def filter_min_ratings(records, min_count):
     """Drop users with fewer than min_count positive lines; duplicate lines
-    count. The kept lines carry the user codes the filter found (see
-    _unique_inverse)."""
+    count. The kept lines' users are the codes the filter found, into its
+    distinct user keys (see Interactions)."""
     distinct, inverse = _unique_inverse(records.users)
     keep = (np.bincount(inverse) >= min_count)[inverse]
-    kept = Interactions(records.users[keep], records.items[keep])
-    if not len(kept):
+    if not keep.any():
         raise DataError("no users survive the minimum-rating filter")
-    kept.user_codes = distinct, inverse[keep]
-    return kept
+    return Interactions(inverse[keep], records.items[keep], distinct)
 
 
 def build_matrix(records):
@@ -422,7 +419,7 @@ def build_matrix(records):
         raise DataError("no records to build a matrix from")
     # items first, so no user ranks are held while the items are sorted
     items, item_index = _renumber(records.items)
-    pairs, user_index = _renumber(records.users, records.user_codes)
+    pairs, user_index = _renumber(records.users, records.user_keys)
     n, m = len(user_index), len(item_index)
     # sorted by user, then item, in place; np.unique would hash, which is far
     # slower here
@@ -435,12 +432,12 @@ def build_matrix(records):
                                  user_index, item_index)
 
 
-def _renumber(keys, unique=None):
+def _renumber(keys, distinct=None):
     """Token keys numbered 0, 1, ... by first appearance, and the token ->
-    number map. `unique`, when given, is (distinct, codes) as in
-    Interactions.user_codes, so keys need no sort: distinct may hold keys
-    that no line has."""
-    distinct, codes = _unique_inverse(keys) if unique is None else unique
+    number map. With `distinct`, keys are codes into these distinct keys,
+    as Interactions.users with its user_keys, so they need no sort:
+    distinct may hold keys that no line has."""
+    distinct, codes = _unique_inverse(keys) if distinct is None else (distinct, keys)
     # a scatter-min finds each distinct key's first position in linear time;
     # a key no line has keeps len(codes), so it sorts after every used one
     first = np.full(len(distinct), len(codes), dtype=np.int64)

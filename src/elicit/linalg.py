@@ -1,7 +1,7 @@
 """Numerical kernels: randomized truncated SVD, Maxvol submatrix selection,
-ridge least squares, Gumbel noise and tempered row softmax; and the two
-lanes (_in_lanes) in which the block loops of these kernels and of the
-model run."""
+ridge least squares, Gumbel noise and tempered row softmax; and _in_lanes,
+the one block loop of these kernels and of the model, which alone decides
+whether a loop runs in one lane or two."""
 
 import contextlib
 import os
@@ -28,23 +28,14 @@ class MaxvolResult:
     converged: bool
 
 
-def _lanes(work, block):
-    """The lanes of a loop over `work` elements (or rows) in blocks of
-    `block`: 2 when that is more than one block and the process may run on
-    2 CPUs or more, else 1. A loop of one block's work would pay the
-    hand-over to the worker for nothing."""
-    global _lane_cpus
-    if _lane_cpus is None:
-        _lane_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
-    return 2 if work > block and _lane_cpus >= 2 else 1
-
-
-def _in_lanes(lanes, total, step, body):
-    """Run the block loop over range(0, total, step) as body(lane, start,
-    stop) for each of `lanes` (from _lanes) contiguous parts [start, stop)
-    of it: lane 0 on the calling thread and lane 1, if any, on one
-    persistent worker thread, started at its first use. The lanes must
+def _in_lanes(total, step, body, split=True):
+    """The one block loop: body(lane, start, stop) once for each block
+    [start, stop) of range(0, total, step), stop at most total. It runs in
+    two lanes when `split` (the caller's rule for work worth the hand-over)
+    holds, there is more than one block and the process may run on 2 CPUs
+    or more; else in one, inline. Lane 0 runs the first ceil(blocks / 2)
+    blocks in order on the calling thread and lane 1 the rest in order on
+    one persistent worker thread, started at its first use. The lanes must
     write disjoint ranges and call only numpy (none of its BLAS products)
     and scipy.sparse's products: these release the GIL in their loops, and
     OpenBLAS's own threads serve the caller's products.
@@ -52,9 +43,18 @@ def _in_lanes(lanes, total, step, body):
     perfbench and tools keep one span stack per process. An exception of
     either lane is raised here once both have stopped, and the worker
     stays usable. There is one worker, so block loops run one at a time."""
-    global _lane_worker
-    if lanes == 1:
-        body(0, 0, total)
+    global _lane_cpus, _lane_worker
+    if _lane_cpus is None:
+        _lane_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+    blocks = -(-total // step)
+
+    def run(lane, first, last):
+        for start in range(first, last, step):
+            body(lane, start, min(start + step, total))
+
+    if not (split and blocks > 1 and _lane_cpus >= 2):
+        run(0, 0, total)
         return
     if _lane_worker is None:
         import queue
@@ -63,9 +63,9 @@ def _in_lanes(lanes, total, step, body):
 
         def serve():
             while True:
-                work, start, stop = tasks.get()
+                work, first, last = tasks.get()
                 try:
-                    work(1, start, stop)
+                    work(1, first, last)
                     error = None
                 except BaseException as exc:  # raised again by the caller
                     error = exc
@@ -76,11 +76,10 @@ def _in_lanes(lanes, total, step, body):
         threading.Thread(target=serve, name="elicit lane 1", daemon=True).start()
         _lane_worker = tasks, results
     tasks, results = _lane_worker
-    blocks = -(-total // step)
     half = -(-blocks // 2) * step  # lane 0 takes the first ceil(blocks / 2) blocks
-    tasks.put((body, half, total))
+    tasks.put((run, half, total))
     try:
-        body(0, 0, half)
+        run(0, 0, half)
     finally:
         error = results.get()
     if error is not None:
@@ -131,21 +130,19 @@ def _one_blas_thread():
 
 
 def _sparse_product(A, X):
-    """A @ X for a scipy.sparse A and a dense 2-D X. When that is more than
-    SPARSE_LANE_WORK multiply-adds, the two halves of X's columns run in two
-    lanes (_in_lanes). scipy makes each column of a sparse product on its
-    own, by the same operations in the same order, whatever the other
-    columns, so the bits do not depend on the lanes."""
+    """A @ X for a scipy.sparse A and a dense 2-D X, by the two halves of
+    X's columns, in two lanes (_in_lanes) when that is more than
+    SPARSE_LANE_WORK multiply-adds. scipy makes each column of a sparse
+    product on its own, by the same operations in the same order, whatever
+    the other columns, so the bits do not depend on the halves or the
+    lanes."""
     p = X.shape[1]
-    lanes = _lanes(A.nnz * p, SPARSE_LANE_WORK)
-    if lanes == 1:
-        return A @ X
     out = np.empty((A.shape[0], p), np.result_type(A.dtype, X.dtype))
 
     def columns(lane, start, stop):
         out[:, start:stop] = A @ X[:, start:stop]
 
-    _in_lanes(lanes, p, -(-p // 2), columns)
+    _in_lanes(p, -(-p // 2), columns, split=A.nnz * p > SPARSE_LANE_WORK)
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import evaluate
 from .data import DataError, densify
-from .linalg import BLOCK_ELEMS, _in_lanes, _lanes, gumbel_noise, softmax_rows
+from .linalg import BLOCK_ELEMS, _in_lanes, gumbel_noise, softmax_rows
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -71,12 +71,12 @@ class Workspace:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a[:shape[0]]
 
-    def lane_buffers(self, lanes, n, dtype):
-        """The block buffers of each of the first `lanes` lanes (_in_lanes):
-        two arrays of n elements of dtype, which every block loop of the
-        unit shares."""
+    def lane_buffers(self, n, dtype):
+        """The block buffers of the two lanes (_in_lanes), for each two
+        arrays of n elements of dtype, which every block loop of the unit
+        shares; in one lane, lane 1's are made but never touched."""
         return [(self.get(f"lane {lane} a", (n,), dtype), self.get(f"lane {lane} b", (n,), dtype))
-                for lane in range(lanes)]
+                for lane in (0, 1)]
 
 
 @dataclass
@@ -123,10 +123,10 @@ def _block_rows(a):
     return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
 
 
-def _sigmoid(x, bias, out, ws):
+def _sigmoid(x, bias, ws):
     """Logistic function of x + bias (bias: one value per column) without
     overflow: 1 / (1 + e) for x + bias >= 0 and e / (1 + e) below, with
-    e = exp(-|x + bias|); written to `out`, which may be x itself.
+    e = exp(-|x + bias|); written over x, which is returned.
     min(a, -a) is -|a| except that it keeps the sign bit of a NaN, which
     -abs(a) would flip. The numerator max(e, a >= 0) is 1 or e as required,
     since e <= 1 and a NaN e propagates, with no branch. Works through blocks
@@ -135,22 +135,22 @@ def _sigmoid(x, bias, out, ws):
     cache; every element sees the same operations, so the bits do not depend
     on the block size or the lanes."""
     step = _block_rows(x)
-    lanes = _lanes(len(x), step)
-    bufs = ws.lane_buffers(lanes, x[:step].size, x.dtype)
+    # each lane's e buffer, and a mask in its b buffer's bytes
+    bufs = [(e, b.view(bool)) for e, b in ws.lane_buffers(x[:step].size, x.dtype)]
 
     def rows(lane, start, stop):
-        e_buf, pos_buf = bufs[lane][0], bufs[lane][1].view(bool)  # a mask in b's bytes
-        for i in range(start, stop, step):
-            a = np.add(x[i:i + step], bias, out=out[i:i + step])
-            e, pos = e_buf[:a.size].reshape(a.shape), pos_buf[:a.size].reshape(a.shape)
-            np.negative(a, out=e)
-            np.exp(np.minimum(a, e, out=e), out=e)
-            np.maximum(e, np.greater_equal(a, 0, out=pos), out=a)
-            e += 1
-            np.divide(a, e, out=a)
+        a = x[start:stop]
+        a += bias
+        e_buf, pos_buf = bufs[lane]
+        e, pos = e_buf[:a.size].reshape(a.shape), pos_buf[:a.size].reshape(a.shape)
+        np.negative(a, out=e)
+        np.exp(np.minimum(a, e, out=e), out=e)
+        np.maximum(e, np.greater_equal(a, 0, out=pos), out=a)
+        e += 1
+        np.divide(a, e, out=a)
 
-    _in_lanes(lanes, len(x), step, rows)
-    return out
+    _in_lanes(len(x), step, rows)
+    return x
 
 
 def _decoder_forward(theta, z, ws):
@@ -158,9 +158,9 @@ def _decoder_forward(theta, z, ws):
     arrays of the workspace ws; each layer's product buffer takes its bias
     and then its output."""
     a = ws.get("h", (len(z), theta.w1.shape[1]), np.result_type(z, theta.w1))
-    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, a, ws)
+    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, ws)
     a = ws.get("r_hat", (len(z), theta.w2.shape[1]), np.result_type(h, theta.w2))
-    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, a, ws)
+    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, ws)
 
 
 def decode(theta, z_batch, ws=None):
@@ -190,27 +190,24 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
     at += items  # flat positions of the positives
     flat = r_hat.reshape(-1, copy=False)
     step = _block_rows(r_hat)
-    lanes = _lanes(b, step)
-    bufs = ws.lane_buffers(lanes, r_hat[:step].size, r_hat.dtype)
+    bufs = ws.lane_buffers(r_hat[:step].size, r_hat.dtype)
 
     # by row blocks that stay in cache, in lanes, with the operations and
     # order of (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical
     # to it: r_hat - r is r_hat - 1 at a positive and r_hat itself elsewhere
     def rows_of(lane, start, stop):
-        rh_buf = bufs[lane][0]
-        for i in range(start, stop, step):
-            d = r_hat[i:i + step]  # becomes the block of the output gradient
-            rh = rh_buf[:d.size].reshape(d.shape)
-            np.copyto(rh, d)
-            lo, hi = np.searchsorted(rows, (i, i + step))
-            flat[at[lo:hi]] -= 1
-            if sq_err is not None:
-                np.multiply(d, d, out=sq_err[i:i + step])
-            d *= 2.0 / b
-            d *= rh
-            d *= np.subtract(1.0, rh, out=rh)
+        d = r_hat[start:stop]  # becomes the block of the output gradient
+        rh = bufs[lane][0][:d.size].reshape(d.shape)
+        np.copyto(rh, d)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        flat[at[lo:hi]] -= 1
+        if sq_err is not None:
+            np.multiply(d, d, out=sq_err[start:stop])
+        d *= 2.0 / b
+        d *= rh
+        d *= np.subtract(1.0, rh, out=rh)
 
-    _in_lanes(lanes, b, step, rows_of)
+    _in_lanes(b, step, rows_of)
     d_out = r_hat
     d_h = np.matmul(d_out, theta.w2.T, out=ws.get("d_h", h.shape, np.result_type(d_out, theta.w2)))
     d_h *= h
@@ -285,32 +282,30 @@ def adam_step(params, grads, state, lr):
         flat = [a.reshape(-1, copy=False)
                 for a in (p, grads[name], state.m[name], state.v[name])]
         blocks += [[a[i:i + BLOCK_ELEMS] for a in flat] for i in range(0, p.size, BLOCK_ELEMS)]
-    # lanes by the elements: small parameters make several blocks of little work
-    lanes = _lanes(sum(p.size for p in params.values()), BLOCK_ELEMS)
-    bufs = state.scratch.lane_buffers(lanes, max((len(block[0]) for block in blocks), default=0),
+    bufs = state.scratch.lane_buffers(max((len(block[0]) for block in blocks), default=0),
                                       dtypes.pop())
 
-    def update(lane, start, stop):
-        s_buf, r_buf = bufs[lane]
-        for pb, grad, m, v in blocks[start:stop]:
-            s, r = s_buf[:len(pb)], r_buf[:len(pb)]
-            # the operations and their order are those of the plain
-            # expressions, so the results are bit-identical to them:
-            # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
-            m *= b1
-            m += np.multiply(grad, 1.0 - b1, out=s)
-            v *= b2
-            np.multiply(grad, 1.0 - b2, out=s)
-            v += np.multiply(s, grad, out=s)
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=s)
-            s *= lr
-            np.divide(v, c2, out=r)
-            np.sqrt(r, out=r)
-            r += ADAM_EPS
-            pb -= np.divide(s, r, out=s)
+    def update(lane, i, _):
+        pb, grad, m, v = blocks[i]
+        s, r = bufs[lane][0][:len(pb)], bufs[lane][1][:len(pb)]
+        # the operations and their order are those of the plain
+        # expressions, so the results are bit-identical to them:
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=s)
+        v *= b2
+        np.multiply(grad, 1.0 - b2, out=s)
+        v += np.multiply(s, grad, out=s)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += ADAM_EPS
+        pb -= np.divide(s, r, out=s)
 
-    _in_lanes(lanes, len(blocks), 1, update)
+    # two lanes by the elements: small parameters make several blocks of little work
+    _in_lanes(len(blocks), 1, update, split=sum(p.size for p in params.values()) > BLOCK_ELEMS)
 
 
 def extract_seeds(phi):
@@ -452,50 +447,43 @@ def _rank_candidates(scores, seeds, N):
     """The (b, N) top-N item indices of each row of a (b, m) score block, by
     descending score, seeds excluded, ties broken by ascending index. The
     rows are ranked in lanes (_in_lanes), in chunks of about BLOCK_ELEMS / 2
-    scores per lane, each row on its own, so the working arrays are a
-    chunk's, not the block's."""
+    scores, each row on its own, so the working arrays are a chunk's, not
+    the block's."""
     mask = np.ones(scores.shape[1], dtype=bool)
     mask[seeds] = False
     candidates = np.nonzero(mask)[0]
     if not 0 <= N <= len(candidates):
         raise ValueError(f"N={N} is not within the candidate count {len(candidates)}")
     ranked = np.empty((len(scores), N), dtype=candidates.dtype)
-    step = max(1, _block_rows(scores) // 2)
 
-    def rank_chunk(chunk):  # a call per chunk frees its arrays before the next chunk's
+    def rank(lane, start, stop):
         # negated in their own float dtype (float32 -> float64 is exact, so
         # the order, the ties and the NaNs are those of float64 keys);
         # integer scores, such as item counts, as float64. The column
         # selection is a copy, made by take in C order: the partition below
         # reads rows about 2.5x faster than from the F-order copy that
         # scores[:, candidates] makes.
-        keys = np.take(chunk, candidates, axis=1)
+        keys = np.take(scores[start:stop], candidates, axis=1)
         if keys.dtype.kind != "f":
             keys = keys.astype(np.float64)
         np.negative(keys, out=keys)
-        top = np.empty((len(keys), N), dtype=np.intp)
-        if N:
-            # the N smallest keys in some order, then a stable sort of just
-            # those columns taken in ascending index order: the ranking of a
-            # full stable sort, unless equal keys straddle the cut (the
-            # partition may keep a higher index than one it drops) or the
-            # N-th key is NaN (equal to nothing); such rows take the full
-            # stable sort
-            part = np.argpartition(keys, N - 1, axis=1)
-            kth = np.take_along_axis(keys, part[:, N - 1:N], axis=1)
-            redo = np.isnan(kth[:, 0]) | (np.count_nonzero(keys <= kth, axis=1) > N)
-            top = np.sort(part[:, :N], axis=1)
-            order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
-            top = np.take_along_axis(top, order, axis=1)
-            if redo.any():
-                top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
-        return candidates[top]
+        # the N smallest keys in some order, then a stable sort of just
+        # those columns taken in ascending index order: the ranking of a
+        # full stable sort, unless equal keys straddle the cut (the
+        # partition may keep a higher index than one it drops) or the N-th
+        # key is NaN (equal to nothing); such rows take the full stable sort
+        part = np.argpartition(keys, N - 1, axis=1)
+        kth = np.take_along_axis(keys, part[:, N - 1:N], axis=1)
+        redo = np.isnan(kth[:, 0]) | (np.count_nonzero(keys <= kth, axis=1) > N)
+        top = np.sort(part[:, :N], axis=1)
+        order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
+        top = np.take_along_axis(top, order, axis=1)
+        if redo.any():
+            top[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :N]
+        ranked[start:stop] = candidates[top]
 
-    def rank(lane, start, stop):
-        for i in range(start, stop, step):
-            ranked[i:i + step] = rank_chunk(scores[i:i + step])
-
-    _in_lanes(_lanes(len(scores), step), len(scores), step, rank)
+    if N:  # N = 0 leaves every ranking empty
+        _in_lanes(len(scores), max(1, _block_rows(scores) // 2), rank)
     return ranked
 
 

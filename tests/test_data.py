@@ -118,7 +118,8 @@ def make_table(rows):
 
 def as_pairs(table):
     """(user, item) per line of an Interactions table."""
-    return list(zip(key_tokens(table.users), key_tokens(table.items)))
+    users = table.users if table.user_keys is None else table.user_keys[table.users]
+    return list(zip(key_tokens(users), key_tokens(table.items)))
 
 
 def ref_pairs(records):
@@ -542,6 +543,35 @@ def test_build_matrix_peak_memory_is_bounded_by_its_key_columns():
     # deduplicated pairs; a copy of the pairs or the user ranks held while
     # the items are numbered would add another half at least
     assert peak < 2.8 * keys
+
+
+def test_filter_keeps_one_user_column_of_codes_into_its_distinct_keys():
+    records = data.filter_min_ratings(make_table(
+        [("b", "x"), ("a", "y"), ("b", "z"), ("c", "x"), ("a", "y"), ("b", "z")]), 2)
+    # c's one line is dropped, and its key stays among the distinct ones
+    assert key_tokens(records.user_keys) == ["a", "b", "c"]
+    assert records.users.tolist() == [1, 0, 1, 0, 1]
+    assert as_pairs(records) == [("b", "x"), ("a", "y"), ("b", "z"), ("a", "y"), ("b", "z")]
+    matrix = data.build_matrix(records)
+    assert matrix.user_index == {"b": 0, "a": 1}
+
+    rng = np.random.Generator(np.random.PCG64(7))
+    n = 200_000
+    records = data.Interactions(token_keys([f"u{u}" for u in np.sort(rng.integers(0, 500, n))]),
+                                token_keys([f"i{i}" for i in rng.integers(0, 1000, n)]))
+    keys = records.users.nbytes + records.items.nbytes
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        records = data.filter_min_ratings(records, 1)
+        held = tracemalloc.get_traced_memory()[0]
+        data.build_matrix(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kept lines hold their user codes and items, as many bytes as the
+    # key columns they came from; a user key column kept beside the codes
+    # would add half of them, to what is held and to the peak
+    assert held < 1.2 * keys and peak < 2.8 * keys
 
 
 def test_load_interactions_reads_a_pipe(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -235,15 +236,46 @@ def _binary_csr(rows, cols, density, seed):
     return csr_array((rng.random((rows, cols)) < density).astype(np.float64))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("split", [None, True, False], ids=["default", "split", "no_split"])
+@pytest.mark.parametrize("total, step", [(0, 3), (2, 3), (3, 3), (9, 2), (8, 2)],
+                         ids=["no_blocks", "short_block", "one_block", "odd_ragged", "even"])
+def test_in_lanes_runs_each_block_once_in_order_within_its_lane(monkeypatch, total, step,
+                                                                split, cpus):
+    blocks = [(start, min(start + step, total)) for start in range(0, total, step)]
+    two = cpus == 2 and len(blocks) > 1 and split is not False
+    monkeypatch.setattr(linalg, "_lane_cpus", cpus)
+    if not two:
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a lane thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(linalg, "_lane_worker", None)
+    calls = []  # (lane, thread ident, start, stop) per call, as the lanes make them
+
+    def body(lane, start, stop):
+        calls.append((lane, threading.get_ident(), start, stop))
+
+    linalg._in_lanes(total, step, body, **({} if split is None else {"split": split}))
+    half = -(-len(blocks) // 2) if two else len(blocks)  # lane 0's blocks
+    assert [call[2:] for call in calls if call[0] == 0] == blocks[:half]
+    assert [call[2:] for call in calls if call[0] == 1] == blocks[half:]
+    # lane 0 on the calling thread, lane 1 on the worker
+    assert all((ident == threading.get_ident()) == (lane == 0) for lane, ident, *_ in calls)
+
+
 def _svd_in_lanes(monkeypatch, A, k, cpus):
     """truncated_svd(A, k) as on `cpus` CPUs, and whether a product ran in
     two lanes."""
     two_lanes = []
     in_lanes = linalg._in_lanes
 
-    def recording_in_lanes(lanes, total, step, body):
-        two_lanes.append(lanes == 2)
-        in_lanes(lanes, total, step, body)
+    def recording_in_lanes(total, step, body, **split):
+        def recording_body(lane, start, stop):
+            two_lanes.append(lane == 1)
+            body(lane, start, stop)
+
+        in_lanes(total, step, recording_body, **split)
 
     monkeypatch.setattr(linalg, "_in_lanes", recording_in_lanes)
     monkeypatch.setattr(linalg, "_lane_cpus", cpus)
@@ -253,8 +285,8 @@ def _svd_in_lanes(monkeypatch, A, k, cpus):
 @pytest.mark.parametrize("shape, density, k, work", [
     # past SPARSE_LANE_WORK by itself: 1500 x 1200 at 5%, 60 columns
     ((1500, 1200), 0.05, 50, None),
-    # small products with the lanes forced on: 5 columns split 3 + 2,
-    # 2 columns split 1 + 1, and 1 column split 1 + 0
+    # small products with the lanes forced on: 5 columns split 3 + 2 and
+    # 2 columns split 1 + 1; 1 column is one block, so it stays in one lane
     ((9, 7), 0.4, 2, 0),
     ((6, 2), 0.6, 1, 0),
     ((6, 1), 0.6, 1, 0),
@@ -266,7 +298,7 @@ def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, s
     A = _binary_csr(*shape, density, seed=30)
     one, one_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=1)
     two, two_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=2)
-    assert not one_in_two and two_in_two
+    assert not one_in_two and two_in_two == (min(shape[1], k + 10) > 1)  # the sketch's columns
     assert one.tobytes() == two.tobytes()
     # each product in two lanes has the bits of scipy's whole product
     X = np.random.Generator(np.random.PCG64(4)).standard_normal((shape[1], 5))

@@ -123,14 +123,11 @@ def test_sigmoid_bit_identical_to_masked_reference(dtype, bits):
     # -0.0 leaves every x as it is, so the specials reach the kernel as such
     bias = rng.standard_normal(301).astype(dtype)
     bias[:10] = bias[-10:] = -0.0
-    got = model._sigmoid(x, bias, np.empty_like(x), model.Workspace())
     want = _masked_sigmoid(x + bias)
+    got = x.copy()
+    assert model._sigmoid(got, bias, model.Workspace()) is got  # in place
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(bits), want.view(bits))
-    # in place, as the decoder calls it
-    buf = x.copy()
-    assert model._sigmoid(buf, bias, buf, model.Workspace()) is buf
-    assert np.array_equal(buf.view(bits), want.view(bits))
 
 
 def test_mse_loss_cases():
@@ -757,9 +754,12 @@ def _in_one_and_two_lanes(monkeypatch, run):
     out, two_lanes = [], []
     in_lanes = model._in_lanes
 
-    def recording_in_lanes(lanes, total, step, body):
-        two_lanes.append(lanes == 2)
-        in_lanes(lanes, total, step, body)
+    def recording_in_lanes(total, step, body, **split):
+        def recording_body(lane, start, stop):
+            two_lanes.append(lane == 1)
+            body(lane, start, stop)
+
+        in_lanes(total, step, recording_body, **split)
 
     monkeypatch.setattr(model, "_in_lanes", recording_in_lanes)
     for cpus in (1, 2):
@@ -800,7 +800,7 @@ def test_block_loops_in_two_lanes_are_bit_identical_to_one(monkeypatch, dtype, r
     x.flat[:4] = [np.nan, np.inf, -np.inf, -0.0][:x.size]
     bias = rng.standard_normal(m).astype(dtype)
     one, two, two_lanes = _in_one_and_two_lanes(
-        monkeypatch, lambda: model._sigmoid(x.copy(), bias, np.empty_like(x), model.Workspace()))
+        monkeypatch, lambda: model._sigmoid(x.copy(), bias, model.Workspace()))
     _assert_same_bits(two, one)
     assert two_lanes == (rows > 6)
 
@@ -844,7 +844,7 @@ def test_block_loops_in_two_lanes_are_bit_identical_to_one(monkeypatch, dtype, r
         one, two, two_lanes = _in_one_and_two_lanes(
             monkeypatch, lambda: model._rank_candidates(scores, [1, 8], N))
         _assert_same_bits(two, one)
-        assert two_lanes == (rows > 3)  # chunks of 3 rows
+        assert two_lanes == (rows > 3 and N > 0)  # chunks of 3 rows; N = 0 ranks nothing
 
 
 def test_lanes_under_frequent_thread_switches_are_bit_identical_to_one(monkeypatch):
@@ -906,21 +906,22 @@ def test_train_and_retrain_in_two_lanes_are_bit_identical_to_one(cluster_matrix,
 def test_lane_exception_reaches_the_caller_and_the_lanes_stay_usable(monkeypatch):
     monkeypatch.setattr(linalg, "_lane_cpus", 2)
     for failing in (1, 0, None):
-        ran = {}  # lane -> (thread ident, the blocks it ran)
+        ran = {0: [], 1: []}  # lane -> (thread ident, start) of each block it ran
 
         def body(lane, start, stop):
-            ran[lane] = threading.get_ident(), list(range(start, stop))
-            if lane == failing:
+            ran[lane].append((threading.get_ident(), start))
+            if lane == failing and stop == (3, 5)[lane]:  # at the lane's last block
                 raise KeyError(f"lane {lane}")
 
         if failing is None:
-            model._in_lanes(2, 5, 1, body)
+            model._in_lanes(5, 1, body)
         else:
             with pytest.raises(KeyError, match=f"lane {failing}"):
-                model._in_lanes(2, 5, 1, body)
+                model._in_lanes(5, 1, body)
         # both lanes ran to the end, lane 1 on the worker
-        assert ran[0] == (threading.get_ident(), [0, 1, 2])
-        assert ran[1][0] != threading.get_ident() and ran[1][1] == [3, 4]
+        assert ran[0] == [(threading.get_ident(), start) for start in (0, 1, 2)]
+        assert [start for _, start in ran[1]] == [3, 4]
+        assert threading.get_ident() not in {ident for ident, _ in ran[1]}
 
 
 def test_one_cpu_or_one_block_starts_no_thread(cluster_matrix, monkeypatch):
@@ -931,7 +932,7 @@ def test_one_cpu_or_one_block_starts_no_thread(cluster_matrix, monkeypatch):
     monkeypatch.setattr(linalg, "_lane_worker", None)
     # one block per loop, on 2 CPUs
     monkeypatch.setattr(linalg, "_lane_cpus", 2)
-    model._sigmoid(np.zeros((3, 4)), np.zeros(4), np.empty((3, 4)), model.Workspace())
+    model._sigmoid(np.zeros((3, 4)), np.zeros(4), model.Workspace())
     # many blocks, on the 1 CPU that the affinity mask allows
     monkeypatch.setattr(linalg, "_lane_cpus", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
