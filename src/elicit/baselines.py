@@ -59,14 +59,16 @@ def save_seeds(seeds, path):
 
 
 def load_seeds(path, m):
-    """Read a save_seeds file of distinct item indices below m. Raises
-    DataError naming path:line for a line that is not such an index as
+    """Read a save_seeds file of at least one distinct item index below m.
+    Raises DataError naming path:line for a line that is not such an index as
     save_seeds writes it (ASCII digits, no sign, no leading zero) or that
-    repeats an earlier line's."""
+    repeats an earlier line's, and naming path for a file of no line."""
     seeds = {}  # kept in file order
     for lineno, text in enumerate(read_lines(path, universal=False), start=1):
         if not re.fullmatch(CANONICAL_INT, text) or int(text) >= m or int(text) in seeds:
             raise DataError(f"{path}:{lineno}: expected a distinct item index in [0, {m}), "
                             f"got {text!r}")
         seeds[int(text)] = None
+    if not seeds:
+        raise DataError(f"{path}: need at least one seed index, each in [0, {m})")
     return np.array(list(seeds), dtype=np.int64)

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -18,34 +19,75 @@ USERS_MAP = "users.map"
 ITEMS_MAP = "items.map"
 MAX_GRID_CELLS = 256
 
-CONFIG_DEFAULTS = {
-    "dataset": "",
-    "delimiter": "::",
-    "threshold": 3.5,
-    "min_count": 5,
-    "test_frac": 0.2,
-    "val_frac": 0.1,
-    "split_seed": 0,
-    "k": 50,
-    "d": 300,
-    "lr": 0.005,
-    "epochs": 400,
-    "batch_size": 256,
-    "t0": 10.0,
-    "te": 0.1,
-    "retrain_epochs": 100,
-    "seed": 0,
-    "val_every": 20,
-    "runs": 5,
-    "Ns": "10,20,50,100",
-    "out": ".",
+
+def parse_ns(text):
+    """The ranking cutoffs of an Ns value, or None unless it holds
+    comma-separated distinct ints of at least 1."""
+    try:
+        Ns = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        return None
+    return Ns if min(Ns) >= 1 and len(set(Ns)) == len(Ns) else None
+
+
+AT_LEAST_0, AT_LEAST_1 = (lambda v: v >= 0, "at least 0"), (lambda v: v >= 1, "at least 1")
+FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
+POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+# Every config key's rule: its default, whose type is the key's type, and its
+# range as a test of a typed value and the phrase that check_config's error
+# quotes, or None for any value of the type.
+CONFIG_RULES = {
+    "dataset": ("", None),  # a path, named by the error of opening it
+    # load_interactions checks it: it is its byte parser's precondition
+    "delimiter": ("::", None),
+    "threshold": (3.5, (math.isfinite, "a finite number")),
+    "min_count": (5, AT_LEAST_0),  # 0 and 1 both keep every user
+    "test_frac": (0.2, FRACTION),
+    "val_frac": (0.1, FRACTION),
+    "split_seed": (0, AT_LEAST_0),
+    "k": (50, AT_LEAST_1),
+    "d": (300, AT_LEAST_1),
+    "lr": (0.005, POSITIVE),
+    "epochs": (400, AT_LEAST_1),
+    "batch_size": (256, AT_LEAST_1),
+    "t0": (10.0, POSITIVE),
+    "te": (0.1, POSITIVE),
+    "retrain_epochs": (100, AT_LEAST_0),
+    "seed": (0, AT_LEAST_0),
+    "val_every": (20, AT_LEAST_1),
+    "runs": (5, AT_LEAST_1),
+    "Ns": ("10,20,50,100", (parse_ns, "comma-separated distinct int values of at least 1")),
+    "out": (".", (bool, "a non-empty path")),
 }
+CONFIG_DEFAULTS = {key: default for key, (default, _) in CONFIG_RULES.items()}
+
+
+def config_value(key, text, where=""):
+    """text as the type of key's default; text that does not parse is a
+    ValueError naming key, after the prefix `where`."""
+    kind = type(CONFIG_DEFAULTS[key])
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}{key} must be {kind.__name__}, got {text!r}") from None
+
+
+def check_config(cfg):
+    """cfg, once each value lies in its key's range (CONFIG_RULES) and t0 is
+    at least te; else a ValueError naming the first key at fault."""
+    for key, (_, rule) in CONFIG_RULES.items():
+        if rule and not rule[0](cfg[key]):
+            raise ValueError(f"{key} must be {rule[1]}, got {cfg[key]!r}")
+    if cfg["t0"] < cfg["te"]:
+        raise ValueError(f"need t0 >= te, got t0={cfg['t0']!r} te={cfg['te']!r}")
+    return cfg
 
 
 def load_config(path, overrides):
-    """Flat key=value config file, overridden by CLI flags. Holds only the
-    keys of CONFIG_DEFAULTS: other overrides (the subcommand, its function,
-    --data-dir and so on) are not config."""
+    """Flat key=value config file, overridden by CLI flags, and then checked
+    (check_config). Holds only the keys of CONFIG_DEFAULTS: other overrides
+    (the subcommand, its function, --data-dir and so on) are not config."""
     cfg = dict(CONFIG_DEFAULTS)
     for lineno, line in enumerate(data.read_lines(path) if path else [], start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -58,17 +100,11 @@ def load_config(path, overrides):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         # spaces around a value are dropped, but a value of only
         # whitespace (a tab delimiter) is kept as written
-        value = value.strip() or value
-        kind = type(CONFIG_DEFAULTS[key])
-        try:
-            cfg[key] = kind(value)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
-                             f"got {value!r}") from None
+        cfg[key] = config_value(key, value.strip() or value, f"{path}:{lineno}: ")
     for key, value in overrides.items():
         if key in cfg and value is not None:
             cfg[key] = value
-    return cfg
+    return check_config(cfg)
 
 
 def stream_seed(master_seed, method, run):
@@ -218,14 +254,8 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
              external_seeds=None):
     """Evaluate each method over `runs` seeded repetitions (eval_run) on the
     fixed test split; stochastic methods re-select seeds and re-train per
-    run. Every input is checked before any method runs."""
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    if not Ns or min(Ns) < 1:
-        raise ValueError(f"every N must be at least 1, got {','.join(map(str, Ns))}")
-    if len(set(Ns)) < len(Ns):
-        raise ValueError(f"Ns must not repeat a cutoff, got {','.join(map(str, Ns))}")
-    train_config(cfg)  # rejects bad training hyperparameters before any method runs
+    run. cfg, runs and Ns are a checked config's (check_config); the methods,
+    the checkpoint and the largest N are checked here before any method runs."""
     methods = [meth.upper() for meth in methods]
     twice = sorted({meth for meth in methods if methods.count(meth) > 1})
     if twice:
@@ -265,21 +295,16 @@ def cmd_eval(args):
     external = {}
     for spec in args.external_seeds or []:
         name, _, path = spec.partition("=")
+        if not (name and path):
+            raise ValueError(f"--external-seeds must be NAME=PATH, got {spec!r}")
         if name.upper() in METHODS:
             raise ValueError(f"--external-seeds {name} is the name of a built-in method")
         if name.upper() not in (meth.upper() for meth in methods):
             raise ValueError(f"--external-seeds {name} is not one of --methods")
         if name.upper() in external:
             raise ValueError(f"--external-seeds {name} is given more than once")
-        seeds = baselines.load_seeds(path, matrix.m)
-        if not len(seeds):
-            raise data.DataError(f"{path}: need at least one seed index, each in [0, {matrix.m})")
-        external[name.upper()] = seeds
-    try:
-        Ns = tuple(int(t) for t in cfg["Ns"].split(","))
-    except ValueError:
-        raise ValueError(f"Ns must be comma-separated int values, got {cfg['Ns']!r}") from None
-    report = run_eval(matrix, split, cfg, methods, cfg["runs"], Ns,
+        external[name.upper()] = baselines.load_seeds(path, matrix.m)
+    report = run_eval(matrix, split, cfg, methods, cfg["runs"], parse_ns(cfg["Ns"]),
                       checkpoint=args.checkpoint, external_seeds=external)
     os.makedirs(cfg["out"], exist_ok=True)
     json_path = os.path.join(cfg["out"], "eval_report.json")
@@ -303,13 +328,8 @@ def parse_grid(spec):
             raise ValueError(f"unknown grid key {key!r}")
         if key in grid:
             raise ValueError(f"grid key {key!r} is given more than once")
-        kind = type(CONFIG_DEFAULTS[key])
-        try:
-            grid[key] = ["t0" if key == "te" and tok.lower() == "t0" else kind(tok)
-                         for tok in values.split(",")]
-        except ValueError:
-            raise ValueError(f"grid key {key} must be comma-separated {kind.__name__} values, "
-                             f"got {values!r}") from None
+        grid[key] = ["t0" if key == "te" and tok.lower() == "t0"
+                     else config_value(key, tok, "grid key ") for tok in values.split(",")]
     if not grid:
         raise ValueError("empty grid spec")
     return grid
@@ -331,7 +351,7 @@ def run_grid(matrix, split, cfg, grid):
         cell_cfg = dict(cfg, **dict(zip(keys, values)))
         if cell_cfg["te"] == "t0":
             cell_cfg["te"] = cell_cfg["t0"]
-        tcfgs.append(train_config(cell_cfg))
+        tcfgs.append(train_config(check_config(cell_cfg)))
     rows = []
     for values, tcfg in zip(cells, tcfgs):
         phi, theta, seeds, _ = _train_once(matrix, split, tcfg)

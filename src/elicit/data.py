@@ -197,8 +197,6 @@ def load_interactions(path, delimiter, threshold):
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DataError(f"delimiter must be non-empty and hold no line end, got {delimiter!r}")
-    if not np.isfinite(threshold):
-        raise DataError(f"threshold must be a finite number, got {threshold!r}")
     # surrogatepass: a lone surrogate never occurs in UTF-8 text, so such a
     # delimiter matches nothing, as in the decoded text
     sep = delimiter.encode("utf-8", "surrogatepass")
@@ -476,15 +474,12 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
     as a fraction of the remaining (train) users.
 
     Shuffling uses numpy's PCG64 generator so the split is bit-identical
-    across platforms for a given seed.
+    across platforms for a given seed. The fractions' and the seed's ranges
+    are the config's (cli.check_config).
     """
-    if not (0.0 < test_frac < 1.0 and 0.0 < val_frac_of_train < 1.0):
-        raise ValueError("split fractions must lie in (0, 1)")
     n = matrix.n
     if n < 10:
         raise ValueError(f"need at least 10 users to split, got {n}")
-    if seed < 0:
-        raise ValueError(f"split_seed must be at least 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     n_test = int(round(test_frac * n))
@@ -495,7 +490,8 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
     train = rest[n_val:]
     for name, part in (("test", test), ("validation", val), ("train", train)):
         if not len(part):
-            raise ValueError(f"the split fractions leave no {name} users out of {n}")
+            raise ValueError(f"test_frac={test_frac} and val_frac={val_frac_of_train} "
+                             f"leave no {name} users out of {n}")
     return SplitSpec(
         train_users=np.sort(train), val_users=np.sort(val),
         test_users=np.sort(test),

@@ -18,7 +18,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; their defaults are cli.CONFIG_DEFAULTS."""
+    """Training hyperparameters. Their defaults and ranges are the rules of
+    cli.CONFIG_RULES, which cli.check_config applies where a command reads its
+    config; built directly, a TrainConfig holds what it is given."""
     k: int
     d: int
     lr: float
@@ -29,18 +31,6 @@ class TrainConfig:
     retrain_epochs: int
     seed: int
     val_every: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and self.t0 >= self.te > 0):
-            raise ValueError(f"need t0 >= te > 0 with t0 finite, got t0={self.t0} te={self.te}")
-        for name in ("k", "d", "epochs", "batch_size", "val_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("retrain_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass

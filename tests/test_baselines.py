@@ -185,6 +185,14 @@ def test_load_seeds_rejects_lines_not_as_save_seeds_writes_them(tmp_path, line):
         baselines.load_seeds(path, 10)
 
 
+def test_load_seeds_needs_at_least_one_seed(tmp_path):
+    path = tmp_path / "seeds.txt"
+    path.write_bytes(b"")
+    with pytest.raises(data.DataError, match=r"seeds\.txt: need at least one seed index, "
+                                             r"each in \[0, 10\)$"):
+        baselines.load_seeds(path, 10)
+
+
 def test_load_seeds_names_the_line_of_invalid_utf8(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_bytes(b"4\n2\n\xff\n")

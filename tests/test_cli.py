@@ -81,6 +81,53 @@ def test_prepare_non_finite_threshold_is_one_line_error(tmp_path, capsys, thresh
     assert not out.exists()
 
 
+def test_check_config_rejects_t0_below_te_and_k_below_1():
+    cfg = dict(cli.CONFIG_DEFAULTS)
+    assert cli.check_config(cfg) is cfg
+    with pytest.raises(ValueError, match=r"^need t0 >= te, got t0=0\.1 te=1\.0$"):
+        cli.check_config(dict(cfg, t0=0.1, te=1.0))
+    with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
+        cli.check_config(dict(cfg, k=0))
+    # t0 = te, a constant temperature, is admitted
+    cli.check_config(dict(cfg, t0=2.0, te=2.0))
+
+
+def test_every_config_key_has_a_rule_whose_default_passes_it():
+    assert list(cli.CONFIG_RULES) == list(cli.CONFIG_DEFAULTS)
+    for key, (default, rule) in cli.CONFIG_RULES.items():
+        assert cli.CONFIG_DEFAULTS[key] is default, key
+        assert rule is None or rule[0](default), key
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--min-count", "-3", "--out={out}"], "", "min_count must be at least 0, got -3"),
+    ([], "min_count=-1\nout={out}\n", "min_count must be at least 0, got -1"),
+    # not the error of making the directory '', which names no key
+    (["--out="], "", "out must be a non-empty path, got ''"),
+    ([], "out=\n", "out must be a non-empty path, got ''"),
+], ids=["min_count_flag", "min_count_config", "out_flag", "out_config"])
+def test_prepare_config_value_out_of_range_is_one_line_error(tmp_path, capsys, flags, config,
+                                                             message):
+    # found before the log is read: there is none
+    out, cfg = tmp_path / "prepared", tmp_path / "prepare.cfg"
+    cfg.write_text(config.format(out=out))
+    err = _one_line_error(capsys, ["prepare", "--dataset", str(tmp_path / "missing.dat"),
+                                   "--config", str(cfg)] + [f.format(out=out) for f in flags])
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_prepare_min_count_0_and_1_keep_every_user(raw_dataset, tmp_path):
+    snapshots = []
+    for min_count in ("0", "1"):
+        out = tmp_path / min_count
+        assert cli.main(["prepare", "--dataset", raw_dataset, "--min-count", min_count,
+                         "--out", str(out)]) == 0
+        snapshots.append((out / "matrix.snapshot").read_bytes())
+    assert snapshots[0] == snapshots[1]
+    assert cli._load_dataset(str(tmp_path / "0")).n == 60
+
+
 def test_prepare_deterministic(raw_dataset, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
@@ -356,6 +403,17 @@ def test_eval_external_seeds_may_not_reuse_a_built_in_name(prepared, tmp_path, c
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("spec", ["EXT", "=x.txt", "EXT=", "="],
+                         ids=["no_path", "no_name", "empty_path", "bare_equals"])
+def test_eval_external_seeds_not_name_eq_path_is_one_line_error(prepared, tmp_path, capsys,
+                                                                spec):
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", "EXT", "--runs", "1", "--external-seeds", spec] + EVAL_FLAGS)
+    assert err == f"error: --external-seeds must be NAME=PATH, got {spec!r}\n"
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("methods", ["MOSTPOP,mostpop", "MOSTPOP,RBMF,mostpop"])
 def test_eval_method_named_twice_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                                    methods):
@@ -544,14 +602,17 @@ def test_eval_run_alone_reproduces_that_run_of_run_eval(prepared, tmp_path, monk
                for meth in methods for N in Ns)
 
 
+NS_ERROR = "error: Ns must be comma-separated distinct int values of at least 1, got "
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--runs", "0", "runs must be at least 1, got 0"),
-    ("--ns", "0", "every N must be at least 1, got 0"),
-    ("--ns", "5,-1", "every N must be at least 1, got 5,-1"),
-    ("--ns", "5,,10", "error: Ns must be comma-separated int values, got '5,,10'"),
-    ("--config", "Ns=5,,10\n", "error: Ns must be comma-separated int values, got '5,,10'"),
-    ("--ns", "5,5", "error: Ns must not repeat a cutoff, got 5,5"),
-    ("--config", "Ns=10,5,10\n", "error: Ns must not repeat a cutoff, got 10,5,10"),
+    ("--ns", "0", NS_ERROR + "'0'"),
+    ("--ns", "5,-1", NS_ERROR + "'5,-1'"),
+    ("--ns", "5,,10", NS_ERROR + "'5,,10'"),
+    ("--config", "Ns=5,,10\n", NS_ERROR + "'5,,10'"),
+    ("--ns", "5,5", NS_ERROR + "'5,5'"),
+    ("--config", "Ns=10,5,10\n", NS_ERROR + "'10,5,10'"),
 ], ids=["runs_0", "ns_0", "ns_negative", "ns_empty", "config_ns_empty", "ns_repeat",
         "config_ns_repeat"])
 def test_eval_range_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
@@ -629,11 +690,11 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     ("grid", ["--grid", "t0=1,5"], "val_every=0\n", "val_every must be at least 1, got 0"),
     # only a later cell is bad: every cell is checked before the first trains
     ("grid", ["--grid", "lr=0.01,-1"], "", "lr must be finite and positive, got -1.0"),
-    ("grid", ["--grid", "t0=5,1 te=2"], "", "need t0 >= te > 0"),
+    ("grid", ["--grid", "t0=5,1 te=2"], "", "error: need t0 >= te, got t0=1.0 te=2.0"),
     ("eval", ["--methods", "MOSTPOP", "--runs", "1", "--ns", "5"], "batch_size=0\n",
      "batch_size must be at least 1, got 0"),
     ("train", ["--t0", "inf", "--te", "inf"], "",
-     "need t0 >= te > 0 with t0 finite, got t0=inf te=inf"),
+     "error: t0 must be finite and positive, got inf"),
     ("train", ["--seed", "-5"], "", "error: seed must be at least 0, got -5"),
     ("train", ["--split-seed", "-1"], "", "error: split_seed must be at least 0, got -1"),
     ("grid", ["--grid", "t0=1,5"], "seed=-5\n", "error: seed must be at least 0, got -5"),
@@ -641,10 +702,13 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     # integer, but the seed is checked as train checks it
     ("eval", ["--methods", "DRE,MOSTPOP", "--runs", "1", "--ns", "5"], "seed=-5\n",
      "error: seed must be at least 0, got -5"),
+    ("train", [], "test_frac=nan\n", "error: test_frac must be in (0, 1), got nan"),
+    ("eval", ["--methods", "MOSTPOP", "--runs", "1", "--ns", "5"], "val_frac=0\n",
+     "error: val_frac must be in (0, 1), got 0.0"),
 ], ids=["batch_size", "val_every", "retrain_epochs", "lr_negative", "lr_nan", "lr_inf",
         "grid_val_every", "grid_second_cell_lr", "grid_second_cell_t0_below_te",
         "eval_batch_size", "t0_inf", "seed_negative", "split_seed_negative",
-        "grid_seed_negative", "eval_seed_negative"])
+        "grid_seed_negative", "eval_seed_negative", "test_frac_nan", "eval_val_frac_0"])
 def test_bad_training_hyperparameter_is_one_line_error(prepared, tmp_path, capsys, monkeypatch,
                                                        command, flags, config, message):
     def never(*args, **kwargs):
@@ -849,7 +913,11 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
             "eval-train/eval_report.json", "eval-train/eval_report.tsv",
             "eval-mostpop/eval_report.json", "eval-mostpop/eval_report.tsv",
             "ratings-crlf.dat", "prepared-t45/matrix.snapshot", "prepared-t45/users.map",
-            "prepared-t45/items.map"} <= set(paths)
+            "prepared-t45/items.map", "prepare.cfg", "prepared-config/matrix.snapshot",
+            "prepared-config/users.map", "prepared-config/items.map"} <= set(paths)
+    # the config file's threshold and minimum count are not the defaults
+    digest = {path: line.split("  ")[0] for line, path in zip(runs[0], paths)}
+    assert digest["prepared-config/matrix.snapshot"] != digest["prepared/matrix.snapshot"]
 
 
 def test_grid_sweep(prepared, tmp_path):
@@ -938,13 +1006,18 @@ PARSER_FLAGS = {
 }
 
 
+def _subcommands():
+    """{subcommand name: its argparse parser}."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_parser_flags_are_pinned():
     # every subcommand's flags, pinned; a string key's flag has type str,
     # which argparse parses as it parses a flag with no type
-    sub = next(action for action in cli.build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert list(sub.choices) == list(PARSER_FLAGS)
-    for name, parser in sub.choices.items():
+    subcommands = _subcommands()
+    assert list(subcommands) == list(PARSER_FLAGS)
+    for name, parser in subcommands.items():
         flags = [(*action.option_strings, action.dest, action.default, action.required,
                   action.help, getattr(action.type, "__name__", action.type))
                  for action in parser._actions if not isinstance(action, argparse._HelpAction)]
@@ -964,11 +1037,9 @@ def test_parse_grid_errors():
     grid = cli.parse_grid("te=0.1,t0 lr=0.01")
     assert grid["te"] == [0.1, "t0"] and grid["lr"] == [0.01]
     # a value that does not parse is named with its key
-    with pytest.raises(ValueError, match=r"^grid key lr must be comma-separated float values, "
-                                         r"got '0\.1,abc'$"):
+    with pytest.raises(ValueError, match=r"^grid key lr must be float, got 'abc'$"):
         cli.parse_grid("lr=0.1,abc")
-    with pytest.raises(ValueError, match=r"^grid key k must be comma-separated int values, "
-                                         r"got ''$"):
+    with pytest.raises(ValueError, match=r"^grid key k must be int, got ''$"):
         cli.parse_grid("t0=1 k=")
 
 
@@ -1412,6 +1483,72 @@ def test_report_of_a_mutated_dump_renders_or_is_one_line_error(tmp_path_factory,
         event("refused")
         _check_one_line_error(code, out, err)
         assert str(dump) in err
+
+
+# the edge values a fuzzed config key is given, as text: 0, -1, nan, inf, an
+# empty value, a repeated N, non-ASCII digits (Arabic-Indic and full-width
+# 3), a value beyond the largest float, and a few in range. None is large, so the
+# resource keys (k, d, epochs, batch_size, runs) draw from them all, and
+# none is above 3, so the threshold and min_count keep the fixture's users
+# (each has 5 positives, all rated 5).
+CONFIG_EDGES = ["0", "-1", "nan", "inf", "-inf", "", "5,5", "2,1", "\u0663", "\uff13",
+                "1e400", "1e-9", "0.5", "1", "2", " 3"]
+# every config key but the paths, which would make files where the values
+# name them, and the delimiter, a drawn one of which is no range fault but
+# splits no line of the log (a file:line error)
+FUZZ_KEYS = sorted(set(cli.CONFIG_DEFAULTS) - {"dataset", "delimiter", "out"})
+# small budgets, which the drawn keys override
+FUZZ_BASE = {"k": "3", "d": "8", "epochs": "4", "batch_size": "32", "retrain_epochs": "2",
+             "val_every": "2", "runs": "1", "Ns": "5,10"}
+FUZZ_OUTPUT = {"prepare": "matrix.snapshot", "train": "checkpoint.dre",
+               "eval": "eval_report.json", "grid": "sweep.tsv"}
+# {subcommand: the config keys it has a flag for}
+FUZZ_FLAGS = {name: {action.dest for action in parser._actions
+                     if action.dest in cli.CONFIG_DEFAULTS}
+              for name, parser in _subcommands().items()}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.data())
+def test_config_edge_values_run_or_are_one_line_errors_naming_the_key(raw_dataset, prepared,
+                                                                       tmp_path_factory, draw):
+    command = draw.draw(st.sampled_from(sorted(FUZZ_OUTPUT)))
+    keys = draw.draw(st.permutations(FUZZ_KEYS))[:draw.draw(st.integers(1, 3))]
+    # an edge value, or half the time the key's value in range, so that
+    # runs with one bad key among good ones, and runs that end well, are common
+    values = {key: draw.draw(st.sampled_from(CONFIG_EDGES) | st.just(
+        FUZZ_BASE.get(key, str(cli.CONFIG_DEFAULTS[key])))) for key in keys}
+    flags, lines = [], dict(FUZZ_BASE)
+    for key, value in values.items():
+        try:  # a flag's value that does not parse is argparse's usage error
+            cli.config_value(key, value)
+            as_flag = key in FUZZ_FLAGS[command] and draw.draw(st.booleans())
+        except ValueError:
+            as_flag = False
+        if as_flag:
+            flags.append(f"--{key.lower().replace('_', '-')}={value}")
+            lines.pop(key, None)
+        else:
+            lines[key] = value
+    root = tmp_path_factory.getbasetemp()
+    config, out = root / "fuzz.cfg", root / "fuzz-config-out"
+    config.write_text("".join(f"{key}={value}\n" for key, value in lines.items()),
+                      encoding="utf-8")
+    (out / FUZZ_OUTPUT[command]).unlink(missing_ok=True)
+    argv = {"prepare": ["--dataset", raw_dataset],
+            "train": ["--data-dir", prepared],
+            "eval": ["--data-dir", prepared, "--methods", "DRE,MOSTPOP"],
+            "grid": ["--data-dir", prepared, "--grid", "t0=2,5"]}[command]
+    code, stdout, err = _run([command, "--config", str(config), "--out", str(out)]
+                             + argv + flags)
+    if code == 0:
+        event("ran")
+        assert err == "" and (out / FUZZ_OUTPUT[command]).exists()
+    else:
+        event("refused")
+        _check_one_line_error(code, stdout, err)
+        reason = err.replace(str(config), "")
+        assert any(re.search(rf"\b{key}\b", reason) for key in keys), (values, err)
 
 
 def test_stream_seed_distinct():

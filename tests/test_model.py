@@ -37,13 +37,6 @@ def test_temperature_endpoints_and_midpoint():
     assert model.temperature(50, cfg) == pytest.approx(1.0)  # geometric midpoint
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        _quick_cfg(t0=0.1, te=1.0)
-    with pytest.raises(ValueError):
-        _quick_cfg(k=0)
-
-
 def test_encode_onehot_selection():
     # hard one-hot rows pick out the third and first entries of r
     phi = np.full((2, 4), -50.0)

@@ -8,7 +8,9 @@ checkpoint (`recommend.txt`) and of `report --dump` with the eval report
 (`report.tsv`). A copy of the log whose user tokens are 12 bytes and item
 tokens 20 bytes long, past the one and two 8-byte words of a short key, is
 prepared too, into `prepared-long/`, and so is a copy with a header line and
-\r\n line ends, at threshold 4.5, into `prepared-t45/`.
+\r\n line ends, at threshold 4.5, into `prepared-t45/`. The log is prepared
+once more with its delimiter, threshold and minimum count read from a
+`--config` file (`prepare.cfg`), into `prepared-config/`.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -32,6 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import corpus  # noqa: E402
 
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
+PREPARE_CONFIG = "delimiter = ::\nthreshold = 2.5\nmin_count = 25\n"
 SMALL = ["--k", "5", "--epochs", "8"]
 FEEDBACK = "1 0 0 1 1\n"  # an answer per seed of the k=5 checkpoint
 # the commands whose stdout is written to a file under OUT, by name
@@ -48,6 +51,9 @@ def commands(out):
          "--out", os.path.join(out, "prepared-long")],
         ["prepare", "--dataset", os.path.join(out, "ratings-crlf.dat"), "--threshold", "4.5",
          "--out", os.path.join(out, "prepared-t45")],
+        ["prepare", "--dataset", os.path.join(out, "ratings.dat"),
+         "--config", os.path.join(out, "prepare.cfg"),
+         "--out", os.path.join(out, "prepared-config")],
         ["train", "--out", os.path.join(out, "train")] + common,
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
@@ -93,6 +99,7 @@ def main(argv):
     crlf = "user::item::rating::ts\r\n" + log.replace("\n", "\r\n")
     for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
                        ("ratings-crlf.dat", crlf), ("run.cfg", CONFIG),
+                       ("prepare.cfg", PREPARE_CONFIG),
                        ("feedback.txt", FEEDBACK)):
         # newline="": the text's line ends are written as they are
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
