@@ -126,6 +126,9 @@ def _load_dataset(data_dir):
 
 def cmd_prepare(args):
     cfg = load_config(args.config, vars(args))
+    # not in CONFIG_RULES: train, eval and grid read the same empty default
+    if not cfg["dataset"]:
+        raise ValueError("dataset must be a non-empty path, got ''")
     records = data.load_interactions(cfg["dataset"], cfg["delimiter"], cfg["threshold"])
     records = data.filter_min_ratings(records, cfg["min_count"])
     matrix = data.build_matrix(records)

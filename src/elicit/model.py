@@ -14,6 +14,17 @@ from .linalg import BLOCK_ELEMS, _in_lanes, gumbel_noise, softmax_rows
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# multiply-adds up to which OpenBLAS's x86-64 SkylakeX kernels take a float32
+# product through their small-matrix kernel, whose rows round by their place
+# in the block; above it, as measured, a row of a float32 product has the
+# same bits in every product of more than this many (a float64 product's
+# last columns round by the row's place even there)
+SMALL_GEMM_WORK = 100 ** 3
+# the share U/b of rows to decode up to which a decoder-only step decodes
+# each distinct row once: on the perfbench seed-7 matrix (b = 256, k = 50,
+# d = 300, 2 cores) such a step took 0.76 of the time of decoding every row
+# at U/b 0.26, 0.96 at 0.8, 0.99 at 0.85 and 1.01 at 0.9
+DISTINCT_ROWS_CUT = 0.85
 
 
 @dataclass(frozen=True)
@@ -143,14 +154,59 @@ def _sigmoid(x, bias, ws):
     return x
 
 
-def _decoder_forward(theta, z, ws):
+def _decoder_forward(theta, z, ws, out=None):
     """Hidden activations and reconstruction for a block of inputs z, as
-    arrays of the workspace ws; each layer's product buffer takes its bias
-    and then its output."""
-    a = ws.get("h", (len(z), theta.w1.shape[1]), np.result_type(z, theta.w1))
-    h = _sigmoid(np.matmul(z, theta.w1, out=a), theta.b1, ws)
-    a = ws.get("r_hat", (len(z), theta.w2.shape[1]), np.result_type(h, theta.w2))
-    return h, _sigmoid(np.matmul(h, theta.w2, out=a), theta.b2, ws)
+    arrays of the workspace ws, or as the leading rows of out, a pair of
+    arrays for them; each layer's product buffer takes its bias and then its
+    output."""
+    n, dtype = len(z), np.result_type(z, theta.w1)
+    if out is None:
+        out = (ws.get("h", (n, theta.w1.shape[1]), dtype),
+               ws.get("r_hat", (n, theta.w2.shape[1]), np.result_type(dtype, theta.w2)))
+    h = _sigmoid(np.matmul(z, theta.w1, out=out[0][:n]), theta.b1, ws)
+    return h, _sigmoid(np.matmul(h, theta.w2, out=out[1][:n]), theta.b2, ws)
+
+
+def _distinct_rows(theta, z):
+    """The rows of z, a block of decoder inputs, whose decode gives the bits
+    of decoding z when its rows are taken by `inverse`: (rows, inverse), or
+    None where no such rows are fewer than z's. rows holds the first row of
+    each distinct row of z (by its bytes), repeated in turn as needed so that
+    each product of the decode runs over more than SMALL_GEMM_WORK
+    multiply-adds, as over z, and over at least 2 rows: a 1-row decode takes
+    numpy's matrix-vector path, which rounds differently from the matrix
+    product. Only float32 decodes are grouped (see SMALL_GEMM_WORK)."""
+    # the smaller product's multiply-adds per row set the least rows to decode
+    least = max(2, SMALL_GEMM_WORK // min(theta.w1.size, theta.w2.size) + 1)
+    if np.result_type(z, theta.w1, theta.w2) != np.float32 or len(z) <= least:
+        return None
+    keys = np.ascontiguousarray(z).view(np.dtype((np.void, z[0].nbytes))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    count = max(len(first), least)
+    return (np.resize(first, count), inverse) if count < len(z) else None
+
+
+def _decoder_step(theta, z, positives, ws):
+    """The decoder's gradients on the inputs z with the given positives, as
+    _decoder_backward returns them (arrays of the workspace ws): those of
+    _decoder_forward and _decoder_backward over every row, to the bit. Where
+    at most DISTINCT_ROWS_CUT of z's rows, and at most d, are to be decoded
+    (_distinct_rows), the forward decodes just those, into the leading rows
+    of the "d_h" and "d_w2" buffers, which the backward writes only after it
+    has read h and r_hat, and takes its rows back to z's with np.take
+    (mode="clip" writes straight into out; the default buffers all of it)."""
+    b, (d, m) = len(z), theta.w2.shape
+    distinct = _distinct_rows(theta, z)
+    if distinct is None or len(distinct[0]) > min(DISTINCT_ROWS_CUT * b, d):
+        h, r_hat = _decoder_forward(theta, z, ws)
+    else:
+        rows, inverse = distinct
+        h, r_hat = _decoder_forward(theta, z[rows], ws, out=(ws.get("d_h", (b, d), np.float32),
+                                                            ws.get("d_w2", (d, m), np.float32)))
+        h = np.take(h, inverse, axis=0, mode="clip", out=ws.get("h", (b, d), np.float32))
+        r_hat = np.take(r_hat, inverse, axis=0, mode="clip",
+                        out=ws.get("r_hat", (b, m), np.float32))
+    return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
 
 
 def decode(theta, z_batch, ws=None):
@@ -407,9 +463,11 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     """Decoder-only Adam training with the encoder frozen: the input is the
     hard selection r[:, seeds] of each minibatch r, with no Gumbel noise and
     no encoder update. Only the seed columns of a minibatch are built dense;
-    the target is its positives. theta, the decoder to start from, is
-    trained in place and returned; a caller that needs its starting weights
-    passes a copy."""
+    the target is its positives. Users who answer the seeds alike share
+    their decode: a step decodes each distinct answer row once where few
+    enough are distinct (_decoder_step), with the bits of decoding every
+    row. theta, the decoder to start from, is trained in place and returned;
+    a caller that needs its starting weights passes a copy."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if len(np.unique(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
@@ -424,8 +482,7 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
         hit = column[items]
         z = densify((rows[hit >= 0], hit[hit >= 0]),
                     ws.get("z", (len(ids), len(seeds)), theta.w1.dtype))
-        h, r_hat = _decoder_forward(theta, z, ws)
-        return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
+        return _decoder_step(theta, z, positives, ws)
 
     # stream 0 is train's init stream, not a shuffle stream: kept for byte-identical output
     _fit(vars(theta), split.train_users, epochs, batch_size, rng_streams(seed)[0], lr,
@@ -479,22 +536,18 @@ def _rank_candidates(scores, seeds, N):
 
 def recommend(theta, seeds, z, N, ws=None):
     """The (b, N) rankings of candidate items for b new users from their
-    seed feedback z, a (b, k) block of their answers. Each distinct row of
-    z (by its bytes) is decoded and ranked once, and its ranking copied to
-    the rows that repeat it. The scores are decoded into the workspace ws,
-    a fresh one when not given."""
+    seed feedback z, a (b, k) block of their answers. Where it saves rows
+    with the bits of decoding every row (_distinct_rows), each distinct row
+    of z (by its bytes) is decoded and ranked once, and its ranking copied
+    to the rows that repeat it. The scores are decoded into the workspace
+    ws, a fresh one when not given."""
     z = np.asarray(z, dtype=theta.w1.dtype)
     if z.ndim != 2 or z.shape[1] != len(seeds):
         raise ValueError(f"feedback must be a (b, {len(seeds)}) block, got shape {z.shape}")
-    if len(z) > 2:
-        keys = np.ascontiguousarray(z).view(np.dtype((np.void, z[0].nbytes))).reshape(-1)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if len(first) < len(z):
-            # at least 2 rows (a lone distinct row twice): a 1-row decode
-            # takes numpy's matrix-vector path, which rounds differently
-            # from the matrix product that decodes a block
-            distinct = z[np.resize(first, max(2, len(first)))]
-            return _rank_candidates(decode(theta, distinct, ws), seeds, N)[inverse]
+    distinct = _distinct_rows(theta, z)
+    if distinct is not None:
+        rows, inverse = distinct
+        return _rank_candidates(decode(theta, z[rows], ws), seeds, N)[inverse]
     return _rank_candidates(decode(theta, z, ws), seeds, N)
 
 

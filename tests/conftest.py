@@ -91,6 +91,19 @@ def cluster_matrix():
     return make_cluster_matrix(seed=0)
 
 
+@pytest.fixture
+def decoded_rows(monkeypatch):
+    """The row count of each model._decoder_forward call, in call order."""
+    forward, rows = model._decoder_forward, []
+
+    def counting_forward(theta, z, ws, out=None):
+        rows.append(len(z))
+        return forward(theta, z, ws, out)
+
+    monkeypatch.setattr(model, "_decoder_forward", counting_forward)
+    return rows
+
+
 def mutate(draw, raw, kind):
     """Apply one mutation of the given kind to raw, a bytearray, and return
     it: "cut" the file at a byte, "flip" a byte, or "drop", "duplicate" or

@@ -113,33 +113,43 @@ def test_plusplus_decoder_deterministic_and_learns(cluster_matrix):
             < model.mse_loss(model.decode(fresh, z), R))
 
 
-def test_plusplus_decoder_peak_memory_is_one_decoder_fit():
+def test_plusplus_decoder_peak_memory_is_one_decoder_fit(decoded_rows):
     # 2 epochs of 2 minibatches, the second ragged
     rng = np.random.Generator(np.random.PCG64(3))
     n, m = 700, 4000
     matrix = matrix_from_rows([np.sort(rng.choice(m, rng.integers(10, 70), replace=False))
                                for _ in range(n)], m)
     split = data.split_users(matrix, seed=0)
-    k, d, b = 8, 128, 256
+    b = 256
     assert b < len(split.train_users) < 2 * b
-    cfg = model.TrainConfig(k=k, d=d, lr=0.01, epochs=2, batch_size=b, t0=5.0, te=0.1,
-                            retrain_epochs=1, seed=0, val_every=1)
-    seeds = np.arange(0, m, m // k)
-    tracemalloc.start()  # numpy reports its buffers to tracemalloc
-    try:
-        baselines.plusplus_decoder(matrix, split, seeds, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    params = 4 * (k * d + d + d * m + m)  # float32
-    # the trained decoder, its Adam moments, and one workspace: the input,
-    # hidden and output rows of a minibatch and the gradients. A second
-    # decoder (the starting one next to a trained copy), or a step's output
-    # and gradients kept while the next step allocates its own, exceed the
-    # slack, which covers the per-dtype and per-block scratch buffers
-    # and the minibatch's positives.
-    workspace = 4 * b * (k + 3 * d + m) + params
-    assert peak - (3 * params + workspace) < 16 * 4 * model.BLOCK_ELEMS
+    batches = [b, len(split.train_users) - b] * 2
+    # k = 8 at about 1% density: every step decodes all of its rows, as
+    # 256 * 8 * 128 multiply-adds are within model.SMALL_GEMM_WORK; k = 200:
+    # every step decodes its 182-193 distinct rows (_decoder_step), whose
+    # outputs, at 2.9 MB and more, no array may hold beside the workspace
+    for k, d, grouped in ((8, 128, False), (200, 256, True)):
+        cfg = model.TrainConfig(k=k, d=d, lr=0.01, epochs=2, batch_size=b, t0=5.0, te=0.1,
+                                retrain_epochs=1, seed=0, val_every=1)
+        seeds = np.arange(0, m, m // k)
+        decoded_rows.clear()
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            baselines.plusplus_decoder(matrix, split, seeds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = zip(decoded_rows, batches, strict=True)
+        assert [rows < size for rows, size in steps] == [grouped] * 4, k
+        params = 4 * (k * d + d + d * m + m)  # float32
+        # the trained decoder, its Adam moments, and one workspace: the
+        # input, hidden and output rows of a minibatch and the gradients. A
+        # second decoder (the starting one next to a trained copy), a step's
+        # output and gradients kept while the next step allocates its own,
+        # or the distinct rows' outputs in arrays of their own exceed the
+        # slack, which covers the per-dtype and per-block scratch buffers
+        # and the minibatch's positives.
+        workspace = 4 * b * (k + 3 * d + m) + params
+        assert peak - (3 * params + workspace) < 16 * 4 * model.BLOCK_ELEMS, k
 
 
 def test_mostpop_ranks_items_by_count():

@@ -117,6 +117,17 @@ def test_prepare_config_value_out_of_range_is_one_line_error(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config", [([], ""), (["--dataset="], ""), ([], "dataset=\n")],
+                         ids=["no_flag", "empty_flag", "empty_config"])
+def test_prepare_without_dataset_is_one_line_error_naming_it(tmp_path, capsys, flags, config):
+    # not the error of opening '', which names neither the flag nor the key
+    out, cfg = tmp_path / "prepared", tmp_path / "prepare.cfg"
+    cfg.write_text(config)
+    err = _one_line_error(capsys, ["prepare", "--out", str(out), "--config", str(cfg)] + flags)
+    assert err == "error: dataset must be a non-empty path, got ''\n"
+    assert not out.exists()
+
+
 def test_prepare_min_count_0_and_1_keep_every_user(raw_dataset, tmp_path):
     snapshots = []
     for min_count in ("0", "1"):
@@ -912,6 +923,7 @@ def test_output_digests_tool_prints_the_same_lines_twice(tmp_path):
             "prepared-long/items.map", "recommend.txt", "report.tsv",
             "eval-train/eval_report.json", "eval-train/eval_report.tsv",
             "eval-mostpop/eval_report.json", "eval-mostpop/eval_report.tsv",
+            "grouped.cfg", "eval-grouped/eval_report.json", "eval-grouped/eval_report.tsv",
             "ratings-crlf.dat", "prepared-t45/matrix.snapshot", "prepared-t45/users.map",
             "prepared-t45/items.map", "prepare.cfg", "prepared-config/matrix.snapshot",
             "prepared-config/users.map", "prepared-config/items.map"} <= set(paths)

@@ -620,18 +620,25 @@ def _tie_decoder(k, m, dtype, rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_recommend_of_distinct_rows_has_the_bits_of_decoding_every_row(monkeypatch, dtype):
     rng = np.random.Generator(np.random.PCG64(23))
-    k, m = 4, 400
-    seeds, N = np.array([3, 50, 51, 399]), m - k
+    k, m = 50, 400
+    seeds, N = np.arange(0, m, m // k), m - k
     random = model.DecoderParams(*(rng.standard_normal(shape).astype(dtype)
-                                   for shape in ((k, 16), (16,), (16, m), (m,))))
-    answers = rng.integers(0, 2, (40, k)).astype(np.float64)  # at most 16 distinct rows
-    # {name: (feedback block, rows decoded)}
+                                   for shape in ((k, 64), (64,), (64, m), (m,))))
+    # each decoder's smaller product has k * 64 multiply-adds per row, so a
+    # grouped decode runs over at least 10**6 // 3200 + 1 rows (_distinct_rows)
+    least = model.SMALL_GEMM_WORK // (k * 64) + 1
+    assert least == 313
+    answers = rng.integers(0, 2, (16, k)).astype(np.float64)
+    repeated = answers[np.arange(400) % 16]
+    # {name: (feedback block, rows decoded in float32)}; float64 decodes every row
     blocks = {
-        "repeated": (answers, len(np.unique(answers, axis=0))),
-        "repeated_f_order": (np.asfortranarray(answers), len(np.unique(answers, axis=0))),
-        "identical": (np.repeat(rng.random((1, k)), 6, axis=0), 2),
+        "repeated": (repeated, least),
+        "repeated_f_order": (np.asfortranarray(repeated), least),
+        "identical": (np.repeat(rng.random((1, k)), 400, axis=0), least),
+        # 300 rows: each product of every row is within SMALL_GEMM_WORK
+        "repeated_small": (repeated[:300], 300),
         "two_identical": (np.repeat(rng.random((1, k)), 2, axis=0), 2),
-        "distinct": (rng.random((5, k)), 5),
+        "distinct": (rng.random((400, k)), 400),
         "single": (rng.random((1, k)), 1),
         "none": (np.zeros((0, k)), 0),
     }
@@ -649,9 +656,91 @@ def test_recommend_of_distinct_rows_has_the_bits_of_decoding_every_row(monkeypat
             decoded.clear()
             got = model.recommend(theta, seeds, z, N)
             monkeypatch.setattr(model, "decode", decode)
-            assert decoded == [rows], name
+            assert decoded == [rows if dtype == np.float32 else len(z)], name
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+
+def _answer_rows(rng, b, distinct, k):
+    """A (b, k) 0/1 float32 block of `distinct` distinct rows, each at least
+    once, in shuffled order."""
+    patterns = (rng.random((distinct, k)) < 0.2).astype(np.float32)
+    patterns[:, :9] = (np.arange(distinct)[:, None] >> np.arange(9)) & 1  # distinct rows
+    return np.ascontiguousarray(patterns[rng.permutation(np.arange(b) % distinct)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decoder_step_of_distinct_rows_has_the_bits_of_decoding_every_row(decoded_rows, dtype):
+    rng = np.random.Generator(np.random.PCG64(31))
+    # h @ w2 of a few rows (300 * 900 multiply-adds each) takes OpenBLAS's
+    # small-matrix kernel on x86-64 SkylakeX and rounds otherwise there
+    k, m = 50, 900
+    under = int(model.DISTINCT_ROWS_CUT * 256)  # distinct rows of a batch of 256
+    # {name: (d, inputs z, rows decoded in float32)}, run in order, each d
+    # with one workspace, as retrain_decoder's steps
+    cases = {
+        # one distinct row, decoded twice and more: a grouped product runs
+        # over more than SMALL_GEMM_WORK multiply-adds (z @ w1: 50 * 300 per
+        # row, so 67 rows), as over the batch, since OpenBLAS's small-matrix
+        # kernel rounds otherwise
+        "all_zero": (300, np.zeros((256, k), np.float32), 67),
+        "below_small_kernel": (300, _answer_rows(rng, 256, 3, k), 67),
+        "under_cut": (300, _answer_rows(rng, 256, under, k), under),
+        "over_cut": (300, _answer_rows(rng, 256, under + 1, k), 256),
+        "ragged": (300, _answer_rows(rng, 100, 70, k), 70),
+        # 60 rows: the products of every row are within SMALL_GEMM_WORK
+        "small_batch": (300, _answer_rows(rng, 60, 5, k), 60),
+        "d_512": (512, _answer_rows(rng, 256, 20, k), 40),
+        # more rows to decode (160, within the cut) than d, whose buffer
+        # would hold them: z @ w1 has 50 * 150 multiply-adds per row, so a
+        # grouped decode would take 134 rows or more
+        "over_d": (150, _answer_rows(rng, 256, 160, k), 256),
+    }
+    thetas, workspaces = {}, {}
+    for name, (d, z, rows) in cases.items():
+        if d not in thetas:
+            theta = model.init_decoder(k, d, m, rng)
+            theta.b1[:], theta.b2[:] = rng.standard_normal(d), rng.standard_normal(m)
+            thetas[d] = model.DecoderParams(*(a.astype(dtype) for a in vars(theta).values()))
+            workspaces[d] = model.Workspace()
+        theta, z = thetas[d], z.astype(dtype)
+        positives = np.nonzero(rng.random((len(z), m)) < 0.05)
+        h, r_hat = model._decoder_forward(theta, z, model.Workspace())
+        want = model._decoder_backward(theta, z, h, r_hat, positives, model.Workspace())[0]
+        decoded_rows.clear()
+        got = model._decoder_step(theta, z, positives, workspaces[d])
+        # float64 products round their last columns by the row's place, so
+        # float64 decodes every row
+        assert decoded_rows == [rows if dtype == np.float32 else len(z)], name
+        for key in ("w1", "b1", "w2", "b2"):
+            assert got[key].dtype == want[key].dtype, (name, key)
+            assert got[key].tobytes() == want[key].tobytes(), (name, key)
+
+
+def test_retrain_decoder_of_distinct_rows_is_bit_identical_to_decoding_every_row(monkeypatch,
+                                                                                 decoded_rows):
+    # the seeds are rare items, so most users answer all of them 0: two
+    # grouped steps per epoch, the second ragged
+    rng = np.random.Generator(np.random.PCG64(37))
+    n, m, k = 600, 400, 50
+    rare = np.arange(k)
+    matrix = matrix_from_rows([np.union1d(rare[rng.random(k) < 0.01],
+                                          rng.choice(np.arange(k, m), 20, replace=False))
+                               for _ in range(n)], m)
+    split = data.split_users(matrix, seed=0)
+    assert 256 < len(split.train_users) < 512
+    batches = [256, len(split.train_users) - 256] * 2
+    trained = []
+    for cut in (model.DISTINCT_ROWS_CUT, 0.0):
+        monkeypatch.setattr(model, "DISTINCT_ROWS_CUT", cut)
+        decoded_rows.clear()
+        theta = model.init_decoder(k, 300, m, np.random.Generator(np.random.PCG64(4)))
+        trained.append(model.retrain_decoder(matrix, split, rare, theta, 2, lr=0.01,
+                                             batch_size=256, seed=2))
+        # every step grouped, or none
+        assert [rows < b for rows, b in zip(decoded_rows, batches, strict=True)] == [cut > 0] * 4
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(trained[0], name).tobytes() == getattr(trained[1], name).tobytes(), name
 
 
 def test_rank_candidates_block_matches_lexsort_reference():

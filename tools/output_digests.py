@@ -2,8 +2,11 @@
 `perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
 --checkpoint` of all six methods over 2 runs, one `eval` run that trains DRE
 itself (`eval-train/`), one of MOSTPOP and POP++ alone, where MOSTPOP ranks
-every item (`eval-mostpop/`), and a 2-cell `grid`, each with small budgets,
-and the stdout of `recommend --feedback` with the trained
+every item (`eval-mostpop/`), one of RAN++ alone with d = 2000 and every
+training user in one minibatch (`grouped.cfg`), whose decoder steps decode
+each distinct answer row once (`eval-grouped/`; every other decoder-only
+step decodes all of its rows), and a 2-cell `grid`, each with small
+budgets, and the stdout of `recommend --feedback` with the trained
 checkpoint (`recommend.txt`) and of `report --dump` with the eval report
 (`report.tsv`). A copy of the log whose user tokens are 12 bytes and item
 tokens 20 bytes long, past the one and two 8-byte words of a short key, is
@@ -35,6 +38,9 @@ import corpus  # noqa: E402
 
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
 PREPARE_CONFIG = "delimiter = ::\nthreshold = 2.5\nmin_count = 25\n"
+# 173 rows x 5 x 2000 multiply-adds in the smaller decoder product, over
+# model.SMALL_GEMM_WORK; k = 5 answers give at most 32 distinct rows
+GROUPED_CONFIG = "d=2000\nbatch_size=256\nseed=3\n"
 SMALL = ["--k", "5", "--epochs", "8"]
 FEEDBACK = "1 0 0 1 1\n"  # an answer per seed of the k=5 checkpoint
 # the commands whose stdout is written to a file under OUT, by name
@@ -61,6 +67,9 @@ def commands(out):
         + common,
         ["eval", "--out", os.path.join(out, "eval-mostpop"), "--runs", "1", "--ns", "5,10",
          "--methods", "MOSTPOP,POP++"] + common,
+        ["eval", "--out", os.path.join(out, "eval-grouped"), "--runs", "1", "--ns", "5,10",
+         "--methods", "RAN++", "--data-dir", prepared,
+         "--config", os.path.join(out, "grouped.cfg")] + SMALL,
         ["grid", "--out", os.path.join(out, "grid"), "--grid", "t0=1,5"] + common,
         ["recommend", "--checkpoint", os.path.join(out, "train", "checkpoint.dre"),
          "--items-map", os.path.join(prepared, "items.map"),
@@ -99,7 +108,7 @@ def main(argv):
     crlf = "user::item::rating::ts\r\n" + log.replace("\n", "\r\n")
     for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
                        ("ratings-crlf.dat", crlf), ("run.cfg", CONFIG),
-                       ("prepare.cfg", PREPARE_CONFIG),
+                       ("prepare.cfg", PREPARE_CONFIG), ("grouped.cfg", GROUPED_CONFIG),
                        ("feedback.txt", FEEDBACK)):
         # newline="": the text's line ends are written as they are
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
