@@ -2,15 +2,14 @@
 neural reconstruction decoder, classic statistic-based and maximal-volume
 baselines, and a top-N ranking evaluation protocol."""
 
-import os
-
-# OpenBLAS's idle threads sleep at once instead of spinning for about 0.1 s
-# after each product, which would hold the core on which linalg._in_lanes
-# runs its second lane. OpenBLAS reads this when numpy loads it, so a process
-# that imported numpy before this package keeps the default; a value the
-# user set is kept too.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-
 from . import baselines, data, evaluate, linalg, model
+
+# numpy's OpenBLAS on one thread, whatever the import order: the lanes of
+# linalg._in_lanes are the program's one thread pool, and the outputs do not
+# depend on the BLAS thread count. Where no setter is found (another BLAS, or
+# no /proc), BLAS keeps its own threads and every dense product runs whole.
+if _blas_threads := linalg._openblas_threads():
+    _blas_threads[1](1)
+linalg._dense_lanes = bool(_blas_threads)
 
 __version__ = "0.1.0"

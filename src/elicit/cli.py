@@ -88,7 +88,7 @@ def load_config(path, overrides):
     """Flat key=value config file, overridden by CLI flags, and then checked
     (check_config). Holds only the keys of CONFIG_DEFAULTS: other overrides
     (the subcommand, its function, --data-dir and so on) are not config."""
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg, seen = dict(CONFIG_DEFAULTS), set()
     for lineno, line in enumerate(data.read_lines(path) if path else [], start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -98,6 +98,9 @@ def load_config(path, overrides):
         key = key.strip()
         if key not in cfg:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set more than once")
+        seen.add(key)
         # spaces around a value are dropped, but a value of only
         # whitespace (a tab delimiter) is kept as written
         cfg[key] = config_value(key, value.strip() or value, f"{path}:{lineno}: ")
@@ -258,7 +261,8 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     """Evaluate each method over `runs` seeded repetitions (eval_run) on the
     fixed test split; stochastic methods re-select seeds and re-train per
     run. cfg, runs and Ns are a checked config's (check_config); the methods,
-    the checkpoint and the largest N are checked here before any method runs."""
+    the checkpoint, the test-user count that DRE's paired t-tests need, k
+    and the largest N are checked here before any method runs."""
     methods = [meth.upper() for meth in methods]
     twice = sorted({meth for meth in methods if methods.count(meth) > 1})
     if twice:
@@ -269,6 +273,10 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
             raise ValueError(f"unknown method {meth!r}")
     if checkpoint and "DRE" not in methods:
         raise ValueError(f"--checkpoint {checkpoint} is given, but DRE is not one of --methods")
+    pairings = [("DRE", meth) for meth in methods if meth != "DRE"] if "DRE" in methods else []
+    if pairings and len(split.test_users) < 2:
+        raise ValueError(f"the paired t-tests of DRE need at least 2 test users, but "
+                         f"test_frac={cfg['test_frac']} gives {len(split.test_users)}")
     # the seeds of a given DRE checkpoint, admitted once; each run reads its
     # decoder again
     loaded = load_eval_checkpoint(checkpoint, matrix, cfg)[1] if checkpoint else None
@@ -278,13 +286,14 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     dre_k = len(loaded) if checkpoint else k
     n_seeds = {name: len(seeds) for name, seeds in external_seeds.items()}
     n_seeds.update(DRE=dre_k, MOSTPOP=dre_k if "DRE" in methods else 0)
-    n_candidates = matrix.m - max(n_seeds.get(meth, k) for meth in methods)
-    if max(Ns) > n_candidates:
-        raise ValueError(f"N={max(Ns)} is not within the candidate count {n_candidates}")
+    most = max(n_seeds.get(meth, k) for meth in methods)
+    if most >= matrix.m:
+        raise ValueError(f"k={most} must be smaller than the item count {matrix.m}")
+    if max(Ns) > matrix.m - most:
+        raise ValueError(f"N={max(Ns)} is not within the candidate count {matrix.m - most}")
 
     tables = [eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded,
                        external_seeds) for run in range(runs)]
-    pairings = [("DRE", meth) for meth in methods if meth != "DRE"] if "DRE" in methods else []
     return evaluate.aggregate_runs(
         {meth: [run_tables[meth] for run_tables in tables] for meth in methods}, pairings,
         run_seeds=[stream_seed(cfg["seed"], "DRE", run) for run in range(runs)])

@@ -214,9 +214,10 @@ def aggregate_runs(run_reports, pairings, run_seeds):
     """Combine per-run evaluation tables into an EvalReport.
 
     run_reports: {method: [evaluate_method result, one per run]}.
-    pairings: (method_a, method_b) pairs to t-test on the users both scored;
-    both a per-run test and a pooled test over all runs' concatenated
-    per-user scores are reported. run_seeds: each run's seed.
+    pairings: (method_a, method_b) pairs to t-test on the users both scored,
+    at least 2 in each run; both a per-run test and a pooled test over all
+    runs' concatenated per-user scores are reported. run_seeds: each run's
+    seed.
     """
     methods = sorted(run_reports)
     n_runs = {m: len(r) for m, r in run_reports.items()}
@@ -245,6 +246,10 @@ def aggregate_runs(run_reports, pairings, run_seeds):
             for N in Ns:
                 pairs = [(ra[metric][N][ia], rb[metric][N][ib])
                          for (ra, rb), (ia, ib) in zip(runs, common)]
+                for run, (sa, _) in enumerate(pairs):
+                    if len(sa) < 2:
+                        raise ValueError(f"{a} and {b} share {len(sa)} scored users in run "
+                                         f"{run}, too few for the paired t-test of {metric}@{N}")
                 per_run = [paired_t_test(sa, sb) for sa, sb in pairs]
                 pooled = paired_t_test(*(np.concatenate(side) for side in zip(*pairs)))
                 report.tests[(a, b, metric, N)] = {

@@ -3,7 +3,6 @@ ridge least squares, Gumbel noise and tempered row softmax; and _in_lanes,
 the one block loop of these kernels and of the model, which alone decides
 whether a loop runs in one lane or two."""
 
-import contextlib
 import os
 from dataclasses import dataclass
 
@@ -14,11 +13,20 @@ BLOCK_ELEMS = 1 << 16  # elements per block of the elementwise passes over large
 # in two lanes: below about this, the hand-over to the worker costs more
 # than the second lane saves
 SPARSE_LANE_WORK = 1 << 21
+# multiply-adds from which a dense product runs in two lanes (_matmul)
+DENSE_LANE_WORK = 1 << 22
+# rows or columns per step of a dense product's cut: a multiple of the row
+# and column tiles of OpenBLAS's x86-64 kernels (12 x 8 for float64 on
+# SkylakeX), whose last rows and columns round by their place in the tile
+PRODUCT_ALIGN = 48
 MAXVOL_DELTA = 0.01  # Maxvol stops once every |C_ij| is at most 1 + this
 
 _lane_cpus = None  # the CPUs this process may run on, read at the first block loop
+# whether dense products may run in lanes: set by elicit/__init__ once it has
+# put numpy's OpenBLAS on one thread, so that lanes never share the cores
+# with BLAS's own threads
+_dense_lanes = False
 _lane_worker = None  # the (tasks, results) queues of the lane-1 thread, made at its first use
-_blas_threads = None  # (get, set) of numpy's OpenBLAS thread count, () if none; found at first use
 
 
 @dataclass
@@ -36,9 +44,9 @@ def _in_lanes(total, step, body, split=True):
     or more; else in one, inline. Lane 0 runs the first ceil(blocks / 2)
     blocks in order on the calling thread and lane 1 the rest in order on
     one persistent worker thread, started at its first use. The lanes must
-    write disjoint ranges and call only numpy (none of its BLAS products)
-    and scipy.sparse's products: these release the GIL in their loops, and
-    OpenBLAS's own threads serve the caller's products.
+    write disjoint ranges and call only numpy, its dense products only
+    where numpy's BLAS is on one thread (_dense_lanes), and scipy.sparse's
+    products, which release the GIL in their loops.
     No function of this package may run on the worker, as the tracers of
     perfbench and tools keep one span stack per process. An exception of
     either lane is raised here once both have stopped, and the worker
@@ -88,61 +96,61 @@ def _in_lanes(total, step, body, split=True):
 
 def _openblas_threads():
     """The (get, set) functions of the thread count of numpy's OpenBLAS,
-    found once among the libraries the process has mapped, or () where
-    there is none (another BLAS, or no /proc). The names searched are
-    those of numpy's wheels (64_-suffixed) and of a plain OpenBLAS; scipy's
-    wheels name theirs scipy_openblas_*_num_threads, unsuffixed, so
-    scipy's OpenBLAS is not taken for numpy's."""
-    global _blas_threads
-    if _blas_threads is None:
-        try:
-            with open("/proc/self/maps", encoding="utf-8") as fh:
-                libs = sorted({line.split()[-1] for line in fh
-                               if "openblas" in line and ".so" in line})
-        except OSError:
-            libs = []
-        import ctypes
-        handles = [ctypes.CDLL(lib) for lib in libs]
-        _blas_threads = next(((getattr(handle, name.format("get")),
-                               getattr(handle, name.format("set")))
-                              for name in ("scipy_openblas_{}_num_threads64_",
-                                           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-                              for handle in handles if hasattr(handle, name.format("set"))), ())
-    return _blas_threads
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Runs its block with numpy's OpenBLAS on one thread and restores the
-    previous thread count after it, also when the block raises; where no
-    setter is found (_openblas_threads), it changes nothing."""
-    calls = _openblas_threads()
-    if not calls:
-        yield
-        return
-    get, set_threads = calls
-    previous = get()
-    set_threads(1)
+    found among the libraries the process has mapped, or () where there is
+    none (another BLAS, or no /proc). The names searched are those of
+    numpy's wheels (64_-suffixed) and of a plain OpenBLAS; scipy's wheels
+    name theirs scipy_openblas_*_num_threads, unsuffixed, so scipy's
+    OpenBLAS is not taken for numpy's."""
     try:
-        yield
-    finally:
-        set_threads(previous)
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        libs = []
+    import ctypes
+    handles = [ctypes.CDLL(lib) for lib in libs]
+    return next(((getattr(handle, name.format("get")), getattr(handle, name.format("set")))
+                 for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                              "openblas_{}_num_threads")
+                 for handle in handles if hasattr(handle, name.format("set"))), ())
 
 
-def _sparse_product(A, X):
-    """A @ X for a scipy.sparse A and a dense 2-D X, by the two halves of
-    X's columns, in two lanes (_in_lanes) when that is more than
-    SPARSE_LANE_WORK multiply-adds. scipy makes each column of a sparse
-    product on its own, by the same operations in the same order, whatever
-    the other columns, so the bits do not depend on the halves or the
-    lanes."""
-    p = X.shape[1]
-    out = np.empty((A.shape[0], p), np.result_type(A.dtype, X.dtype))
+def _matmul(a, b, out=None):
+    """a @ b for a dense 2-D b, into `out` (of their result dtype, and
+    overlapping neither) when given, in two parts run in lanes that keep
+    the one-thread product's bits: a scipy.sparse a by the halves of b's
+    columns above SPARSE_LANE_WORK multiply-adds; a dense product from
+    DENSE_LANE_WORK on, if _dense_lanes, by its larger output dimension if
+    float32 and by its rows otherwise, at the multiple of PRODUCT_ALIGN
+    nearest the middle (each part past model.SMALL_GEMM_WORK), and never
+    one output row or column."""
+    n, p = a.shape[0], b.shape[1]
+    out = np.empty((n, p), np.result_type(a.dtype, b.dtype)) if out is None else out
+    sparse = not isinstance(a, np.ndarray)
+    # a float64 product's last columns round by the call's column count (as
+    # measured on SkylakeX kernels), its rows only by their place in a tile
+    by_rows = not sparse and (n > p or out.dtype != np.float32)
+    size = n if by_rows else p
+    if sparse:  # scipy makes each output column on its own
+        cut, split = -(-p // 2), a.nnz * p > SPARSE_LANE_WORK
+    else:
+        cut = PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
+        # numpy takes one output row or column through a matrix-vector path
+        split = (_dense_lanes and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
+                 and n * a.shape[1] * p >= DENSE_LANE_WORK)
+        b = b.astype(out.dtype, copy=False)  # cast once, not in each part (exact)
+    bounds = (0, cut, size) if split and 0 < cut < size else (0, size)
 
-    def columns(lane, start, stop):
-        out[:, start:stop] = A @ X[:, start:stop]
+    def part(lane, i, _):
+        start, stop = bounds[i:i + 2]
+        if by_rows:
+            np.matmul(a[start:stop], b, out=out[start:stop])
+        elif sparse:
+            out[:, start:stop] = a @ b[:, start:stop]
+        else:
+            np.matmul(a, b[:, start:stop], out=out[:, start:stop])
 
-    _in_lanes(p, -(-p // 2), columns, split=A.nnz * p > SPARSE_LANE_WORK)
+    _in_lanes(len(bounds) - 1, 1, part)
     return out
 
 
@@ -151,24 +159,18 @@ def truncated_svd(A, k, seed):
     subspace iteration: the top k right singular vectors, each scaled by its
     singular value. Deterministic for a given seed. A is a dense array or a
     scipy.sparse matrix: it only ever multiplies a dense factor from the
-    left, as A or A.T, and a sparse A's products run in two lanes
-    (_sparse_product). The QR and SVD factorizations run on one BLAS
-    thread (_one_blas_thread): their panel loops at these sizes are faster
-    on one, and their factors have the same bits. A dense A's products run
-    on that one thread too."""
+    left, as A or A.T, in lanes (_matmul)."""
     n, m = A.shape
     if not (1 <= k <= min(n, m)):
         raise ValueError(f"k={k} out of range for {n}x{m} matrix")
-    times = np.matmul if isinstance(A, np.ndarray) else _sparse_product
     rng = np.random.Generator(np.random.PCG64(seed))
     p = min(m, k + 10)  # the range sketch oversamples by 10 columns
-    with _one_blas_thread():
-        Q = np.linalg.qr(times(A, rng.standard_normal((m, p))))[0]
-        for _ in range(4):  # power iterations
-            Q = np.linalg.qr(times(A.T, Q))[0]
-            Q = np.linalg.qr(times(A, Q))[0]
-        B = times(A.T, Q).T  # Q.T @ A
-        s, Vt = np.linalg.svd(B, full_matrices=False)[1:]
+    Q = np.linalg.qr(_matmul(A, rng.standard_normal((m, p))))[0]
+    for _ in range(4):  # power iterations
+        Q = np.linalg.qr(_matmul(A.T, Q))[0]
+        Q = np.linalg.qr(_matmul(A, Q))[0]
+    B = _matmul(A.T, Q).T  # Q.T @ A
+    s, Vt = np.linalg.svd(B, full_matrices=False)[1:]
     return s[:k, None] * Vt[:k]
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluate
+from . import evaluate, linalg
 from .data import DataError, densify
-from .linalg import BLOCK_ELEMS, _in_lanes, gumbel_noise, softmax_rows
+from .linalg import BLOCK_ELEMS, DENSE_LANE_WORK, _in_lanes, _matmul, gumbel_noise, softmax_rows
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -116,7 +116,7 @@ def encode(phi, r_batch, tau, g, ws):
     y = ws.get("y", phi.shape, np.result_type(phi, g))
     softmax_rows(np.add(phi, g, out=y), tau, out=y)
     z = ws.get("z", (len(r_batch), len(y)), np.result_type(r_batch, y))
-    return y, np.matmul(r_batch, y.T, out=z)
+    return y, _matmul(r_batch, y.T, out=z)
 
 
 def _block_rows(a):
@@ -163,8 +163,8 @@ def _decoder_forward(theta, z, ws, out=None):
     if out is None:
         out = (ws.get("h", (n, theta.w1.shape[1]), dtype),
                ws.get("r_hat", (n, theta.w2.shape[1]), np.result_type(dtype, theta.w2)))
-    h = _sigmoid(np.matmul(z, theta.w1, out=out[0][:n]), theta.b1, ws)
-    return h, _sigmoid(np.matmul(h, theta.w2, out=out[1][:n]), theta.b2, ws)
+    h = _sigmoid(_matmul(z, theta.w1, out=out[0][:n]), theta.b1, ws)
+    return h, _sigmoid(_matmul(h, theta.w2, out=out[1][:n]), theta.b2, ws)
 
 
 def _distinct_rows(theta, z):
@@ -255,13 +255,19 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
 
     _in_lanes(b, step, rows_of)
     d_out = r_hat
-    d_h = np.matmul(d_out, theta.w2.T, out=ws.get("d_h", h.shape, np.result_type(d_out, theta.w2)))
+    d_h = ws.get("d_h", h.shape, np.result_type(d_out, theta.w2))
+    d_w2 = ws.get("d_w2", theta.w2.shape, np.result_type(h, d_out))
+    # the two products of d_out at once, one per lane, each whole: fewer
+    # hand-overs, and no operand packed twice, than cutting each in two
+    products = ((d_out, theta.w2.T, d_h), (h.T, d_out, d_w2))
+    _in_lanes(2, 1, lambda lane, i, _: np.matmul(*products[i][:2], out=products[i][2]),
+              split=linalg._dense_lanes and d_out.size * h.shape[1] >= DENSE_LANE_WORK)
     d_h *= h
     d_h *= np.subtract(1.0, h, out=ws.get("1 - h", h.shape, h.dtype))
     grads = {
-        "w1": np.matmul(z.T, d_h, out=ws.get("d_w1", theta.w1.shape, np.result_type(z, d_h))),
+        "w1": _matmul(z.T, d_h, out=ws.get("d_w1", theta.w1.shape, np.result_type(z, d_h))),
         "b1": np.sum(d_h, axis=0, out=ws.get("d_b1", theta.b1.shape, d_h.dtype)),
-        "w2": np.matmul(h.T, d_out, out=ws.get("d_w2", theta.w2.shape, np.result_type(h, d_out))),
+        "w2": d_w2,
         "b2": np.sum(d_out, axis=0, out=ws.get("d_b2", theta.b2.shape, d_out.dtype)),
     }
     return grads, d_h
@@ -283,8 +289,8 @@ def _forward_backward(phi, theta, positives, b, tau, g, ws):
     # mse_loss's sum over the same squares, so the same bits
     loss = float(np.sum(r_batch) / b)
     densify(positives, r_batch)
-    d_z = np.matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
-    d_y = np.matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
+    d_z = _matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
+    d_y = _matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
     # softmax backward per row, through (phi + g) / tau, by the operations of
     # (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
     d_phi = np.multiply(d_y, y, out=ws.get("d_phi", y.shape, np.result_type(d_y, y)))

@@ -1,12 +1,10 @@
 import struct
 
-# before numpy: elicit sets OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads
-# when numpy loads it, so the tests run the lanes as the CLI does
-from elicit import data, model
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+from elicit import data, model
 
 
 def make_cluster_matrix(n_per_cluster=100, items_per_cluster=10, clusters=3,

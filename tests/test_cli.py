@@ -659,6 +659,43 @@ def test_eval_n_above_candidates_is_one_line_error(prepared, tmp_path, capsys, m
     assert message in err
 
 
+@pytest.mark.parametrize("methods, k", [("RBMF", "40"), ("RAN++,MOSTPOP", "18")])
+def test_eval_k_not_below_the_item_count_is_one_line_error(prepared, tmp_path, capsys,
+                                                         monkeypatch, methods, k):
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before k was checked")
+
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"),
+        "--methods", methods, "--runs", "1", "--k", k, "--ns", "5"])
+    assert f"k={k} must be smaller than the item count 18" in err
+
+
+def test_eval_of_dre_with_one_test_user_is_refused_before_any_method_runs(tmp_path, capsys,
+                                                                         monkeypatch):
+    # 12 users at test_frac 0.1: round(1.2) = 1 test user, too few for the
+    # paired t-tests of DRE against each other method
+    rng = np.random.Generator(np.random.PCG64(6))
+    write_raw_file(tmp_path / "ratings.dat", [(u, i, 5, 1) for u in range(12)
+                                              for i in rng.permutation(30)[:12]])
+    prepared = str(tmp_path / "prepared")
+    assert cli.main(["prepare", "--dataset", str(tmp_path / "ratings.dat"),
+                     "--out", prepared]) == 0
+    config = tmp_path / "eval.cfg"
+    config.write_text("test_frac=0.1\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a method ran before the test users were counted")
+
+    monkeypatch.setattr(model, "train", never)
+    monkeypatch.setattr(evaluate, "evaluate_method", never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"), "--config",
+        str(config), "--methods", ",".join(cli.METHODS), "--runs", "1"] + EVAL_FLAGS)
+    assert "test_frac=0.1 gives 1" in err and "at least 2 test users" in err
+
+
 def test_eval_external_seeds_not_an_integer(prepared, tmp_path, capsys):
     seeds_path = tmp_path / "ext.txt"
     seeds_path.write_text("0\nabc\n12\n")
@@ -689,6 +726,14 @@ def test_config_bad_value_is_one_line_error(prepared, tmp_path, capsys):
     err = _one_line_error(capsys, ["train", "--data-dir", prepared, "--out",
                                    str(tmp_path / "run"), "--config", str(config)])
     assert f"{config}:2:" in err and "'abc'" in err
+
+
+def test_config_key_set_twice_is_one_line_error(prepared, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=3\n# comment\n k = 7\n")
+    err = _one_line_error(capsys, ["train", "--data-dir", prepared, "--out",
+                                   str(tmp_path / "run"), "--config", str(config)])
+    assert err == f"error: {config}:3: config key 'k' is set more than once\n"
 
 
 @pytest.mark.parametrize("command, flags, config, message", [

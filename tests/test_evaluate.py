@@ -382,6 +382,19 @@ def test_report_table_p_is_against_the_best_baseline(tmp_path):
     assert evaluate.best_baseline(rep, "STRONG", "P", 10) == "DRE"
 
 
+def test_aggregate_runs_names_a_pair_with_fewer_than_2_common_users_in_a_run():
+    def run(users, scores):
+        return {"users": users, "P": {10: np.array(scores)}, "NDCG": {10: np.array(scores)},
+                "skipped": 0}
+
+    runs_a = [run([0, 1, 2], [0.9, 0.1, 0.7]), run([0, 1, 2], [0.5, 0.8, 0.4])]
+    runs_b = [run([0, 1, 2], [0.2, 0.3, 0.9]), run([2], [0.1])]
+    with pytest.raises(ValueError, match=r"^A and B share 1 scored users in run 1, too few for "
+                                         r"the paired t-test of P@10$"):
+        evaluate.aggregate_runs({"A": runs_a, "B": runs_b}, pairings=[("A", "B")],
+                                run_seeds=[0, 1])
+
+
 def test_aggregate_runs_inconsistent():
     run = _fake_run({"P": [0.5], "NDCG": [0.5]})
     with pytest.raises(ValueError):

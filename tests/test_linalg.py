@@ -1,11 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from elicit import linalg
+from elicit import linalg, model
 from elicit.linalg import (
     MAXVOL_DELTA, gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
 )
@@ -303,58 +306,134 @@ def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, s
     # each product in two lanes has the bits of scipy's whole product
     X = np.random.Generator(np.random.PCG64(4)).standard_normal((shape[1], 5))
     for M, Y in ((A, X), (A.T, A @ X)):
-        assert linalg._sparse_product(M, Y).tobytes() == (M @ Y).tobytes()
+        assert linalg._matmul(M, Y).tobytes() == (M @ Y).tobytes()
 
 
+ONE_BLAS_THREAD = pytest.mark.skipif(
+    not linalg._openblas_threads(), reason="no OpenBLAS thread setter in this process")
+
+
+@ONE_BLAS_THREAD
 def test_svd_of_a_csr_array_has_the_same_bits_without_the_blas_thread_setter(monkeypatch):
+    # where no setter is found, BLAS keeps its own threads and dense
+    # products run whole; here numpy's OpenBLAS on 2 threads stands in
     A = _binary_csr(1500, 1200, 0.05, seed=31)
-    with_setter = truncated_svd(A, 50, seed=5)
-    monkeypatch.setattr(linalg, "_blas_threads", ())
-    assert truncated_svd(A, 50, seed=5).tobytes() == with_setter.tobytes()
+    one_thread = truncated_svd(A, 50, seed=5)
+    monkeypatch.setattr(linalg, "_dense_lanes", False)
+    set_threads = linalg._openblas_threads()[1]
+    set_threads(2)
+    try:
+        two_threads = truncated_svd(A, 50, seed=5)
+    finally:
+        set_threads(1)
+    assert two_threads.tobytes() == one_thread.tobytes()
 
 
-def test_svd_factorizes_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    # a stand-in OpenBLAS at 2 threads: the QR and SVD calls see 1, and the
-    # count is 2 again after the SVD, also when a factorization raises
-    threads = [2]
-    seen = []
-    monkeypatch.setattr(linalg, "_blas_threads",
-                        (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def counting(factorize):
-        def call(*args, **kwargs):
-            seen.append(threads[0])
-            return factorize(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(np.linalg, "qr", counting(qr))
-    monkeypatch.setattr(np.linalg, "svd", counting(svd))
-    A = _binary_csr(40, 30, 0.3, seed=32)
-    truncated_svd(A, 5, seed=0)
-    assert seen == [1] * 10 and threads == [2]
-
-    def failing(*args, **kwargs):
-        seen.append(threads[0])
-        raise np.linalg.LinAlgError("stop")
-
-    seen.clear()
-    monkeypatch.setattr(np.linalg, "svd", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="stop"):
-        truncated_svd(A, 5, seed=0)
-    assert seen == [1] * 10 and threads == [2]
+@ONE_BLAS_THREAD
+def test_import_of_elicit_after_numpy_puts_numpys_openblas_on_one_thread(tmp_path):
+    # linalg alone (no package import) reads the count numpy started with,
+    # here 2 where there are 2 CPUs; importing elicit afterwards sets it to 1
+    # and lets dense products run in lanes
+    script = tmp_path / "threads.py"
+    script.write_text(
+        "import importlib.util\nimport numpy\n"
+        f"spec = importlib.util.spec_from_file_location('lone_linalg', {linalg.__file__!r})\n"
+        "lone = importlib.util.module_from_spec(spec)\nspec.loader.exec_module(lone)\n"
+        "get = lone._openblas_threads()[0]\nbefore = get()\nimport elicit\n"
+        "print(before, get(), elicit.linalg._dense_lanes)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+    assert out == [str(min(2, cpus)), "1", "True"]
 
 
-def test_svd_restores_the_real_blas_thread_count_after_an_exception(monkeypatch):
-    calls = linalg._openblas_threads()
-    if not calls:
-        pytest.skip("no OpenBLAS thread setter in this process")
-    before = calls[0]()
+def _recorded_matmul(monkeypatch, run):
+    """run() on 2 CPUs, and the (out shape, lane) of each np.matmul call it
+    made, sorted."""
+    calls, matmul = [], np.matmul
+    lanes = {threading.get_ident(): 0}
 
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("stop")
+    def recording(x, y, out):
+        calls.append((out.shape, lanes.setdefault(threading.get_ident(), 1)))
+        return matmul(x, y, out=out)
 
-    monkeypatch.setattr(np.linalg, "qr", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="stop"):
-        truncated_svd(_binary_csr(40, 30, 0.3, seed=33), 5, seed=0)
-    assert calls[0]() == before
+    monkeypatch.setattr(linalg, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg.np, "matmul", recording)
+    return run(), sorted(calls)
+
+
+@ONE_BLAS_THREAD
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["C", "a_transposed", "b_transposed"])
+@pytest.mark.parametrize("n, inner, p", [
+    (255, 301, 3705),  # float32: by columns, 1872 + 1833
+    (3705, 301, 255),  # by rows, 1872 + 1833
+    (257, 3707, 51),  # by rows, 144 + 113; 51 columns are too few to split
+    (51, 3707, 257),  # float32: by columns, 144 + 113; float64: 51 rows, not split
+    (300, 256, 301),  # float32: by columns, 144 + 157; float64: by rows, 144 + 156
+    (143, 500, 97),  # by rows, 48 + 95, a third of the work
+    (1, 5000, 5000),  # numpy's vector-matrix path, not split
+    (97, 400, 100),  # 3.9 Mi multiply-adds, below DENSE_LANE_WORK: not split
+])
+def test_matmul_has_the_bits_of_the_whole_one_thread_product(monkeypatch, dtype, layout, n,
+                                                             inner, p):
+    rng = np.random.Generator(np.random.PCG64(n * p))
+    a = rng.standard_normal((inner, n) if layout == "a_transposed" else (n, inner)).astype(dtype)
+    b = rng.standard_normal((p, inner) if layout == "b_transposed" else (inner, p)).astype(dtype)
+    a = a.T if layout == "a_transposed" else a
+    b = b.T if layout == "b_transposed" else b
+    whole = a @ b
+    got, calls = _recorded_matmul(monkeypatch, lambda: linalg._matmul(a, b))
+    assert got.tobytes() == whole.tobytes()
+    by_rows = n > p or dtype == np.float64
+    size = n if by_rows else p
+    if (size < 2 * linalg.PRODUCT_ALIGN or min(n, p) == 1
+            or n * inner * p < linalg.DENSE_LANE_WORK):
+        assert calls == [((n, p), 0)]
+    else:
+        cut = linalg.PRODUCT_ALIGN * round(size / (2 * linalg.PRODUCT_ALIGN))
+        parts = [(cut, p), (n - cut, p)] if by_rows else [(n, cut), (n, p - cut)]
+        assert calls == sorted(zip(parts, (0, 1)))
+        assert min(cut, size - cut) >= size / 3
+
+
+@ONE_BLAS_THREAD
+def test_matmul_in_two_lanes_at_once_keeps_its_bits_when_repeated(monkeypatch):
+    # the lanes' products run at the same time, each on its own thread,
+    # through one OpenBLAS; every repetition has the whole product's bits,
+    # also for float64 scoring against a float32 w (one cast before the cut)
+    monkeypatch.setattr(linalg, "_lane_cpus", 2)
+    rng = np.random.Generator(np.random.PCG64(40))
+    for h_dtype, w_dtype in ((np.float32,) * 2, (np.float64,) * 2, (np.float64, np.float32)):
+        h = rng.standard_normal((256, 300)).astype(h_dtype)
+        w = rng.standard_normal((300, 3706)).astype(w_dtype)
+        whole = (h @ w).tobytes()
+        out = np.empty((256, 3706), h_dtype)
+        for _ in range(10):
+            out.fill(np.nan)
+            assert linalg._matmul(h, w, out=out) is out and out.tobytes() == whole
+
+
+@pytest.mark.parametrize("dense_lanes", [False, True])
+def test_dense_products_run_whole_on_the_calling_thread_without_the_blas_thread_setter(
+        monkeypatch, dense_lanes):
+    # the decoder's five products at perfbench's sizes (b = 256, k = 50,
+    # d = 300, m = 3706): where no setter is found, each is one np.matmul
+    # on the calling thread, as BLAS runs its own threads
+    monkeypatch.setattr(linalg, "_dense_lanes", dense_lanes)
+    rng = np.random.Generator(np.random.PCG64(41))
+    theta = model.DecoderParams(*(rng.standard_normal(shape).astype(np.float32)
+                                  for shape in ((50, 300), (300,), (300, 3706), (3706,))))
+    z = rng.random((256, 50)).astype(np.float32)
+    positives = np.nonzero(rng.random((256, 3706)) < 0.03)
+
+    def decoder_passes():
+        ws = model.Workspace()
+        h, r_hat = model._decoder_forward(theta, z, ws)
+        return model._decoder_backward(theta, z, h, r_hat, positives, ws)
+
+    calls = _recorded_matmul(monkeypatch, decoder_passes)[1]
+    assert len(calls) == 5 + dense_lanes  # h @ w2 in two parts
+    assert any(lane == 1 for _, lane in calls) == dense_lanes

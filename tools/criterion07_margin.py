@@ -18,11 +18,9 @@ import os
 import sys
 import time
 
-# before numpy: elicit sets OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads
-# when numpy loads it, so the lanes run as in the CLI
-from elicit import baselines, data, evaluate, model
-
 import numpy as np
+
+from elicit import baselines, data, evaluate, model
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tests"))

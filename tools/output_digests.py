@@ -13,7 +13,12 @@ tokens 20 bytes long, past the one and two 8-byte words of a short key, is
 prepared too, into `prepared-long/`, and so is a copy with a header line and
 \r\n line ends, at threshold 4.5, into `prepared-t45/`. The log is prepared
 once more with its delimiter, threshold and minimum count read from a
-`--config` file (`prepare.cfg`), into `prepared-config/`.
+`--config` file (`prepare.cfg`), into `prepared-config/`. Last, the
+ML-1M-shaped seed-7 log of `perfbench/corpus.py` (`ratings-ml1m.dat`) is
+prepared and trained for 1 epoch and 1 retraining epoch at the default k
+and d (`prepared-ml1m/`, `train-ml1m/`, about 2 s on 2 cores): products
+large enough for a multi-threaded BLAS to split, and for the lanes to,
+so the lines show whether the outputs depend on the BLAS thread count.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -28,8 +33,6 @@ import hashlib
 import os
 import sys
 
-# before numpy, which corpus imports: elicit sets OPENBLAS_THREAD_TIMEOUT,
-# which OpenBLAS reads when numpy loads it, so the lanes run as in the CLI
 from elicit import cli
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -75,6 +78,10 @@ def commands(out):
          "--items-map", os.path.join(prepared, "items.map"),
          "--feedback", os.path.join(out, "feedback.txt")],
         ["report", "--dump", os.path.join(out, "eval", "eval_report.json")],
+        ["prepare", "--dataset", os.path.join(out, "ratings-ml1m.dat"),
+         "--out", os.path.join(out, "prepared-ml1m")],
+        ["train", "--data-dir", os.path.join(out, "prepared-ml1m"),
+         "--out", os.path.join(out, "train-ml1m"), "--epochs", "1", "--retrain-epochs", "1"],
     ]
 
 
@@ -109,7 +116,8 @@ def main(argv):
     for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
                        ("ratings-crlf.dat", crlf), ("run.cfg", CONFIG),
                        ("prepare.cfg", PREPARE_CONFIG), ("grouped.cfg", GROUPED_CONFIG),
-                       ("feedback.txt", FEEDBACK)):
+                       ("feedback.txt", FEEDBACK),
+                       ("ratings-ml1m.dat", corpus.generate(corpus.ML1M, 7)[0])):
         # newline="": the text's line ends are written as they are
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
