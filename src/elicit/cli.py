@@ -309,6 +309,8 @@ def cmd_eval(args):
         name, _, path = spec.partition("=")
         if not (name and path):
             raise ValueError(f"--external-seeds must be NAME=PATH, got {spec!r}")
+        if "|" in name:  # the report's keys join their fields with '|'
+            raise ValueError(f"--external-seeds {name}: a name may not hold '|'")
         if name.upper() in METHODS:
             raise ValueError(f"--external-seeds {name} is the name of a built-in method")
         if name.upper() not in (meth.upper() for meth in methods):
@@ -503,9 +505,12 @@ def config_flags(p, *keys, **helps):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="elicit",
+        prog="elicit", allow_abbrev=False,
         description="Seed-itemset rating elicitation: training, baselines and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):  # flags only as spelled in full: --d is not --data-dir
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(p, data_dir=True):
         p.add_argument("--config", help="flat key=value config file")
@@ -518,20 +523,20 @@ def build_parser():
             config_flags(p, "seed", "split_seed", seed="master RNG seed",
                          split_seed="seed of the train/validation/test user split")
 
-    p = sub.add_parser("prepare", help="ingest a raw interaction log")
+    p = command("prepare", help="ingest a raw interaction log")
     config_flags(p, "dataset", "delimiter", "threshold", "min_count",
                  dataset="raw interaction file", delimiter="field delimiter (default '::')",
                  threshold="binarization threshold")
     common(p, data_dir=False)
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="end-to-end training + decoder retraining")
+    p = command("train", help="end-to-end training + decoder retraining")
     config_flags(p, "k", "d", "lr", "epochs", "batch_size", "t0", "te", "retrain_epochs",
                  "val_every")
     common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="multi-run evaluation of selected methods")
+    p = command("eval", help="multi-run evaluation of selected methods")
     p.add_argument("--methods", default=",".join(METHODS))
     config_flags(p, "runs", "k", "epochs", "Ns", Ns="comma-separated ranking cutoffs")
     p.add_argument("--checkpoint", help="reuse a trained DRE checkpoint")
@@ -540,20 +545,20 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", help="hyperparameter sweep on validation NDCG@20")
+    p = command("grid", help="hyperparameter sweep on validation NDCG@20")
     p.add_argument("--grid", required=True, help="e.g. 't0=1,10 te=0.5,0.1,t0'")
     config_flags(p, "k", "epochs")
     common(p)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("recommend", help="one-shot elicitation for a new user")
+    p = command("recommend", help="one-shot elicitation for a new user")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--items-map", required=True)
     p.add_argument("--feedback", help="file with k space/newline-separated 0/1 values")
     p.add_argument("--top-n", type=int, default=10)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("report", help="render a comparison table from an eval dump")
+    p = command("report", help="render a comparison table from an eval dump")
     p.add_argument("--dump", required=True, help="eval_report.json")
     p.set_defaults(func=cmd_report)
     return parser

@@ -1,7 +1,8 @@
 """Numerical kernels: randomized truncated SVD, Maxvol submatrix selection,
-ridge least squares, Gumbel noise and tempered row softmax; and _in_lanes,
-the one block loop of these kernels and of the model, which alone decides
-whether a loop runs in one lane or two."""
+ridge least squares, Gumbel noise and tempered row softmax; and the
+program's thread policy: on import, numpy's OpenBLAS is put on one thread
+and _lanes is set once, and _in_lanes, the one block loop of these kernels
+and of the model, runs a loop in that many lanes."""
 
 import os
 from dataclasses import dataclass
@@ -21,11 +22,6 @@ DENSE_LANE_WORK = 1 << 22
 PRODUCT_ALIGN = 48
 MAXVOL_DELTA = 0.01  # Maxvol stops once every |C_ij| is at most 1 + this
 
-_lane_cpus = None  # the CPUs this process may run on, read at the first block loop
-# whether dense products may run in lanes: set by elicit/__init__ once it has
-# put numpy's OpenBLAS on one thread, so that lanes never share the cores
-# with BLAS's own threads
-_dense_lanes = False
 _lane_worker = None  # the (tasks, results) queues of the lane-1 thread, made at its first use
 
 
@@ -40,28 +36,25 @@ def _in_lanes(total, step, body, split=True):
     """The one block loop: body(lane, start, stop) once for each block
     [start, stop) of range(0, total, step), stop at most total. It runs in
     two lanes when `split` (the caller's rule for work worth the hand-over)
-    holds, there is more than one block and the process may run on 2 CPUs
-    or more; else in one, inline. Lane 0 runs the first ceil(blocks / 2)
-    blocks in order on the calling thread and lane 1 the rest in order on
-    one persistent worker thread, started at its first use. The lanes must
-    write disjoint ranges and call only numpy, its dense products only
-    where numpy's BLAS is on one thread (_dense_lanes), and scipy.sparse's
-    products, which release the GIL in their loops.
+    holds, there is more than one block and _lanes is 2; else in one,
+    inline. Lane 0 runs the first ceil(blocks / 2) blocks in order on the
+    calling thread and lane 1 the rest in order on one persistent worker
+    thread, started at its first use. The lanes must write disjoint ranges
+    and call only numpy, any function of it (there are two lanes only where
+    numpy's BLAS is on one thread), and scipy.sparse's products, which
+    release the GIL in their loops.
     No function of this package may run on the worker, as the tracers of
     perfbench and tools keep one span stack per process. An exception of
     either lane is raised here once both have stopped, and the worker
     stays usable. There is one worker, so block loops run one at a time."""
-    global _lane_cpus, _lane_worker
-    if _lane_cpus is None:
-        _lane_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
+    global _lane_worker
     blocks = -(-total // step)
 
     def run(lane, first, last):
         for start in range(first, last, step):
             body(lane, start, min(start + step, total))
 
-    if not (split and blocks > 1 and _lane_cpus >= 2):
+    if not (split and blocks > 1 and _lanes == 2):
         run(0, 0, total)
         return
     if _lane_worker is None:
@@ -115,12 +108,23 @@ def _openblas_threads():
                  for handle in handles if hasattr(handle, name.format("set"))), ())
 
 
+# numpy's OpenBLAS on one thread, whatever the import order: the lanes are
+# then the program's one thread pool, and the outputs do not depend on the
+# BLAS thread count. Where no setter is found (another BLAS, or no /proc),
+# BLAS keeps its own threads and every block loop runs in one lane.
+if _blas_threads := _openblas_threads():
+    _blas_threads[1](1)
+# the lanes of _in_lanes: 2 where BLAS is pinned and the process may run on
+# 2 CPUs or more (a setter is found only through /proc, so on Linux), else 1
+_lanes = min(2, len(os.sched_getaffinity(0))) if _blas_threads else 1
+
+
 def _matmul(a, b, out=None):
     """a @ b for a dense 2-D b, into `out` (of their result dtype, and
     overlapping neither) when given, in two parts run in lanes that keep
     the one-thread product's bits: a scipy.sparse a by the halves of b's
     columns above SPARSE_LANE_WORK multiply-adds; a dense product from
-    DENSE_LANE_WORK on, if _dense_lanes, by its larger output dimension if
+    DENSE_LANE_WORK on, if _lanes is 2, by its larger output dimension if
     float32 and by its rows otherwise, at the multiple of PRODUCT_ALIGN
     nearest the middle (each part past model.SMALL_GEMM_WORK), and never
     one output row or column."""
@@ -136,7 +140,7 @@ def _matmul(a, b, out=None):
     else:
         cut = PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
         # numpy takes one output row or column through a matrix-vector path
-        split = (_dense_lanes and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
+        split = (_lanes == 2 and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
                  and n * a.shape[1] * p >= DENSE_LANE_WORK)
         b = b.astype(out.dtype, copy=False)  # cast once, not in each part (exact)
     bounds = (0, cut, size) if split and 0 < cut < size else (0, size)

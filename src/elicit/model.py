@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluate, linalg
+from . import evaluate
 from .data import DataError, densify
 from .linalg import BLOCK_ELEMS, DENSE_LANE_WORK, _in_lanes, _matmul, gumbel_noise, softmax_rows
 
@@ -261,7 +261,7 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
     # hand-overs, and no operand packed twice, than cutting each in two
     products = ((d_out, theta.w2.T, d_h), (h.T, d_out, d_w2))
     _in_lanes(2, 1, lambda lane, i, _: np.matmul(*products[i][:2], out=products[i][2]),
-              split=linalg._dense_lanes and d_out.size * h.shape[1] >= DENSE_LANE_WORK)
+              split=d_out.size * h.shape[1] >= DENSE_LANE_WORK)
     d_h *= h
     d_h *= np.subtract(1.0, h, out=ws.get("1 - h", h.shape, h.dtype))
     grads = {
@@ -574,7 +574,7 @@ def load_checkpoint(path):
     """Read a save_checkpoint file. Raises DataError unless its header has
     1 <= k < m and d >= 1, as train admits, its length is what the header
     implies, every float is finite and the seeds are k distinct item indices
-    below m."""
+    below m that equal extract_seeds(phi), as train writes them."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -598,4 +598,7 @@ def load_checkpoint(path):
     seeds = np.frombuffer(raw, dtype="<u4", count=k, offset=16 + 4 * n_floats).astype(np.int64)
     if len(np.unique(seeds)) != k or (seeds >= m).any():
         raise DataError(f"{path}: seeds must be {k} distinct item indices below m={m}")
+    # else each decoder input would hold another item's answer
+    if not np.array_equal(seeds, extract_seeds(arrays["phi"])):
+        raise DataError(f"{path}: seeds are not the selection of its encoder (extract_seeds)")
     return arrays.pop("phi"), DecoderParams(**arrays), seeds

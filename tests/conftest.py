@@ -43,10 +43,11 @@ def write_raw_file(path, records, delimiter="::"):
 
 
 def write_small_checkpoint(path):
-    """A valid checkpoint with k=3, m=10, d=4 and seeds 2, 4, 8."""
+    """A valid checkpoint with k=3, m=10, d=4 and seeds 4, 5, 8: the
+    selection of its phi (extract_seeds), which train writes."""
     rng = np.random.Generator(np.random.PCG64(12))
     phi = rng.standard_normal((3, 10)).astype(np.float32)
-    model.save_checkpoint(path, phi, model.init_decoder(3, 4, 10, rng), np.array([2, 4, 8]))
+    model.save_checkpoint(path, phi, model.init_decoder(3, 4, 10, rng), model.extract_seeds(phi))
 
 
 def checkpoint_bytes(k, m, d):
@@ -80,6 +81,8 @@ def corrupt_checkpoint(path, fault):
         raw[-4:] = np.array([10], dtype="<u4").tobytes()
     elif fault == "duplicate_seed":
         raw[-4:] = raw[-8:-4]
+    elif fault == "seeds_reordered":  # the first two seeds swapped
+        raw[-12:-4] = raw[-8:-4] + raw[-12:-8]
     with open(path, "wb") as fh:
         fh.write(bytes(raw))
 

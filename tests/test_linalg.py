@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from elicit import linalg, model
+from elicit import data, linalg, model
 from elicit.linalg import (
     MAXVOL_DELTA, gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
 )
+from conftest import make_cluster_matrix
 
 
 def rank_k_residual(A, right):
@@ -239,15 +241,15 @@ def _binary_csr(rows, cols, density, seed):
     return csr_array((rng.random((rows, cols)) < density).astype(np.float64))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("split", [None, True, False], ids=["default", "split", "no_split"])
 @pytest.mark.parametrize("total, step", [(0, 3), (2, 3), (3, 3), (9, 2), (8, 2)],
                          ids=["no_blocks", "short_block", "one_block", "odd_ragged", "even"])
 def test_in_lanes_runs_each_block_once_in_order_within_its_lane(monkeypatch, total, step,
-                                                                split, cpus):
+                                                                split, lanes):
     blocks = [(start, min(start + step, total)) for start in range(0, total, step)]
-    two = cpus == 2 and len(blocks) > 1 and split is not False
-    monkeypatch.setattr(linalg, "_lane_cpus", cpus)
+    two = lanes == 2 and len(blocks) > 1 and split is not False
+    monkeypatch.setattr(linalg, "_lanes", lanes)
     if not two:
         def no_thread(*args, **kwargs):
             raise AssertionError("a lane thread was started")
@@ -267,9 +269,9 @@ def test_in_lanes_runs_each_block_once_in_order_within_its_lane(monkeypatch, tot
     assert all((ident == threading.get_ident()) == (lane == 0) for lane, ident, *_ in calls)
 
 
-def _svd_in_lanes(monkeypatch, A, k, cpus):
-    """truncated_svd(A, k) as on `cpus` CPUs, and whether a product ran in
-    two lanes."""
+def _svd_in_lanes(monkeypatch, A, k, lanes):
+    """truncated_svd(A, k) in `lanes` lanes, and whether a product ran in
+    two."""
     two_lanes = []
     in_lanes = linalg._in_lanes
 
@@ -281,7 +283,7 @@ def _svd_in_lanes(monkeypatch, A, k, cpus):
         in_lanes(total, step, recording_body, **split)
 
     monkeypatch.setattr(linalg, "_in_lanes", recording_in_lanes)
-    monkeypatch.setattr(linalg, "_lane_cpus", cpus)
+    monkeypatch.setattr(linalg, "_lanes", lanes)
     return truncated_svd(A, k, seed=3), any(two_lanes)
 
 
@@ -299,8 +301,8 @@ def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, s
     if work is not None:
         monkeypatch.setattr(linalg, "SPARSE_LANE_WORK", work)
     A = _binary_csr(*shape, density, seed=30)
-    one, one_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=1)
-    two, two_in_two = _svd_in_lanes(monkeypatch, A, k, cpus=2)
+    one, one_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=1)
+    two, two_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=2)
     assert not one_in_two and two_in_two == (min(shape[1], k + 10) > 1)  # the sketch's columns
     assert one.tobytes() == two.tobytes()
     # each product in two lanes has the bits of scipy's whole product
@@ -310,56 +312,20 @@ def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, s
 
 
 ONE_BLAS_THREAD = pytest.mark.skipif(
-    not linalg._openblas_threads(), reason="no OpenBLAS thread setter in this process")
+    not linalg._blas_threads, reason="no OpenBLAS thread setter in this process")
 
 
-@ONE_BLAS_THREAD
-def test_svd_of_a_csr_array_has_the_same_bits_without_the_blas_thread_setter(monkeypatch):
-    # where no setter is found, BLAS keeps its own threads and dense
-    # products run whole; here numpy's OpenBLAS on 2 threads stands in
-    A = _binary_csr(1500, 1200, 0.05, seed=31)
-    one_thread = truncated_svd(A, 50, seed=5)
-    monkeypatch.setattr(linalg, "_dense_lanes", False)
-    set_threads = linalg._openblas_threads()[1]
-    set_threads(2)
-    try:
-        two_threads = truncated_svd(A, 50, seed=5)
-    finally:
-        set_threads(1)
-    assert two_threads.tobytes() == one_thread.tobytes()
-
-
-@ONE_BLAS_THREAD
-def test_import_of_elicit_after_numpy_puts_numpys_openblas_on_one_thread(tmp_path):
-    # linalg alone (no package import) reads the count numpy started with,
-    # here 2 where there are 2 CPUs; importing elicit afterwards sets it to 1
-    # and lets dense products run in lanes
-    script = tmp_path / "threads.py"
-    script.write_text(
-        "import importlib.util\nimport numpy\n"
-        f"spec = importlib.util.spec_from_file_location('lone_linalg', {linalg.__file__!r})\n"
-        "lone = importlib.util.module_from_spec(spec)\nspec.loader.exec_module(lone)\n"
-        "get = lone._openblas_threads()[0]\nbefore = get()\nimport elicit\n"
-        "print(before, get(), elicit.linalg._dense_lanes)\n")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
-    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
-    assert out == [str(min(2, cpus)), "1", "True"]
-
-
-def _recorded_matmul(monkeypatch, run):
-    """run() on 2 CPUs, and the (out shape, lane) of each np.matmul call it
-    made, sorted."""
+def _recorded_matmul(monkeypatch, run, lanes=2):
+    """run() in `lanes` lanes, and the (out shape, lane) of each np.matmul
+    call it made, sorted."""
     calls, matmul = [], np.matmul
-    lanes = {threading.get_ident(): 0}
+    lane_of = {threading.get_ident(): 0}  # thread ident -> lane
 
     def recording(x, y, out):
-        calls.append((out.shape, lanes.setdefault(threading.get_ident(), 1)))
+        calls.append((out.shape, lane_of.setdefault(threading.get_ident(), 1)))
         return matmul(x, y, out=out)
 
-    monkeypatch.setattr(linalg, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg, "_lanes", lanes)
     monkeypatch.setattr(linalg.np, "matmul", recording)
     return run(), sorted(calls)
 
@@ -404,7 +370,7 @@ def test_matmul_in_two_lanes_at_once_keeps_its_bits_when_repeated(monkeypatch):
     # the lanes' products run at the same time, each on its own thread,
     # through one OpenBLAS; every repetition has the whole product's bits,
     # also for float64 scoring against a float32 w (one cast before the cut)
-    monkeypatch.setattr(linalg, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg, "_lanes", 2)
     rng = np.random.Generator(np.random.PCG64(40))
     for h_dtype, w_dtype in ((np.float32,) * 2, (np.float64,) * 2, (np.float64, np.float32)):
         h = rng.standard_normal((256, 300)).astype(h_dtype)
@@ -416,13 +382,12 @@ def test_matmul_in_two_lanes_at_once_keeps_its_bits_when_repeated(monkeypatch):
             assert linalg._matmul(h, w, out=out) is out and out.tobytes() == whole
 
 
-@pytest.mark.parametrize("dense_lanes", [False, True])
-def test_dense_products_run_whole_on_the_calling_thread_without_the_blas_thread_setter(
-        monkeypatch, dense_lanes):
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_dense_products_are_cut_only_in_two_lanes(monkeypatch, lanes):
     # the decoder's five products at perfbench's sizes (b = 256, k = 50,
-    # d = 300, m = 3706): where no setter is found, each is one np.matmul
-    # on the calling thread, as BLAS runs its own threads
-    monkeypatch.setattr(linalg, "_dense_lanes", dense_lanes)
+    # d = 300, m = 3706): in one lane each is one np.matmul on the calling
+    # thread; in two, h @ w2 is cut in two, and the second part and one of
+    # the backward's two products of d_out run on the worker
     rng = np.random.Generator(np.random.PCG64(41))
     theta = model.DecoderParams(*(rng.standard_normal(shape).astype(np.float32)
                                   for shape in ((50, 300), (300,), (300, 3706), (3706,))))
@@ -434,6 +399,62 @@ def test_dense_products_run_whole_on_the_calling_thread_without_the_blas_thread_
         h, r_hat = model._decoder_forward(theta, z, ws)
         return model._decoder_backward(theta, z, h, r_hat, positives, ws)
 
-    calls = _recorded_matmul(monkeypatch, decoder_passes)[1]
-    assert len(calls) == 5 + dense_lanes  # h @ w2 in two parts
-    assert any(lane == 1 for _, lane in calls) == dense_lanes
+    calls = _recorded_matmul(monkeypatch, decoder_passes, lanes)[1]
+    assert len(calls) == 4 + lanes
+    assert sum(lane for _, lane in calls) == 2 * (lanes - 1)
+
+
+def _train_and_svd():
+    """The Python threads alive after a short train on the cluster matrix
+    and a truncated SVD large enough for a multi-threaded OpenBLAS to split
+    its dense steps, and the sha256 of their outputs."""
+    matrix = make_cluster_matrix(seed=0)
+    cfg = model.TrainConfig(k=3, d=8, lr=0.01, epochs=2, batch_size=64, t0=5.0, te=0.1,
+                            retrain_epochs=2, seed=0, val_every=1)
+    phi, theta, _ = model.train(matrix, data.split_users(matrix, seed=0), cfg)
+    svd = truncated_svd(_binary_csr(1500, 1200, 0.05, seed=31), 50, seed=5)
+    digest = hashlib.sha256(b"".join(x.tobytes() for x in (phi, *vars(theta).values(), svd)))
+    return threading.active_count(), digest.hexdigest()
+
+
+# numpy, then elicit, imported by a process of one case: "plain", "cpu0"
+# (its affinity mask allows one CPU) or "no_maps" (/proc/self/maps is
+# unreadable while elicit is imported, so no BLAS thread setter is found);
+# it prints linalg._lanes, numpy's OpenBLAS thread count and _train_and_svd()
+# run with many blocks per block loop
+LANES_SCRIPT = """\
+import builtins, os, sys
+case, real_open = sys.argv[1], builtins.open
+if case == "cpu0":
+    os.sched_setaffinity(0, {0})
+if case == "no_maps":
+    def open(file, *args, **kwargs):
+        if file == "/proc/self/maps":
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+    builtins.open = open
+import numpy
+from elicit import linalg, model
+builtins.open = real_open
+from test_linalg import _train_and_svd
+model.BLOCK_ELEMS = 64
+print(linalg._lanes, linalg._openblas_threads()[0](), *_train_and_svd())
+"""
+
+
+@ONE_BLAS_THREAD
+@pytest.mark.parametrize("case", ["plain", "cpu0", "no_maps"])
+def test_two_lanes_only_where_blas_is_pinned_on_two_cpus(monkeypatch, case):
+    # with OPENBLAS_NUM_THREADS=2, importing elicit puts numpy's OpenBLAS on
+    # one thread unless no setter is found, and the lanes are 2, with a lane
+    # worker started by the train, only with that pin and 2 CPUs allowed; the
+    # outputs have the bits of this process's, whose BLAS is on one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        (os.path.dirname(os.path.dirname(linalg.__file__)), os.path.dirname(__file__))))
+    out = subprocess.run([sys.executable, "-c", LANES_SCRIPT, case], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
+    two = min(2, len(os.sched_getaffinity(0)))
+    lanes, blas_threads = {"plain": (two, 1), "cpu0": (1, 1), "no_maps": (1, two)}[case]
+    # one Python thread per lane
+    assert out == [str(lanes), str(blas_threads), str(lanes), _train_and_svd()[1]]

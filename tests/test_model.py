@@ -831,7 +831,7 @@ def test_train_peak_memory_is_one_unit_with_one_snapshot():
 
 
 def _in_one_and_two_lanes(monkeypatch, run):
-    """run() as on 1 CPU and as on 2: the two results, and whether the
+    """run() in one lane and in two: the two results, and whether the
     second run split a block loop over two lanes."""
     out, two_lanes = [], []
     in_lanes = model._in_lanes
@@ -844,8 +844,8 @@ def _in_one_and_two_lanes(monkeypatch, run):
         in_lanes(total, step, recording_body, **split)
 
     monkeypatch.setattr(model, "_in_lanes", recording_in_lanes)
-    for cpus in (1, 2):
-        monkeypatch.setattr(linalg, "_lane_cpus", cpus)
+    for lanes in (1, 2):
+        monkeypatch.setattr(linalg, "_lanes", lanes)
         two_lanes.clear()
         out.append(run())
     return out[0], out[1], any(two_lanes)
@@ -986,7 +986,7 @@ def test_train_and_retrain_in_two_lanes_are_bit_identical_to_one(cluster_matrix,
 
 
 def test_lane_exception_reaches_the_caller_and_the_lanes_stay_usable(monkeypatch):
-    monkeypatch.setattr(linalg, "_lane_cpus", 2)
+    monkeypatch.setattr(linalg, "_lanes", 2)
     for failing in (1, 0, None):
         ran = {0: [], 1: []}  # lane -> (thread ident, start) of each block it ran
 
@@ -1006,29 +1006,12 @@ def test_lane_exception_reaches_the_caller_and_the_lanes_stay_usable(monkeypatch
         assert threading.get_ident() not in {ident for ident, _ in ran[1]}
 
 
-def test_one_cpu_or_one_block_starts_no_thread(cluster_matrix, monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a lane thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(linalg, "_lane_worker", None)
-    # one block per loop, on 2 CPUs
-    monkeypatch.setattr(linalg, "_lane_cpus", 2)
-    model._sigmoid(np.zeros((3, 4)), np.zeros(4), model.Workspace())
-    # many blocks, on the 1 CPU that the affinity mask allows
-    monkeypatch.setattr(linalg, "_lane_cpus", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
-    model.train(cluster_matrix, data.split_users(cluster_matrix, seed=0), _quick_cfg(epochs=2))
-    assert linalg._lane_cpus == 1 and linalg._lane_worker is None
-
-
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(12))
     k, m, d = 3, 10, 4
     phi = rng.standard_normal((k, m)).astype(np.float32)
     theta = model.init_decoder(k, d, m, rng)
-    seeds = np.array([2, 4, 8], dtype=np.int64)
+    seeds = model.extract_seeds(phi)
     path = str(tmp_path / "ckpt.dre")
     model.save_checkpoint(path, phi, theta, seeds)
     with open(path, "rb") as fh:
@@ -1046,6 +1029,7 @@ def test_checkpoint_roundtrip(tmp_path):
     ("inf", "non-finite"),
     ("seed_out_of_range", "distinct item indices below m=10"),
     ("duplicate_seed", "distinct item indices below m=10"),
+    ("seeds_reordered", r"not the selection of its encoder \(extract_seeds\)"),
     ("k_zero", r"header \(k=0, m=10, d=0\) needs 1 <= k < m and d >= 1"),
     ("k_equals_m", r"header \(k=10, m=10, d=4\) needs"),
     ("d_zero", r"header \(k=3, m=10, d=0\) needs"),
@@ -1103,6 +1087,7 @@ def test_load_checkpoint_of_a_mutated_file_loads_or_is_data_error(tmp_path_facto
             (k, d), (d,), (d, m), (m,)]
         assert np.isfinite(phi).all() and all(np.isfinite(p).all() for p in vars(theta).values())
         assert len(np.unique(seeds)) == k and (seeds < m).all()
+        assert np.array_equal(seeds, model.extract_seeds(phi))
 
 
 def test_load_checkpoint_rejects_short_header(tmp_path):
