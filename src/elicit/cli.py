@@ -205,7 +205,7 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded, external_
     scored, and DRE is scored first, so no decoder is held while another
     one trains."""
     k, n_max, master = cfg["k"], max(Ns), cfg["seed"]
-    train_counts = matrix.take(split.train_users).item_counts()
+    train_counts = matrix.item_counts(split.train_users)
     tables = {}
 
     def score(meth, seeds, predictor):
@@ -241,7 +241,7 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded, external_
         # one CSR of the training rows serves the selection and the linear
         # decoder, and is dropped before any scoring, so none is held while
         # a decoder trains
-        train_rows = matrix.take(split.train_users).csr()
+        train_rows = matrix.csr(split.train_users)
         rbmf_seeds = baselines.rbmf_select(train_rows, k, seed=stream_seed(master, "RBMF", run))
         x = baselines.rbmf_decoder(train_rows, rbmf_seeds) if "RBMF" in methods else None
         del train_rows
@@ -289,6 +289,9 @@ def run_eval(matrix, split, cfg, methods, runs, Ns, checkpoint=None,
     most = max(n_seeds.get(meth, k) for meth in methods)
     if most >= matrix.m:
         raise ValueError(f"k={most} must be smaller than the item count {matrix.m}")
+    # RBMF's SVD of the training rows has at most as many factors as rows
+    if {"RBMF", "RBMF++"} & set(methods) and k > len(split.train_users):
+        raise ValueError(f"k={k} must be at most the training user count {len(split.train_users)}")
     if max(Ns) > matrix.m - most:
         raise ValueError(f"N={max(Ns)} is not within the candidate count {matrix.m - most}")
 
@@ -366,6 +369,8 @@ def run_grid(matrix, split, cfg, grid):
         if cell_cfg["te"] == "t0":
             cell_cfg["te"] = cell_cfg["t0"]
         tcfgs.append(train_config(check_config(cell_cfg)))
+        if cell_cfg["k"] >= matrix.m:
+            raise ValueError(f"k={cell_cfg['k']} must be smaller than the item count {matrix.m}")
     rows = []
     for values, tcfg in zip(cells, tcfgs):
         phi, theta, seeds, _ = _train_once(matrix, split, tcfg)

@@ -137,6 +137,7 @@ class RatingMatrix:
 
     def _gather(self, user_ids):
         """(indptr, indices) of the rows of user_ids, in that order."""
+        user_ids = np.asarray(user_ids, dtype=np.int64)
         starts = self.indptr[user_ids]
         lengths = self.indptr[user_ids + 1] - starts
         indptr = np.zeros(len(starts) + 1, dtype=np.int64)
@@ -146,37 +147,31 @@ class RatingMatrix:
         at += np.arange(len(at))
         return indptr, self.indices[at]
 
-    def take(self, user_ids):
-        """The sub-matrix of the rows of user_ids, in that order, over the
-        same items. Its users are renumbered, so it has no user_index."""
-        indptr, indices = self._gather(np.asarray(user_ids, dtype=np.int64))
-        return RatingMatrix.from_csr(len(indptr) - 1, self.m, indptr, indices, {},
-                                     self.item_index)
-
     def positives(self, user_ids):
         """(rows, items) of the positives of the users user_ids, as int64
         and int32 arrays: rows[i] is the position in user_ids of the user of
         the i-th positive and items[i] its item; ordered by row, then by
         item."""
-        indptr, items = self._gather(np.asarray(user_ids, dtype=np.int64))
+        indptr, items = self._gather(user_ids)
         return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), items
 
     def dense(self, user_ids):
         """The boolean rows of user_ids, in that order."""
         return densify(self.positives(user_ids), np.empty((len(user_ids), self.m), bool))
 
-    def csr(self):
-        """The matrix as a float64 scipy.sparse CSR array over the same
-        indices, for kernels that only multiply by it. Its indptr is an int32
-        copy where nnz fits: with an int64 one, scipy copies the indices."""
+    def csr(self, user_ids):
+        """The rows of user_ids, in that order, as a float64 scipy.sparse CSR
+        array, for kernels that only multiply by it. Its indptr is int32
+        where nnz fits: with an int64 one, scipy copies the indices."""
         # imported here: scipy.sparse adds about 0.25 s to the start-up of
         # every command
         from scipy.sparse import csr_array
-        indptr = self.indptr.astype(np.int32) if self.nnz < 2**31 else self.indptr
-        return csr_array((np.ones(self.nnz), self.indices, indptr), shape=(self.n, self.m))
+        indptr, indices = self._gather(user_ids)
+        indptr = indptr.astype(np.int32) if len(indices) < 2**31 else indptr
+        return csr_array((np.ones(len(indices)), indices, indptr), shape=(len(user_ids), self.m))
 
-    def item_counts(self):
-        return np.bincount(self.indices, minlength=self.m)
+    def item_counts(self, user_ids):
+        return np.bincount(self._gather(user_ids)[1], minlength=self.m)
 
 
 @dataclass(frozen=True)

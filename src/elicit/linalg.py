@@ -10,16 +10,18 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_ELEMS = 1 << 16  # elements per block of the elementwise passes over large arrays
-# multiply-adds (nonzeros x dense columns) above which a sparse product runs
-# in two lanes: below about this, the hand-over to the worker costs more
-# than the second lane saves
-SPARSE_LANE_WORK = 1 << 21
 # multiply-adds from which a dense product runs in two lanes (_matmul)
 DENSE_LANE_WORK = 1 << 22
 # rows or columns per step of a dense product's cut: a multiple of the row
 # and column tiles of OpenBLAS's x86-64 kernels (12 x 8 for float64 on
 # SkylakeX), whose last rows and columns round by their place in the tile
 PRODUCT_ALIGN = 48
+# multiply-adds up to which OpenBLAS's x86-64 SkylakeX kernels take a float32
+# product through their small-matrix kernel, whose rows round by their place
+# in the block; above it, as measured, a row of a float32 product has the
+# same bits in every product of more than this many (a float64 product's
+# last columns round by the row's place even there)
+SMALL_GEMM_WORK = 100 ** 3
 MAXVOL_DELTA = 0.01  # Maxvol stops once every |C_ij| is at most 1 + this
 
 _lane_worker = None  # the (tasks, results) queues of the lane-1 thread, made at its first use
@@ -120,14 +122,13 @@ _lanes = min(2, len(os.sched_getaffinity(0))) if _blas_threads else 1
 
 
 def _matmul(a, b, out=None):
-    """a @ b for a dense 2-D b, into `out` (of their result dtype, and
+    """a @ b for a dense 2-D b of a's dtype, into `out` (of that dtype, and
     overlapping neither) when given, in two parts run in lanes that keep
     the one-thread product's bits: a scipy.sparse a by the halves of b's
-    columns above SPARSE_LANE_WORK multiply-adds; a dense product from
-    DENSE_LANE_WORK on, if _lanes is 2, by its larger output dimension if
-    float32 and by its rows otherwise, at the multiple of PRODUCT_ALIGN
-    nearest the middle (each part past model.SMALL_GEMM_WORK), and never
-    one output row or column."""
+    columns; a dense product from DENSE_LANE_WORK on, if _lanes is 2, by
+    its larger output dimension if float32 and by its rows otherwise, at
+    the multiple of PRODUCT_ALIGN nearest the middle (each part past
+    SMALL_GEMM_WORK), and never one output row or column."""
     n, p = a.shape[0], b.shape[1]
     out = np.empty((n, p), np.result_type(a.dtype, b.dtype)) if out is None else out
     sparse = not isinstance(a, np.ndarray)
@@ -135,14 +136,11 @@ def _matmul(a, b, out=None):
     # measured on SkylakeX kernels), its rows only by their place in a tile
     by_rows = not sparse and (n > p or out.dtype != np.float32)
     size = n if by_rows else p
-    if sparse:  # scipy makes each output column on its own
-        cut, split = -(-p // 2), a.nnz * p > SPARSE_LANE_WORK
-    else:
-        cut = PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
-        # numpy takes one output row or column through a matrix-vector path
-        split = (_lanes == 2 and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
-                 and n * a.shape[1] * p >= DENSE_LANE_WORK)
-        b = b.astype(out.dtype, copy=False)  # cast once, not in each part (exact)
+    # scipy makes each output column of a sparse product on its own; numpy
+    # takes one output row or column through a matrix-vector path
+    cut = -(-p // 2) if sparse else PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
+    split = sparse or (_lanes == 2 and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
+                       and n * a.shape[1] * p >= DENSE_LANE_WORK)
     bounds = (0, cut, size) if split and 0 < cut < size else (0, size)
 
     def part(lane, i, _):

@@ -10,16 +10,11 @@ import numpy as np
 
 from . import evaluate
 from .data import DataError, densify
-from .linalg import BLOCK_ELEMS, DENSE_LANE_WORK, _in_lanes, _matmul, gumbel_noise, softmax_rows
+from .linalg import (BLOCK_ELEMS, DENSE_LANE_WORK, SMALL_GEMM_WORK, _in_lanes, _matmul,
+                     gumbel_noise, softmax_rows)
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# multiply-adds up to which OpenBLAS's x86-64 SkylakeX kernels take a float32
-# product through their small-matrix kernel, whose rows round by their place
-# in the block; above it, as measured, a row of a float32 product has the
-# same bits in every product of more than this many (a float64 product's
-# last columns round by the row's place even there)
-SMALL_GEMM_WORK = 100 ** 3
 # the share U/b of rows to decode up to which a decoder-only step decodes
 # each distinct row once: on the perfbench seed-7 matrix (b = 256, k = 50,
 # d = 300, 2 cores) such a step took 0.76 of the time of decoding every row

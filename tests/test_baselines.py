@@ -42,26 +42,28 @@ def _matrix_from_counts(counts):
 
 def test_select_popular_tie_break():
     matrix = _matrix_from_counts([5, 9, 9, 2])  # +1 each from the pad user
-    assert baselines.select_popular(matrix.item_counts(), 2).tolist() == [1, 2]
-    assert baselines.select_popular(matrix.item_counts(), 1).tolist() == [1]
+    counts = matrix.item_counts(np.arange(matrix.n))
+    assert baselines.select_popular(counts, 2).tolist() == [1, 2]
+    assert baselines.select_popular(counts, 1).tolist() == [1]
 
 
 def test_select_popular_user_order_invariant(cluster_matrix):
-    shuffled = cluster_matrix.take(np.arange(cluster_matrix.n)[::-1])
-    assert np.array_equal(baselines.select_popular(cluster_matrix.item_counts(), 5),
-                          baselines.select_popular(shuffled.item_counts(), 5))
+    users = np.arange(cluster_matrix.n)
+    assert np.array_equal(baselines.select_popular(cluster_matrix.item_counts(users), 5),
+                          baselines.select_popular(cluster_matrix.item_counts(users[::-1]), 5))
 
 
 def test_rbmf_select_block_structure():
     # 3 orthogonal item blocks; brute-force max |det| picks one per block
     matrix = make_cluster_matrix(n_per_cluster=40, items_per_cluster=4,
                                  clusters=3, seed=1)
-    seeds = baselines.rbmf_select(matrix.csr(), 3, seed=0)
+    rows = matrix.csr(np.arange(matrix.n))
+    seeds = baselines.rbmf_select(rows, 3, seed=0)
     blocks = {int(s) // 4 for s in seeds}
     assert blocks == {0, 1, 2}
     # against the brute-force volume oracle on the SVD factor
     from elicit.linalg import truncated_svd
-    right = truncated_svd(matrix.csr().toarray(), 3, seed=0)
+    right = truncated_svd(rows.toarray(), 3, seed=0)
     best = max(
         abs(np.linalg.det(right.T[list(c)]))
         for c in itertools.combinations(range(matrix.m), 3)
@@ -70,12 +72,13 @@ def test_rbmf_select_block_structure():
 
 
 def test_rbmf_select_deterministic(cluster_matrix):
-    s1 = baselines.rbmf_select(cluster_matrix.csr(), 4, seed=3)
-    s2 = baselines.rbmf_select(cluster_matrix.csr(), 4, seed=3)
+    rows = cluster_matrix.csr(np.arange(cluster_matrix.n))
+    s1 = baselines.rbmf_select(rows, 4, seed=3)
+    s2 = baselines.rbmf_select(rows, 4, seed=3)
     assert np.array_equal(s1, s2)
     assert len(set(s1.tolist())) == 4
     # the sparse matrix selects what its dense copy selects
-    assert np.array_equal(s1, baselines.rbmf_select(cluster_matrix.csr().toarray(), 4, seed=3))
+    assert np.array_equal(s1, baselines.rbmf_select(rows.toarray(), 4, seed=3))
 
 
 def test_rbmf_decoder_exact_rank_self_consistency():
@@ -99,7 +102,8 @@ def test_rbmf_decoder_matches_qr_oracle():
 
 def test_plusplus_decoder_deterministic_and_learns(cluster_matrix):
     split = data.split_users(cluster_matrix, seed=0)
-    seeds = baselines.select_popular(cluster_matrix.item_counts(), 3)
+    counts = cluster_matrix.item_counts(np.arange(cluster_matrix.n))
+    seeds = baselines.select_popular(counts, 3)
     cfg = model.TrainConfig(k=3, d=8, lr=0.01, epochs=15, batch_size=64,
                             t0=5.0, te=0.1, retrain_epochs=10, seed=0, val_every=10)
     t1 = baselines.plusplus_decoder(cluster_matrix, split, seeds, cfg)
@@ -124,7 +128,7 @@ def test_plusplus_decoder_peak_memory_is_one_decoder_fit(decoded_rows):
     assert b < len(split.train_users) < 2 * b
     batches = [b, len(split.train_users) - b] * 2
     # k = 8 at about 1% density: every step decodes all of its rows, as
-    # 256 * 8 * 128 multiply-adds are within model.SMALL_GEMM_WORK; k = 200:
+    # 256 * 8 * 128 multiply-adds are within linalg.SMALL_GEMM_WORK; k = 200:
     # every step decodes its 182-193 distinct rows (_decoder_step), whose
     # outputs, at 2.9 MB and more, no array may hold beside the workspace
     for k, d, grouped in ((8, 128, False), (200, 256, True)):
@@ -155,7 +159,7 @@ def test_plusplus_decoder_peak_memory_is_one_decoder_fit(decoded_rows):
 def test_mostpop_ranks_items_by_count():
     # MOSTPOP's ranking: the candidates ranked by their training counts
     matrix = _matrix_from_counts([3, 1, 2])
-    counts = matrix.item_counts()
+    counts = matrix.item_counts(np.arange(matrix.n))
     assert np.array_equal(np.argsort(-counts, kind="stable"), [0, 2, 1])
     assert model._rank_candidates(counts[None], np.array([], dtype=np.int64), 3).tolist() == [
         [0, 2, 1]]

@@ -699,6 +699,32 @@ def test_eval_k_not_below_the_item_count_is_one_line_error(prepared, tmp_path, c
     assert f"k={k} must be smaller than the item count 18" in err
 
 
+def test_eval_k_above_the_training_user_count_is_refused_before_any_fit(tmp_path, capsys,
+                                                                        monkeypatch):
+    # 12 users over 30 items: a k below the item count but above the
+    # training user count, which bounds the factors of RBMF's SVD
+    rng = np.random.Generator(np.random.PCG64(6))
+    write_raw_file(tmp_path / "ratings.dat", [(u, i, 5, 1) for u in range(12)
+                                              for i in rng.permutation(30)[:12]])
+    prepared = str(tmp_path / "prepared")
+    assert cli.main(["prepare", "--dataset", str(tmp_path / "ratings.dat"),
+                     "--out", prepared]) == 0
+    matrix = cli._load_dataset(prepared)
+    n_train = len(data.split_users(matrix, 0.2, 0.1, 0).train_users)
+    k = n_train + 1
+    assert k < matrix.m
+
+    def never(*args, **kwargs):
+        raise AssertionError("a method was fitted before k was checked")
+
+    for fit in ("plusplus_decoder", "rbmf_select"):
+        monkeypatch.setattr(baselines, fit, never)
+    err = _one_line_error(capsys, [
+        "eval", "--data-dir", prepared, "--out", str(tmp_path / "eval"), "--methods",
+        "RAN++,POP++,RBMF", "--runs", "1", "--epochs", "1", "--k", str(k), "--ns", "5"])
+    assert f"k={k} must be at most the training user count {n_train}" in err
+
+
 def test_eval_of_dre_with_one_test_user_is_refused_before_any_method_runs(tmp_path, capsys,
                                                                          monkeypatch):
     # 12 users at test_frac 0.1: round(1.2) = 1 test user, too few for the
@@ -1025,6 +1051,18 @@ def test_grid_is_capped_at_max_grid_cells(prepared, tmp_path, capsys, monkeypatc
     assert "warning: grid has 2 cells, capping at 1" in capsys.readouterr().err
     rows = (out / "sweep.tsv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("1.0\t")
+
+
+def test_grid_k_not_below_the_item_count_is_refused_before_any_cell_trains(
+        prepared, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a cell trained before every cell's k was checked")
+
+    monkeypatch.setattr(cli, "_train_once", never)
+    err = _one_line_error(capsys, [
+        "grid", "--data-dir", prepared, "--out", str(tmp_path / "grid"),
+        "--grid", "k=2,500", "--epochs", "3"])
+    assert "k=500 must be smaller than the item count 18" in err
 
 
 def test_train_config_fields_are_config_keys():

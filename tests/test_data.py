@@ -247,7 +247,7 @@ def test_build_matrix_invariants():
     matrix = data.build_matrix(records)
     assert all(len(r) > 0 for r in row_list(matrix))
     assert all(np.all(np.diff(r) > 0) for r in row_list(matrix))
-    counts = matrix.item_counts()
+    counts = matrix.item_counts(np.arange(matrix.n))
     assert np.all(counts > 0)  # no all-zero columns
     assert matrix.n == len(matrix.user_index) and matrix.m == len(matrix.item_index)
 
@@ -687,16 +687,15 @@ def test_csr_matches_per_row_reference(case, draw):
     counts = np.zeros(matrix.m, dtype=np.int64)
     for r in rows:
         counts[r] += 1
-    assert np.array_equal(matrix.item_counts(), counts)
+    assert np.array_equal(matrix.item_counts(np.arange(matrix.n)), counts)
     user_ids = draw.draw(st.lists(st.integers(0, matrix.n - 1), max_size=15))
     dense = np.zeros((len(user_ids), matrix.m))
     for i, u in enumerate(user_ids):
         dense[i, rows[u]] = 1.0
     assert matrix.dense(user_ids).dtype == bool
     assert np.array_equal(matrix.dense(user_ids), dense)
-    sub = matrix.take(user_ids)
-    assert sub.m == matrix.m and [r.tolist() for r in row_list(sub)] == [
-        rows[u].tolist() for u in user_ids]
+    assert np.array_equal(matrix.csr(user_ids).toarray(), dense)
+    assert np.array_equal(matrix.item_counts(user_ids), dense.sum(axis=0))
     positive_rows, _ = matrix.positives(user_ids)
     assert np.bincount(positive_rows, minlength=len(user_ids)).tolist() == [
         len(rows[u]) for u in user_ids]
@@ -799,13 +798,27 @@ def test_load_snapshot_reads_rows_across_blocks(tmp_path, monkeypatch, cluster_m
         data.load_snapshot(path)
 
 
-def test_csr_view_shares_the_int32_indices(cluster_matrix):
-    csr = cluster_matrix.csr()
+@pytest.mark.parametrize("block", ["all", "shuffled_repeated", "empty"])
+def test_csr_view_shares_the_int32_indices(cluster_matrix, monkeypatch, block):
+    user_ids = {"all": np.arange(cluster_matrix.n),
+                "shuffled_repeated": np.array([57, 3, 299, 3, 120, 0]),
+                "empty": np.zeros(0, np.int64)}[block]
+    gathered, gather = [], data.RatingMatrix._gather
+
+    def recorded_gather(self, ids):
+        gathered.append(gather(self, ids))
+        return gathered[-1]
+
+    monkeypatch.setattr(data.RatingMatrix, "_gather", recorded_gather)
+    csr = cluster_matrix.csr(user_ids)
     # an int64 indptr would make scipy copy the indices to int64
     assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
-    assert np.shares_memory(csr.indices, cluster_matrix.indices)
-    assert np.array_equal(csr.indptr, cluster_matrix.indptr)
-    assert np.array_equal(csr.toarray(), cluster_matrix.dense(np.arange(cluster_matrix.n)))
+    (indptr, indices), = gathered
+    assert np.shares_memory(csr.indices, indices) or len(indices) == 0
+    assert np.array_equal(csr.indptr, indptr)
+    dense = cluster_matrix.dense(user_ids)
+    assert csr.shape == dense.shape and np.array_equal(csr.toarray(), dense)
+    assert np.array_equal(cluster_matrix.item_counts(user_ids), dense.sum(axis=0))
 
 
 def test_fingerprint_is_stable(cluster_matrix):

@@ -160,7 +160,7 @@ def test_score_users_bit_identical_to_per_block_float_reference(user_ids):
     theta = model.init_decoder(len(seeds), 16, m, rng)
     theta.b2[:] = rng.standard_normal(m).astype(np.float32)
     x = rng.standard_normal((len(seeds), m))
-    popular = model._rank_candidates(matrix.item_counts()[None], seeds, max(Ns))
+    popular = model._rank_candidates(matrix.item_counts(np.arange(n))[None], seeds, max(Ns))
     for rank in (lambda z: model.recommend(theta, seeds, z, max(Ns)),
                  lambda z: model._rank_candidates(z @ x, seeds, max(Ns)),
                  lambda z: np.broadcast_to(popular, (len(z), max(Ns)))):

@@ -287,19 +287,18 @@ def _svd_in_lanes(monkeypatch, A, k, lanes):
     return truncated_svd(A, k, seed=3), any(two_lanes)
 
 
-@pytest.mark.parametrize("shape, density, k, work", [
-    # past SPARSE_LANE_WORK by itself: 1500 x 1200 at 5%, 60 columns
-    ((1500, 1200), 0.05, 50, None),
-    # small products with the lanes forced on: 5 columns split 3 + 2 and
-    # 2 columns split 1 + 1; 1 column is one block, so it stays in one lane
-    ((9, 7), 0.4, 2, 0),
-    ((6, 2), 0.6, 1, 0),
-    ((6, 1), 0.6, 1, 0),
+@pytest.mark.parametrize("shape, density, k", [
+    # RBMF's products at a quarter of the benchmark's nonzeros: 60 columns
+    ((1500, 1200), 0.05, 50),
+    # every sparse product of 2 columns or more is cut: 5 columns split
+    # 3 + 2 and 2 columns split 1 + 1; 1 column is one block, so it stays
+    # in one lane
+    ((9, 7), 0.4, 2),
+    ((6, 2), 0.6, 1),
+    ((6, 1), 0.6, 1),
 ])
 def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, shape, density,
-                                                                 k, work):
-    if work is not None:
-        monkeypatch.setattr(linalg, "SPARSE_LANE_WORK", work)
+                                                                 k):
     A = _binary_csr(*shape, density, seed=30)
     one, one_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=1)
     two, two_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=2)
@@ -368,15 +367,14 @@ def test_matmul_has_the_bits_of_the_whole_one_thread_product(monkeypatch, dtype,
 @ONE_BLAS_THREAD
 def test_matmul_in_two_lanes_at_once_keeps_its_bits_when_repeated(monkeypatch):
     # the lanes' products run at the same time, each on its own thread,
-    # through one OpenBLAS; every repetition has the whole product's bits,
-    # also for float64 scoring against a float32 w (one cast before the cut)
+    # through one OpenBLAS; every repetition has the whole product's bits
     monkeypatch.setattr(linalg, "_lanes", 2)
     rng = np.random.Generator(np.random.PCG64(40))
-    for h_dtype, w_dtype in ((np.float32,) * 2, (np.float64,) * 2, (np.float64, np.float32)):
-        h = rng.standard_normal((256, 300)).astype(h_dtype)
-        w = rng.standard_normal((300, 3706)).astype(w_dtype)
+    for dtype in (np.float32, np.float64):
+        h = rng.standard_normal((256, 300)).astype(dtype)
+        w = rng.standard_normal((300, 3706)).astype(dtype)
         whole = (h @ w).tobytes()
-        out = np.empty((256, 3706), h_dtype)
+        out = np.empty((256, 3706), dtype)
         for _ in range(10):
             out.fill(np.nan)
             assert linalg._matmul(h, w, out=out) is out and out.tobytes() == whole

@@ -626,7 +626,7 @@ def test_recommend_of_distinct_rows_has_the_bits_of_decoding_every_row(monkeypat
                                    for shape in ((k, 64), (64,), (64, m), (m,))))
     # each decoder's smaller product has k * 64 multiply-adds per row, so a
     # grouped decode runs over at least 10**6 // 3200 + 1 rows (_distinct_rows)
-    least = model.SMALL_GEMM_WORK // (k * 64) + 1
+    least = linalg.SMALL_GEMM_WORK // (k * 64) + 1
     assert least == 313
     answers = rng.integers(0, 2, (16, k)).astype(np.float64)
     repeated = answers[np.arange(400) % 16]
@@ -864,6 +864,57 @@ def _assert_same_bits(got, want):
     else:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, d, b, m, handed", [
+    (3, 16, 64, 30, False),  # criterion 07's: the 300 x 30 cluster matrix
+    (50, 300, 256, 3706, True),  # perfbench's: the seed-7 matrix
+], ids=["criterion_07", "perfbench"])
+def test_small_adam_steps_and_backwards_hand_no_block_to_lane_1(monkeypatch, k, d, b, m,
+                                                                handed):
+    # the two work rules no benchmark step falls below: Adam runs in two
+    # lanes only above BLOCK_ELEMS elements of parameters, and the
+    # backward's two products of d_out only from DENSE_LANE_WORK
+    # multiply-adds. At criterion 07's shapes no block of a step goes to
+    # lane 1; without the rules its training measured about 1.75 times
+    # slower (ROADMAP). At perfbench's each rule's loop hands over once.
+    monkeypatch.setattr(linalg, "_lanes", 2)
+    rng = np.random.Generator(np.random.PCG64(43))
+    theta = model.DecoderParams(*(rng.standard_normal(shape).astype(np.float32)
+                                  for shape in ((k, d), (d,), (d, m), (m,))))
+    z = rng.random((b, k)).astype(np.float32)
+    positives = np.nonzero(rng.random((b, m)) < 0.1)
+    loops = []  # (whether the caller gave a work rule, blocks in lane 1) per block loop
+    in_lanes = linalg._in_lanes
+
+    def recording_in_lanes(total, step, body, **split):
+        lane_1 = []
+
+        def recording_body(lane, start, stop):
+            lane_1.append(lane == 1)
+            body(lane, start, stop)
+
+        in_lanes(total, step, recording_body, **split)
+        loops.append((bool(split), sum(lane_1)))
+
+    monkeypatch.setattr(linalg, "_in_lanes", recording_in_lanes)
+    monkeypatch.setattr(model, "_in_lanes", recording_in_lanes)
+    ws = model.Workspace()
+    h, r_hat = model._decoder_forward(theta, z, ws)
+    loops.clear()
+    grads = model._decoder_backward(theta, z, h, r_hat, positives, ws)[0]
+    steps = [list(loops)]
+    loops.clear()
+    params = {"phi": rng.standard_normal((k, m)).astype(np.float32), **vars(theta)}
+    grads["phi"] = rng.standard_normal((k, m)).astype(np.float32)
+    model.adam_step(params, grads, model.AdamState(), lr=0.01)
+    steps.append(list(loops))
+    for recorded in steps:  # the backward's, then Adam's
+        assert [blocks > 0 for ruled, blocks in recorded if ruled] == [handed]
+        if not handed:
+            assert sum(blocks for _, blocks in recorded) == 0
+    # the backward's rule runs its two products one per lane
+    assert [blocks for ruled, blocks in steps[0] if ruled] == [int(handed)]
 
 
 # rows of 10 columns per block loop at BLOCK_ELEMS = 64, 6 rows a block: an

@@ -39,7 +39,7 @@ def test_package_raises_no_system_exit():
 
 def test_only_data_reads_the_matrix_layout():
     # the CSR arrays are data.RatingMatrix's business; other modules go
-    # through its methods (positives, dense, take, item_counts, nnz)
+    # through its methods (positives, dense, csr, item_counts, nnz)
     found = [
         f"{path.name}:{node.lineno}: .{node.attr}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"

@@ -42,7 +42,7 @@ import corpus  # noqa: E402
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
 PREPARE_CONFIG = "delimiter = ::\nthreshold = 2.5\nmin_count = 25\n"
 # 173 rows x 5 x 2000 multiply-adds in the smaller decoder product, over
-# model.SMALL_GEMM_WORK; k = 5 answers give at most 32 distinct rows
+# linalg.SMALL_GEMM_WORK; k = 5 answers give at most 32 distinct rows
 GROUPED_CONFIG = "d=2000\nbatch_size=256\nseed=3\n"
 SMALL = ["--k", "5", "--epochs", "8"]
 FEEDBACK = "1 0 0 1 1\n"  # an answer per seed of the k=5 checkpoint
