@@ -52,7 +52,10 @@ class Workspace:
     call), which every step and validation of the unit reuses, or of one
     decode. A named array is made at its first request, and made again with
     more rows at a request for more; a request for no more rows, as from a
-    ragged last batch, gets the leading rows of the same array.
+    ragged last batch, gets the leading rows of the same array. A name is
+    an array, not one value: where values' lives do not overlap, one array
+    holds them in turn (the DRE step's "r_hat" holds the minibatch, the
+    output, its gradient, the minibatch again and then a softmax product).
     Steps write into these arrays with out= or in place, so no step
     allocates an array the size of a minibatch or a parameter, and a step's
     results are overwritten by the next step's instead of staying alive
@@ -216,15 +219,17 @@ def mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
-def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
+def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False):
     """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
     gradient at the hidden pre-activation, from which callers that also
     train the encoder continue the chain rule, all arrays of the workspace
-    ws. The 0/1 target r is given by its positives (rows, items), ordered by
-    row, as RatingMatrix.positives returns them. The output gradient is
-    written over r_hat. When given, sq_err (shaped like r_hat) receives the
-    squared residual (r_hat - r)**2 of each element, from which the caller
-    sums the loss."""
+    ws: (grads, d_h). The 0/1 target r is given by its positives (rows,
+    items), ordered by row, as RatingMatrix.positives returns them. The
+    output gradient is written over r_hat. With loss=True, (grads, d_h,
+    loss) with the loss of mse_loss, to the bit: the squared residuals
+    (r_hat - r)**2 go into the leading b rows of the "d_w2" array, grown to
+    max(b, d) rows, and are summed there before w2's gradient is written
+    over them."""
     b, m = r_hat.shape
     rows, items = positives
     at = rows * m
@@ -232,6 +237,8 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
     flat = r_hat.reshape(-1, copy=False)
     step = _block_rows(r_hat)
     bufs = ws.lane_buffers(r_hat[:step].size, r_hat.dtype)
+    w2_dtype = np.result_type(h, r_hat)
+    sq_err = ws.get("d_w2", (max(b, len(theta.w2)), m), w2_dtype)[:b] if loss else None
 
     # by row blocks that stay in cache, in lanes, with the operations and
     # order of (2 / b) * (r_hat - r) * r_hat * (1 - r_hat), so bit-identical
@@ -249,9 +256,11 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
         d *= np.subtract(1.0, rh, out=rh)
 
     _in_lanes(b, step, rows_of)
+    # mse_loss's sum over the same squares, so the same bits
+    summed = None if sq_err is None else float(np.sum(sq_err) / b)
     d_out = r_hat
     d_h = ws.get("d_h", h.shape, np.result_type(d_out, theta.w2))
-    d_w2 = ws.get("d_w2", theta.w2.shape, np.result_type(h, d_out))
+    d_w2 = ws.get("d_w2", theta.w2.shape, w2_dtype)
     # the two products of d_out at once, one per lane, each whole: fewer
     # hand-overs, and no operand packed twice, than cutting each in two
     products = ((d_out, theta.w2.T, d_h), (h.T, d_out, d_w2))
@@ -265,31 +274,35 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=None):
         "w2": d_w2,
         "b2": np.sum(d_out, axis=0, out=ws.get("d_b2", theta.b2.shape, d_out.dtype)),
     }
-    return grads, d_h
+    return (grads, d_h) if summed is None else (grads, d_h, summed)
 
 
 def _forward_backward(phi, theta, positives, b, tau, g, ws):
     """Forward pass with the given Gumbel noise g, then exact reverse-mode
     gradients of the MSE loss w.r.t. phi and all decoder parameters, as
-    arrays of the workspace ws. The target is the 0/1 minibatch of b rows
-    whose positives (rows, items), ordered by row, are given; the encoder
-    reads it densified in phi's dtype. Once the encoder has read it, the
-    minibatch's array holds the squared residuals, and then the minibatch
-    again."""
+    arrays of the workspace ws: (loss, grads). The target is the 0/1
+    minibatch of b rows whose positives (rows, items), ordered by row, are
+    given; the encoder reads it densified in phi's dtype. Each array holds
+    a value only while it is live: the minibatch is densified into the
+    output array, read by the encoder and overwritten by the decode; the
+    squared residuals fill the w2 gradient's array (_decoder_backward)
+    until the loss is summed; once the output gradient is spent, the
+    minibatch is densified there again for the encoder's gradient d_y,
+    which is written into the workspace's Gumbel array "g" (never into a g
+    the caller passed), and then over by phi's gradient."""
     m = phi.shape[1]
-    r_batch = densify(positives, ws.get("r", (b, m), phi.dtype))
+    r_batch = densify(positives, ws.get("r_hat", (b, m), phi.dtype))
     y, z = encode(phi, r_batch, tau, g, ws)
     h, r_hat = _decoder_forward(theta, z, ws)
-    grads, d_h = _decoder_backward(theta, z, h, r_hat, positives, ws, sq_err=r_batch)
-    # mse_loss's sum over the same squares, so the same bits
-    loss = float(np.sum(r_batch) / b)
-    densify(positives, r_batch)
+    grads, d_h, loss = _decoder_backward(theta, z, h, r_hat, positives, ws, loss=True)
+    r_batch = densify(positives, ws.get("r_hat", (b, m), phi.dtype))
     d_z = _matmul(d_h, theta.w1.T, out=ws.get("d_z", z.shape, np.result_type(d_h, theta.w1)))
-    d_y = _matmul(d_z.T, r_batch, out=ws.get("d_y", y.shape, np.result_type(d_z, r_batch)))
+    d_y = _matmul(d_z.T, r_batch, out=ws.get("g", y.shape, np.result_type(d_z, r_batch)))
     # softmax backward per row, through (phi + g) / tau, by the operations of
-    # (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau
-    d_phi = np.multiply(d_y, y, out=ws.get("d_phi", y.shape, np.result_type(d_y, y)))
-    np.subtract(d_y, d_phi.sum(axis=1, keepdims=True), out=d_phi)
+    # (d_y - (d_y * y).sum(axis=1, keepdims=True)) * y / tau; d_y * y goes
+    # into the leading k rows of the output array, whose minibatch d_y has read
+    d_y_y = np.multiply(d_y, y, out=ws.get("r_hat", y.shape, np.result_type(d_y, y)))
+    d_phi = np.subtract(d_y, d_y_y.sum(axis=1, keepdims=True), out=d_y)
     d_phi *= y
     d_phi /= tau
     grads["phi"] = d_phi

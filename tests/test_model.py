@@ -155,24 +155,38 @@ def _unblocked_mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_forward_backward_bit_identical_to_unblocked_reference(dtype):
-    # on these seeds, summing the squares block by block would change the
-    # last bits of the loss in both dtypes
-    phi, theta, _ = small_instance(k=5, m=700, d=16, b=256, seed=21, dtype=dtype)
+@pytest.mark.parametrize("dtype, k, d, b", [
+    pytest.param(np.float32, 5, 16, 256, id="float32"),
+    pytest.param(np.float64, 5, 16, 256, id="float64"),
+    # the squared residuals fill the leading b of the d rows of w2's gradient
+    pytest.param(np.float32, 5, 300, 256, id="float32-b_within_d"),
+    # d_y * y, k x m, grows the b x m output array
+    pytest.param(np.float32, 20, 16, 10, id="float32-b_below_k"),
+])
+def test_forward_backward_bit_identical_to_unblocked_reference(monkeypatch, dtype, k, d, b):
+    # on the first seeds, summing the squares block by block would change
+    # the last bits of the loss in both dtypes
+    m = 700
+    if b <= 2 * (model.BLOCK_ELEMS // m):  # so that a small batch spans several blocks
+        monkeypatch.setattr(model, "BLOCK_ELEMS", 3 * m)
+    phi, theta, _ = small_instance(k=k, m=m, d=d, b=b, seed=21, dtype=dtype)
     rng = np.random.Generator(np.random.PCG64(22))
-    r = (rng.random((256, 700)) < 0.05).astype(dtype)
+    r = (rng.random((b, m)) < 0.05).astype(dtype)
     # the output block spans several row blocks, the last one ragged; rows
     # with no positive and rows positive at every item, in the ragged block
     # and in others
     step = model._block_rows(r)
     assert len(r) > 2 * step and len(r) % step
     r[[0, -2]] = 0
-    r[[94, -1]] = 1
+    r[[step + 1, -1]] = 1
     g = gumbel_noise(*phi.shape, rng, out=np.empty(phi.shape, dtype))
     tau = 0.8
-    loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g,
-                                          model.Workspace())
+    ws = model.Workspace()
+    loss, grads = model._forward_backward(phi, theta, np.nonzero(r), len(r), tau, g, ws)
+    # one output array of max(b, k) rows and one w2-gradient array of
+    # max(b, d) rows
+    assert ws.get("r_hat", (0, m), dtype).base.shape == (max(b, k), m)
+    assert ws.get("d_w2", (0, m), dtype).base.shape == (max(b, d), m)
 
     y, z = model.encode(phi, r, tau, g, model.Workspace())
     h, r_hat = _unblocked_decoder_forward(theta, z)
@@ -214,6 +228,20 @@ def finite_difference_check(k, m, d, b, seed, h=1e-5):
         denom = max(np.max(np.abs(fd)), np.max(np.abs(grads[name])), 1e-8)
         max_rel = max(max_rel, np.max(np.abs(fd - grads[name])) / denom)
     return max_rel
+
+
+@pytest.mark.parametrize("k, b", [(2, 3), (3, 2)], ids=["b_over_k", "b_below_k"])
+def test_backward_writes_no_caller_array(k, b):
+    # criterion 02's finite differences reuse g, phi and theta after the
+    # backward: the step writes d_y and phi's gradient into its workspace
+    phi, theta, r = small_instance(k=k, m=6, d=4, b=b, seed=12)
+    g = gumbel_noise(*phi.shape, np.random.Generator(np.random.PCG64(13)))
+    given = [phi, g, r, *vars(theta).values()]
+    before = [a.copy() for a in given]
+    model.backward(phi, theta, r, 0.7, g)
+    model._forward_backward(phi, theta, np.nonzero(r), len(r), 0.7, g, model.Workspace())
+    for a, want in zip(given, before):
+        assert a.tobytes() == want.tobytes()
 
 
 def test_forward_backward_selects_through_encode(monkeypatch):
@@ -819,14 +847,17 @@ def test_train_peak_memory_is_one_unit_with_one_snapshot():
     assert 0 < history[0]["val_ndcg"] < history[1]["val_ndcg"]
     params = 4 * (k * m + k * d + d + d * m + m)  # float32 phi and decoder
     # the parameters, their Adam moments and one best snapshot; and one
-    # workspace: the minibatch (which also holds the squared residuals), the
-    # output, the encoder's input, hidden and softmax arrays (y, its
-    # gradient and the Gumbel draw) and the gradients. Validation decodes into
-    # the same workspace. A squared-residual buffer, a second decode output
-    # (b_val x m) next to the workspace's, or two snapshots alive at once
-    # each exceed the slack, which covers the scratch and block buffers, the
-    # positives and validation's boolean rows and rankings.
-    workspace = 4 * (b * (2 * m + 2 * k + 3 * d) + 3 * k * m) + params
+    # workspace: one b x m output array (which also holds the minibatch, and
+    # d_y * y), one max(b, d) x m w2-gradient array (which also holds the
+    # squared residuals), two k x m arrays (y, and the Gumbel draw, which
+    # becomes d_y and then phi's gradient), the encoder's input and its
+    # gradient, the hidden arrays and the other gradients. Validation
+    # decodes into the same workspace. A minibatch array of its own, a
+    # second decode output (b_val x m) next to the workspace's, or two
+    # snapshots alive at once each exceed the slack, which covers the
+    # scratch and block buffers, the positives and validation's boolean
+    # rows and rankings.
+    workspace = 4 * (b * m + max(b, d) * m + 2 * k * m + b * (2 * k + 3 * d) + k * d + d + m)
     assert peak - (4 * params + workspace) < 4 * b_val * m
 
 
@@ -945,9 +976,11 @@ def test_block_loops_in_two_lanes_are_bit_identical_to_one(monkeypatch, dtype, r
     def backward():
         ws = model.Workspace()
         h, r_hat = model._decoder_forward(theta, z, ws)
-        sq_err = np.empty_like(r_hat)
-        grads, d_h = model._decoder_backward(theta, z, h, r_hat, np.nonzero(r), ws, sq_err)
-        return {name: g.copy() for name, g in grads.items()}, d_h.copy(), r_hat.copy(), sq_err
+        with np.errstate(invalid="ignore"):  # no rows: a loss of 0 / 0
+            grads, d_h, loss = model._decoder_backward(theta, z, h, r_hat, np.nonzero(r), ws,
+                                                       loss=True)
+        return ({name: g.copy() for name, g in grads.items()}, d_h.copy(), r_hat.copy(),
+                np.float64(loss))
 
     one, two, two_lanes = _in_one_and_two_lanes(monkeypatch, backward)
     _assert_same_bits(two, one)

@@ -1,5 +1,7 @@
 """SHA-256 digests of every file a small `elicit` pipeline writes: the
-`perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, `eval
+`perfbench/corpus.py` TINY log (seed 7), then `prepare`, `train`, a
+`train` with minibatches of 3 users, fewer than its k = 5 seeds, whose DRE
+step grows its output array to k rows (`train-batch3/`), `eval
 --checkpoint` of all six methods over 2 runs, one `eval` run that trains DRE
 itself (`eval-train/`), one of MOSTPOP and POP++ alone, where MOSTPOP ranks
 every item (`eval-mostpop/`), one of RAN++ alone with d = 2000 and every
@@ -64,6 +66,7 @@ def commands(out):
          "--config", os.path.join(out, "prepare.cfg"),
          "--out", os.path.join(out, "prepared-config")],
         ["train", "--out", os.path.join(out, "train")] + common,
+        ["train", "--out", os.path.join(out, "train-batch3"), "--batch-size", "3"] + common,
         ["eval", "--out", os.path.join(out, "eval"), "--runs", "2", "--ns", "5,10",
          "--checkpoint", os.path.join(out, "train", "checkpoint.dre")] + common,
         ["eval", "--out", os.path.join(out, "eval-train"), "--runs", "1", "--ns", "5,10"]
