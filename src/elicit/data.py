@@ -21,22 +21,38 @@ SNAPSHOT_HEADER = f"{SNAPSHOT_MAGIC} n={CANONICAL_INT} m={CANONICAL_INT} nnz={CA
 # parse, 512 KiB by 29 MB, and at 4 MiB the parse's temporaries set the
 # peak memory of prepare.
 READ_CHUNK_BYTES = 1 << 19
+# Bytes read at a time to count the log's line ends before the parse. glibc
+# raises its mmap threshold to the largest mmap'd block freed, and returns
+# the top of its heap to the kernel once twice that is free there. At 512
+# KiB a block's parse (about 5 MB of temporaries) was returned and faulted
+# in again block after block: 35-37k minor faults in load_interactions on
+# ML-1M-shaped logs of seeds 1, 2, 7 and 31337, against 5.0k at 4 MiB (2-core
+# VM); 2 MiB left some seeds at 11k.
+LINE_COUNT_BYTES = 1 << 22
 # Bytes of matrix.snapshot read at a time. Its rows hold a token in about
 # every 4.5 bytes, so their parse's temporaries are larger for their size;
 # 128 KiB blocks loaded a 2.5 MB snapshot fastest (37 ms on a 2-core VM; 46
 # ms at 512 KiB) and raised the high-water mark by 5 MB (14 MB at 512 KiB).
 SNAPSHOT_CHUNK_BYTES = 1 << 17
+# Rows written at a time by save_snapshot. Their item ids are listed as
+# Python objects, 16 bytes a positive: listing all 574,893 of the seed-7
+# ML-1M-shaped matrix at once raised prepare's peak by 5 MB, and blocks of
+# 1,024 rows write it as fast (20 ms on a 2-core VM).
+SNAPSHOT_ROWS = 1 << 10
 # Keys coded at a time by _unique_inverse: each block's sort and permutation
-# stay this small
-UNIQUE_BLOCK = 1 << 16
+# stay this small. np.unique holds 34-42 bytes a key of a block in
+# temporaries; 32 Ki-key blocks code that matrix's users and items as fast
+# as 64 Ki ones (2-core VM).
+UNIQUE_BLOCK = 1 << 15
 # A rating of at most this many decimal digits and one optional point is
 # parsed in numpy as digits / 10**places: both are exact float64 values below
 # 2**53, so their quotient is float()'s correctly rounded value.
 MAX_PLAIN_DIGITS = 15
 POW10 = np.array([float(10**k) for k in range(MAX_PLAIN_DIGITS + 1)])
-# PAD[l] is 0xFF from its l-th byte on: OR-ed into the 8 bytes from a token's
-# start, it keeps the token's first l bytes and pads the rest with 0xFF
-PAD = np.triu(np.full((9, 8), 0xFF, dtype=np.uint8)).view(np.uint64).ravel()
+# PAD[w][l] is 0xFF from its l-th byte on: OR-ed into the w bytes from a
+# token's start, it keeps the token's first l bytes and pads the rest with 0xFF
+PAD = {w: np.triu(np.full((w + 1, w), 0xFF, dtype=np.uint8)).view(f"u{w}").ravel()
+       for w in (4, 8)}
 MAX_ITEMS = np.iinfo(np.int32).max  # item ids are int32
 
 
@@ -200,7 +216,7 @@ def load_interactions(path, delimiter, threshold):
         # sized by the line ends (a pipe, which reads once, starts empty) and
         # grown when a block does not fit
         size = _line_ends(fh) if fh.seekable() else 0
-        columns, n, records = [np.empty(size, np.uint64), np.empty(size, np.uint64)], 0, 0
+        columns, n, records = [np.empty(size, np.uint32), np.empty(size, np.uint32)], 0, 0
         first = 1  # the number of the block's first line
         for block in _blocks(fh, READ_CHUNK_BYTES):
             *parts, block_records, lines = _parse_block(path, block, first, sep, threshold)
@@ -216,7 +232,7 @@ def load_interactions(path, delimiter, threshold):
 def _line_ends(fh):
     """At least fh's number of lines: its \\n and \\r bytes plus 1 (exact for \\n ends)."""
     count = 1
-    while chunk := fh.read(READ_CHUNK_BYTES):
+    while chunk := fh.read(LINE_COUNT_BYTES):
         buf = np.frombuffer(chunk, np.uint8)
         count += np.count_nonzero(buf == 10) + np.count_nonzero(buf == 13)
     fh.seek(0)
@@ -230,12 +246,14 @@ def _put(column, at, part):
     if end > len(column) or wide != column.dtype:
         size = len(column) if end <= len(column) else max(end, len(column) * 3 // 2)
         column = _put(np.empty(size, wide), 0, column[:at])
-    # 0xFF words pad a narrower key and keep its token (see _token_keys); not
-    # reshape(len(part), -1): an empty part leaves -1 undefined
-    rows = column[at:end].view(np.uint64).reshape(-1, wide.itemsize // 8)
-    words = part.dtype.itemsize // 8
-    rows[:, :words] = part.view(np.uint64).reshape(-1, words)
-    rows[:, words:] = PAD[0]
+    if part.dtype == wide:
+        column[at:end] = part
+        return column
+    # 0xFF bytes pad a narrower key to the key _token_keys makes at the wider
+    # width; not reshape(len(part), -1): an empty part leaves -1 undefined
+    rows = column[at:end].view(np.uint8).reshape(-1, wide.itemsize)
+    rows[:, :part.itemsize] = part.view(np.uint8).reshape(-1, part.itemsize)
+    rows[:, part.itemsize:] = 0xFF
     return column
 
 
@@ -366,23 +384,27 @@ def _parse_ratings(block, buf, starts, ends):
 
 def _token_keys(buf, starts, ends):
     """One key per token buf[starts[i]:ends[i]]: its bytes padded with 0xFF
-    to 8 * words bytes, words enough for the longest token; as uint64 when
-    words == 1 and as raw bytes otherwise.
+    to 4 bytes, as uint32, when the longest token has at most 4; else to 8 *
+    words bytes, words enough for the longest token, as uint64 when words ==
+    1 and as raw bytes otherwise.
 
     0xFF never occurs in UTF-8, so keys of one width are equal exactly when
     the tokens' bytes are, and each key decodes back to its token (numpy's S
     arrays would drop trailing NULs).
     """
     lengths = ends - starts
-    words = max(1, -(-int(lengths.max(initial=0)) // 8))
-    # the 8 bytes from each position, read as one (unaligned) uint64; bytes
-    # past a token are masked, so the padding's value does not matter
-    padded = np.concatenate([buf, np.zeros(8 * words, dtype=np.uint8)])
-    at = np.ndarray((len(buf) + 8 * words - 7,), np.uint64, buffer=padded, strides=(1,))
-    keys = np.empty((len(starts), words), dtype=np.uint64)
+    longest = int(lengths.max(initial=0))
+    size = 4 if longest <= 4 else 8
+    words = max(1, -(-longest // size))
+    # the `size` bytes from each position, read as one (unaligned) word;
+    # bytes past a token are masked, so the padding's value does not matter
+    padded = np.concatenate([buf, np.zeros(size * words, dtype=np.uint8)])
+    at = np.ndarray((len(buf) + size * words - size + 1,), f"u{size}", buffer=padded,
+                    strides=(1,))
+    keys = np.empty((len(starts), words), dtype=f"u{size}")
     for j in range(words):
-        keys[:, j] = at[starts + 8 * j] | PAD[np.clip(lengths - 8 * j, 0, 8)]
-    return keys[:, 0] if words == 1 else keys.view(f"V{8 * words}").ravel()
+        keys[:, j] = at[starts + size * j] | PAD[size][np.clip(lengths - size * j, 0, size)]
+    return keys[:, 0] if words == 1 else keys.view(f"V{size * words}").ravel()
 
 
 def binarize(ratings, threshold):
@@ -395,7 +417,11 @@ def filter_min_ratings(records, min_count):
     count. The kept lines' users are the codes the filter found, into its
     distinct user keys (see Interactions)."""
     distinct, inverse = _unique_inverse(records.users)
-    keep = (np.bincount(inverse) >= min_count)[inverse]
+    # not np.bincount, which casts the codes to an intp copy of the column:
+    # np.add.at and indexing cast int32 indices a buffer at a time
+    counts = np.zeros(len(distinct), np.int64)
+    np.add.at(counts, inverse, 1)
+    keep = (counts >= min_count)[inverse]
     if not keep.any():
         raise DataError("no users survive the minimum-rating filter")
     return Interactions(inverse[keep], records.items[keep], distinct)
@@ -415,28 +441,38 @@ def build_matrix(records):
     pairs, user_index = _renumber(records.users, records.user_keys)
     n, m = len(user_index), len(item_index)
     # sorted by user, then item, in place; np.unique would hash, which is far
-    # slower here
+    # slower here. int32 pairs while n * m fits them.
+    pairs = pairs.astype(_index_dtype(n * m), copy=False)
     pairs *= m
     pairs += items
     pairs.sort()
     pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    indptr = np.searchsorted(pairs, np.arange(n + 1) * m)  # each user's first pair
+    # each user's first pair; bounds of the pairs' dtype, which searchsorted
+    # would otherwise cast the pairs to
+    indptr = np.searchsorted(pairs, np.arange(n + 1, dtype=pairs.dtype) * m)
     return RatingMatrix.from_csr(n, m, indptr, np.remainder(pairs, m, out=pairs),
                                  user_index, item_index)
 
 
+def _index_dtype(count):
+    """int32 when it numbers `count` things, else int64."""
+    return np.int32 if count < 2**31 else np.int64
+
+
 def _renumber(keys, distinct=None):
-    """Token keys numbered 0, 1, ... by first appearance, and the token ->
-    number map. With `distinct`, keys are codes into these distinct keys,
-    as Interactions.users with its user_keys, so they need no sort:
-    distinct may hold keys that no line has."""
+    """Token keys numbered 0, 1, ... by first appearance, in the codes' dtype
+    (see _unique_inverse), and the token -> number map. With `distinct`, keys
+    are codes into these distinct keys, as Interactions.users with its
+    user_keys, so they need no sort: distinct may hold keys that no line has."""
     distinct, codes = _unique_inverse(keys) if distinct is None else (distinct, keys)
     # a scatter-min finds each distinct key's first position in linear time;
-    # a key no line has keeps len(codes), so it sorts after every used one
-    first = np.full(len(distinct), len(codes), dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(len(codes)))
+    # a key no line has keeps len(codes), so it sorts after every used one.
+    # The positions take the codes' dtype, as np.minimum.at is slow on mixed
+    # ones.
+    first = np.full(len(distinct), len(codes), dtype=codes.dtype)
+    np.minimum.at(first, codes, np.arange(len(codes), dtype=codes.dtype))
     in_order = np.argsort(first)[:np.count_nonzero(first < len(codes))]
-    rank = np.empty(len(distinct), dtype=np.int64)
+    rank = np.empty(len(distinct), dtype=codes.dtype)
     rank[in_order] = np.arange(len(in_order))
     # only the distinct keys are decoded: each is its token's bytes, then 0xFF
     blob, width = distinct[in_order].tobytes(), distinct.dtype.itemsize
@@ -446,12 +482,12 @@ def _renumber(keys, distinct=None):
 
 
 def _unique_inverse(keys):
-    """(distinct, codes): np.unique(keys, return_inverse=True), found without
-    a permutation of all keys: each block of UNIQUE_BLOCK keys is coded on its
-    own, and its codes are mapped through one coding of the blocks' few
-    distinct keys."""
+    """(distinct, codes): np.unique(keys, return_inverse=True), its codes
+    int32 below 2**31 keys, found without a permutation of all keys: each
+    block of UNIQUE_BLOCK keys is coded on its own, and its codes are mapped
+    through one coding of the blocks' few distinct keys."""
     blocks = range(0, len(keys), UNIQUE_BLOCK)
-    codes, parts = np.empty(len(keys), np.int64), []
+    codes, parts = np.empty(len(keys), _index_dtype(len(keys))), []
     for i in blocks:
         part, codes[i:i + UNIQUE_BLOCK] = np.unique(keys[i:i + UNIQUE_BLOCK], return_inverse=True)
         parts.append(part)
@@ -494,12 +530,17 @@ def split_users(matrix, test_frac=0.2, val_frac_of_train=0.1, seed=0):
 
 
 def save_snapshot(matrix, path):
-    # each item id is formatted once, not once per positive
+    # each item id is formatted once, not once per positive, and the rows'
+    # ids are listed by blocks of rows, not all at once
     names = np.array([str(i) for i in range(matrix.m)], dtype=object)
-    items, ptr = names[matrix.indices].tolist(), matrix.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{SNAPSHOT_MAGIC} n={matrix.n} m={matrix.m} nnz={matrix.nnz}\n")
-        fh.writelines(f"{u}:{' '.join(items[ptr[u]:ptr[u + 1]])}\n" for u in range(matrix.n))
+        for first in range(0, matrix.n, SNAPSHOT_ROWS):
+            ptr = matrix.indptr[first:first + SNAPSHOT_ROWS + 1]
+            items = names[matrix.indices[ptr[0]:ptr[-1]]].tolist()
+            ptr = (ptr - ptr[0]).tolist()
+            fh.writelines(f"{first + u}:{' '.join(items[ptr[u]:ptr[u + 1]])}\n"
+                          for u in range(len(ptr) - 1))
 
 
 def load_snapshot(path):

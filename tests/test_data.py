@@ -270,7 +270,7 @@ def test_renumber_matches_unique_reference(draw):
     codes = np.array(draw.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=60)),
                      dtype=np.int64)
     got, expected = data._renumber(token_keys(tokens)[codes]), ref_renumber(codes, tokens)
-    assert got[0].dtype == np.int64 and np.array_equal(got[0], expected[0])
+    assert got[0].dtype == np.int32 and np.array_equal(got[0], expected[0])
     assert list(got[1].items()) == list(expected[1].items())
 
 
@@ -278,7 +278,8 @@ def test_renumber_matches_unique_reference(draw):
 @given(st.data())
 def test_unique_inverse_codes_every_key(draw):
     # runs of equal keys, cut by blocks of 1 to 8 keys; tokens of up to 15
-    # bytes, so that keys are uint64 or, over 8 bytes, void
+    # bytes, so that keys are uint32 up to 4 bytes, uint64 up to 8 and void
+    # over 8
     long = draw.draw(st.booleans())
     tokens = [f"t{j}" * (1 + j % 5 if long else 1) for j in range(draw.draw(st.integers(1, 30)))]
     runs = draw.draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), st.integers(1, 6)),
@@ -289,16 +290,26 @@ def test_unique_inverse_codes_every_key(draw):
     # np.unique's distinct keys and inverse, for uint64 and void keys alike
     expected = np.unique(keys, return_inverse=True)
     assert distinct.dtype == keys.dtype and np.array_equal(distinct, expected[0])
-    assert codes.dtype == np.int64 and np.array_equal(codes, expected[1])
+    assert codes.dtype == np.int32 and np.array_equal(codes, expected[1])
     assert np.array_equal(distinct[codes], keys)
 
 
-@pytest.mark.parametrize("tokens", [[], ["a"], ["a-long-token"]], ids=["empty", "one", "one_void"])
+@pytest.mark.parametrize("tokens", [[], ["a"], ["a-token"], ["a-long-token"]],
+                         ids=["empty", "one", "one_uint64", "one_void"])
 def test_unique_inverse_of_no_key_or_one(tokens):
-    keys = token_keys(tokens) if tokens else np.zeros(0, dtype=np.uint64)
+    keys = token_keys(tokens) if tokens else np.zeros(0, dtype=np.uint32)
     distinct, codes = data._unique_inverse(keys)
     assert distinct.dtype == keys.dtype and np.array_equal(distinct, keys)
-    assert codes.dtype == np.int64 and codes.tolist() == [0] * len(tokens)
+    assert codes.dtype == np.int32 and codes.tolist() == [0] * len(tokens)
+
+
+def test_token_keys_are_4_bytes_up_to_4_byte_tokens_then_whole_words():
+    # UTF-8 bytes, not characters, set the width: "ü" is 2 bytes, "日本" 6
+    for tokens, dtype in ((["a", "abcd", "ü", "üü"], np.uint32), (["abcde", "日本"], np.uint64),
+                          (["a", "abcdefgh"], np.uint64), (["abcdefghi"], np.dtype("V16")),
+                          (["a" * 17], np.dtype("V24"))):
+        keys = token_keys(tokens)
+        assert keys.dtype == dtype and key_tokens(keys) == tokens
 
 
 def test_pipeline_idempotence(tmp_path):
@@ -473,7 +484,7 @@ def test_ingest_matches_reference_across_chunk_boundaries(tmp_path, monkeypatch)
 
 def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
     # blocks of a few bytes: the blank lines make blocks without a token, and
-    # tokens of more than 8 and 16 bytes first appear blocks after the short ones
+    # tokens of more than 8 and 16 bytes first appear blocks after the 4-byte ones
     path = tmp_path / "raw.dat"
     path.write_bytes("u1::a::5\n\n\n\n\nu2::b\x00::4\n\n\n\nuser-00000012-long::a::5\n"
                      "u1::item-0000012::4\n\n\n\nu2::日本-item-00012::5\nu2::a::2\n"
@@ -489,8 +500,8 @@ def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_parse_block", spy)
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", 2)
     records = data.load_interactions(path, "::", 3.5)
-    assert (0, 8, 8) in widths and widths[0] == (1, 8, 8)
-    assert {w[1] for w in widths} == {8, 24} and {w[2] for w in widths} == {8, 16, 24}
+    assert (0, 4, 4) in widths and widths[0] == (1, 4, 4)
+    assert {w[1] for w in widths} == {4, 24} and {w[2] for w in widths} == {4, 16, 24}
     ref_records = ref_positives(path, "::", 3.5)
     assert as_pairs(records) == ref_pairs(ref_records)
     assert (records.users.dtype.itemsize, records.items.dtype.itemsize) == (24, 24)
@@ -499,6 +510,41 @@ def test_column_join_pads_narrow_and_empty_parts(tmp_path, monkeypatch):
     assert list(matrix.user_index.items()) == list(ref.user_index.items())
     assert list(matrix.item_index.items()) == list(ref.item_index.items())
     assert same_csr(matrix, ref)
+
+
+def test_key_columns_widen_from_4_to_8_to_16_bytes(tmp_path, monkeypatch):
+    # the first blocks' tokens have at most 4 bytes, later ones 5 to 8 and
+    # then 9 to 16, and tokens of every width recur after both widenings
+    path = tmp_path / "raw.dat"
+    short, mid, long = ["u1", "u22", "ü1"], ["user-1", "user-22"], ["user-0000012", "user-0000012ü"]
+    rows = [(short[k % 3], short[k % 2], str(k % 5 + 1)) for k in range(40)]
+    rows += [((short + mid)[k % 5], (mid + short)[k % 5], str(k % 5 + 1)) for k in range(40)]
+    rows += [((short + mid + long)[k % 7], (long + short)[k % 5], str(k % 5 + 1))
+             for k in range(40)]
+    write_raw_file(path, rows)
+    put, widths = data._put, []  # key bytes of each column after a block, users then items
+
+    def spy(column, at, part):
+        column = put(column, at, part)
+        widths.append(column.dtype.itemsize)
+        return column
+
+    monkeypatch.setattr(data, "_put", spy)
+    monkeypatch.setattr(data, "READ_CHUNK_BYTES", 64)
+    records = data.load_interactions(path, "::", 0.5)
+    assert widths[:2] == [4, 4]
+    assert sorted(set(widths[::2])) == sorted(set(widths[1::2])) == [4, 8, 16]
+    ref_records = ref_positives(path, "::", 0.5)
+    assert as_pairs(records) == ref_pairs(ref_records)
+    matrix = data.build_matrix(data.filter_min_ratings(records, 2))
+    ref = ref_build_matrix(ref_filter_min_ratings(ref_records, 2))
+    files = {}
+    for name, built in (("got", matrix), ("ref", ref)):
+        files[name] = [tmp_path / f"{name}.snapshot", tmp_path / f"{name}-users.map",
+                       tmp_path / f"{name}-items.map"]
+        data.save_snapshot(built, files[name][0])
+        data.save_maps(built, *files[name][1:])
+    assert [f.read_bytes() for f in files["got"]] == [f.read_bytes() for f in files["ref"]]
 
 
 def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monkeypatch):
@@ -511,6 +557,8 @@ def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monke
                             zip(users, items, stars)))
     chunk = 64 << 10  # the log spans about 75 blocks
     monkeypatch.setattr(data, "READ_CHUNK_BYTES", chunk)
+    # the line count's reads too, which hold about twice their size
+    monkeypatch.setattr(data, "LINE_COUNT_BYTES", chunk)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
         records = data.load_interactions(path, "::", 3.5)
@@ -518,7 +566,9 @@ def test_load_interactions_peak_memory_is_bounded_by_its_columns(tmp_path, monke
     finally:
         tracemalloc.stop()
     assert len(records) == sum(s > 3.5 for s in stars)
-    columns = 16 * n  # the two key columns, sized once by the line count
+    # the two key columns, sized once by the line count, of 4-byte keys: the
+    # tokens have at most 4 bytes
+    columns = 8 * n
     # each block's positives are parsed straight into the columns, so only a
     # block's parse (about 13 blocks) is held above them. Parts of every
     # block joined into the columns would add a third of them.
@@ -531,7 +581,7 @@ def test_build_matrix_peak_memory_is_bounded_by_its_key_columns():
     records = data.filter_min_ratings(data.Interactions(
         token_keys([f"u{u}" for u in np.sort(rng.integers(0, 500, n))]),
         token_keys([f"i{i}" for i in rng.integers(0, 1000, n)])), 1)
-    keys = records.users.nbytes + records.items.nbytes
+    keys = 8 * n  # an int32 user code and a 4-byte item key per line
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
         matrix = data.build_matrix(records)
@@ -539,10 +589,26 @@ def test_build_matrix_peak_memory_is_bounded_by_its_key_columns():
     finally:
         tracemalloc.stop()
     assert matrix.nnz > n // 2
-    # about 2.6 times the key columns: the item ranks, the pairs and the
-    # deduplicated pairs; a copy of the pairs or the user ranks held while
-    # the items are numbered would add another half at least
-    assert peak < 2.8 * keys
+    # about 1.65 times the key columns: the int32 item ranks and pairs, the
+    # two masks of the distinct pairs and the deduplicated pairs; int64
+    # ranks and pairs, a copy of the pairs or the user ranks held while the
+    # items are numbered would add another quarter at least
+    assert peak < 1.9 * keys
+
+
+def test_build_matrix_pairs_past_int32_are_int64():
+    # n * m = 46,341**2 = 2,147,488,281 >= 2**31: an int32 pair of the last
+    # user's item would wrap around. Each user rates its own item, some twice.
+    n = 46_341
+    order = np.random.Generator(np.random.PCG64(8)).permutation(np.arange(n + 1000) % n)
+    tokens = token_keys([str(u) for u in order.tolist()])
+    matrix = data.build_matrix(data.filter_min_ratings(data.Interactions(tokens, tokens), 1))
+    assert (matrix.n, matrix.m) == (n, n)
+    # first appearance numbers each user as its item, so the sorted unique
+    # pairs are (u, u) for every u
+    assert same_csr(matrix, data.RatingMatrix.from_csr(
+        n, n, np.arange(n + 1), np.arange(n), {}, {}))
+    assert list(matrix.user_index.items()) == list(matrix.item_index.items())
 
 
 def test_filter_keeps_one_user_column_of_codes_into_its_distinct_keys():

@@ -20,7 +20,11 @@ ML-1M-shaped seed-7 log of `perfbench/corpus.py` (`ratings-ml1m.dat`) is
 prepared and trained for 1 epoch and 1 retraining epoch at the default k
 and d (`prepared-ml1m/`, `train-ml1m/`, about 2 s on 2 cores): products
 large enough for a multi-threaded BLAS to split, and for the lanes to,
-so the lines show whether the outputs depend on the BLAS thread count.
+so the lines show whether the outputs depend on the BLAS thread count. A
+copy of that log whose first half keeps its tokens of at most 4 bytes and
+whose second half has 6-byte user and 12-byte item tokens is prepared into
+`prepared-mixed/`: its blocks of 4-byte keys come first, so the key columns
+are widened to 8 and 16 bytes partway through the parse.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -85,6 +89,8 @@ def commands(out):
          "--out", os.path.join(out, "prepared-ml1m")],
         ["train", "--data-dir", os.path.join(out, "prepared-ml1m"),
          "--out", os.path.join(out, "train-ml1m"), "--epochs", "1", "--retrain-epochs", "1"],
+        ["prepare", "--dataset", os.path.join(out, "ratings-mixed.dat"),
+         "--out", os.path.join(out, "prepared-mixed")],
     ]
 
 
@@ -95,6 +101,18 @@ def long_tokens(log):
     for line in log.splitlines(keepends=True):
         user, item, rest = line.split("::", 2)
         lines.append(f"user{user:>08}::item{item:>016}::{rest}")
+    return "".join(lines)
+
+
+def mixed_tokens(log):
+    """The log with its first half of lines as they are and, in its second
+    half, each user token zero-padded to 6 bytes and each item token to 12,
+    behind a prefix."""
+    lines = log.splitlines(keepends=True)
+    half = len(lines) // 2
+    for k in range(half, len(lines)):
+        user, item, rest = lines[k].split("::", 2)
+        lines[k] = f"u{user:>05}::item{item:>08}::{rest}"
     return "".join(lines)
 
 
@@ -116,11 +134,12 @@ def main(argv):
     os.makedirs(out, exist_ok=True)
     log = corpus.generate(corpus.TINY, 7)[0]
     crlf = "user::item::rating::ts\r\n" + log.replace("\n", "\r\n")
+    ml1m = corpus.generate(corpus.ML1M, 7)[0]
     for name, text in (("ratings.dat", log), ("ratings-long.dat", long_tokens(log)),
                        ("ratings-crlf.dat", crlf), ("run.cfg", CONFIG),
                        ("prepare.cfg", PREPARE_CONFIG), ("grouped.cfg", GROUPED_CONFIG),
                        ("feedback.txt", FEEDBACK),
-                       ("ratings-ml1m.dat", corpus.generate(corpus.ML1M, 7)[0])):
+                       ("ratings-ml1m.dat", ml1m), ("ratings-mixed.dat", mixed_tokens(ml1m))):
         # newline="": the text's line ends are written as they are
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

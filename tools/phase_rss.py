@@ -8,11 +8,16 @@ The command runs in-process through `elicit.cli.main`, with the functions of
 PHASES wrapped, so it runs the code and reads the files it would run alone.
 Each line gives the seconds since the command started, the event, the phase
 (indented by its nesting) and both figures in MB. A phase that raises the
-high-water mark between its entry and exit holds the peak. Linux only.
+high-water mark between its entry and exit holds the peak. The last line
+gives the command's `ru_maxrss` (getrusage of this process), the exact
+high-water mark: Linux sums VmRSS and VmHWM from per-CPU counters it
+updates only now and then, so they are good to about 0.2 MB, and VmHWM can
+even read a little lower than it did before. Linux only.
 """
 
 import functools
 import importlib
+import resource
 import sys
 import time
 
@@ -76,6 +81,8 @@ def main(argv):
         for module, attr, fn in originals:
             setattr(module, attr, fn)
     trace.event("end", "cli.main")
+    # ru_maxrss is in KiB on Linux
+    print(f"ru_maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return code
 
 
