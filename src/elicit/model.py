@@ -15,11 +15,13 @@ from .linalg import (BLOCK_ELEMS, DENSE_LANE_WORK, SMALL_GEMM_WORK, _in_lanes, _
 
 CHECKPOINT_MAGIC = b"DRE1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# the share U/b of rows to decode up to which a decoder-only step decodes
+# the share U/b of rows to decode up to which a decoder-only step runs over
 # each distinct row once: on the perfbench seed-7 matrix (b = 256, k = 50,
-# d = 300, 2 cores) such a step took 0.76 of the time of decoding every row
-# at U/b 0.26, 0.96 at 0.8, 0.99 at 0.85 and 1.01 at 0.9
-DISTINCT_ROWS_CUT = 0.85
+# d = 300, 2 cores, OpenBLAS 0.3.31) such a step took this share of the
+# time of the step over every row (11.7-12.2 ms):
+#   U/b   0.21  0.5   0.6   0.7   0.8   0.85  0.9   0.93  0.95
+#   time  0.39  0.63  0.72  0.83  0.87  0.92  0.97  1.00  1.02
+DISTINCT_ROWS_CUT = 0.9
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,9 @@ class Workspace:
     Steps write into these arrays with out= or in place, so no step
     allocates an array the size of a minibatch or a parameter, and a step's
     results are overwritten by the next step's instead of staying alive
-    while it allocates its own."""
+    while it allocates its own. A decoder-only step over the U distinct
+    rows of its minibatch (_decoder_step) takes the leading U rows of the
+    minibatch-sized arrays, so they are not made again as U changes."""
 
     def __init__(self):
         self._arrays = {}
@@ -186,25 +190,25 @@ def _distinct_rows(theta, z):
 
 def _decoder_step(theta, z, positives, ws):
     """The decoder's gradients on the inputs z with the given positives, as
-    _decoder_backward returns them (arrays of the workspace ws): those of
-    _decoder_forward and _decoder_backward over every row, to the bit. Where
-    at most DISTINCT_ROWS_CUT of z's rows, and at most d, are to be decoded
-    (_distinct_rows), the forward decodes just those, into the leading rows
-    of the "d_h" and "d_w2" buffers, which the backward writes only after it
-    has read h and r_hat, and takes its rows back to z's with np.take
-    (mode="clip" writes straight into out; the default buffers all of it)."""
+    _decoder_backward returns them (arrays of the workspace ws). Where at
+    most DISTINCT_ROWS_CUT of z's rows are to be decoded (_distinct_rows),
+    the rows that repeat a row share its h and r_hat, so the whole step runs
+    over the U distinct rows of z, as groups (_decoder_backward's counts):
+    the exact gradient, rounded otherwise than over every row. Elsewhere the
+    step has the bits of _decoder_forward and _decoder_backward over every
+    row."""
     b, (d, m) = len(z), theta.w2.shape
     distinct = _distinct_rows(theta, z)
-    if distinct is None or len(distinct[0]) > min(DISTINCT_ROWS_CUT * b, d):
+    if distinct is None or len(distinct[0]) > DISTINCT_ROWS_CUT * b:
         h, r_hat = _decoder_forward(theta, z, ws)
-    else:
-        rows, inverse = distinct
-        h, r_hat = _decoder_forward(theta, z[rows], ws, out=(ws.get("d_h", (b, d), np.float32),
-                                                            ws.get("d_w2", (d, m), np.float32)))
-        h = np.take(h, inverse, axis=0, mode="clip", out=ws.get("h", (b, d), np.float32))
-        r_hat = np.take(r_hat, inverse, axis=0, mode="clip",
-                        out=ws.get("r_hat", (b, m), np.float32))
-    return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
+        return _decoder_backward(theta, z, h, r_hat, positives, ws)[0]
+    rows, inverse = distinct
+    counts = np.bincount(inverse).astype(np.float32)  # rows past U only pad the decode
+    z = z[rows[:len(counts)]]
+    h, r_hat = _decoder_forward(theta, z, ws, out=(ws.get("h", (b, d), np.float32),
+                                                   ws.get("r_hat", (b, m), np.float32)))
+    return _decoder_backward(theta, z, h, r_hat, (inverse[positives[0]], positives[1]), ws,
+                             counts=counts)[0]
 
 
 def decode(theta, z_batch, ws=None):
@@ -219,7 +223,7 @@ def mse_loss(r_hat, r_batch):
     return float(np.sum(diff * diff) / r_batch.shape[0])
 
 
-def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False):
+def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False, counts=None):
     """Gradients of the MSE loss w.r.t. the decoder parameters, plus the
     gradient at the hidden pre-activation, from which callers that also
     train the encoder continue the chain rule, all arrays of the workspace
@@ -229,11 +233,22 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False):
     loss) with the loss of mse_loss, to the bit: the squared residuals
     (r_hat - r)**2 go into the leading b rows of the "d_w2" array, grown to
     max(b, d) rows, and are summed there before w2's gradient is written
-    over them."""
-    b, m = r_hat.shape
+    over them.
+    With counts, each row of z, h and r_hat stands for a group of that many
+    rows of a minibatch of b = sum(counts) rows, whose positives' rows are
+    the groups' (in any order): the group's summed output gradient is
+    (2 / b) * r_hat * (1 - r_hat) * (c * r_hat - P), P its positives per
+    item, and the products and sums run over the groups. d_h and "1 - h"
+    take the leading rows of b-row arrays. No loss is summed with counts."""
+    n, m = r_hat.shape
+    b = n if counts is None else int(counts.sum())
     rows, items = positives
     at = rows * m
     at += items  # flat positions of the positives
+    hits = None  # one positive at each of them, or a group's count there
+    if counts is not None:
+        at, hits = np.unique(at, return_counts=True)
+        hits = hits.astype(r_hat.dtype)
     flat = r_hat.reshape(-1, copy=False)
     step = _block_rows(r_hat)
     bufs = ws.lane_buffers(r_hat[:step].size, r_hat.dtype)
@@ -247,19 +262,23 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False):
         d = r_hat[start:stop]  # becomes the block of the output gradient
         rh = bufs[lane][0][:d.size].reshape(d.shape)
         np.copyto(rh, d)
-        lo, hi = np.searchsorted(rows, (start, stop))
-        flat[at[lo:hi]] -= 1
+        lo, hi = np.searchsorted(at, (start * m, stop * m))
+        if hits is None:
+            flat[at[lo:hi]] -= 1
+        else:
+            d *= counts[start:stop, None]
+            flat[at[lo:hi]] -= hits[lo:hi]
         if sq_err is not None:
             np.multiply(d, d, out=sq_err[start:stop])
         d *= 2.0 / b
         d *= rh
         d *= np.subtract(1.0, rh, out=rh)
 
-    _in_lanes(b, step, rows_of)
+    _in_lanes(n, step, rows_of)
     # mse_loss's sum over the same squares, so the same bits
     summed = None if sq_err is None else float(np.sum(sq_err) / b)
     d_out = r_hat
-    d_h = ws.get("d_h", h.shape, np.result_type(d_out, theta.w2))
+    d_h = ws.get("d_h", (b, h.shape[1]), np.result_type(d_out, theta.w2))[:n]
     d_w2 = ws.get("d_w2", theta.w2.shape, w2_dtype)
     # the two products of d_out at once, one per lane, each whole: fewer
     # hand-overs, and no operand packed twice, than cutting each in two
@@ -267,7 +286,7 @@ def _decoder_backward(theta, z, h, r_hat, positives, ws, loss=False):
     _in_lanes(2, 1, lambda lane, i, _: np.matmul(*products[i][:2], out=products[i][2]),
               split=d_out.size * h.shape[1] >= DENSE_LANE_WORK)
     d_h *= h
-    d_h *= np.subtract(1.0, h, out=ws.get("1 - h", h.shape, h.dtype))
+    d_h *= np.subtract(1.0, h, out=ws.get("1 - h", (b, h.shape[1]), h.dtype)[:n])
     grads = {
         "w1": _matmul(z.T, d_h, out=ws.get("d_w1", theta.w1.shape, np.result_type(z, d_h))),
         "b1": np.sum(d_h, axis=0, out=ws.get("d_b1", theta.b1.shape, d_h.dtype)),
@@ -478,10 +497,11 @@ def retrain_decoder(matrix, split, seeds, theta, epochs, lr, batch_size, seed):
     hard selection r[:, seeds] of each minibatch r, with no Gumbel noise and
     no encoder update. Only the seed columns of a minibatch are built dense;
     the target is its positives. Users who answer the seeds alike share
-    their decode: a step decodes each distinct answer row once where few
-    enough are distinct (_decoder_step), with the bits of decoding every
-    row. theta, the decoder to start from, is trained in place and returned;
-    a caller that needs its starting weights passes a copy."""
+    their decode: where few enough answer rows of a minibatch are distinct,
+    a step runs its forward and backward over each distinct row once
+    (_decoder_step), the exact gradient up to float32 rounding. theta, the
+    decoder to start from, is trained in place and returned; a caller that
+    needs its starting weights passes a copy."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if len(np.unique(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")

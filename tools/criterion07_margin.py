@@ -27,8 +27,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from test_acceptance import cluster_matrix  # noqa: E402
 
 
-def criterion07_run(matrix, split, run):
-    """(blocks covered by DRE's seeds, DRE's NDCG@5, RAN++'s NDCG@5) of one run."""
+def criterion07_models(matrix, split, run):
+    """(phi, seeds, retrained decoder) of DRE and (seeds, decoder) of RAN++
+    of one run."""
     cfg = model.TrainConfig(
         k=3, d=16, lr=0.01, epochs=1000, batch_size=64, t0=10.0, te=0.01,
         retrain_epochs=100, seed=run, val_every=10**6)
@@ -37,11 +38,17 @@ def criterion07_run(matrix, split, run):
     theta = model.retrain_decoder(
         matrix, split, seeds, theta, cfg.retrain_epochs,
         lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed)
-    dre = evaluate.evaluate_method(
-        lambda z: model.recommend(theta, seeds, z, 5), matrix, split, seeds, Ns=(5,))
     rng = np.random.Generator(np.random.PCG64(1000 + run))
     rand_seeds = baselines.select_random(matrix.m, 3, rng)
-    rand_theta = baselines.plusplus_decoder(matrix, split, rand_seeds, cfg)
+    return (phi, seeds, theta), (rand_seeds, baselines.plusplus_decoder(matrix, split,
+                                                                        rand_seeds, cfg))
+
+
+def criterion07_run(matrix, split, run):
+    """(blocks covered by DRE's seeds, DRE's NDCG@5, RAN++'s NDCG@5) of one run."""
+    (_, seeds, theta), (rand_seeds, rand_theta) = criterion07_models(matrix, split, run)
+    dre = evaluate.evaluate_method(
+        lambda z: model.recommend(theta, seeds, z, 5), matrix, split, seeds, Ns=(5,))
     ran = evaluate.evaluate_method(
         lambda z: model.recommend(rand_theta, rand_seeds, z, 5),
         matrix, split, rand_seeds, Ns=(5,))

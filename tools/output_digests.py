@@ -24,7 +24,12 @@ so the lines show whether the outputs depend on the BLAS thread count. A
 copy of that log whose first half keeps its tokens of at most 4 bytes and
 whose second half has 6-byte user and 12-byte item tokens is prepared into
 `prepared-mixed/`: its blocks of 4-byte keys come first, so the key columns
-are widened to 8 and 16 bytes partway through the parse.
+are widened to 8 and 16 bytes partway through the parse. Last of all, run 0
+of `tools/criterion07_margin.py`'s pipeline (criterion 07's shapes: k = 3,
+d = 16, batches of 64) writes DRE's checkpoint with its retrained decoder
+(`criterion07-run0/dre.dre`) and RAN++'s decoder, its w1, b1, w2 and b2 as
+float32 (`criterion07-run0/ran++.bin`), so the lines show whether a change
+moves the bits behind the criterion's draws.
 
     PYTHONPATH=src python tools/output_digests.py OUT
 
@@ -39,11 +44,14 @@ import hashlib
 import os
 import sys
 
-from elicit import cli
+import numpy as np
+
+from elicit import cli, data, model
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import corpus  # noqa: E402
+from criterion07_margin import cluster_matrix, criterion07_models  # noqa: E402
 
 CONFIG = "d=16\nbatch_size=32\nretrain_epochs=2\nval_every=2\nseed=3\n"
 PREPARE_CONFIG = "delimiter = ::\nthreshold = 2.5\nmin_count = 25\n"
@@ -150,6 +158,13 @@ def main(argv):
             code = cli.main(args)
         if code != 0:
             sys.exit(f"elicit {args[0]} exited {code}")
+    matrix = cluster_matrix()
+    (phi, seeds, theta), (_, ran_theta) = criterion07_models(
+        matrix, data.split_users(matrix, seed=0), 0)
+    os.makedirs(os.path.join(out, "criterion07-run0"), exist_ok=True)
+    model.save_checkpoint(os.path.join(out, "criterion07-run0", "dre.dre"), phi, theta, seeds)
+    with open(os.path.join(out, "criterion07-run0", "ran++.bin"), "wb") as fh:
+        fh.write(b"".join(np.asarray(a, "<f4").tobytes() for a in vars(ran_theta).values()))
     for digest, path in digests(out):
         print(f"{digest}  {path}")
     return 0
