@@ -28,16 +28,16 @@ def select_popular(counts, k):
 
 def rbmf_select(R, k, seed):
     """Maximal-volume seed selection: rank-k SVD of the training matrix R
-    (scipy.sparse or dense), then Maxvol over the item rows of the
-    (value-weighted) right factor."""
+    (a data.RowBlocks operand, or dense), then Maxvol over the item rows of
+    the (value-weighted) right factor."""
     return maxvol(truncated_svd(R, k, seed=seed).T).indices.astype(np.int64)
 
 
 def rbmf_decoder(R, seeds):
     """Linear decoder: the k x m float64 matrix X of the regularized
-    least-squares fit of the scipy.sparse training matrix R onto its seed
-    columns, the only part of R that is densified; predictions are z @ X."""
-    return ridge_solve(R[:, seeds].toarray(), R)
+    least-squares fit of the training matrix R, a data.RowBlocks operand,
+    onto its seed columns, read from its positives; predictions are z @ X."""
+    return ridge_solve(R.columns(seeds), R)
 
 
 def plusplus_decoder(matrix, split, seeds, cfg):

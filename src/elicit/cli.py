@@ -238,10 +238,10 @@ def eval_run(matrix, split, cfg, methods, Ns, run, checkpoint, loaded, external_
     if "POP++" in methods:
         plusplus("POP++", baselines.select_popular(train_counts, k))
     if "RBMF" in methods or "RBMF++" in methods:
-        # one CSR of the training rows serves the selection and the linear
-        # decoder, and is dropped before any scoring, so none is held while
-        # a decoder trains
-        train_rows = matrix.csr(split.train_users)
+        # one operand of the training rows serves the selection and the
+        # linear decoder, and is dropped before any scoring, so none is held
+        # while a decoder trains
+        train_rows = matrix.row_blocks(split.train_users)
         rbmf_seeds = baselines.rbmf_select(train_rows, k, seed=stream_seed(master, "RBMF", run))
         x = baselines.rbmf_decoder(train_rows, rbmf_seeds) if "RBMF" in methods else None
         del train_rows

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BLOCK_ELEMS
+from .linalg import BLOCK_ELEMS, _matmul
 
 SNAPSHOT_MAGIC = "ELICIT-MATRIX v1"
 # a non-negative integer as str() writes it: ASCII digits, no sign or leading
@@ -39,6 +39,12 @@ SNAPSHOT_CHUNK_BYTES = 1 << 17
 # ML-1M-shaped matrix at once raised prepare's peak by 5 MB, and blocks of
 # 1,024 rows write it as fast (20 ms on a 2-core VM).
 SNAPSHOT_ROWS = 1 << 10
+# Users per block of a RowBlocks product, densified into a float32 buffer of
+# this many rows (1.9 MB at 3,706 items). On the ML-1M-shaped benchmark
+# (2-core VM, OpenBLAS 0.3.31) eval's ru_maxrss read 79.3-81.6 MB at 128,
+# 83.5-85.3 MB at 256 and 90.8-92.6 MB at 512, while RBMF's SVD took about
+# 390, 370 and 340 ms.
+PRODUCT_ROWS = 128
 # Keys coded at a time by _unique_inverse: each block's sort and permutation
 # stay this small. np.unique holds 34-42 bytes a key of a block in
 # temporaries; 32 Ki-key blocks code that matrix's users and items as fast
@@ -175,19 +181,85 @@ class RatingMatrix:
         """The boolean rows of user_ids, in that order."""
         return densify(self.positives(user_ids), np.empty((len(user_ids), self.m), bool))
 
-    def csr(self, user_ids):
-        """The rows of user_ids, in that order, as a float64 scipy.sparse CSR
-        array, for kernels that only multiply by it. Its indptr is int32
-        where nnz fits: with an int64 one, scipy copies the indices."""
-        # imported here: scipy.sparse adds about 0.25 s to the start-up of
-        # every command
-        from scipy.sparse import csr_array
-        indptr, indices = self._gather(user_ids)
-        indptr = indptr.astype(np.int32) if len(indices) < 2**31 else indptr
-        return csr_array((np.ones(len(indices)), indices, indptr), shape=(len(user_ids), self.m))
+    def row_blocks(self, user_ids):
+        """The rows of user_ids, in that order, as a RowBlocks operand."""
+        return RowBlocks(*self._gather(user_ids), self.m)
 
     def item_counts(self, user_ids):
         return np.bincount(self._gather(user_ids)[1], minlength=self.m)
+
+
+class RowBlocks:
+    """The 0/1 rows of a set of users as an operand of the products A @ X
+    and A.T @ Y (A.T is a view), both float64, for kernels that only
+    multiply by it. A product runs over blocks of PRODUCT_ROWS users: each
+    block's positives are scattered into one reused float32 buffer, which
+    is multiplied through linalg._matmul by X or Y cast to float32 and
+    cleared again; the blocks of A.T @ Y are summed in float64, in block
+    order. Products of 0/1 factors are therefore exact while their counts
+    stay below 2**24. The rows never change, but two products may not run
+    at once, as they share the buffer."""
+
+    def __init__(self, indptr, indices, m):
+        """The rows whose user r has the item ids
+        indices[indptr[r]:indptr[r + 1]], of m items."""
+        self._indptr, self._indices = indptr, indices
+        self.shape = (len(indptr) - 1, m)
+        self._buffer = np.zeros((min(self.shape[0], PRODUCT_ROWS), m), np.float32)
+        self.T = _Transposed(self)
+
+    def _blocks(self):
+        """(start, block) for each block of rows [start, start + len(block)),
+        block a view of the buffer holding those rows while the caller
+        works on it."""
+        n, m = self.shape
+        flat = self._buffer.reshape(-1)
+        for start in range(0, n, PRODUCT_ROWS):
+            stop = min(start + PRODUCT_ROWS, n)
+            bounds = self._indptr[start:stop + 1]
+            at = np.repeat(np.arange(stop - start) * m, np.diff(bounds))
+            at += self._indices[bounds[0]:bounds[-1]]
+            flat[at] = 1
+            try:
+                yield start, self._buffer[:stop - start]
+            finally:  # the buffer is all zeros between blocks
+                flat[at] = 0
+
+    def __matmul__(self, X):
+        X = np.asarray(X, np.float32)
+        out = np.empty((self.shape[0], X.shape[1]))
+        part = np.empty((len(self._buffer), X.shape[1]), np.float32)
+        for start, block in self._blocks():
+            out[start:start + len(block)] = _matmul(block, X, out=part[:len(block)])
+        return out
+
+    def _transposed_matmul(self, Y):
+        """A.T @ Y."""
+        Y = np.asarray(Y, np.float32)
+        out = np.zeros((self.shape[1], Y.shape[1]))
+        part = np.empty(out.shape, np.float32)
+        for start, block in self._blocks():
+            out += _matmul(block.T, Y[start:start + len(block)], out=part)
+        return out
+
+    def columns(self, items):
+        """The float64 n x len(items) array of the items' columns."""
+        column = np.full(self.shape[1], -1, dtype=np.int64)  # item -> its column, -1 if none
+        column[items] = np.arange(len(items))
+        hit = column[self._indices]
+        at = np.flatnonzero(hit >= 0)
+        rows = np.searchsorted(self._indptr, at, side="right") - 1
+        return densify((rows, hit[at]), np.empty((self.shape[0], len(items))))
+
+
+class _Transposed:
+    """A.T of a RowBlocks A: A.T @ Y."""
+
+    def __init__(self, rows):
+        self.T, self.shape = rows, rows.shape[::-1]
+
+    def __matmul__(self, Y):
+        return self.T._transposed_matmul(Y)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,7 @@ def _in_lanes(total, step, body, split=True):
     calling thread and lane 1 the rest in order on one persistent worker
     thread, started at its first use. The lanes must write disjoint ranges
     and call only numpy, any function of it (there are two lanes only where
-    numpy's BLAS is on one thread), and scipy.sparse's products, which
-    release the GIL in their loops.
+    numpy's BLAS is on one thread).
     No function of this package may run on the worker, as the tracers of
     perfbench and tools keep one span stack per process. An exception of
     either lane is raised here once both have stopped, and the worker
@@ -122,33 +121,28 @@ _lanes = min(2, len(os.sched_getaffinity(0))) if _blas_threads else 1
 
 
 def _matmul(a, b, out=None):
-    """a @ b for a dense 2-D b of a's dtype, into `out` (of that dtype, and
-    overlapping neither) when given, in two parts run in lanes that keep
-    the one-thread product's bits: a scipy.sparse a by the halves of b's
-    columns; a dense product from DENSE_LANE_WORK on, if _lanes is 2, by
-    its larger output dimension if float32 and by its rows otherwise, at
+    """a @ b for dense 2-D a and b of one dtype, into `out` (of that dtype,
+    and overlapping neither) when given, in two parts run in lanes that keep
+    the one-thread product's bits: from DENSE_LANE_WORK on, if _lanes is 2,
+    by its larger output dimension if float32 and by its rows otherwise, at
     the multiple of PRODUCT_ALIGN nearest the middle (each part past
     SMALL_GEMM_WORK), and never one output row or column."""
     n, p = a.shape[0], b.shape[1]
     out = np.empty((n, p), np.result_type(a.dtype, b.dtype)) if out is None else out
-    sparse = not isinstance(a, np.ndarray)
     # a float64 product's last columns round by the call's column count (as
     # measured on SkylakeX kernels), its rows only by their place in a tile
-    by_rows = not sparse and (n > p or out.dtype != np.float32)
+    by_rows = n > p or out.dtype != np.float32
     size = n if by_rows else p
-    # scipy makes each output column of a sparse product on its own; numpy
-    # takes one output row or column through a matrix-vector path
-    cut = -(-p // 2) if sparse else PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
-    split = sparse or (_lanes == 2 and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
-                       and n * a.shape[1] * p >= DENSE_LANE_WORK)
-    bounds = (0, cut, size) if split and 0 < cut < size else (0, size)
+    cut = PRODUCT_ALIGN * round(size / (2 * PRODUCT_ALIGN))
+    # numpy takes one output row or column through a matrix-vector path
+    split = (_lanes == 2 and size >= 2 * PRODUCT_ALIGN and min(n, p) > 1
+             and n * a.shape[1] * p >= DENSE_LANE_WORK)
+    bounds = (0, cut, size) if split else (0, size)
 
     def part(lane, i, _):
         start, stop = bounds[i:i + 2]
         if by_rows:
             np.matmul(a[start:stop], b, out=out[start:stop])
-        elif sparse:
-            out[:, start:stop] = a @ b[:, start:stop]
         else:
             np.matmul(a, b[:, start:stop], out=out[:, start:stop])
 
@@ -156,22 +150,38 @@ def _matmul(a, b, out=None):
     return out
 
 
+def _orthonormal(Y):
+    """An n x p array with orthonormal columns spanning those of Y (n >= p),
+    by Cholesky QR done twice (CholeskyQR2, Fukaya et al. 2014): Q = Y @
+    inv(L).T for the Cholesky factor L of Y.T @ Y, and the same once more
+    for Q, which leaves Q orthonormal to rounding for a Y of condition
+    number up to about 1e8. np.linalg.qr (Householder) where a Gram matrix
+    is not positive definite, as for a rank-deficient Y."""
+    Q = Y
+    try:
+        for _ in range(2):
+            Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(Y)[0]
+    return Q
+
+
 def truncated_svd(A, k, seed):
     """The k x m right factor of A's rank-k approximation by randomized
     subspace iteration: the top k right singular vectors, each scaled by its
     singular value. Deterministic for a given seed. A is a dense array or a
-    scipy.sparse matrix: it only ever multiplies a dense factor from the
-    left, as A or A.T, in lanes (_matmul)."""
+    data.RowBlocks operand: it only ever multiplies a dense factor from the
+    left, as A or A.T, and each sketch is orthonormalized (_orthonormal)."""
     n, m = A.shape
     if not (1 <= k <= min(n, m)):
         raise ValueError(f"k={k} out of range for {n}x{m} matrix")
     rng = np.random.Generator(np.random.PCG64(seed))
     p = min(m, k + 10)  # the range sketch oversamples by 10 columns
-    Q = np.linalg.qr(_matmul(A, rng.standard_normal((m, p))))[0]
+    Q = _orthonormal(A @ rng.standard_normal((m, p)))
     for _ in range(4):  # power iterations
-        Q = np.linalg.qr(_matmul(A.T, Q))[0]
-        Q = np.linalg.qr(_matmul(A, Q))[0]
-    B = _matmul(A.T, Q).T  # Q.T @ A
+        Q = _orthonormal(A.T @ Q)
+        Q = _orthonormal(A @ Q)
+    B = (A.T @ Q).T  # Q.T @ A
     s, Vt = np.linalg.svd(B, full_matrices=False)[1:]
     return s[:k, None] * Vt[:k]
 
@@ -225,7 +235,8 @@ def maxvol(B):
 def ridge_solve(A, B, lam=1e-6):
     """Solve min_X ||B - A X||_F^2 + lam ||X||_F^2 via the normal equations.
 
-    A is a dense array; B is a dense array or a scipy.sparse matrix."""
+    A is a dense array; B is a dense array or a data.RowBlocks operand, of
+    which only B.T @ A is taken."""
     A = np.asarray(A, dtype=np.float64)
     k = A.shape[1]
     G = A.T @ A + lam * np.eye(k)

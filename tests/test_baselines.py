@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from elicit import baselines, data, model
 from conftest import make_cluster_matrix, matrix_from_rows
@@ -57,13 +56,13 @@ def test_rbmf_select_block_structure():
     # 3 orthogonal item blocks; brute-force max |det| picks one per block
     matrix = make_cluster_matrix(n_per_cluster=40, items_per_cluster=4,
                                  clusters=3, seed=1)
-    rows = matrix.csr(np.arange(matrix.n))
-    seeds = baselines.rbmf_select(rows, 3, seed=0)
+    users = np.arange(matrix.n)
+    seeds = baselines.rbmf_select(matrix.row_blocks(users), 3, seed=0)
     blocks = {int(s) // 4 for s in seeds}
     assert blocks == {0, 1, 2}
     # against the brute-force volume oracle on the SVD factor
     from elicit.linalg import truncated_svd
-    right = truncated_svd(rows.toarray(), 3, seed=0)
+    right = truncated_svd(matrix.dense(users).astype(np.float64), 3, seed=0)
     best = max(
         abs(np.linalg.det(right.T[list(c)]))
         for c in itertools.combinations(range(matrix.m), 3)
@@ -72,20 +71,31 @@ def test_rbmf_select_block_structure():
 
 
 def test_rbmf_select_deterministic(cluster_matrix):
-    rows = cluster_matrix.csr(np.arange(cluster_matrix.n))
+    users = np.arange(cluster_matrix.n)
+    rows = cluster_matrix.row_blocks(users)
     s1 = baselines.rbmf_select(rows, 4, seed=3)
     s2 = baselines.rbmf_select(rows, 4, seed=3)
     assert np.array_equal(s1, s2)
     assert len(set(s1.tolist())) == 4
-    # the sparse matrix selects what its dense copy selects
-    assert np.array_equal(s1, baselines.rbmf_select(rows.toarray(), 4, seed=3))
+    # the operand selects what its dense copy selects
+    dense = cluster_matrix.dense(users).astype(np.float64)
+    assert np.array_equal(s1, baselines.rbmf_select(dense, 4, seed=3))
+
+
+def _row_blocks(R):
+    """The RowBlocks operand of the 0/1 array R's rows."""
+    return matrix_from_rows([np.flatnonzero(r) for r in R], R.shape[1]).row_blocks(
+        np.arange(len(R)))
 
 
 def test_rbmf_decoder_exact_rank_self_consistency():
+    # 20 users, each with one of three independent 0/1 rows: exact rank 3
     rng = np.random.Generator(np.random.PCG64(4))
-    R = rng.random((20, 3)) @ rng.random((3, 6))  # exact rank 3
-    seeds = baselines.rbmf_select(R, 3, seed=0)
-    X = baselines.rbmf_decoder(csr_array(R), seeds)
+    patterns = np.array([[1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1], [0, 0, 0, 1, 1, 1]], float)
+    R = patterns[rng.permutation(np.arange(20) % 3)]
+    rows = _row_blocks(R)
+    seeds = baselines.rbmf_select(rows, 3, seed=0)
+    X = baselines.rbmf_decoder(rows, seeds)
     assert X.shape == (3, 6) and X.dtype == np.float64
     assert np.linalg.norm(R[:, seeds] @ X - R) <= 1e-6 * np.linalg.norm(R)
 
@@ -93,9 +103,9 @@ def test_rbmf_decoder_exact_rank_self_consistency():
 def test_rbmf_decoder_matches_qr_oracle():
     rng = np.random.Generator(np.random.PCG64(5))
     R = (rng.random((20, 6)) < 0.5).astype(float)
-    R += 0.01 * rng.random((20, 6))  # avoid exact collinearity for the oracle
     seeds = np.array([0, 2, 4])
-    X = baselines.rbmf_decoder(csr_array(R), seeds)
+    assert np.linalg.matrix_rank(R[:, seeds]) == 3  # a unique least-squares fit
+    X = baselines.rbmf_decoder(_row_blocks(R), seeds)
     X_qr = np.linalg.lstsq(R[:, seeds], R, rcond=None)[0]
     assert np.linalg.norm(X - X_qr) <= 1e-5 * np.linalg.norm(X_qr)
 

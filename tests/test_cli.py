@@ -848,6 +848,77 @@ def test_allocation_failure_is_one_line_error(prepared, tmp_path, capsys, monkey
     assert err == f"error: {message or 'MemoryError'}\n"
 
 
+HUGE = "10000000000"
+
+
+def _guarded_allocators(monkeypatch, limit):
+    """Wrap model's allocators, the parameter initialisers and
+    Workspace.get, so that an array of more than `limit` elements raises
+    numpy's MemoryError, as on a machine short of memory, before anything is
+    allocated; returns the list of (rows, columns) of every array asked for."""
+    asked = []
+
+    def guard(shape):
+        asked.append(tuple(shape))
+        if np.prod(shape, dtype=object) > limit:
+            raise MemoryError(f"Unable to allocate an array with shape {tuple(shape)}")
+
+    init_encoder, init_decoder, get = model.init_encoder, model.init_decoder, model.Workspace.get
+
+    def guarded_encoder(k, m, rng):
+        guard((k, m))
+        return init_encoder(k, m, rng)
+
+    def guarded_decoder(k, d, m, rng):
+        guard((k, d))
+        guard((d, m))
+        return init_decoder(k, d, m, rng)
+
+    def guarded_get(self, name, shape, dtype):
+        guard(shape)
+        return get(self, name, shape, dtype)
+
+    monkeypatch.setattr(model, "init_encoder", guarded_encoder)
+    monkeypatch.setattr(model, "init_decoder", guarded_decoder)
+    monkeypatch.setattr(model.Workspace, "get", guarded_get)
+    return asked
+
+
+@pytest.mark.parametrize("command, flag, limit, message", [
+    # rejected before any array is made
+    ("train", "--k", 10**6, f"error: k={HUGE} must be smaller than the item count 18\n"),
+    ("eval", "--k", 10**6, f"error: k={HUGE} must be smaller than the item count 18\n"),
+    # the decoder's first layer is asked for, and cannot be had
+    ("train", "--d", 10**6, f"error: Unable to allocate an array with shape (3, {HUGE})\n"),
+    # a batch beyond the training users is all 43 of them: with its arrays
+    # failing (d = 2 keeps the parameters within the limit), it ends as any
+    # allocation failure does
+    ("train", "--batch-size", 100, "error: Unable to allocate an array with shape (43, 18)\n"),
+], ids=["train_k", "eval_k", "train_d", "train_batch_size"])
+def test_huge_resource_values_are_one_line_errors(prepared, tmp_path, capsys, monkeypatch,
+                                                  command, flag, limit, message):
+    asked = _guarded_allocators(monkeypatch, limit)
+    flags = ["--epochs", "2", "--d", "2"] if command == "train" else ["--ns", "5,10"]
+    err = _one_line_error(capsys, [command, "--data-dir", prepared, "--out", str(tmp_path / "run"),
+                                   "--k", "3", *flags, flag, HUGE])
+    assert err.startswith(message)
+    assert all(np.prod(shape, dtype=object) <= limit for shape in asked[:-1])
+
+
+def test_huge_batch_size_trains_on_all_training_users_at_once(prepared, tmp_path, monkeypatch):
+    # no array is sized by the batch size itself: a batch size beyond the
+    # training users trains as a batch of exactly them
+    n_train = len(data.split_users(cli._load_dataset(prepared), 0.2, 0.1, 0).train_users)
+    asked = _guarded_allocators(monkeypatch, 10**6)
+    for size in (HUGE, str(n_train)):
+        assert cli.main(["train", "--data-dir", prepared, "--out", str(tmp_path / size)]
+                        + FAST_TRAIN + ["--batch-size", size]) == 0
+    # the rows of each 2-D array: at most a batch, or d = 8 of w2's gradient
+    assert max(shape[0] for shape in asked if len(shape) == 2) == n_train
+    assert ((tmp_path / HUGE / "checkpoint.dre").read_bytes()
+            == (tmp_path / str(n_train) / "checkpoint.dre").read_bytes())
+
+
 def _flat_report(methods):
     """The eval_report.json text of `methods` over one run at N = 10, with
     every mean 0.5."""

@@ -760,7 +760,13 @@ def test_csr_matches_per_row_reference(case, draw):
         dense[i, rows[u]] = 1.0
     assert matrix.dense(user_ids).dtype == bool
     assert np.array_equal(matrix.dense(user_ids), dense)
-    assert np.array_equal(matrix.csr(user_ids).toarray(), dense)
+    # the operand's products by identity matrices are its rows, exactly
+    blocks = matrix.row_blocks(user_ids)
+    assert blocks.shape == dense.shape
+    assert (blocks @ np.eye(matrix.m)).tobytes() == dense.tobytes()
+    assert (blocks.T @ np.eye(len(user_ids))).tobytes() == dense.T.tobytes()
+    items = np.arange(matrix.m)[::-1]
+    assert blocks.columns(items).tobytes() == dense[:, items].tobytes()
     assert np.array_equal(matrix.item_counts(user_ids), dense.sum(axis=0))
     positive_rows, _ = matrix.positives(user_ids)
     assert np.bincount(positive_rows, minlength=len(user_ids)).tolist() == [
@@ -862,29 +868,6 @@ def test_load_snapshot_reads_rows_across_blocks(tmp_path, monkeypatch, cluster_m
     path.write_text("".join(lines))
     with pytest.raises(data.DataError, match=f"snapshot:{len(lines) - 1}: malformed row"):
         data.load_snapshot(path)
-
-
-@pytest.mark.parametrize("block", ["all", "shuffled_repeated", "empty"])
-def test_csr_view_shares_the_int32_indices(cluster_matrix, monkeypatch, block):
-    user_ids = {"all": np.arange(cluster_matrix.n),
-                "shuffled_repeated": np.array([57, 3, 299, 3, 120, 0]),
-                "empty": np.zeros(0, np.int64)}[block]
-    gathered, gather = [], data.RatingMatrix._gather
-
-    def recorded_gather(self, ids):
-        gathered.append(gather(self, ids))
-        return gathered[-1]
-
-    monkeypatch.setattr(data.RatingMatrix, "_gather", recorded_gather)
-    csr = cluster_matrix.csr(user_ids)
-    # an int64 indptr would make scipy copy the indices to int64
-    assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
-    (indptr, indices), = gathered
-    assert np.shares_memory(csr.indices, indices) or len(indices) == 0
-    assert np.array_equal(csr.indptr, indptr)
-    dense = cluster_matrix.dense(user_ids)
-    assert csr.shape == dense.shape and np.array_equal(csr.toarray(), dense)
-    assert np.array_equal(cluster_matrix.item_counts(user_ids), dense.sum(axis=0))
 
 
 def test_fingerprint_is_stable(cluster_matrix):

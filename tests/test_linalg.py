@@ -7,13 +7,12 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from elicit import data, linalg, model
 from elicit.linalg import (
     MAXVOL_DELTA, gumbel_noise, maxvol, ridge_solve, softmax_rows, truncated_svd,
 )
-from conftest import make_cluster_matrix
+from conftest import make_cluster_matrix, matrix_from_rows
 
 
 def rank_k_residual(A, right):
@@ -220,25 +219,82 @@ def test_softmax_rejects_bad_tau():
         softmax_rows(np.zeros((1, 2)), 0.0)
 
 
-def test_sparse_input_matches_dense():
+def _row_blocks(R):
+    """The RowBlocks operand of the 0/1 array R's rows."""
+    return matrix_from_rows([np.flatnonzero(r) for r in R], R.shape[1]).row_blocks(
+        np.arange(len(R)))
+
+
+def _binary_rows(rows, cols, density, seed, empty_row=None):
+    """A RowBlocks operand of a random 0/1 matrix, and the matrix as float64;
+    the row empty_row, if given, has no positives."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    R = (rng.random((rows, cols)) < density).astype(np.float64)
+    if empty_row is not None:
+        R[empty_row] = 0
+    return _row_blocks(R), R
+
+
+def test_row_blocks_input_matches_dense():
     # a binary matrix, as the training matrix is: the ridge normal equations
-    # then hold exact integer counts, so the sparse route gives the same bits
-    # as the plain dense expressions; the SVD sums floats in another order
-    rng = np.random.Generator(np.random.PCG64(11))
-    R = (rng.random((60, 25)) < 0.2).astype(np.float64)
-    S = csr_array(R)
-    dense, sparse = truncated_svd(R, 4, seed=1), truncated_svd(S, 4, seed=1)
-    assert np.allclose(sparse, dense, atol=1e-10)
-    A = R[:, [3, 7, 11]]
-    plain = np.linalg.solve(A.T @ A + 1e-6 * np.eye(3), A.T @ R)
+    # then hold exact integer counts, so the operand gives the same bits as
+    # the plain dense expressions; the SVD's products are float32. 300
+    # users, with an empty row: two whole blocks of PRODUCT_ROWS = 128 and
+    # a part of one
+    S, R = _binary_rows(300, 170, 0.1, seed=14, empty_row=5)
+    dense, blocks = truncated_svd(R, 4, seed=1), truncated_svd(S, 4, seed=1)
+    assert np.abs(blocks - dense).max() <= 1e-5 * np.abs(dense).max()
+    seeds = np.array([8, 3, 120, 77])
+    A = R[:, seeds]
+    plain = np.linalg.solve(A.T @ A + 1e-6 * np.eye(4), A.T @ R)
     for B in (R, S):
         X = ridge_solve(A, B)
         assert X.tobytes() == plain.tobytes() and X.flags.c_contiguous
+    assert ridge_solve(S.columns(seeds), S).tobytes() == plain.tobytes()
 
 
-def _binary_csr(rows, cols, density, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return csr_array((rng.random((rows, cols)) < density).astype(np.float64))
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_row_blocks_products_match_dense_float64(monkeypatch, lanes):
+    # 300 users: two whole blocks of PRODUCT_ROWS = 128 and a part of one,
+    # with an empty row in the second
+    monkeypatch.setattr(linalg, "_lanes", lanes)
+    S, R = _binary_rows(300, 170, 0.1, seed=12, empty_row=200)
+    rng = np.random.Generator(np.random.PCG64(13))
+    X, Y = rng.standard_normal((170, 7)), rng.standard_normal((300, 7))
+    assert S.shape == R.shape and S.T.shape == R.T.shape
+    for got, want in ((S @ X, R @ X), (S.T @ Y, R.T @ Y)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    # exact where the factor is 0/1: the counts are integers below 2**24
+    assert (S.T @ R[:, :5]).tobytes() == (R.T @ R[:, :5]).tobytes()
+    assert S.columns(np.array([4, 0, 169])).tobytes() == R[:, [4, 0, 169]].tobytes()
+
+
+@pytest.mark.parametrize("case, householder", [
+    ("full_rank", False),  # a random sketch: Cholesky QR, twice
+    ("cluster_sketch", False),  # the first sketch of the block-structured matrix
+    ("condition_1e8", False),  # past the first pass Q is far from orthonormal
+    ("rank_one", True),  # its Gram matrix is singular
+    ("repeated_column", True),
+])
+def test_orthonormal_takes_cholesky_qr_or_householder(monkeypatch, case, householder):
+    rng = np.random.Generator(np.random.PCG64(15))
+    cluster = make_cluster_matrix(n_per_cluster=40, items_per_cluster=4, clusters=3, seed=1)
+    Y = {"full_rank": lambda: rng.standard_normal((200, 60)),
+         "cluster_sketch": lambda: cluster.row_blocks(np.arange(cluster.n))
+         @ rng.standard_normal((cluster.m, 12)),
+         "condition_1e8": lambda: np.linalg.qr(rng.standard_normal((200, 20)))[0]
+         @ np.diag(np.logspace(0, -8, 20)) @ np.linalg.qr(rng.standard_normal((20, 20)))[0],
+         "rank_one": lambda: np.outer(rng.standard_normal(12), rng.standard_normal(9)),
+         "repeated_column": lambda: rng.standard_normal((30, 6))[:, [0, 1, 2, 3, 4, 4]]}[case]()
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+    Q = linalg._orthonormal(Y)
+    assert calls == ([Y.shape] if householder else [])
+    assert Q.shape == Y.shape
+    assert np.abs(Q.T @ Q - np.eye(Y.shape[1])).max() <= 1e-12
+    # Q spans Y's columns
+    assert np.abs(Q @ (Q.T @ Y) - Y).max() <= 1e-10 * np.abs(Y).max()
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -288,26 +344,22 @@ def _svd_in_lanes(monkeypatch, A, k, lanes):
 
 
 @pytest.mark.parametrize("shape, density, k", [
-    # RBMF's products at a quarter of the benchmark's nonzeros: 60 columns
+    # RBMF's products at a quarter of the benchmark's nonzeros: 60 columns,
+    # whole blocks of PRODUCT_ROWS users and a part of one, each product of
+    # a block in two lanes, from DENSE_LANE_WORK
     ((1500, 1200), 0.05, 50),
-    # every sparse product of 2 columns or more is cut: 5 columns split
-    # 3 + 2 and 2 columns split 1 + 1; 1 column is one block, so it stays
-    # in one lane
-    ((9, 7), 0.4, 2),
-    ((6, 2), 0.6, 1),
-    ((6, 1), 0.6, 1),
+    # every product of a block below DENSE_LANE_WORK: one lane
+    ((300, 40), 0.2, 5),
 ])
-def test_svd_of_a_csr_array_has_the_same_bits_in_one_lane_and_two(monkeypatch, shape, density,
+def test_svd_of_row_blocks_has_the_same_bits_in_one_lane_and_two(monkeypatch, shape, density,
                                                                  k):
-    A = _binary_csr(*shape, density, seed=30)
+    A = _binary_rows(*shape, density, seed=30)[0]
     one, one_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=1)
     two, two_in_two = _svd_in_lanes(monkeypatch, A, k, lanes=2)
-    assert not one_in_two and two_in_two == (min(shape[1], k + 10) > 1)  # the sketch's columns
+    sketch = min(shape[1], k + 10)
+    assert not one_in_two
+    assert two_in_two == (data.PRODUCT_ROWS * shape[1] * sketch >= linalg.DENSE_LANE_WORK)
     assert one.tobytes() == two.tobytes()
-    # each product in two lanes has the bits of scipy's whole product
-    X = np.random.Generator(np.random.PCG64(4)).standard_normal((shape[1], 5))
-    for M, Y in ((A, X), (A.T, A @ X)):
-        assert linalg._matmul(M, Y).tobytes() == (M @ Y).tobytes()
 
 
 ONE_BLAS_THREAD = pytest.mark.skipif(
@@ -410,7 +462,7 @@ def _train_and_svd():
     cfg = model.TrainConfig(k=3, d=8, lr=0.01, epochs=2, batch_size=64, t0=5.0, te=0.1,
                             retrain_epochs=2, seed=0, val_every=1)
     phi, theta, _ = model.train(matrix, data.split_users(matrix, seed=0), cfg)
-    svd = truncated_svd(_binary_csr(1500, 1200, 0.05, seed=31), 50, seed=5)
+    svd = truncated_svd(_binary_rows(1500, 1200, 0.05, seed=31)[0], 50, seed=5)
     digest = hashlib.sha256(b"".join(x.tobytes() for x in (phi, *vars(theta).values(), svd)))
     return threading.active_count(), digest.hexdigest()
 
@@ -445,14 +497,25 @@ print(linalg._lanes, linalg._openblas_threads()[0](), *_train_and_svd())
 def test_two_lanes_only_where_blas_is_pinned_on_two_cpus(monkeypatch, case):
     # with OPENBLAS_NUM_THREADS=2, importing elicit puts numpy's OpenBLAS on
     # one thread unless no setter is found, and the lanes are 2, with a lane
-    # worker started by the train, only with that pin and 2 CPUs allowed; the
-    # outputs have the bits of this process's, whose BLAS is on one thread
+    # worker started by the train, only with that pin and 2 CPUs allowed.
+    # Pinned, the outputs have the bits of this process's, whose BLAS is on
+    # one thread. Unpinned, BLAS splits its products by its own rule, which
+    # differs between kernels (Haswell's splits round otherwise than its one
+    # thread), so only two such runs are compared
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
         (os.path.dirname(os.path.dirname(linalg.__file__)), os.path.dirname(__file__))))
-    out = subprocess.run([sys.executable, "-c", LANES_SCRIPT, case], env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
-    monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
+
+    def run():
+        return subprocess.run([sys.executable, "-c", LANES_SCRIPT, case], env=env,
+                              capture_output=True, text=True, check=True).stdout.split()
+
+    out = run()
     two = min(2, len(os.sched_getaffinity(0)))
     lanes, blas_threads = {"plain": (two, 1), "cpu0": (1, 1), "no_maps": (1, two)}[case]
     # one Python thread per lane
-    assert out == [str(lanes), str(blas_threads), str(lanes), _train_and_svd()[1]]
+    assert out[:3] == [str(lanes), str(blas_threads), str(lanes)]
+    if case == "no_maps":
+        assert run()[3] == out[3]
+    else:
+        monkeypatch.setattr(model, "BLOCK_ELEMS", 64)
+        assert out[3] == _train_and_svd()[1]

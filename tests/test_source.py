@@ -39,7 +39,7 @@ def test_package_raises_no_system_exit():
 
 def test_only_data_reads_the_matrix_layout():
     # the CSR arrays are data.RatingMatrix's business; other modules go
-    # through its methods (positives, dense, csr, item_counts, nnz)
+    # through its methods (positives, dense, row_blocks, item_counts, nnz)
     found = [
         f"{path.name}:{node.lineno}: .{node.attr}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "data.py"
@@ -51,7 +51,8 @@ def test_only_data_reads_the_matrix_layout():
 
 def test_cli_import_loads_no_scipy_and_prepare_no_openssl(tmp_path):
     # scipy.stats takes about a second to import, and no command needs it;
-    # scipy.sparse takes about 0.25 s, and only the RBMF methods need it.
+    # scipy.sparse takes about 0.15 s and 18 MB, and none needs it either
+    # (test_rbmf_eval_loads_no_scipy_sparse).
     # hashlib maps OpenSSL (about 4 MB), which prepare never uses.
     log = tmp_path / "ratings.dat"
     log.write_text("u1::i1::5::1\nu1::i2::4::2\n")
@@ -68,6 +69,29 @@ def test_cli_import_loads_no_scipy_and_prepare_no_openssl(tmp_path):
     if early:
         pytest.skip("this interpreter loads _hashlib before elicit is imported")
     assert not hashlib_after_prepare
+
+
+def test_rbmf_eval_loads_no_scipy_sparse(tmp_path):
+    # RBMF's SVD and ridge fit multiply dense row blocks (data.RowBlocks):
+    # an eval of both RBMF methods on the TINY benchmark corpus ends with
+    # scipy.sparse never imported
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    code = ("import json, sys; "
+            f"sys.path.insert(0, {str(perfbench)!r}); import corpus; "
+            f"open({str(tmp_path / 'ratings.dat')!r}, 'w').write("
+            "corpus.generate(corpus.TINY, 7)[0]); "
+            "import elicit.cli; "
+            f"rc = [elicit.cli.main(['prepare', '--dataset', {str(tmp_path / 'ratings.dat')!r}, "
+            f"'--out', {str(tmp_path / 'prepared')!r}]), "
+            f"elicit.cli.main(['eval', '--data-dir', {str(tmp_path / 'prepared')!r}, "
+            f"'--out', {str(tmp_path / 'eval')!r}, '--methods', 'RBMF,RBMF++', '--runs', '1', "
+            "'--k', '5', '--epochs', '1', '--ns', '5,10'])]; "
+            "print(json.dumps([rc, 'scipy.sparse' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [[0, 0], False]
+    assert (tmp_path / "eval" / "eval_report.json").is_file()
 
 
 def test_elicit_is_imported_from_the_first_pythonpath_entry():
